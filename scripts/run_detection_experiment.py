@@ -13,11 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from submimo import (ArrayMode, ExperimentConfig, SceneSpec, build_environment,
-                     emit_ppi, fileio, generate_scene, match_targets,
-                     run_experiment)
-from submimo.recovery import matrix_omp
-from submimo.scene import add_noise, synth_received
-from submimo.xampler import acquire
+                     emit_ppi, fileio, generate_scene, run_experiment,
+                     run_trial)
 
 
 def main():
@@ -50,11 +47,7 @@ def main():
         env = build_environment(ArrayMode.THINNED, args.profile, seed=args.seed)
         scene = generate_scene(np.random.default_rng([args.seed, 0, 0]), spec,
                                len(env.range_grid), env.plan.pri)
-        rx = synth_received(scene, env.array, env.plan, env.sample_rate)
-        rx = add_noise(rx, args.snr_db, [args.seed, 0, 1])
-        est = matrix_omp(acquire(rx, env.plan, env.adc, env.bins),
-                         env.dictionaries, max_targets=len(scene))
-        report = match_targets(scene, est, env.range_grid, env.azi_grid)
+        est, report = run_trial(env, scene, args.snr_db, [args.seed, 0, 1])
         emit_ppi(report, scene, est, Path(args.out) / "ppi_thinned_trial0.svg")
         print(f"wrote metrics and PPI under {args.out}")
 

@@ -10,8 +10,9 @@ from .geometry import (ArrayConfig, ArrayMode, AzimuthGrid, azimuth_grid,
                        build_mode, virtual_position, virtual_positions)
 from .harness import (DetectionReport, Environment, ExperimentConfig,
                       MetricsRecord, ReductionSummary, SceneSpec,
-                      build_environment, emit_ppi, generate_scene,
-                      match_targets, run_experiment, sampling_reduction)
+                      assemble_environment, build_environment, emit_ppi,
+                      generate_scene, match_targets, run_experiment,
+                      run_trial, sampling_reduction)
 from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
                        build_dictionaries, coherence, matrix_omp)
 from .scene import (SPEED_OF_LIGHT, ReceivedBaseband, Scene, Target,

@@ -12,32 +12,16 @@ import sys
 
 from . import fileio, harness
 from .errors import RadarError
-from .geometry import ArrayMode, azimuth_grid, build_mode
-from .recovery import RangeGrid, build_dictionaries, matrix_omp
+from .geometry import ArrayMode, mode_shape
+from .recovery import matrix_omp
 from .scene import add_noise, synth_received
-from .xampler import AdcConfig, acquire, subband_bins
+from .xampler import acquire
 
 _EXIT_CODES = {"config": 2, "validation": 3, "io": 4, "numerical": 5}
 
 
-def _environment(cfg: fileio.ToolkitConfig) -> harness.Environment:
-    array = cfg.array()
-    plan = cfg.cognitive_plan(array.num_tx)
-    adc = AdcConfig(rate=cfg.adc_rate, channel_spacing=plan.base.channel_spacing)
-    bins = subband_bins(plan)
-    cells = cfg.range_cells or harness.PROFILE_RANGE_CELLS[cfg.profile]
-    rgrid = RangeGrid.from_cells(plan.pri, cells)
-    agrid = azimuth_grid(array)
-    dicts = build_dictionaries(array, plan, bins, rgrid, agrid)
-    return harness.Environment(array=array, plan=plan, adc=adc, bins=bins,
-                               range_grid=rgrid, azi_grid=agrid,
-                               sample_rate=plan.base.total_bandwidth,
-                               dictionaries=dicts)
-
-
 def _cmd_simulate(args) -> int:
-    cfg = fileio.ToolkitConfig.from_file(args.config)
-    env = _environment(cfg)
+    env = fileio.ToolkitConfig.from_file(args.config).environment()
     scene = fileio.read_scene(args.scene)
     rx = synth_received(scene, env.array, env.plan, env.sample_rate)
     if args.snr_db is not None:
@@ -48,8 +32,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_acquire(args) -> int:
-    cfg = fileio.ToolkitConfig.from_file(args.config)
-    env = _environment(cfg)
+    env = fileio.ToolkitConfig.from_file(args.config).environment()
     rx = fileio.read_received(args.infile)
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
     fileio.write_coefficients(args.out, coeffs)
@@ -61,13 +44,9 @@ def _cmd_acquire(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    cfg = fileio.ToolkitConfig.from_file(args.config)
-    env = _environment(cfg)
+    env = fileio.ToolkitConfig.from_file(args.config).environment()
     coeffs = fileio.read_coefficients(args.infile)
-    dicts = build_dictionaries(env.array, env.plan, coeffs.bins,
-                               env.range_grid, env.azi_grid,
-                               tx_indices=coeffs.tx_indices)
-    estimate = matrix_omp(coeffs, dicts, max_targets=args.max_targets)
+    estimate = matrix_omp(coeffs, env.dictionaries, max_targets=args.max_targets)
     fileio.write_estimate_csv(args.out, estimate)
     print(f"recovered {len(estimate)} targets "
           f"(relative residual {estimate.residual_rel:.3e}) -> {args.out}")
@@ -76,13 +55,10 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = fileio.ToolkitConfig.from_file(args.config)
-    exp = cfg.experiment()
     if args.mode:
-        exp = harness.ExperimentConfig(
-            mode=fileio.parse_mode(args.mode), scene=exp.scene,
-            profile=exp.profile, snr_db=exp.snr_db, trials=exp.trials,
-            seed=exp.seed, max_targets=exp.max_targets)
-    record = harness.run_experiment(exp)
+        cfg = cfg.in_mode(fileio.parse_mode(args.mode))
+    exp = cfg.experiment()
+    record = harness.run_experiment(exp, cfg.environment())
     fileio.write_metrics(args.out, record)
     print(f"mode {exp.mode.value}: detection {record.detection_rate:.3f}, "
           f"false alarms {record.false_alarm_rate:.3f}, "
@@ -96,10 +72,8 @@ def _cmd_reduction(args) -> int:
              else list(ArrayMode))
     rows = []
     for mode in modes:
-        array = build_mode(mode, seed=cfg.array_seed)
-        plan = cfg.cognitive_plan(array.num_tx)
-        adc = AdcConfig(rate=cfg.adc_rate, channel_spacing=plan.base.channel_spacing)
-        summary = harness.sampling_reduction(mode, plan, adc)
+        plan = cfg.cognitive_plan(mode_shape(mode)[0])
+        summary = harness.sampling_reduction(mode, plan, cfg.adc(plan))
         rows.append((mode.value, summary))
     header = (f"{'mode':>8} {'rate_x':>7} {'bw_guard_x':>10} {'bw_x':>6} "
               f"{'spatial_x':>9} {'combined_%':>10} {'channels_%':>10}")
@@ -125,8 +99,7 @@ def _cmd_reduction(args) -> int:
 
 
 def _cmd_ppi(args) -> int:
-    cfg = fileio.ToolkitConfig.from_file(args.config)
-    env = _environment(cfg)
+    env = fileio.ToolkitConfig.from_file(args.config).environment()
     truth = fileio.read_scene(args.scene)
     estimate = fileio.read_estimate_csv(args.estimate)
     report = harness.match_targets(truth, estimate, env.range_grid, env.azi_grid)

@@ -9,6 +9,7 @@ export for inspection.
 from __future__ import annotations
 
 import configparser
+import copy
 import hashlib
 import json
 import struct
@@ -17,26 +18,26 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import ArrayConfig, ArrayMode, build_mode
-from .harness import ExperimentConfig, MetricsRecord, SceneSpec
+from .geometry import DEFAULT_WAVELENGTH, ArrayConfig, ArrayMode, build_mode
+from .harness import (PROFILE_RANGE_CELLS, Environment, ExperimentConfig,
+                      MetricsRecord, SceneSpec, assemble_environment)
 from .recovery import SparseEstimate
 from .scene import ReceivedBaseband, Scene, target_from_range
-from .waveform import (BasebandPulse, CognitivePlan, FdmPlan, Subband,
-                       build_cognitive_plan, build_fdm_plan,
+from .waveform import (REFERENCE_FDM_PLAN, BasebandPulse, CognitivePlan,
+                       FdmPlan, Subband, build_cognitive_plan, build_fdm_plan,
                        reference_subbands)
+from .xampler import REFERENCE_ADC_RATE, AdcConfig
 
 _COEFF_MAGIC = b"SMCS"
 _COEFF_VERSION = 1
 
 
-def plan_digest(plan: CognitivePlan | FdmPlan) -> str:
+def plan_digest(plan: CognitivePlan) -> str:
     """Short stable digest of a plan's numeric content."""
-    base = plan.base if isinstance(plan, CognitivePlan) else plan
+    base = plan.base
     parts = [base.num_tx, base.channel_spacing, base.signal_band, base.guard,
-             base.pri, base.pulse_width]
-    if isinstance(plan, CognitivePlan):
-        parts += [plan.total_power]
-        parts += [x for b in plan.subbands for x in (b.lo, b.hi)]
+             base.pri, base.pulse_width, plan.total_power]
+    parts += [x for b in plan.subbands for x in (b.lo, b.hi)]
     text = ",".join(f"{p!r}" for p in parts)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -192,23 +193,10 @@ def write_array_config(path, array: ArrayConfig) -> None:
 
 def read_array_config(path) -> ArrayConfig:
     """Rebuild an array layout; explicit positions override the seeded draw."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(str(path)):
-        raise ConfigError(f"cannot read array config {path}")
-    section = parser["array"]
-    mode = parse_mode(section.get("mode", "random"))
-    seed = int(section.get("seed", "0"))
-    wavelength = float(section.get("wavelength_m", "0.03"))
-    built = build_mode(mode, seed=seed, wavelength=wavelength)
-    if "tx_positions" in section or "rx_positions" in section:
-        tx = tuple(int(x) for x in section.get("tx_positions", "").split())
-        rx = tuple(int(x) for x in section.get("rx_positions", "").split())
-        return ArrayConfig(mode=mode, wavelength=wavelength,
-                           num_tx=built.num_tx, num_rx=built.num_rx,
-                           virtual_tx=built.virtual_tx, virtual_rx=built.virtual_rx,
-                           tx_positions=tx, rx_positions=rx,
-                           aperture_slots=built.aperture_slots, seed=seed)
-    return built
+    cfg = ToolkitConfig.from_file(path)
+    if not cfg.parser.has_section("array"):
+        raise ConfigError(f"no [array] section in {path}")
+    return cfg.array()
 
 
 # -- scenes and estimates -----------------------------------------------------
@@ -298,7 +286,6 @@ rate_hz = 7.5e6
 
 [recovery]
 profile = desk
-residual_tol = 1e-3
 
 [experiment]
 trials = 10
@@ -344,8 +331,9 @@ class ToolkitConfig:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls(parser)
         cfg.mode  # validate eagerly so any subcommand rejects a bad file
-        if cfg.profile not in ("desk", "full"):
-            raise ConfigError(f"unknown profile {cfg.profile!r}")
+        if cfg.profile not in PROFILE_RANGE_CELLS:
+            raise ConfigError(f"unknown profile {cfg.profile!r}; choose from "
+                              f"{sorted(PROFILE_RANGE_CELLS)}")
         return cfg
 
     def _get(self, section, option, fallback=None):
@@ -359,9 +347,26 @@ class ToolkitConfig:
     def array_seed(self) -> int:
         return int(self._get("array", "seed", "0"))
 
+    def in_mode(self, mode: ArrayMode) -> "ToolkitConfig":
+        """This configuration with `[array] mode` set to `mode`.
+
+        Explicit positions fit only the mode they were written for, so a
+        file that lists them cannot be moved to another mode.
+        """
+        if mode is not self.mode and (self._get("array", "tx_positions")
+                                      or self._get("array", "rx_positions")):
+            raise ConfigError(f"[array] positions belong to mode {self.mode.value}; "
+                              f"remove them to run mode {mode.value}")
+        parser = copy.deepcopy(self.parser)
+        if not parser.has_section("array"):
+            parser.add_section("array")
+        parser.set("array", "mode", mode.value)
+        return ToolkitConfig(parser)
+
     def array(self) -> ArrayConfig:
         built = build_mode(self.mode, seed=self.array_seed,
-                           wavelength=float(self._get("array", "wavelength_m", "0.03")))
+                           wavelength=float(self._get("array", "wavelength_m",
+                                                      DEFAULT_WAVELENGTH)))
         tx_raw = self._get("array", "tx_positions", "")
         rx_raw = self._get("array", "rx_positions", "")
         if tx_raw or rx_raw:
@@ -385,13 +390,14 @@ class ToolkitConfig:
 
     def fdm_plan(self, num_tx: int) -> FdmPlan:
         g = lambda opt, dflt: float(self._get("waveform", opt, dflt))
+        ref = REFERENCE_FDM_PLAN
         return build_fdm_plan(
             num_tx=num_tx,
-            channel_spacing=g("channel_spacing_hz", "15e6"),
-            signal_band=g("signal_band_hz", "12e6"),
-            guard=g("guard_hz", "3e6"),
-            pri=g("pri_s", "100e-6"),
-            pulse_width=g("pulse_width_s", "4.2e-6"),
+            channel_spacing=g("channel_spacing_hz", ref.channel_spacing),
+            signal_band=g("signal_band_hz", ref.signal_band),
+            guard=g("guard_hz", ref.guard),
+            pri=g("pri_s", ref.pri),
+            pulse_width=g("pulse_width_s", ref.pulse_width),
         )
 
     def cognitive_plan(self, num_tx: int) -> CognitivePlan:
@@ -401,9 +407,16 @@ class ToolkitConfig:
             total_power=float(self._get("waveform", "total_power_w", "1.0")),
         )
 
-    @property
-    def adc_rate(self) -> float:
-        return float(self._get("adc", "rate_hz", "7.5e6"))
+    def adc(self, plan: CognitivePlan) -> AdcConfig:
+        return AdcConfig(rate=float(self._get("adc", "rate_hz", REFERENCE_ADC_RATE)),
+                         channel_spacing=plan.base.channel_spacing)
+
+    def environment(self) -> Environment:
+        """The pipeline environment of the configured array, plan and ADC."""
+        array = self.array()
+        plan = self.cognitive_plan(array.num_tx)
+        cells = self.range_cells or PROFILE_RANGE_CELLS[self.profile]
+        return assemble_environment(array, plan, self.adc(plan), cells)
 
     def experiment(self) -> ExperimentConfig:
         get = lambda opt, dflt="": self._get("experiment", opt, dflt)

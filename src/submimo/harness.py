@@ -1,10 +1,10 @@
 """Experiment orchestration: profiles, Monte-Carlo detection runs, scoring, PPI.
 
-Two parameter profiles share the full spectral structure (100 us PRI,
-15 MHz channels, the reference slice plan, 7.5 MHz ADC) and differ only in
-the range grid: the full profile resolves 12000 cells of 1.25 m, the desk
-profile coarsens to 300 cells of 50 m so Monte-Carlo suites run in seconds
-while every pipeline stage is still exercised.
+Two parameter profiles share the full spectral structure (the reference
+FDM plan and slices, the reference ADC) and differ only in the range grid:
+the full profile resolves 12000 cells of 1.25 m, the desk profile coarsens
+to 300 cells of 50 m so Monte-Carlo suites run in seconds while every
+pipeline stage is still exercised.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .geometry import (ArrayConfig, ArrayMode, AzimuthGrid, azimuth_grid,
 from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
                        build_dictionaries, matrix_omp)
 from .scene import (Scene, Target, add_noise, synth_received)
-from .waveform import (CognitivePlan, build_cognitive_plan, build_fdm_plan,
+from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, build_cognitive_plan,
                        reference_subbands)
-from .xampler import AdcConfig, BinSet, acquire, subband_bins
+from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, acquire, subband_bins
 
 PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 
@@ -30,6 +30,10 @@ PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 # common refinement (0.025 spacing), the fine grid matches the wide mode
 COARSE_AZIMUTH_CELLS = 80
 FINE_AZIMUTH_CELLS = 400
+
+# rejection-sampling cap for scene placement; an unsatisfiable spec raises
+# instead of spinning
+_MAX_PLACEMENT_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -46,29 +50,30 @@ class Environment:
     dictionaries: DictionarySet
 
 
-def build_environment(mode: ArrayMode, profile: str = "desk", seed: int = 0,
-                      range_cells: int | None = None,
-                      subbands=None, total_power: float = 1.0) -> Environment:
-    """Assemble array, plan, grids and dictionaries for one configuration."""
-    if profile not in PROFILE_RANGE_CELLS:
-        raise ConfigError(f"unknown profile {profile!r}; choose from "
-                          f"{sorted(PROFILE_RANGE_CELLS)}")
-    array = build_mode(mode, seed=seed)
-    base = build_fdm_plan(num_tx=array.num_tx, channel_spacing=15e6,
-                          signal_band=12e6, guard=3e6, pri=100e-6,
-                          pulse_width=4.2e-6)
-    plan = build_cognitive_plan(base, subbands or reference_subbands(),
-                                total_power=total_power)
-    adc = AdcConfig(rate=7.5e6, channel_spacing=base.channel_spacing)
+def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig,
+                         range_cells: int) -> Environment:
+    """Derive bins, grids, sample rate and dictionaries for one array, plan and ADC."""
     bins = subband_bins(plan)
-    cells = range_cells if range_cells is not None else PROFILE_RANGE_CELLS[profile]
-    rgrid = RangeGrid.from_cells(base.pri, cells)
+    rgrid = RangeGrid.from_cells(plan.pri, range_cells)
     agrid = azimuth_grid(array)
     dicts = build_dictionaries(array, plan, bins, rgrid, agrid)
     return Environment(array=array, plan=plan, adc=adc, bins=bins,
                        range_grid=rgrid, azi_grid=agrid,
-                       sample_rate=base.total_bandwidth,
+                       sample_rate=plan.base.total_bandwidth,
                        dictionaries=dicts)
+
+
+def build_environment(mode: ArrayMode, profile: str = "desk",
+                      seed: int = 0) -> Environment:
+    """The prototype's reference design for one mode, profile and array seed."""
+    if profile not in PROFILE_RANGE_CELLS:
+        raise ConfigError(f"unknown profile {profile!r}; choose from "
+                          f"{sorted(PROFILE_RANGE_CELLS)}")
+    array = build_mode(mode, seed=seed)
+    base = dataclasses.replace(REFERENCE_FDM_PLAN, num_tx=array.num_tx)
+    plan = build_cognitive_plan(base, reference_subbands())
+    adc = AdcConfig(rate=REFERENCE_ADC_RATE, channel_spacing=base.channel_spacing)
+    return assemble_environment(array, plan, adc, PROFILE_RANGE_CELLS[profile])
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
     guard = 0
     while len(placed) < n_background:
         guard += 1
-        if guard > 100_000:
+        if guard > _MAX_PLACEMENT_DRAWS:
             raise ConfigError("scene constraints too tight to satisfy")
         n = int(rng.integers(0, range_cells))
         p = int(rng.integers(0, COARSE_AZIMUTH_CELLS))
@@ -206,11 +211,13 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
         if abs(half / fine - round(half / fine)) > 1e-9:
             raise ConfigError("half the pair gap must sit on the fine azimuth grid")
         margin = int(np.ceil(half / (2.0 / COARSE_AZIMUTH_CELLS)))
-        while True:
+        for _ in range(_MAX_PLACEMENT_DRAWS):
             n0 = int(rng.integers(0, range_cells))
             center_cell = int(rng.integers(margin, COARSE_AZIMUTH_CELLS - margin))
             if all(abs(n0 - n) >= spec.pair_range_clearance_cells for n, _ in placed):
                 break
+        else:
+            raise ConfigError("no range cell clears the close pair's range clearance")
         center = -1.0 + 2.0 * center_cell / COARSE_AZIMUTH_CELLS
         for sin_doa in (center - half, center + half):
             targets.append(Target(delay=n0 * pri / range_cells, sin_doa=sin_doa,
@@ -259,14 +266,38 @@ def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
                            misses=tuple(sorted(unmatched)), strict_hits=strict)
 
 
-def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
-    """Scene -> synthesis -> noise -> acquisition -> recovery -> scoring, per trial.
+def run_trial(env: Environment, scene: Scene, snr_db: float | None, noise_seed,
+              max_targets: int | None = None) -> tuple[SparseEstimate, DetectionReport]:
+    """One pulse: synthesis -> noise -> acquisition -> recovery -> scoring.
+
+    Returns the estimate and its detection report. Recovery stops after
+    `max_targets` selections, or after as many as the scene holds.
+    """
+    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
+    if _adds_noise(snr_db):
+        rx = add_noise(rx, snr_db, noise_seed)
+    coeffs = acquire(rx, env.plan, env.adc, env.bins)
+    estimate = matrix_omp(coeffs, env.dictionaries,
+                          max_targets=max_targets or len(scene))
+    report = match_targets(scene, estimate, env.range_grid, env.azi_grid)
+    return estimate, report
+
+
+def _adds_noise(snr_db: float | None) -> bool:
+    return snr_db is not None and not np.isinf(snr_db)
+
+
+def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> MetricsRecord:
+    """Seeded Monte-Carlo detection run: one scene and one `run_trial` per trial.
 
     Scenes and noise derive from (seed, trial index) only, so runs with
     different modes but the same seed face identical target scenarios.
+    `env` defaults to the reference design for the configured mode and
+    profile, with the array drawn from the experiment seed; a given `env`
+    must be built for `cfg.mode`.
     """
-    env = build_environment(cfg.mode, cfg.profile, seed=cfg.seed)
-    stages: dict = {}
+    if env is None:
+        env = build_environment(cfg.mode, cfg.profile, seed=cfg.seed)
     reports: list[DetectionReport] = []
     n_truth = n_hits = n_strict = n_est = n_fa = 0
 
@@ -276,18 +307,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
         else:
             scene = generate_scene(np.random.default_rng([cfg.seed, trial, 0]),
                                    cfg.scene, len(env.range_grid), env.plan.pri)
-        stages["scene"] = stages.get("scene", 0) + 1
-        rx = synth_received(scene, env.array, env.plan, env.sample_rate)
-        stages["synthesize"] = stages.get("synthesize", 0) + 1
-        if cfg.snr_db is not None and not np.isinf(cfg.snr_db):
-            rx = add_noise(rx, cfg.snr_db, [cfg.seed, trial, 1])
-            stages["noise"] = stages.get("noise", 0) + 1
-        coeffs = acquire(rx, env.plan, env.adc, env.bins, counters=stages)
-        estimate = matrix_omp(coeffs, env.dictionaries,
-                              max_targets=cfg.max_targets or len(scene),
-                              counters=stages)
-        report = match_targets(scene, estimate, env.range_grid, env.azi_grid)
-        stages["match"] = stages.get("match", 0) + 1
+        estimate, report = run_trial(env, scene, cfg.snr_db, [cfg.seed, trial, 1],
+                                     cfg.max_targets)
         reports.append(report)
         n_truth += len(scene)
         n_hits += len(report.hits)
@@ -295,6 +316,9 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
         n_est += len(estimate)
         n_fa += len(report.false_alarms)
 
+    stages = ["scene", "synthesize", "noise", "acquire", "recover", "match"]
+    if not _adds_noise(cfg.snr_db):
+        stages.remove("noise")
     cfg_dict = dataclasses.asdict(cfg)
     cfg_dict["mode"] = cfg.mode.value
     if isinstance(cfg.scene, Scene):
@@ -305,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsRecord:
         detection_rate=n_hits / n_truth if n_truth else 0.0,
         false_alarm_rate=n_fa / n_est if n_est else 0.0,
         strict_rate=n_strict / n_truth if n_truth else 0.0,
-        stages=stages,
+        stages=dict.fromkeys(stages, cfg.trials),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .geometry import ArrayConfig, AzimuthGrid, virtual_positions
 from .scene import SPEED_OF_LIGHT
-from .waveform import CognitivePlan, FdmPlan, _as_cognitive
+from .waveform import CognitivePlan
 from .xampler import BinSet, CoefficientSet
 
 DEFAULT_RESIDUAL_TOL = 1e-3
@@ -81,12 +81,12 @@ class SparseEstimate:
         return len(self.support)
 
 
-def build_dictionaries(array: ArrayConfig, plan: CognitivePlan | FdmPlan,
+def build_dictionaries(array: ArrayConfig, plan: CognitivePlan,
                        bins: BinSet, range_grid: RangeGrid,
                        azi_grid: AzimuthGrid,
                        tx_indices=None) -> DictionarySet:
     """Unit-modulus range and azimuth dictionaries on the given grids."""
-    base = _as_cognitive(plan).base
+    base = plan.base
     if array.num_tx != base.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
     tx = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
@@ -147,24 +147,23 @@ def _reconstruct(dicts: DictionarySet, support, amplitudes):
 
 
 def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
-               max_targets: int | None = None,
-               residual_tol: float | None = None,
-               counters: dict | None = None) -> SparseEstimate:
+               max_targets: int | None = None) -> SparseEstimate:
     """Greedy simultaneous sparse recovery over all channels.
 
     Per iteration: score every grid pair on the current residuals, add the
     argmax (ties resolve to the smallest range cell, then the smallest
     azimuth cell), jointly refit every selected amplitude across channels,
-    and subtract the reconstruction. Stops after `max_targets` selections
-    or once the summed relative residual drops to `residual_tol`
-    (defaulting to 1e-3 when no target count is given).
+    and subtract the reconstruction. Stops after `max_targets` selections,
+    or, when no target count is given, once the summed relative residual
+    drops to DEFAULT_RESIDUAL_TOL.
     """
     if coefficients.tx_indices != dicts.tx_indices:
         raise ValidationError("coefficients and dictionaries cover different channels")
+    if coefficients.bins != dicts.bins:
+        raise ValidationError("coefficients and dictionaries cover different bins")
     if max_targets is not None and max_targets < 1:
         raise ValidationError("max_targets must be at least 1")
-    tol = residual_tol if residual_tol is not None else (
-        DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0)
+    tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
     n_cells = len(dicts.range_grid) * len(dicts.azi_grid)
     n_meas = sum(y.size for y in coefficients.matrices)
     cap = max_targets if max_targets is not None else min(n_cells, n_meas)
@@ -198,9 +197,6 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
         amplitudes = _joint_refit(matrices, dicts, support)
         recon = _reconstruct(dicts, support, amplitudes)
         residuals = [y - r for y, r in zip(matrices, recon)]
-        if counters is not None:
-            counters["score"] = counters.get("score", 0) + 1
-            counters["refit"] = counters.get("refit", 0) + 1
         history.append(float(sum(np.linalg.norm(r) ** 2 for r in residuals)))
         res_norm = float(sum(np.linalg.norm(r) for r in residuals))
         if res_norm / signal_norm <= tol:

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import ArrayConfig, virtual_positions
-from .waveform import (DEFAULT_PHASE_SEED, CognitivePlan, FdmPlan,
-                       _as_cognitive, channel_spectrum)
+from .waveform import DEFAULT_PHASE_SEED, CognitivePlan, channel_spectrum
 from .xampler import BinSet, CoefficientSet
 
 SPEED_OF_LIGHT = 3.0e8
@@ -88,7 +87,7 @@ def _active_mask(scene: Scene, pulse_width: float, pri: float, n_frame: int) -> 
     return mask
 
 
-def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan | FdmPlan,
+def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
                    sample_rate: float,
                    phase_seed: int = DEFAULT_PHASE_SEED) -> ReceivedBaseband:
     """Superimpose delayed, spatially phased pulse echoes at every receiver.
@@ -98,8 +97,7 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan | FdmPl
     delay phase is exact. Delays at or beyond the PRI are ambiguous and
     rejected.
     """
-    plan_c = _as_cognitive(plan)
-    base = plan_c.base
+    base = plan.base
     for t in scene.targets:
         if not 0 <= t.delay < base.pri:
             raise ValidationError(
@@ -114,7 +112,7 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan | FdmPl
 
     coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)
     for m in range(base.num_tx):
-        bins, values = channel_spectrum(plan_c, m, phase_seed)
+        bins, values = channel_spectrum(plan, m, phase_seed)
         vpos = virtual_positions(array, m)
         for t in scene.targets:
             delayed = values * np.exp(-2j * np.pi * bins * (t.delay / base.pri))
@@ -127,15 +125,14 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan | FdmPl
 
 
 def oracle_coefficients(scene: Scene, array: ArrayConfig,
-                        plan: CognitivePlan | FdmPlan, bins: BinSet) -> CoefficientSet:
+                        plan: CognitivePlan, bins: BinSet) -> CoefficientSet:
     """Ground-truth coefficient matrices, bypassing time-domain synthesis.
 
     Evaluates the target model directly on the selected bins; the
     acquisition chain applied to a synthesized scene must reproduce these
     values up to floating-point error.
     """
-    plan_c = _as_cognitive(plan)
-    base = plan_c.base
+    base = plan.base
     if array.num_tx != base.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
     k = bins.as_array

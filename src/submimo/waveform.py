@@ -135,6 +135,14 @@ def reference_subbands() -> tuple[Subband, ...]:
     return tuple(Subband(lo=s * 1e6, hi=s * 1e6 + 375e3) for s in starts_mhz)
 
 
+# the prototype's FDM design for its eight transmitters: 15 MHz channels of a
+# 12 MHz signal band plus a 3 MHz guard, 100 us PRI, 4.2 us nominal pulse;
+# other transmitter counts reuse it through dataclasses.replace
+REFERENCE_FDM_PLAN = build_fdm_plan(num_tx=8, channel_spacing=15e6,
+                                    signal_band=12e6, guard=3e6, pri=100e-6,
+                                    pulse_width=4.2e-6)
+
+
 def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> CognitivePlan:
     """Attach subband slices to an FDM plan and fix the power-conserving scale."""
     slices = tuple(sorted(subbands, key=lambda b: b.lo))
@@ -159,12 +167,6 @@ def conventional_plan(base: FdmPlan, total_power: float = 1.0) -> CognitivePlan:
     return build_cognitive_plan(base, (Subband(0.0, base.signal_band),), total_power)
 
 
-def _as_cognitive(plan: CognitivePlan | FdmPlan) -> CognitivePlan:
-    if isinstance(plan, FdmPlan):
-        return conventional_plan(plan)
-    return plan
-
-
 def _occupied_cells(subbands, pri: float):
     """(bin, energy fraction) pairs for the bins whose cells touch a slice.
 
@@ -182,7 +184,7 @@ def _occupied_cells(subbands, pri: float):
     return sorted(cells.items())
 
 
-def channel_spectrum(plan: CognitivePlan | FdmPlan, tx: int,
+def channel_spectrum(plan: CognitivePlan, tx: int,
                      phase_seed: int = DEFAULT_PHASE_SEED):
     """Designed Fourier-series coefficients of transmitter `tx`'s pulse.
 
@@ -191,7 +193,6 @@ def channel_spectrum(plan: CognitivePlan | FdmPlan, tx: int,
     The same function feeds synthesis and the receiver's per-bin
     normalization, so the two sides agree exactly.
     """
-    plan = _as_cognitive(plan)
     base = plan.base
     if not 0 <= tx < base.num_tx:
         raise ValidationError(f"transmit index {tx} out of range")
@@ -208,7 +209,7 @@ def channel_spectrum(plan: CognitivePlan | FdmPlan, tx: int,
     return bins, values
 
 
-def synth_pulse(plan: CognitivePlan | FdmPlan, tx: int, sample_rate: float,
+def synth_pulse(plan: CognitivePlan, tx: int, sample_rate: float,
                 phase_seed: int = DEFAULT_PHASE_SEED) -> BasebandPulse:
     """Synthesize transmitter `tx`'s baseband pulse over one PRI frame.
 
@@ -217,7 +218,6 @@ def synth_pulse(plan: CognitivePlan | FdmPlan, tx: int, sample_rate: float,
     channelization. Complex sampling means the rate must cover the whole
     one-sided multiplexed band.
     """
-    plan = _as_cognitive(plan)
     base = plan.base
     if sample_rate < base.total_bandwidth - 1e-6:
         raise ConfigError(

@@ -15,13 +15,16 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .waveform import (DEFAULT_PHASE_SEED, CognitivePlan, FdmPlan,
-                       _as_cognitive, channel_spectrum)
+from .waveform import DEFAULT_PHASE_SEED, CognitivePlan, channel_spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import ReceivedBaseband
 
 _BIN_EPS = 1e-6
+
+# the prototype's ADC: half the 15 MHz complex channel rate (a quarter of its
+# real Nyquist rate), under which the reference slices fold alias-free
+REFERENCE_ADC_RATE = 7.5e6
 
 
 @dataclass(frozen=True)
@@ -92,14 +95,13 @@ class CoefficientSet:
         return float(sum(np.linalg.norm(y) for y in self.matrices))
 
 
-def subband_bins(plan: CognitivePlan | FdmPlan) -> BinSet:
+def subband_bins(plan: CognitivePlan) -> BinSet:
     """Channel-offset bins whose full 1/pri cell lies inside a subband.
 
     Only fully-contained bins are selected so every extracted coefficient
     carries full in-slice energy; a slice narrower than one bin contributes
     nothing and an entirely empty selection is an error.
     """
-    plan = _as_cognitive(plan)
     pri = plan.base.pri
     n = plan.base.bins_per_channel
     ks: set[int] = set()
@@ -123,9 +125,8 @@ def _folded_segments(band, rate: float):
     return segments
 
 
-def check_coset(plan: CognitivePlan | FdmPlan, adc: AdcConfig) -> bool:
+def check_coset(plan: CognitivePlan, adc: AdcConfig) -> bool:
     """True when no two slices (or parts of one) overlap after folding by the ADC rate."""
-    plan = _as_cognitive(plan)
     segments = []
     for band in plan.subbands:
         segments.extend(_folded_segments(band, adc.rate))
@@ -136,7 +137,7 @@ def check_coset(plan: CognitivePlan | FdmPlan, adc: AdcConfig) -> bool:
     return True
 
 
-def channelize(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan,
+def channelize(rx: "ReceivedBaseband", plan: CognitivePlan,
                tx_indices: Sequence[int] | None = None) -> np.ndarray:
     """Split the received frames into per-transmitter channel signals.
 
@@ -145,7 +146,6 @@ def channelize(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan,
     channel rate, shifted down to [0, channel_spacing). Returns an array
     of shape (len(tx_indices), num_rx, N).
     """
-    plan = _as_cognitive(plan)
     base = plan.base
     n = base.bins_per_channel
     samples = np.atleast_2d(rx.samples)
@@ -186,11 +186,10 @@ def extract_coefficients(lowrate: np.ndarray, bins: BinSet, adc: AdcConfig) -> n
     return coeffs[..., folded]
 
 
-def acquire(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan, adc: AdcConfig,
+def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
             bins: BinSet, active_tx: Iterable[int] | None = None,
             active_rx: Iterable[int] | None = None,
-            phase_seed: int = DEFAULT_PHASE_SEED,
-            counters: dict | None = None) -> CoefficientSet:
+            phase_seed: int = DEFAULT_PHASE_SEED) -> CoefficientSet:
     """Full acquisition chain: channelize, subsample, extract, normalize.
 
     Only the requested (tx, rx) channels are processed. Each extracted
@@ -200,8 +199,7 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan, adc: AdcConfi
     a * exp(2j*pi*vpos*sin) * exp(-2j*pi*(k + m*N)*delay/pri) to bin k of
     channel m at receiver q.
     """
-    plan_c = _as_cognitive(plan)
-    base = plan_c.base
+    base = plan.base
     num_rx = np.atleast_2d(rx.samples).shape[0]
     tx = tuple(active_tx) if active_tx is not None else tuple(range(base.num_tx))
     rxi = tuple(active_rx) if active_rx is not None else tuple(range(num_rx))
@@ -211,14 +209,12 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan, adc: AdcConfi
         raise ValidationError("receive index out of range")
 
     n = base.bins_per_channel
-    channels = channelize(rx, plan_c, tx)[:, rxi, :]
-    if counters is not None:
-        counters["channelize"] = counters.get("channelize", 0) + len(tx) * len(rxi)
+    channels = channelize(rx, plan, tx)[:, rxi, :]
     matrices = []
     for i, m in enumerate(tx):
         low = subsample(channels[i], adc)
         values = extract_coefficients(low, bins, adc)  # (Q', K)
-        abs_bins, design = channel_spectrum(plan_c, m, phase_seed)
+        abs_bins, design = channel_spectrum(plan, m, phase_seed)
         lookup = dict(zip(abs_bins.tolist(), design))
         try:
             norm = np.array([lookup[k + m * n] for k in bins.indices])
@@ -226,9 +222,5 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan | FdmPlan, adc: AdcConfi
             raise ValidationError(
                 f"plan does not transmit on selected bin {missing}") from None
         matrices.append((values / norm).T.copy())
-        if counters is not None:
-            counters["subsample"] = counters.get("subsample", 0) + len(rxi)
-            counters["extract"] = counters.get("extract", 0) + len(rxi)
-            counters["normalize"] = counters.get("normalize", 0) + len(rxi)
     return CoefficientSet(matrices=tuple(matrices), bins=bins,
                           tx_indices=tx, rx_indices=rxi)

@@ -1,7 +1,12 @@
-import numpy as np
+import dataclasses
 
-from submimo import Scene, Target, fileio
+import numpy as np
+import pytest
+
+from submimo import (ArrayMode, Scene, Target, build_mode, cli, fileio, harness,
+                     oracle_coefficients)
 from submimo.cli import main
+from submimo.xampler import BinSet, CoefficientSet
 
 CONFIG = """\
 [array]
@@ -80,6 +85,22 @@ def test_experiment_mode_override(tmp_path, capsys):
     assert "mode ula" in capsys.readouterr().out
 
 
+def test_experiment_mode_override_keeps_positions_to_their_own_mode(tmp_path, capsys):
+    # positions drawn with seed 5 under [array] seed 6, so the file's
+    # positions and its seed give different random layouts
+    array = dataclasses.replace(build_mode(ArrayMode.RANDOM, seed=5), seed=6)
+    cfg = tmp_path / "array.ini"
+    fileio.write_array_config(cfg, array)
+    for mode in ("ula", "thinned"):
+        assert main(["experiment", "-c", str(cfg), "-o", str(tmp_path / mode),
+                     "--mode", mode]) == 2
+        assert "positions belong to mode random" in capsys.readouterr().err
+    assert fileio.ToolkitConfig.from_file(cfg).in_mode(ArrayMode.RANDOM).array() == array
+    assert main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "random"),
+                 "--mode", "random"]) == 0
+    assert "mode random" in capsys.readouterr().out
+
+
 def test_reduction_command(tmp_path, capsys):
     cfg, _ = write_inputs(tmp_path)
     out_csv = tmp_path / "reduction.csv"
@@ -109,3 +130,59 @@ def test_io_errors_exit_4(tmp_path, capsys):
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["reduction", "-c", str(tmp_path / "absent.ini")])
     assert code == 2
+
+
+def test_experiment_and_simulate_build_from_the_same_ini(tmp_path, monkeypatch):
+    # a non-default ADC rate (no folding) and the [array] seed 7, which
+    # differs from the [experiment] seed 1234
+    _, scene_path = write_inputs(tmp_path)
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(fileio.DEFAULT_CONFIG.replace("rate_hz = 7.5e6", "rate_hz = 15e6")
+                   .replace("trials = 10", "trials = 1"))
+    seen = {"synth_received": [], "acquire": []}
+    for module in (cli, harness):
+        for name, calls in seen.items():
+            def spy(*args, _real=getattr(module, name), _calls=calls, **kwargs):
+                _calls.append(args)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")]) == 0
+    assert main(["acquire", "-c", str(cfg), "--in", str(tmp_path / "frames"),
+                 "-o", str(tmp_path / "coeffs.bin")]) == 0
+    assert main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")]) == 0
+
+    arrays = [args[1] for args in seen["synth_received"]]
+    adcs = [args[2] for args in seen["acquire"]]
+    assert len(arrays) == len(adcs) == 2
+    assert arrays[0] == arrays[1]
+    assert adcs[0] == adcs[1] and adcs[0].rate == 15e6
+
+
+@pytest.mark.parametrize("mismatch", [None, "bins", "tx_indices"])
+def test_recover_checks_the_blob_against_the_configured_environment(
+        tmp_path, capsys, mismatch):
+    cfg, _ = write_inputs(tmp_path)
+    env = fileio.ToolkitConfig.from_file(cfg).environment()
+    scene = Scene(targets=(Target(env.range_grid.delays[40],
+                                  env.azi_grid.values[50], 1.0),))
+    c = oracle_coefficients(scene, env.array, env.plan, env.bins)
+    if mismatch == "bins":
+        c = CoefficientSet(matrices=tuple(y[:-1] for y in c.matrices),
+                           bins=BinSet(indices=c.bins.indices[:-1],
+                                       per_channel_bins=c.bins.per_channel_bins),
+                           tx_indices=c.tx_indices, rx_indices=c.rx_indices)
+    elif mismatch == "tx_indices":
+        c = CoefficientSet(matrices=c.matrices[1:], bins=c.bins,
+                           tx_indices=c.tx_indices[1:], rx_indices=c.rx_indices)
+    blob, est_csv = tmp_path / "coeffs.bin", tmp_path / "estimate.csv"
+    fileio.write_coefficients(blob, c)
+    code = main(["recover", "-c", str(cfg), "--in", str(blob),
+                 "-o", str(est_csv), "--max-targets", "1"])
+    if mismatch is None:
+        assert code == 0
+        assert fileio.read_estimate_csv(est_csv).support == ((40, 50),)
+    else:
+        assert code == 3
+        assert "error: validation:" in capsys.readouterr().err

@@ -1,8 +1,10 @@
+import configparser
+
 import numpy as np
 import pytest
 
-from submimo import (ConfigError, Scene, Target, oracle_coefficients,
-                     synth_received, synth_pulse)
+from submimo import (ConfigError, Scene, Target, conventional_plan,
+                     oracle_coefficients, synth_received, synth_pulse)
 from submimo import fileio
 from submimo.geometry import ArrayMode
 
@@ -29,7 +31,7 @@ def test_pulse_export_carries_the_plan_digest(tmp_path, desk_env):
 def test_plan_digest_is_stable_and_discriminating(desk_env):
     a = fileio.plan_digest(desk_env.plan)
     assert a == fileio.plan_digest(desk_env.plan)
-    assert a != fileio.plan_digest(desk_env.plan.base)
+    assert a != fileio.plan_digest(conventional_plan(desk_env.plan.base))
 
 
 def test_received_roundtrip(tmp_path, desk_env):
@@ -134,6 +136,48 @@ def test_array_config_rejects_bad_positions(tmp_path):
                     "rx_positions = 1 15 33 52 79\n")
     with pytest.raises(Exception):
         fileio.read_array_config(path)
+
+
+def test_array_config_without_an_array_section_is_a_config_error(tmp_path):
+    path = tmp_path / "array.ini"
+    path.write_text("[recovery]\nprofile = desk\n")
+    with pytest.raises(ConfigError):
+        fileio.read_array_config(path)
+
+
+class RecordingParser(configparser.ConfigParser):
+    """Remembers every (section, option) the toolkit asks for."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.asked = set()
+
+    def get(self, section, option, **kwargs):
+        self.asked.add((section, option))
+        return super().get(section, option, **kwargs)
+
+
+def test_every_default_config_key_is_read():
+    parser = RecordingParser()
+    parser.read_string(fileio.DEFAULT_CONFIG)
+    cfg = fileio.ToolkitConfig(parser)
+    cfg.environment()
+    cfg.experiment()
+    shipped = {(section, option) for section in parser.sections()
+               for option in parser.options(section)}
+    assert shipped - parser.asked == set()
+
+
+def test_default_config_is_the_reference_design(desk_envs):
+    parser = configparser.ConfigParser()
+    parser.read_string(fileio.DEFAULT_CONFIG)
+    env = fileio.ToolkitConfig(parser).environment()
+    ref = desk_envs[ArrayMode.RANDOM]  # build_environment(..., seed=7)
+    assert env.array == ref.array
+    assert env.plan == ref.plan
+    assert env.adc == ref.adc
+    assert env.range_grid.resolution == ref.range_grid.resolution
+    np.testing.assert_array_equal(env.range_grid.delays, ref.range_grid.delays)
 
 
 def test_config_parsing(tmp_path):
