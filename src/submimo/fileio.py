@@ -227,7 +227,10 @@ def read_scene(path) -> Scene:
 
 
 def write_estimate_csv(path, estimate: SparseEstimate) -> None:
+    """One row per selected cell, after a comment line with the fit's norms."""
     with open(str(path), "w") as fh:
+        fh.write(f"# residual_norm={estimate.residual_norm!r} "
+                 f"signal_norm={estimate.signal_norm!r}\n")
         fh.write("range_cell,azimuth_cell,range_m,sin_doa,re,im\n")
         for j, (n, p) in enumerate(estimate.support):
             a = complex(estimate.amplitudes[j])
@@ -238,17 +241,27 @@ def write_estimate_csv(path, estimate: SparseEstimate) -> None:
 def read_estimate_csv(path) -> SparseEstimate:
     support, amps, ranges, sines = [], [], [], []
     lines = Path(path).read_text().splitlines()
-    for line in lines[1:]:
+    try:
+        norms = dict(field.split("=") for field in lines[0].lstrip("# ").split())
+        residual_norm = float(norms["residual_norm"])
+        signal_norm = float(norms["signal_norm"])
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValidationError(f"{path} does not start with the estimate's norms") from exc
+    for line in lines[2:]:
         if not line.strip():
             continue
-        n, p, r, s, re, im = line.split(",")
-        support.append((int(n), int(p)))
-        ranges.append(float(r))
-        sines.append(float(s))
-        amps.append(complex(float(re), float(im)))
+        try:
+            n, p, r, s, re, im = line.split(",")
+            support.append((int(n), int(p)))
+            ranges.append(float(r))
+            sines.append(float(s))
+            amps.append(complex(float(re), float(im)))
+        except ValueError as exc:
+            raise ValidationError(
+                f"estimate row needs 6 numeric fields, got {line!r}") from exc
     return SparseEstimate(support=tuple(support), amplitudes=np.array(amps),
                           ranges_m=np.array(ranges), sin_doas=np.array(sines),
-                          residual_norm=0.0, signal_norm=0.0,
+                          residual_norm=residual_norm, signal_norm=signal_norm,
                           residual_history=())
 
 

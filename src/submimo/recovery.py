@@ -1,4 +1,4 @@
-"""Range/azimuth dictionaries and simultaneous matrix orthogonal matching pursuit.
+"""Range/azimuth atoms and simultaneous matrix orthogonal matching pursuit.
 
 The coefficient matrices factor as Y^m = A^m X (B^m)^T with a shared sparse
 X: column n of A^m is the phase signature of a delay cell on channel m's
@@ -21,6 +21,9 @@ from .waveform import CognitivePlan
 from .xampler import BinSet, CoefficientSet
 
 DEFAULT_RESIDUAL_TOL = 1e-3
+
+# score cells per row block: 512 KB of complex products, which stay in cache
+_SCORE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,13 @@ class RangeGrid:
 
 @dataclass(frozen=True)
 class DictionarySet:
-    """Per-transmitter range atoms (K x N_R) and azimuth atoms (Q x N_theta)."""
+    """Per-transmitter azimuth atoms (Q x N_theta) and the range atoms' grids.
 
-    range_atoms: tuple[np.ndarray, ...]
+    Range atom n of transmitter m is exp(-2j*pi*(k + m*N)*n / C) over the
+    selected bins k (N bins per channel, C uniform range cells); it is
+    applied by FFT and never stored.
+    """
+
     azimuth_atoms: tuple[np.ndarray, ...]
     bins: BinSet
     tx_indices: tuple[int, ...]
@@ -81,69 +88,74 @@ class SparseEstimate:
         return len(self.support)
 
 
-def build_dictionaries(array: ArrayConfig, plan: CognitivePlan,
-                       bins: BinSet, range_grid: RangeGrid,
-                       azi_grid: AzimuthGrid,
+def build_dictionaries(array: ArrayConfig, plan: CognitivePlan, bins: BinSet,
+                       range_grid: RangeGrid, azi_grid: AzimuthGrid,
                        tx_indices=None) -> DictionarySet:
-    """Unit-modulus range and azimuth dictionaries on the given grids."""
+    """Unit-modulus azimuth atoms on the given grids; range atoms stay implicit."""
     base = plan.base
     if array.num_tx != base.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
+    # the FFT range operator holds only on the uniform grid over one PRI
+    uniform = RangeGrid.from_cells(base.pri, len(range_grid)).delays
+    if not np.array_equal(range_grid.delays, uniform):
+        raise ValidationError("range grid is not RangeGrid.from_cells(pri, cells)")
     tx = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
-    k = bins.as_array
-    n = bins.per_channel_bins
-    range_atoms, azimuth_atoms = [], []
-    for m in tx:
-        # absolute bin k + m*N carries the channel's carrier phase ramp
-        phases = np.outer(k + m * n, range_grid.delays / base.pri)
-        range_atoms.append(np.exp(-2j * np.pi * phases))
-        vpos = virtual_positions(array, m)
-        azimuth_atoms.append(np.exp(2j * np.pi * np.outer(vpos, azi_grid.values)))
-    return DictionarySet(range_atoms=tuple(range_atoms),
-                         azimuth_atoms=tuple(azimuth_atoms),
-                         bins=bins, tx_indices=tx,
+    azimuth_atoms = tuple(
+        np.exp(2j * np.pi * np.outer(virtual_positions(array, m), azi_grid.values))
+        for m in tx)
+    return DictionarySet(azimuth_atoms=azimuth_atoms, bins=bins, tx_indices=tx,
                          range_grid=range_grid, azi_grid=azi_grid)
 
 
 def _pair_scores(residuals, dicts: DictionarySet) -> np.ndarray:
-    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2."""
-    score = None
-    for r, a, b in zip(residuals, dicts.range_atoms, dicts.azimuth_atoms):
-        g = (a.conj().T @ r) @ b.conj()
-        score = np.abs(g) ** 2 if score is None else score + np.abs(g) ** 2
+    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2.
+
+    a_n^H R is C * ifft of R scattered to rows (k + m*N) mod C (colliding
+    bins add); the azimuth product and |.|^2 run over cache-sized row blocks.
+    """
+    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
+    range_maps = []
+    for r, m in zip(residuals, dicts.tx_indices):
+        scattered = np.zeros((c, r.shape[1]), dtype=complex)
+        np.add.at(scattered, (k + m * n_bins) % c, r)
+        range_maps.append(c * np.fft.ifft(scattered, axis=0))
+    conj_b = [b.conj() for b in dicts.azimuth_atoms]
+    score = np.zeros((c, len(dicts.azi_grid)))
+    rows = max(1, _SCORE_BLOCK_CELLS // score.shape[1])
+    for lo in range(0, c, rows):
+        block = score[lo:lo + rows]
+        for h, b in zip(range_maps, conj_b):
+            g = h[lo:lo + rows] @ b
+            block += g.real ** 2 + g.imag ** 2
     return score
 
 
-def _joint_refit(matrices, dicts: DictionarySet, support):
+def _support_atoms(dicts: DictionarySet, support):
+    """Per channel, the range (K x s) and azimuth (Q x s) atoms of the support."""
+    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
+    ns, ps = (list(cells) for cells in zip(*support))
+    # C-th roots of unity, indexed by the integer phase (k + m*N)*n mod C
+    roots = np.exp(-2j * np.pi * np.arange(c) / c)
+    return [(roots[np.outer(k + m * n_bins, ns) % c], b[:, ps])
+            for m, b in zip(dicts.tx_indices, dicts.azimuth_atoms)]
+
+
+def _joint_refit(matrices, atoms, support):
     """Least-squares amplitudes fitting all channels simultaneously.
 
-    Stacks the vectorized per-channel systems; the column for support entry
-    (n, p) on channel m is the Kronecker product of azimuth atom p and
-    range atom n.
+    The column of support entry (n, p) on channel m is vec(a_n b_p^T), so
+    the normal equations are s x s: the Gram sum_m (A_S^H A_S) * (B_S^H B_S)
+    (elementwise) against sum_m diag(A_S^H Y_m B_S^*), as in Batch-OMP.
     """
-    blocks, rhs = [], []
-    for y, a, b in zip(matrices, dicts.range_atoms, dicts.azimuth_atoms):
-        cols = [np.kron(b[:, p], a[:, n]) for n, p in support]
-        blocks.append(np.stack(cols, axis=1))
-        rhs.append(y.reshape(-1, order="F"))
-    system = np.vstack(blocks)
-    target = np.concatenate(rhs)
-    amplitudes, _, rank, _ = np.linalg.lstsq(system, target, rcond=None)
-    if rank < len(support):
+    gram = sum((a.conj().T @ a) * (b.conj().T @ b) for a, b in atoms)
+    rhs = sum(np.sum((a.conj().T @ y) * b.conj().T, axis=1)
+              for y, (a, b) in zip(matrices, atoms))
+    if np.linalg.matrix_rank(gram, hermitian=True) < len(support):
         n, p = support[-1]
         raise NumericalError(
             f"degenerate support: cell (range {n}, azimuth {p}) is linearly "
             f"dependent on the already selected cells")
-    return amplitudes
-
-
-def _reconstruct(dicts: DictionarySet, support, amplitudes):
-    out = []
-    ns = [n for n, _ in support]
-    ps = [p for _, p in support]
-    for a, b in zip(dicts.range_atoms, dicts.azimuth_atoms):
-        out.append(a[:, ns] @ (amplitudes[:, None] * b[:, ps].T))
-    return out
+    return np.linalg.solve(gram, rhs)
 
 
 def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
@@ -164,44 +176,32 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     if max_targets is not None and max_targets < 1:
         raise ValidationError("max_targets must be at least 1")
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
-    n_cells = len(dicts.range_grid) * len(dicts.azi_grid)
-    n_meas = sum(y.size for y in coefficients.matrices)
-    cap = max_targets if max_targets is not None else min(n_cells, n_meas)
-
+    cap = max_targets or min(len(dicts.range_grid) * len(dicts.azi_grid),
+                             sum(y.size for y in coefficients.matrices))
     matrices = coefficients.matrices
-    signal_norm = float(sum(np.linalg.norm(y) for y in matrices))
-    residuals = [y.copy() for y in matrices]
+    signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
+    residuals = list(matrices)
     support: list[tuple[int, int]] = []
     amplitudes = np.zeros(0, dtype=complex)
     history: list[float] = []
-
-    def _estimate(res_norm: float) -> SparseEstimate:
-        ns = np.array([n for n, _ in support], dtype=int)
-        ps = np.array([p for _, p in support], dtype=int)
-        return SparseEstimate(
-            support=tuple(support), amplitudes=amplitudes,
-            ranges_m=dicts.range_grid.ranges_m[ns] if len(ns) else np.zeros(0),
-            sin_doas=dicts.azi_grid.values[ps] if len(ps) else np.zeros(0),
-            residual_norm=res_norm, signal_norm=signal_norm,
-            residual_history=tuple(history))
-
-    if signal_norm == 0.0:
-        return _estimate(0.0)
-
-    while len(support) < cap:
+    while len(support) < cap and res_norm > tol * signal_norm:
         scores = _pair_scores(residuals, dicts)
         for n, p in support:  # a pair may only be selected once
             scores[n, p] = -np.inf
         n, p = np.unravel_index(int(np.argmax(scores)), scores.shape)
         support.append((int(n), int(p)))
-        amplitudes = _joint_refit(matrices, dicts, support)
-        recon = _reconstruct(dicts, support, amplitudes)
-        residuals = [y - r for y, r in zip(matrices, recon)]
+        atoms = _support_atoms(dicts, support)
+        amplitudes = _joint_refit(matrices, atoms, support)
+        residuals = [y - a @ (amplitudes[:, None] * b.T)
+                     for y, (a, b) in zip(matrices, atoms)]
         history.append(float(sum(np.linalg.norm(r) ** 2 for r in residuals)))
         res_norm = float(sum(np.linalg.norm(r) for r in residuals))
-        if res_norm / signal_norm <= tol:
-            return _estimate(res_norm)
-    return _estimate(float(sum(np.linalg.norm(r) for r in residuals)))
+    cells = np.array(support, dtype=int).reshape(-1, 2)
+    return SparseEstimate(support=tuple(support), amplitudes=amplitudes,
+                          ranges_m=dicts.range_grid.ranges_m[cells[:, 0]],
+                          sin_doas=dicts.azi_grid.values[cells[:, 1]],
+                          residual_norm=res_norm, signal_norm=signal_norm,
+                          residual_history=tuple(history))
 
 
 def coherence(dicts: DictionarySet) -> float:

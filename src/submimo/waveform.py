@@ -70,7 +70,8 @@ class Subband:
 class CognitivePlan:
     """An FDM plan restricted to subband slices, with power renormalization.
 
-    `amplitude_scale` is sqrt(signal_band / sum of slice widths): flat
+    `amplitude_scale` is sqrt(signal_band / occupied width), the width
+    summed over the bin-cell fractions the pulse actually carries: flat
     spectra at that scale make the sliced waveform carry exactly the same
     total power as the full-band one.
     """
@@ -156,8 +157,12 @@ def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> C
     for a, b in zip(slices, slices[1:]):
         if b.lo < a.hi - 1e-9:
             raise ConfigError(f"subbands [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] overlap")
-    occupied = sum(b.width for b in slices)
-    scale = float(np.sqrt(base.signal_band / occupied))
+    # normalize by the cells the spectrum carries, not the nominal widths, so
+    # an edge sliver that _occupied_cells drops takes no power with it
+    kept_cells = sum(frac for _, frac in _occupied_cells(slices, base.pri))
+    if kept_cells <= 0:
+        raise ConfigError("the subbands cover no part of any bin cell")
+    scale = float(np.sqrt(base.signal_band * base.pri / kept_cells))
     return CognitivePlan(base=base, subbands=slices,
                          amplitude_scale=scale, total_power=total_power)
 

@@ -7,12 +7,26 @@ from submimo.recovery import DictionarySet, RangeGrid
 from submimo.xampler import BinSet, CoefficientSet
 
 
+def dense_range_atoms(dicts):
+    """Per-channel range atoms (K x N_R) materialized from their defining formula.
+
+    Atom n of transmitter m is exp(-2j*pi*(k + m*N)*tau_n/pri) on the selected
+    bins k: the phase ramp of delay tau_n on the absolute bins of channel m.
+    """
+    grid = dicts.range_grid
+    pri = grid.resolution * len(grid)
+    k = np.asarray(dicts.bins.indices)
+    n_bins = dicts.bins.per_channel_bins
+    return tuple(np.exp(-2j * np.pi * np.outer(k + m * n_bins, grid.delays / pri))
+                 for m in dicts.tx_indices)
+
+
 def brute_force_scores(matrices, dicts):
     """Independent pair scoring: explicit loops, no shared code path."""
     n_r = len(dicts.range_grid)
     n_t = len(dicts.azi_grid)
     scores = np.zeros((n_r, n_t))
-    for y, a, b in zip(matrices, dicts.range_atoms, dicts.azimuth_atoms):
+    for y, a, b in zip(matrices, dense_range_atoms(dicts), dicts.azimuth_atoms):
         for n in range(n_r):
             for p in range(n_t):
                 val = np.vdot(a[:, n], y @ np.conj(b[:, p]))
@@ -29,13 +43,9 @@ def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
     agrid = AzimuthGrid(values=-1.0 + 2.0 * np.arange(n_azi) / n_azi)
     # continuous positions keep the azimuth atoms free of exact grating ties
     vpos = np.sort(rng.uniform(0.0, 20.0, size=n_rx))
-    range_atoms, azimuth_atoms = [], []
-    for m in range(n_channels):
-        phases = np.outer(kappa + m * total_bins, rgrid.delays / 1e-4)
-        range_atoms.append(np.exp(-2j * np.pi * phases))
-        azimuth_atoms.append(np.exp(2j * np.pi * np.outer(vpos, agrid.values)))
-    dicts = DictionarySet(range_atoms=tuple(range_atoms),
-                          azimuth_atoms=tuple(azimuth_atoms), bins=bins,
+    azimuth_atoms = tuple(np.exp(2j * np.pi * np.outer(vpos, agrid.values))
+                          for _ in range(n_channels))
+    dicts = DictionarySet(azimuth_atoms=azimuth_atoms, bins=bins,
                           tx_indices=tuple(range(n_channels)),
                           range_grid=rgrid, azi_grid=agrid)
     shape = (n_bins, n_rx)

@@ -8,7 +8,7 @@ criterion a deterministic measurement.
 import time
 
 import numpy as np
-from helpers import brute_force_scores, random_instance
+from helpers import brute_force_scores, dense_range_atoms, random_instance
 
 from submimo import (AdcConfig, ArrayMode, ExperimentConfig, Scene, SceneSpec,
                      Target, check_coset, coherence, matrix_omp,
@@ -191,16 +191,16 @@ def test_acceptance_9_solver_properties():
                 n_mono += 1
             ns = [n for n, _ in est.support]
             ps = [p for _, p in est.support]
+            dense = dense_range_atoms(dicts)
             residuals = [
                 y - a[:, ns] @ (est.amplitudes[:, None] * b[:, ps].T)
-                for y, a, b in zip(coeffs.matrices, dicts.range_atoms,
-                                   dicts.azimuth_atoms)]
+                for y, a, b in zip(coeffs.matrices, dense, dicts.azimuth_atoms)]
             scale = sum(np.linalg.norm(y) for y in coeffs.matrices)
             ortho = all(
                 abs(sum(np.vdot(np.kron(b[:, p], a[:, n]),
                                 r.reshape(-1, order="F"))
-                        for a, b, r in zip(dicts.range_atoms,
-                                           dicts.azimuth_atoms, residuals)))
+                        for a, b, r in zip(dense, dicts.azimuth_atoms,
+                                           residuals)))
                 <= 1e-8 * scale
                 for n, p in est.support)
             if ortho:

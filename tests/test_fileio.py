@@ -3,7 +3,7 @@ import configparser
 import numpy as np
 import pytest
 
-from submimo import (ConfigError, Scene, Target, conventional_plan,
+from submimo import (ConfigError, Scene, Target, ValidationError, conventional_plan,
                      oracle_coefficients, synth_received, synth_pulse)
 from submimo import fileio
 from submimo.geometry import ArrayMode
@@ -105,6 +105,22 @@ def test_estimate_csv_roundtrip(tmp_path, desk_env):
     assert back.support == est.support
     np.testing.assert_allclose(back.amplitudes, est.amplitudes)
     np.testing.assert_allclose(back.ranges_m, est.ranges_m)
+    assert est.signal_norm > 0
+    assert back.residual_norm == est.residual_norm
+    assert back.signal_norm == est.signal_norm
+    assert back.residual_rel == est.residual_rel
+
+
+@pytest.mark.parametrize("text", [
+    "range_cell,azimuth_cell,range_m,sin_doa,re,im\n1,2,3.0,0.1,1.0,0.0\n",
+    "# residual_norm=0.5 signal_norm=1.0\nrange_cell,azimuth_cell,range_m,sin_doa,re,im\n"
+    "1,2,3.0\n",
+])
+def test_estimate_csv_rejects_missing_norms_and_malformed_rows(tmp_path, text):
+    path = tmp_path / "estimate.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        fileio.read_estimate_csv(path)
 
 
 def test_array_config_roundtrip(tmp_path):

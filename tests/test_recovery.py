@@ -1,28 +1,47 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import brute_force_scores, random_instance
+from helpers import brute_force_scores, dense_range_atoms, random_instance
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from submimo import (NumericalError, Scene, Target, ValidationError, coherence,
-                     matrix_omp, oracle_coefficients)
+from submimo import (ArrayMode, NumericalError, Scene, Target, ValidationError,
+                     build_dictionaries, build_environment, coherence, matrix_omp,
+                     oracle_coefficients)
 from submimo.geometry import AzimuthGrid
-from submimo.recovery import DictionarySet, RangeGrid
+from submimo.recovery import DictionarySet, RangeGrid, _pair_scores, _support_atoms
 from submimo.xampler import BinSet, CoefficientSet
 
 
 def test_dictionary_entries_at_the_grid_origin(desk_env):
     dicts = desk_env.dictionaries
-    for a, b in zip(dicts.range_atoms, dicts.azimuth_atoms):
-        np.testing.assert_allclose(a[:, 0], np.ones(a.shape[0]))  # zero delay
     p0 = np.where(desk_env.azi_grid.values == 0.0)[0][0]
-    for b in dicts.azimuth_atoms:
-        np.testing.assert_allclose(b[:, p0], np.ones(b.shape[0]))
+    for a, b in _support_atoms(dicts, [(0, p0)]):  # zero delay, broadside
+        np.testing.assert_allclose(a[:, 0], np.ones(a.shape[0]))
+        np.testing.assert_allclose(b[:, 0], np.ones(b.shape[0]))
+
+
+@pytest.mark.parametrize("instance", ["desk", "random"])
+def test_support_atoms_match_the_dense_formula(desk_env, instance):
+    # on the desk grid the channel offset m*N is a multiple of C; the random
+    # instance keeps it
+    if instance == "desk":
+        dicts = desk_env.dictionaries
+    else:
+        _, dicts = random_instance(np.random.default_rng(5))
+    cells = [(n, n % len(dicts.azi_grid)) for n in range(len(dicts.range_grid))]
+    for (a, b), dense, full_b in zip(_support_atoms(dicts, cells),
+                                     dense_range_atoms(dicts), dicts.azimuth_atoms):
+        np.testing.assert_allclose(a, dense, atol=1e-9)
+        np.testing.assert_array_equal(b, full_b[:, [p for _, p in cells]])
 
 
 def test_dictionary_atoms_are_unit_modulus(desk_env):
     dicts = desk_env.dictionaries
     k = len(desk_env.bins)
     q = desk_env.array.num_rx
-    for a, b in zip(dicts.range_atoms, dicts.azimuth_atoms):
+    for a, b in zip(dense_range_atoms(dicts), dicts.azimuth_atoms):
         np.testing.assert_allclose(np.abs(a), 1.0)
         np.testing.assert_allclose(np.abs(b), 1.0)
         np.testing.assert_allclose(np.linalg.norm(a, axis=0), np.sqrt(k))
@@ -58,7 +77,7 @@ def test_three_separated_targets_recovered_exactly(desk_env):
     # amplitudes agree with an independent least-squares fit on the true support
     dicts = desk_env.dictionaries
     blocks, rhs = [], []
-    for y, a, b in zip(coeffs.matrices, dicts.range_atoms, dicts.azimuth_atoms):
+    for y, a, b in zip(coeffs.matrices, dense_range_atoms(dicts), dicts.azimuth_atoms):
         blocks.append(np.stack([np.kron(b[:, p], a[:, n]) for n, p in cells], axis=1))
         rhs.append(y.reshape(-1, order="F"))
     want, *_ = np.linalg.lstsq(np.vstack(blocks), np.concatenate(rhs), rcond=None)
@@ -90,22 +109,65 @@ def test_mismatched_channels_rejected(desk_env):
 
 
 def test_degenerate_support_is_reported():
-    # two identical range cells; channels driven in anti-phase force the
-    # duplicate to be selected second and the joint refit to lose rank
+    # two identical azimuth cells; channels driven in anti-phase leave the
+    # residual untouched by the first selection, so its duplicate is selected
+    # second and the joint refit loses rank
     bins = BinSet(indices=(0, 1, 2, 3), per_channel_bins=8)
-    rgrid = RangeGrid(delays=np.array([0.0, 0.0]), resolution=1e-5)
+    rgrid = RangeGrid.from_cells(1e-4, 8)
     agrid = AzimuthGrid(values=np.array([0.0, 0.5]))
-    atom_a = np.ones((4, 1))
-    atom_b = np.exp(2j * np.pi * np.outer([0.5, 1.0], agrid.values))
-    dicts = DictionarySet(
-        range_atoms=(np.repeat(atom_a, 2, axis=1),) * 2,
-        azimuth_atoms=(atom_b,) * 2,
-        bins=bins, tx_indices=(0, 1), range_grid=rgrid, azi_grid=agrid)
-    y = np.outer(np.ones(4), atom_b[:, 0].conj())  # wrong conj irrelevant here
+    atom_b = np.ones((2, 2), dtype=complex)
+    dicts = DictionarySet(azimuth_atoms=(atom_b,) * 2, bins=bins, tx_indices=(0, 1),
+                          range_grid=rgrid, azi_grid=agrid)
+    y = np.ones((4, 2), dtype=complex)  # range cell 0, either azimuth cell
     coeffs = CoefficientSet(matrices=(y, -y), bins=bins, tx_indices=(0, 1),
                             rx_indices=(0, 1))
     with pytest.raises(NumericalError):
         matrix_omp(coeffs, dicts, max_targets=2)
+
+
+def test_dictionaries_need_the_uniform_range_grid(desk_env):
+    grid = desk_env.range_grid
+    shifted = RangeGrid(delays=grid.delays + grid.resolution / 2,
+                        resolution=grid.resolution)
+    with pytest.raises(ValidationError):
+        build_dictionaries(desk_env.array, desk_env.plan, desk_env.bins, shifted,
+                           desk_env.azi_grid)
+
+
+def _array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(_array_bytes(item) for item in obj)
+    if dataclasses.is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return 0
+
+
+@pytest.mark.parametrize("mode", list(ArrayMode))
+def test_full_profile_dictionaries_hold_under_a_megabyte(mode):
+    dicts = build_environment(mode, "full", seed=7).dictionaries
+    assert len(dicts.range_grid) == 12000
+    assert _array_bytes(dicts) < 1 << 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+       bin_share=st.floats(0.05, 1.0), total_bins=st.integers(4, 40),
+       n_range=st.integers(2, 60), n_rx=st.integers(1, 4), n_azi=st.integers(1, 9))
+@example(seed=0, n_channels=2, bin_share=1.0, total_bins=40, n_range=7,
+         n_rx=3, n_azi=5)  # C far below the bin span: rows collide
+@example(seed=1, n_channels=3, bin_share=0.5, total_bins=8, n_range=60,
+         n_rx=2, n_azi=4)  # C above every absolute bin: no collision
+def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bins,
+                                           n_range, n_rx, n_azi):
+    n_bins = max(1, round(bin_share * total_bins))
+    coeffs, dicts = random_instance(np.random.default_rng(seed), n_channels=n_channels,
+                                    n_bins=n_bins, n_rx=n_rx, n_range=n_range,
+                                    n_azi=n_azi, total_bins=total_bins)
+    want = brute_force_scores(coeffs.matrices, dicts)
+    got = _pair_scores(coeffs.matrices, dicts)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
 
 
 def test_coherence_of_complete_selection():
@@ -128,7 +190,6 @@ def test_coherence_of_reference_slices(desk_env):
 def test_coherence_needs_two_range_cells():
     rng = np.random.default_rng(2)
     coeffs, dicts = random_instance(rng)
-    import dataclasses
     tiny = dataclasses.replace(dicts, range_grid=RangeGrid.from_cells(1e-4, 1))
     with pytest.raises(ValidationError):
         coherence(tiny)
@@ -141,15 +202,16 @@ def test_residual_monotonicity_and_stacked_orthogonality():
         history = np.array(est.residual_history)
         assert np.all(np.diff(history) <= 1e-9 * history[0])
         # joint refit leaves the stacked residual orthogonal to every atom
+        dense = dense_range_atoms(dicts)
         recon = [a[:, [n for n, _ in est.support]]
                  @ (est.amplitudes[:, None] * b[:, [p for _, p in est.support]].T)
-                 for a, b in zip(dicts.range_atoms, dicts.azimuth_atoms)]
+                 for a, b in zip(dense, dicts.azimuth_atoms)]
         residuals = [y - r for y, r in zip(coeffs.matrices, recon)]
         scale = sum(np.linalg.norm(y) for y in coeffs.matrices)
         for n, p in est.support:
             stacked = sum(
                 np.vdot(np.kron(b[:, p], a[:, n]), r.reshape(-1, order="F"))
-                for a, b, r in zip(dicts.range_atoms, dicts.azimuth_atoms, residuals))
+                for a, b, r in zip(dense, dicts.azimuth_atoms, residuals))
             assert abs(stacked) <= 1e-8 * scale
 
 

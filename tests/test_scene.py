@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import dense_range_atoms
 
 from submimo import (NumericalError, Scene, Target, ValidationError,
                      add_noise, oracle_coefficients, synth_received,
@@ -100,7 +101,7 @@ def test_on_grid_oracle_matches_dictionary_outer_product(desk_env):
     scene = make_scene((delay, sin, amp))
     coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)
     dicts = desk_env.dictionaries
-    for y, a, b in zip(coeffs.matrices, dicts.range_atoms, dicts.azimuth_atoms):
+    for y, a, b in zip(coeffs.matrices, dense_range_atoms(dicts), dicts.azimuth_atoms):
         np.testing.assert_allclose(y, amp * np.outer(a[:, n], b[:, p]), atol=1e-10)
 
 

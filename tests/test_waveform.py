@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submimo import ConfigError, Subband
@@ -67,6 +67,11 @@ def test_overlapping_subbands_rejected():
 def test_out_of_channel_subband_rejected():
     with pytest.raises(ConfigError):
         build_cognitive_plan(full_plan(), (Subband(14e6, 16e6),))
+
+
+def test_subbands_narrower_than_the_edge_tolerance_rejected():
+    with pytest.raises(ConfigError):  # 1e-7 of a bin cell carries no power
+        build_cognitive_plan(full_plan(), (Subband(0.0, 1e-3),))
 
 
 @pytest.mark.parametrize("tx", [0, 3, 7])
@@ -156,6 +161,7 @@ def test_insufficient_sample_rate_rejected():
 @given(st.lists(st.floats(min_value=0.0, max_value=14.0), min_size=1, max_size=6,
                 unique=True),
        st.floats(min_value=0.05, max_value=0.9))
+@example(starts=[1e-09], width_mhz=0.5)  # a 1e-7-bin sliver past the last cell
 def test_power_conservation_for_random_slice_plans(starts, width_mhz):
     starts = sorted(starts)
     bands = []
