@@ -147,11 +147,15 @@ def write_coefficients(path, coeffs) -> None:
 def read_coefficients(path):
     from .xampler import BinSet, CoefficientSet
     data = Path(path).read_bytes()
-    if data[:4] != _COEFF_MAGIC:
+    if data[:4] != _COEFF_MAGIC or len(data) < 24:
         raise ValidationError(f"{path} is not a coefficient blob")
     version, m, k, q, n = struct.unpack("<IIIII", data[4:24])
     if version != _COEFF_VERSION:
         raise ValidationError(f"unsupported coefficient blob version {version}")
+    size = 24 + 4 * (m + q + k) + 8 * m * k * q
+    if len(data) != size:
+        raise ValidationError(f"{path} holds {len(data)} bytes; its header "
+                              f"describes {size}")
     off = 24
     tx = tuple(np.frombuffer(data, "<i4", m, off).tolist()); off += 4 * m
     rx = tuple(np.frombuffer(data, "<i4", q, off).tolist()); off += 4 * q

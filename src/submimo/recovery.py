@@ -107,27 +107,66 @@ def build_dictionaries(array: ArrayConfig, plan: CognitivePlan, bins: BinSet,
                          range_grid=range_grid, azi_grid=azi_grid)
 
 
-def _pair_scores(residuals, dicts: DictionarySet) -> np.ndarray:
-    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2.
+def _range_maps(residuals, dicts: DictionarySet) -> list[np.ndarray]:
+    """Per channel, the C x Q map of a_n^H R over every range cell n.
 
-    a_n^H R is C * ifft of R scattered to rows (k + m*N) mod C (colliding
-    bins add); the azimuth product and |.|^2 run over cache-sized row blocks.
+    That is C * ifft of R scattered to rows (k + m*N) mod C (colliding bins add).
     """
     c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
-    range_maps = []
+    maps = []
     for r, m in zip(residuals, dicts.tx_indices):
         scattered = np.zeros((c, r.shape[1]), dtype=complex)
         np.add.at(scattered, (k + m * n_bins) % c, r)
-        range_maps.append(c * np.fft.ifft(scattered, axis=0))
-    conj_b = [b.conj() for b in dicts.azimuth_atoms]
-    score = np.zeros((c, len(dicts.azi_grid)))
-    rows = max(1, _SCORE_BLOCK_CELLS // score.shape[1])
-    for lo in range(0, c, rows):
-        block = score[lo:lo + rows]
-        for h, b in zip(range_maps, conj_b):
-            g = h[lo:lo + rows] @ b
-            block += g.real ** 2 + g.imag ** 2
+        maps.append(c * np.fft.ifft(scattered, axis=0))
+    return maps
+
+
+def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
+    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2 for the range rows n.
+
+    `rows` is an index array or a slice; a slice scores without copying.
+    """
+    score = 0.0
+    for h, b in zip(range_maps, dicts.azimuth_atoms):
+        g = h[rows] @ b.conj()
+        score += g.real ** 2 + g.imag ** 2
     return score
+
+
+def _select(range_maps, dicts: DictionarySet, support) -> tuple[int, int]:
+    """Exact argmax of S over the cells not in `support`, in row-major tie order.
+
+    Rows are scored in cache-sized blocks. When the grid spans several
+    blocks, they are visited in descending order of the Cauchy-Schwarz bound
+    S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2, and the scan stops at the
+    first block whose top bound cannot beat the best score found.
+    """
+    c, n_azi = len(dicts.range_grid), len(dicts.azi_grid)
+    rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
+    ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
+    order, bound = np.arange(c), None
+    if rows < c:
+        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float))
+                    * np.max(np.sum(np.abs(b) ** 2, axis=0))
+                    for h, b in zip(range_maps, dicts.azimuth_atoms))
+        order = np.argsort(-bound, kind="stable")
+    best, cell = -np.inf, (0, 0)
+    for lo in range(0, c, rows):
+        block, scored = order[lo:lo + rows], slice(lo, lo + rows)
+        if bound is not None:
+            if bound[block[0]] * (1 + 1e-9) < best:
+                break
+            # rows ascending within the block, so its argmax breaks ties row-major
+            block = scored = np.sort(block)
+        score = _pair_scores(range_maps, dicts, scored)
+        j = np.minimum(np.searchsorted(block, ns), len(block) - 1)
+        hit = block[j] == ns  # a pair may only be selected once
+        score[j[hit], ps[hit]] = -np.inf
+        i = int(np.argmax(score))
+        top, at = score.flat[i], (int(block[i // n_azi]), i % n_azi)
+        if top > best or (top == best and at < cell):
+            best, cell = top, at
+    return cell
 
 
 def _support_atoms(dicts: DictionarySet, support):
@@ -162,17 +201,22 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
                max_targets: int | None = None) -> SparseEstimate:
     """Greedy simultaneous sparse recovery over all channels.
 
-    Per iteration: score every grid pair on the current residuals, add the
-    argmax (ties resolve to the smallest range cell, then the smallest
-    azimuth cell), jointly refit every selected amplitude across channels,
-    and subtract the reconstruction. Stops after `max_targets` selections,
-    or, when no target count is given, once the summed relative residual
-    drops to DEFAULT_RESIDUAL_TOL.
+    Per iteration: add the best-scoring grid pair on the current residuals
+    (found exactly by the bound-pruned scan of `_select`; ties resolve to the
+    smallest range cell, then the smallest azimuth cell), jointly refit every
+    selected amplitude across channels, and subtract the reconstruction.
+    Stops after `max_targets` selections, or, when no target count is given,
+    once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.
     """
     if coefficients.tx_indices != dicts.tx_indices:
         raise ValidationError("coefficients and dictionaries cover different channels")
     if coefficients.bins != dicts.bins:
         raise ValidationError("coefficients and dictionaries cover different bins")
+    if any(y.shape[1] != b.shape[0]
+           for y, b in zip(coefficients.matrices, dicts.azimuth_atoms)):
+        raise ValidationError("coefficients and dictionaries cover different receivers")
+    if not all(np.isfinite(y).all() for y in coefficients.matrices):
+        raise ValidationError("coefficients hold non-finite values")
     if max_targets is not None and max_targets < 1:
         raise ValidationError("max_targets must be at least 1")
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
@@ -185,11 +229,7 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     amplitudes = np.zeros(0, dtype=complex)
     history: list[float] = []
     while len(support) < cap and res_norm > tol * signal_norm:
-        scores = _pair_scores(residuals, dicts)
-        for n, p in support:  # a pair may only be selected once
-            scores[n, p] = -np.inf
-        n, p = np.unravel_index(int(np.argmax(scores)), scores.shape)
-        support.append((int(n), int(p)))
+        support.append(_select(_range_maps(residuals, dicts), dicts, support))
         atoms = _support_atoms(dicts, support)
         amplitudes = _joint_refit(matrices, atoms, support)
         residuals = [y - a @ (amplitudes[:, None] * b.T)

@@ -186,3 +186,49 @@ def test_recover_checks_the_blob_against_the_configured_environment(
     else:
         assert code == 3
         assert "error: validation:" in capsys.readouterr().err
+
+
+def _recover_blob(tmp_path, capsys, transform):
+    """Exit code of `recover` on a desk blob rewritten by `transform`."""
+    cfg, _ = write_inputs(tmp_path)
+    env = fileio.ToolkitConfig.from_file(cfg).environment()
+    scene = Scene(targets=(Target(env.range_grid.delays[40],
+                                  env.azi_grid.values[50], 1.0),))
+    blob = tmp_path / "coeffs.bin"
+    transform(blob, oracle_coefficients(scene, env.array, env.plan, env.bins))
+    code = main(["recover", "-c", str(cfg), "--in", str(blob),
+                 "-o", str(tmp_path / "estimate.csv"), "--max-targets", "3"])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_recover_rejects_a_blob_with_non_finite_coefficients(tmp_path, capsys, value):
+    def corrupt(blob, c):
+        y = c.matrices[0].copy()
+        y[3, 2] = value
+        fileio.write_coefficients(blob, dataclasses.replace(
+            c, matrices=(y,) + c.matrices[1:]))
+    code, out = _recover_blob(tmp_path, capsys, corrupt)
+    assert code == 3
+    assert "error: validation:" in out.err and "recovered" not in out.out
+
+
+def test_recover_rejects_a_blob_from_a_receiver_subset(tmp_path, capsys):
+    def subset(blob, c):
+        fileio.write_coefficients(blob, CoefficientSet(
+            matrices=tuple(y[:, :3] for y in c.matrices), bins=c.bins,
+            tx_indices=c.tx_indices, rx_indices=tuple(range(3))))
+    code, out = _recover_blob(tmp_path, capsys, subset)
+    assert code == 3
+    assert "error: validation:" in out.err
+
+
+@pytest.mark.parametrize("cut", [16, -3])
+def test_recover_rejects_a_truncated_or_padded_blob(tmp_path, capsys, cut):
+    def resize(blob, c):
+        fileio.write_coefficients(blob, c)
+        data = blob.read_bytes()
+        blob.write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+    code, out = _recover_blob(tmp_path, capsys, resize)
+    assert code == 3
+    assert "error: validation:" in out.err

@@ -61,6 +61,26 @@ def test_coefficient_blob_roundtrip(tmp_path, desk_env):
         assert np.max(np.abs(a - b)) < 1e-6
 
 
+@pytest.mark.parametrize("cut", [1, 8, 1000, -1, -4])
+def test_coefficient_blob_length_must_match_its_header(tmp_path, desk_env, cut):
+    # a positive cut truncates the blob, a negative one appends bytes
+    scene = Scene(targets=(Target(2e-5, 0.25, 1.0),))
+    coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)
+    path = tmp_path / "coeffs.bin"
+    fileio.write_coefficients(path, coeffs)
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut] if cut > 0 else data + bytes(-cut))
+    with pytest.raises(ValidationError):
+        fileio.read_coefficients(path)
+
+
+def test_coefficient_blob_shorter_than_its_header_rejected(tmp_path):
+    path = tmp_path / "coeffs.bin"
+    path.write_bytes(fileio._COEFF_MAGIC + bytes(10))
+    with pytest.raises(ValidationError):
+        fileio.read_coefficients(path)
+
+
 def test_coefficient_csv(tmp_path, desk_env):
     scene = Scene(targets=(Target(2e-5, 0.25, 1.0),))
     coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)

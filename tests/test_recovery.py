@@ -6,11 +6,13 @@ from helpers import brute_force_scores, dense_range_atoms, random_instance
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from submimo import (ArrayMode, NumericalError, Scene, Target, ValidationError,
-                     build_dictionaries, build_environment, coherence, matrix_omp,
-                     oracle_coefficients)
+from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
+                     ValidationError, acquire, add_noise, build_dictionaries,
+                     build_environment, coherence, generate_scene, matrix_omp,
+                     oracle_coefficients, recovery, synth_received)
 from submimo.geometry import AzimuthGrid
-from submimo.recovery import DictionarySet, RangeGrid, _pair_scores, _support_atoms
+from submimo.recovery import (DictionarySet, RangeGrid, _pair_scores, _range_maps,
+                              _select, _support_atoms)
 from submimo.xampler import BinSet, CoefficientSet
 
 
@@ -166,8 +168,117 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
                                     n_bins=n_bins, n_rx=n_rx, n_range=n_range,
                                     n_azi=n_azi, total_bins=total_bins)
     want = brute_force_scores(coeffs.matrices, dicts)
-    got = _pair_scores(coeffs.matrices, dicts)
+    got = _pair_scores(_range_maps(coeffs.matrices, dicts), dicts, np.arange(n_range))
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+       n_bins=st.integers(1, 12), n_range=st.integers(2, 40), n_rx=st.integers(1, 4),
+       n_azi=st.integers(1, 9), block_rows=st.integers(1, 5),
+       n_selected=st.integers(0, 4))
+def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, n_range,
+                                                     n_rx, n_azi, block_rows, n_selected):
+    rng = np.random.default_rng(seed)
+    coeffs, dicts = random_instance(rng, n_channels=n_channels, n_bins=n_bins,
+                                    n_rx=n_rx, n_range=n_range, n_azi=n_azi,
+                                    total_bins=16)
+    cells = rng.choice(n_range * n_azi, size=min(n_selected, n_range * n_azi - 1),
+                       replace=False)
+    support = [divmod(int(c), n_azi) for c in cells]
+    want = brute_force_scores(coeffs.matrices, dicts)
+    for n, p in support:
+        want[n, p] = -np.inf
+    # blocks of a few rows force the bound-ordered, pruned scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * n_azi)
+        got = _select(_range_maps(coeffs.matrices, dicts), dicts, support)
+    # cells within float noise of the maximum; more than one only when the
+    # instance ties them exactly (for example a single bin), where rounding
+    # decides, so the row-major rule is pinned on bit-exact ties below
+    best = np.argwhere(want >= want.max() * (1 - 1e-9))
+    assert list(got) in best.tolist()
+    if len(best) == 1:
+        assert got == np.unravel_index(np.argmax(want), want.shape)
+
+
+def _tie_instance(n_range=6):
+    """Two identical azimuth columns, so every score has an exact twin."""
+    bins = BinSet(indices=(0, 1), per_channel_bins=4)
+    dicts = DictionarySet(azimuth_atoms=(np.ones((2, 2), dtype=complex),), bins=bins,
+                          tx_indices=(0,), range_grid=RangeGrid.from_cells(1e-4, n_range),
+                          azi_grid=AzimuthGrid(values=np.array([0.0, 0.5])))
+    return dicts
+
+
+def test_selection_of_an_all_zero_residual_is_the_first_cell(monkeypatch):
+    dicts = _tie_instance()
+    monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2)  # one row per block
+    assert _select([np.zeros((6, 2), dtype=complex)], dicts, []) == (0, 0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])  # tied rows 4 and 2: two blocks, one block
+def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_rows):
+    dicts = _tie_instance()
+    monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2 * block_rows)
+    h = np.zeros((6, 2), dtype=complex)
+    h[5] = [2.0, -2.0]  # the largest bound, yet orthogonal to both columns
+    h[2] = [1.0, 1.0]  # score 4 in both columns, bound 4
+    h[4] = [1.5, 0.5]  # the same scores under a larger bound: scanned before row 2
+    assert _select([h], dicts, []) == (2, 0)
+    assert _select([h], dicts, [(2, 0)]) == (2, 1)
+    assert _select([h], dicts, [(2, 0), (2, 1)]) == (4, 0)
+
+
+def test_desk_wide_trial_scores_at_most_two_blocks_per_iteration(desk_envs, monkeypatch):
+    env = desk_envs[ArrayMode.WIDE]
+    rows = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
+    assert rows < len(env.range_grid)  # the grid spans several blocks
+    scene = generate_scene(np.random.default_rng([7, 0, 0]),
+                           SceneSpec(num_targets=10, min_sin_sep=0.025),
+                           len(env.range_grid), env.plan.pri)
+    rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
+                   -5.0, [7, 0, 1])
+    coeffs = acquire(rx, env.plan, env.adc, env.bins)
+    blocks = []  # blocks scored per iteration
+    range_maps, pair_scores = recovery._range_maps, recovery._pair_scores
+
+    def counting_range_maps(*args):
+        blocks.append(0)
+        return range_maps(*args)
+
+    def counting_pair_scores(*args):
+        blocks[-1] += 1
+        return pair_scores(*args)
+
+    monkeypatch.setattr(recovery, "_range_maps", counting_range_maps)
+    monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    assert len(blocks) == len(est) == 10
+    assert max(blocks) <= 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(desk_env, value):
+    scene = Scene(targets=(Target(desk_env.range_grid.delays[10],
+                                  desk_env.azi_grid.values[5], 1.0),))
+    coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)
+    y = coeffs.matrices[1].copy()
+    y[0, 0] = complex(value, 0.0)
+    bad = dataclasses.replace(coeffs, matrices=(coeffs.matrices[0], y)
+                              + coeffs.matrices[2:])
+    with pytest.raises(ValidationError):
+        matrix_omp(bad, desk_env.dictionaries, max_targets=3)
+
+
+def test_receiver_subset_rejected(desk_env):
+    scene = Scene(targets=(Target(desk_env.range_grid.delays[10],
+                                  desk_env.azi_grid.values[5], 1.0),))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    coeffs = acquire(rx, desk_env.plan, desk_env.adc, desk_env.bins,
+                     active_rx=range(5))
+    with pytest.raises(ValidationError):
+        matrix_omp(coeffs, desk_env.dictionaries, max_targets=1)
 
 
 def test_coherence_of_complete_selection():
