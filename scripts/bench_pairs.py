@@ -2,7 +2,7 @@
 """Benchmark a change against its parent in alternating pairs; write BENCH_<pr>.json.
 
     git worktree add ../parent HEAD~
-    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_4.json
+    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_5.json
 
 For every workload of BENCHMARK.json, pair i runs `python3 perfbench/run.py
 --workload W --seed 501+i --seconds <run_seconds> --trace 0` once in the
@@ -10,10 +10,10 @@ parent checkout and once in this repository, for 10 pairs; even pairs run
 the parent first, odd pairs the change first, so a drift of the host's
 speed hits both sides alike. For every end-to-end metric of BENCHMARK.json
 the output gives each side's median and quartiles, the pairs the change
-wins, the relative change of the median and the parent's interquartile
-range; the report metrics (`fail_ratio`, detection rates, raw trials per
-second) are kept per run. With --trace-seed, each side also gets one traced
-run per workload.
+wins, the relative change of the median, the median gain, the parent's
+interquartile range and whether the gain meets RULE; the report metrics
+(`fail_ratio`, detection rates, raw trials per second) are kept per run.
+With --trace-seed, each side also gets one traced run per workload.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PAIRS = 10
 FIRST_SEED = 501
+RULE = ("a metric's gain is met when the change wins at least 9 of 10 pairs (ties "
+        "count for neither side), its median beats the parent's by more than the "
+        "parent's interquartile range, every change run is correct and no larger "
+        "share of the change's operations fails than of the parent's")
 REPORT = ("fail_ratio", "detection_rate", "false_alarm_rate", "strict_rate",
           "trials_per_s.raw")
 
@@ -47,7 +51,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     summary = json.loads(lines[-1]) if lines else {
         "correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     record = json.loads(record_path.read_text()) if record_path.is_file() else {}
-    return {"correct": summary["correct"],
+    return {"correct": summary["correct"], "attempted": summary["attempted"],
+            "failed": summary["failed"],
             "metrics": {k: m["value"] for k, m in summary["metrics"].items()},
             "report": {r["name"]: r["value"] for r in record.get("report", [])},
             "environment": record.get("environment", {})}
@@ -63,8 +68,15 @@ def aggregate(pairs, end_to_end) -> dict:
 
     `end_to_end` lists BENCHMARK.json's metric specs (name, better, bound).
     A metric missing from a failed run is left out of that side's
-    statistics and of the pair's win count.
+    statistics and of the pair's win count. Each metric's `met` applies RULE.
     """
+    runs_of = dict(zip(("parent", "change"), zip(*pairs)))
+    correct = {side: all(run["correct"] for run in runs) for side, runs in runs_of.items()}
+    ops = {side: {key: sum(run[key] for run in runs) for key in ("attempted", "failed")}
+           for side, runs in runs_of.items()}
+    # failed / attempted on the change side at most the parent's, cross-multiplied
+    no_worse = correct["change"] and (ops["change"]["failed"] * ops["parent"]["attempted"]
+                                      <= ops["parent"]["failed"] * ops["change"]["attempted"])
     metrics = {}
     for spec in end_to_end:
         name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
@@ -73,12 +85,15 @@ def aggregate(pairs, end_to_end) -> dict:
         if not parent or not change:
             continue
         p, c = _quartiles(parent), _quartiles(change)
+        wins = sum(a is not None and b is not None and sign * (b - a) > 0
+                   for a, b in zip(*sides))
+        gain, iqr = sign * (c["median"] - p["median"]), p["q3"] - p["q1"]
         metrics[name] = {
             "better": spec["better"], "bound": spec["bound"], "parent": p, "change": c,
-            "change_wins": sum(a is not None and b is not None and sign * (b - a) > 0
-                               for a, b in zip(*sides)),
+            "change_wins": wins,
             "relative_change_of_median": c["median"] / p["median"] - 1.0,
-            "parent_iqr": p["q3"] - p["q1"]}
+            "median_gain": gain, "parent_iqr": iqr,
+            "met": 10 * wins >= 9 * len(pairs) and gain > iqr and no_worse}
     report = {}
     for name in REPORT:
         parent_all, change_all = ([run["report"].get(name) for run in side]
@@ -89,8 +104,7 @@ def aggregate(pairs, end_to_end) -> dict:
                         "change": float(np.median(change_all)),
                         "parent_all": parent_all, "change_all": change_all}
     return {"pairs": len(pairs), "metrics": metrics, "report": report,
-            "correct": {side: all(run["correct"] for run in runs)
-                        for side, runs in zip(("parent", "change"), zip(*pairs))}}
+            "correct": correct, "operations": ops}
 
 
 def main(argv=None) -> int:
@@ -124,6 +138,7 @@ def main(argv=None) -> int:
                    f"--seconds {seconds:g} --trace 0",
         "pairs": f"parent and change alternate which side runs first; seed "
                  f"{FIRST_SEED}+i for pair i on both sides",
+        "rule": RULE,
         "workloads": workloads,
         "environment": {k: v for k, v in environment.get("change", {}).items()
                         if k != "git_sha"},

@@ -10,6 +10,8 @@ pipeline stage is still exercised.
 from __future__ import annotations
 
 import dataclasses
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +128,11 @@ class DetectionReport:
 
 @dataclass
 class MetricsRecord:
-    """Per-trial reports plus aggregate rates for one experiment run."""
+    """Per-trial reports plus aggregate rates for one experiment run.
+
+    `stages` maps each pipeline stage to its call count and summed wall
+    seconds, {"calls": n, "seconds": s}, in pipeline order.
+    """
 
     config: dict
     reports: list[DetectionReport]
@@ -141,7 +147,7 @@ class MetricsRecord:
             "detection_rate": self.detection_rate,
             "false_alarm_rate": self.false_alarm_rate,
             "strict_rate": self.strict_rate,
-            "stages": dict(self.stages),
+            "stages": {name: dict(entry) for name, entry in self.stages.items()},
             "trials": [
                 {"hits": list(map(list, r.hits)),
                  "false_alarms": list(r.false_alarms),
@@ -266,20 +272,39 @@ def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
                            misses=tuple(sorted(unmatched)), strict_hits=strict)
 
 
+@contextmanager
+def _stage(stages: dict | None, name: str):
+    """Add one call and its wall seconds to `stages[name]`, when `stages` is given."""
+    start = time.perf_counter()
+    yield
+    if stages is not None:
+        entry = stages.setdefault(name, {"calls": 0, "seconds": 0.0})
+        entry["calls"] += 1
+        entry["seconds"] += time.perf_counter() - start
+
+
 def run_trial(env: Environment, scene: Scene, snr_db: float | None, noise_seed,
-              max_targets: int | None = None) -> tuple[SparseEstimate, DetectionReport]:
+              max_targets: int | None = None,
+              stages: dict | None = None) -> tuple[SparseEstimate, DetectionReport]:
     """One pulse: synthesis -> noise -> acquisition -> recovery -> scoring.
 
     Returns the estimate and its detection report. Recovery stops after
-    `max_targets` selections, or after as many as the scene holds.
+    `max_targets` selections, or after as many as the scene holds. A given
+    `stages` dict gains each stage's call and wall seconds, as in
+    `MetricsRecord.stages`.
     """
-    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
+    with _stage(stages, "synthesize"):
+        rx = synth_received(scene, env.array, env.plan, env.sample_rate)
     if _adds_noise(snr_db):
-        rx = add_noise(rx, snr_db, noise_seed)
-    coeffs = acquire(rx, env.plan, env.adc, env.bins)
-    estimate = matrix_omp(coeffs, env.dictionaries,
-                          max_targets=max_targets or len(scene))
-    report = match_targets(scene, estimate, env.range_grid, env.azi_grid)
+        with _stage(stages, "noise"):
+            rx = add_noise(rx, snr_db, noise_seed)
+    with _stage(stages, "acquire"):
+        coeffs = acquire(rx, env.plan, env.adc, env.bins)
+    with _stage(stages, "recover"):
+        estimate = matrix_omp(coeffs, env.dictionaries,
+                              max_targets=max_targets or len(scene))
+    with _stage(stages, "match"):
+        report = match_targets(scene, estimate, env.range_grid, env.azi_grid)
     return estimate, report
 
 
@@ -299,16 +324,18 @@ def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> Met
     if env is None:
         env = build_environment(cfg.mode, cfg.profile, seed=cfg.seed)
     reports: list[DetectionReport] = []
+    stages: dict = {}
     n_truth = n_hits = n_strict = n_est = n_fa = 0
 
     for trial in range(cfg.trials):
-        if isinstance(cfg.scene, Scene):
-            scene = cfg.scene
-        else:
-            scene = generate_scene(np.random.default_rng([cfg.seed, trial, 0]),
-                                   cfg.scene, len(env.range_grid), env.plan.pri)
+        with _stage(stages, "scene"):
+            if isinstance(cfg.scene, Scene):
+                scene = cfg.scene
+            else:
+                scene = generate_scene(np.random.default_rng([cfg.seed, trial, 0]),
+                                       cfg.scene, len(env.range_grid), env.plan.pri)
         estimate, report = run_trial(env, scene, cfg.snr_db, [cfg.seed, trial, 1],
-                                     cfg.max_targets)
+                                     cfg.max_targets, stages)
         reports.append(report)
         n_truth += len(scene)
         n_hits += len(report.hits)
@@ -316,9 +343,6 @@ def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> Met
         n_est += len(estimate)
         n_fa += len(report.false_alarms)
 
-    stages = ["scene", "synthesize", "noise", "acquire", "recover", "match"]
-    if not _adds_noise(cfg.snr_db):
-        stages.remove("noise")
     cfg_dict = dataclasses.asdict(cfg)
     cfg_dict["mode"] = cfg.mode.value
     if isinstance(cfg.scene, Scene):
@@ -329,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> Met
         detection_rate=n_hits / n_truth if n_truth else 0.0,
         false_alarm_rate=n_fa / n_est if n_est else 0.0,
         strict_rate=n_strict / n_truth if n_truth else 0.0,
-        stages=dict.fromkeys(stages, cfg.trials),
+        stages=stages,
     )
 
 

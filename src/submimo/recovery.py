@@ -10,6 +10,7 @@ selected amplitudes jointly across channels each iteration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ class DictionarySet:
 
     Range atom n of transmitter m is exp(-2j*pi*(k + m*N)*n / C) over the
     selected bins k (N bins per channel, C uniform range cells); it is
-    applied by FFT and never stored.
+    applied by FFT or partial DFT and never stored.
     """
 
     azimuth_atoms: tuple[np.ndarray, ...]
@@ -121,6 +122,55 @@ def _range_maps(residuals, dicts: DictionarySet) -> list[np.ndarray]:
     return maps
 
 
+@functools.lru_cache(maxsize=4)
+def _roots_of_unity(c: int) -> np.ndarray:
+    """exp(-2j*pi*j/C) for j < C (read-only), indexed by an integer phase mod C."""
+    roots = np.exp(-2j * np.pi * np.arange(c) / c)
+    roots.flags.writeable = False
+    return roots
+
+
+def _block_maps(stacked, dicts: DictionarySet, rows) -> list[np.ndarray]:
+    """The given rows of every channel's range map, as a partial DFT.
+
+    `stacked` holds the channels' K x Q residuals side by side. One GEMM of
+    the rows x K table exp(2j*pi*k*n/C) against it, then each channel's row
+    phase exp(2j*pi*m*N*n/C).
+    """
+    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
+    roots = _roots_of_unity(c).conj()
+    phase = np.multiply.outer(rows, k)
+    phase %= c
+    g = roots[phase] @ stacked
+    edges = np.cumsum([0] + [b.shape[0] for b in dicts.azimuth_atoms])
+    return [roots[m * n_bins * rows % c][:, None] * g[:, lo:hi]
+            for m, lo, hi in zip(dicts.tx_indices, edges, edges[1:])]
+
+
+def _row_bound(residuals, dicts: DictionarySet, weights) -> np.ndarray:
+    """sum_m w_m ||h_m(n)||^2 for every range cell n, from lag autocorrelations.
+
+    ||h_m(n)||^2 = sum over lags |d| < N of a_m(d) exp(2j*pi*d*n/C), with
+    a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^* (the channel offset m*N
+    is a unit phase per row and drops out). The weighted power spectra of
+    2N-point FFTs, summed over receivers and channels, give sum_m w_m a_m
+    without wrap; folded mod C, the lags take one C-point Hermitian transform.
+    """
+    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
+    power = 0.0
+    for r, w in zip(residuals, weights):  # per channel, so the spectra stay in cache
+        spec = np.zeros((r.shape[1], 2 * n_bins), dtype=complex)
+        spec[:, k] = r.T
+        pairs = np.fft.fft(spec, out=spec).view(float)
+        power = power + w * np.einsum("ij,ij->j", pairs, pairs)
+    # power interleaves the re^2 and im^2 sums; lag d sits at index d mod 2N
+    lags = np.fft.ifft(power.reshape(-1, 2).sum(axis=1))
+    d = np.arange(1 - n_bins, n_bins)
+    folded = np.zeros(c, dtype=complex)
+    np.add.at(folded, d % c, lags[d])
+    return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
+
+
 def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
     """S(n, p) = sum over channels of |a_n^H R b_p^*|^2 for the range rows n.
 
@@ -133,32 +183,49 @@ def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
     return score
 
 
-def _select(range_maps, dicts: DictionarySet, support) -> tuple[int, int]:
-    """Exact argmax of S over the cells not in `support`, in row-major tie order.
+def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
+    """Exact argmax of S over the cells not in `support`, scanned in row blocks.
 
     Rows are scored in cache-sized blocks. When the grid spans several
     blocks, they are visited in descending order of the Cauchy-Schwarz bound
     S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2, and the scan stops at the
-    first block whose top bound cannot beat the best score found.
+    first block whose top bound cannot beat the best score found. A grid
+    that fits one block or spans at most 2N cells takes every range map from
+    one FFT per channel; a wider multi-block one takes the bound from the
+    residuals' lag autocorrelation (`_row_bound`) and only the scored rows'
+    maps (`_block_maps`).
+    Within a block, equal scores resolve to the smallest (range, azimuth)
+    cell; across blocks too, but only for scores equal in floating point.
     """
     c, n_azi = len(dicts.range_grid), len(dicts.azi_grid)
     rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
     ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
+    lag_domain = rows < c and c > 2 * dicts.bins.per_channel_bins
+    if lag_domain:
+        stacked = np.hstack(residuals)
+    else:
+        maps = _range_maps(residuals, dicts)
     order, bound = np.arange(c), None
     if rows < c:
-        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float))
-                    * np.max(np.sum(np.abs(b) ** 2, axis=0))
-                    for h, b in zip(range_maps, dicts.azimuth_atoms))
+        weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+        bound = (_row_bound(residuals, dicts, weights) if lag_domain else
+                 sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
+                     for h, w in zip(maps, weights)))
         order = np.argsort(-bound, kind="stable")
+        # the lag-domain bound rounds at the scale of the largest row
+        slack = 1e-9 * bound[order[0]]
     best, cell = -np.inf, (0, 0)
     for lo in range(0, c, rows):
         block, scored = order[lo:lo + rows], slice(lo, lo + rows)
         if bound is not None:
-            if bound[block[0]] * (1 + 1e-9) < best:
+            if bound[block[0]] + slack < best:
                 break
             # rows ascending within the block, so its argmax breaks ties row-major
             block = scored = np.sort(block)
-        score = _pair_scores(range_maps, dicts, scored)
+        if lag_domain:
+            score = _pair_scores(_block_maps(stacked, dicts, block), dicts, slice(None))
+        else:
+            score = _pair_scores(maps, dicts, scored)
         j = np.minimum(np.searchsorted(block, ns), len(block) - 1)
         hit = block[j] == ns  # a pair may only be selected once
         score[j[hit], ps[hit]] = -np.inf
@@ -173,8 +240,7 @@ def _support_atoms(dicts: DictionarySet, support):
     """Per channel, the range (K x s) and azimuth (Q x s) atoms of the support."""
     c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
     ns, ps = (list(cells) for cells in zip(*support))
-    # C-th roots of unity, indexed by the integer phase (k + m*N)*n mod C
-    roots = np.exp(-2j * np.pi * np.arange(c) / c)
+    roots = _roots_of_unity(c)  # indexed by the integer phase (k + m*N)*n mod C
     return [(roots[np.outer(k + m * n_bins, ns) % c], b[:, ps])
             for m, b in zip(dicts.tx_indices, dicts.azimuth_atoms)]
 
@@ -202,9 +268,13 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     """Greedy simultaneous sparse recovery over all channels.
 
     Per iteration: add the best-scoring grid pair on the current residuals
-    (found exactly by the bound-pruned scan of `_select`; ties resolve to the
-    smallest range cell, then the smallest azimuth cell), jointly refit every
-    selected amplitude across channels, and subtract the reconstruction.
+    (found exactly by the bound-pruned scan of `_select`), jointly refit
+    every selected amplitude across channels, and subtract the
+    reconstruction. Scores equal in floating point resolve to the smallest
+    range cell, then the smallest azimuth cell. Scores equal only in exact
+    arithmetic may round apart, and differently on a grid wider than 2N,
+    whose partial-DFT maps round unlike the FFT maps; such ties may resolve
+    to any of the tied cells.
     Stops after `max_targets` selections, or, when no target count is given,
     once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.
     """
@@ -229,7 +299,7 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     amplitudes = np.zeros(0, dtype=complex)
     history: list[float] = []
     while len(support) < cap and res_norm > tol * signal_norm:
-        support.append(_select(_range_maps(residuals, dicts), dicts, support))
+        support.append(_select(residuals, dicts, support))
         atoms = _support_atoms(dicts, support)
         amplitudes = _joint_refit(matrices, atoms, support)
         residuals = [y - a @ (amplitudes[:, None] * b.T)

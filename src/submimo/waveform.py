@@ -159,7 +159,7 @@ def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> C
             raise ConfigError(f"subbands [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] overlap")
     # normalize by the cells the spectrum carries, not the nominal widths, so
     # an edge sliver that _occupied_cells drops takes no power with it
-    kept_cells = sum(frac for _, frac in _occupied_cells(slices, base.pri))
+    kept_cells = sum(_occupied_cells(slices, base.pri)[1])
     if kept_cells <= 0:
         raise ConfigError("the subbands cover no part of any bin cell")
     scale = float(np.sqrt(base.signal_band * base.pri / kept_cells))
@@ -172,21 +172,26 @@ def conventional_plan(base: FdmPlan, total_power: float = 1.0) -> CognitivePlan:
     return build_cognitive_plan(base, (Subband(0.0, base.signal_band),), total_power)
 
 
-def _occupied_cells(subbands, pri: float):
-    """(bin, energy fraction) pairs for the bins whose cells touch a slice.
+def _occupied_cells(subbands, pri: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending bins whose cells touch a slice, and their energy fractions.
 
-    Adjacent slices may share an edge bin; their fractions accumulate.
+    Adjacent slices may share an edge bin; their fractions add up in slice
+    order, clipped to one whole cell.
     """
-    cells: dict[int, float] = {}
-    for band in subbands:
-        k_first = int(np.floor(band.lo * pri + _BIN_EPS))
-        k_last = int(np.ceil(band.hi * pri - _BIN_EPS))
-        for k in range(k_first, k_last):
-            lo_k, hi_k = k / pri, (k + 1) / pri
-            frac = (min(hi_k, band.hi) - max(lo_k, band.lo)) * pri
-            if frac > _BIN_EPS:
-                cells[k] = min(cells.get(k, 0.0) + frac, 1.0)
-    return sorted(cells.items())
+    lo = np.array([band.lo for band in subbands])
+    hi = np.array([band.hi for band in subbands])
+    k_first = np.floor(lo * pri + _BIN_EPS).astype(int)
+    counts = np.maximum(np.ceil(hi * pri - _BIN_EPS).astype(int) - k_first, 0)
+    band = np.repeat(np.arange(len(lo)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + k_first[band]
+    frac = (np.minimum((k + 1) / pri, hi[band]) - np.maximum(k / pri, lo[band])) * pri
+    keep = frac > _BIN_EPS
+    # bincount adds in input order, so shared edges add in slice order; the
+    # fractions are positive, so one clip after the sum equals a clip after
+    # every addition
+    total = np.bincount(k[keep], weights=frac[keep])
+    bins = np.flatnonzero(np.bincount(k[keep]))
+    return bins, np.minimum(total[bins], 1.0)
 
 
 def channel_spectrum(plan: CognitivePlan, tx: int,
@@ -201,10 +206,8 @@ def channel_spectrum(plan: CognitivePlan, tx: int,
     base = plan.base
     if not 0 <= tx < base.num_tx:
         raise ValidationError(f"transmit index {tx} out of range")
-    cells = _occupied_cells(plan.subbands, base.pri)
-    offset = tx * base.bins_per_channel
-    bins = np.array([k + offset for k, _ in cells], dtype=int)
-    fracs = np.array([f for _, f in cells])
+    cells, fracs = _occupied_cells(plan.subbands, base.pri)
+    bins = cells + tx * base.bins_per_channel
     # flat design: per-bin energy tau*|c|^2 = scale^2 * g^2 * frac with
     # g^2 = P_t / (B_h * tau^2); summed over the slices this is exactly P_t
     g = np.sqrt(plan.total_power / base.signal_band) / base.pri

@@ -4,6 +4,7 @@ import numpy as np
 
 from submimo.geometry import AzimuthGrid
 from submimo.recovery import DictionarySet, RangeGrid
+from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED
 from submimo.xampler import BinSet, CoefficientSet
 
 
@@ -56,3 +57,31 @@ def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
                             tx_indices=tuple(range(n_channels)),
                             rx_indices=tuple(range(n_rx)))
     return coeffs, dicts
+
+
+def loop_occupied_cells(subbands, pri):
+    """`waveform._occupied_cells` as a scalar loop over each slice's bin cells.
+
+    A cell shared by several slices adds their fractions in slice order,
+    clipped to a whole cell after every addition.
+    """
+    cells: dict[int, float] = {}
+    for band in subbands:
+        k_first = int(np.floor(band.lo * pri + _BIN_EPS))
+        k_last = int(np.ceil(band.hi * pri - _BIN_EPS))
+        for k in range(k_first, k_last):
+            frac = (min((k + 1) / pri, band.hi) - max(k / pri, band.lo)) * pri
+            if frac > _BIN_EPS:
+                cells[k] = min(cells.get(k, 0.0) + frac, 1.0)
+    bins, fracs = zip(*sorted(cells.items()))
+    return np.array(bins, dtype=int), np.array(fracs)
+
+
+def loop_channel_spectrum(plan, tx, phase_seed=DEFAULT_PHASE_SEED):
+    """`waveform.channel_spectrum` on the cells of `loop_occupied_cells`."""
+    pri = plan.base.pri
+    cells, fracs = loop_occupied_cells(plan.subbands, pri)
+    bins = cells + tx * plan.base.bins_per_channel
+    g = np.sqrt(plan.total_power / plan.base.signal_band) / pri
+    phases = np.exp(2j * np.pi * np.random.default_rng([phase_seed, tx]).random(len(bins)))
+    return bins, plan.amplitude_scale * g * np.sqrt(fracs) * phases

@@ -268,5 +268,9 @@ def test_metrics_output(tmp_path):
     data = json.loads((tmp_path / "metrics.json").read_text())
     assert data["detection_rate"] == 1.0
     assert len(data["trials"]) == 2
+    # noiseless: no noise stage; every other stage ran once per trial
+    assert list(data["stages"]) == ["scene", "synthesize", "acquire", "recover", "match"]
+    for entry in data["stages"].values():
+        assert entry["calls"] == 2 and entry["seconds"] >= 0.0
     csv_lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 3

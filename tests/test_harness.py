@@ -158,9 +158,12 @@ def test_experiment_is_deterministic():
         mode=ArrayMode.THINNED,
         scene=SceneSpec(num_targets=5, min_range_sep_cells=3, min_sin_sep=0.05),
         profile="desk", snr_db=-5.0, trials=2, seed=11)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
-    assert a.to_dict() == b.to_dict()
+    a, b = (run_experiment(cfg).to_dict() for _ in range(2))
+    # everything but the stages' wall seconds repeats exactly
+    for record in (a, b):
+        for entry in record["stages"].values():
+            assert entry.pop("seconds") >= 0.0
+    assert a == b
 
 
 def test_scenes_are_identical_across_modes():
@@ -180,7 +183,9 @@ def test_desk_profile_exercises_every_full_profile_stage():
         snr_db=-5.0, trials=1, seed=3))
     assert set(desk.stages) == set(full.stages)
     for stage in ("scene", "synthesize", "noise", "acquire", "recover", "match"):
-        assert desk.stages[stage] >= 1
+        for record in (desk, full):
+            assert record.stages[stage]["calls"] >= 1
+            assert record.stages[stage]["seconds"] >= 0.0
 
 
 def test_ppi_geometry_and_csv_twin(tmp_path, desk_env):

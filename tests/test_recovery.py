@@ -11,8 +11,8 @@ from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
                      build_environment, coherence, generate_scene, matrix_omp,
                      oracle_coefficients, recovery, synth_received)
 from submimo.geometry import AzimuthGrid
-from submimo.recovery import (DictionarySet, RangeGrid, _pair_scores, _range_maps,
-                              _select, _support_atoms)
+from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _pair_scores,
+                              _range_maps, _row_bound, _select, _support_atoms)
 from submimo.xampler import BinSet, CoefficientSet
 
 
@@ -172,17 +172,74 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
 
 
+# grids below, at and above 2N, the last one scored through the lag-domain
+# bound and partial-DFT block maps; C below the bin span folds bins together
+_GRID_EXAMPLES = [dict(seed=0, n_channels=2, n_bins=8, total_bins=8, n_range=5, n_rx=3),
+                  dict(seed=1, n_channels=3, n_bins=5, total_bins=8, n_range=16, n_rx=2),
+                  dict(seed=2, n_channels=2, n_bins=6, total_bins=9, n_range=41, n_rx=4)]
+
+
+def _weights(dicts):
+    return [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+
+
+def _grid_instance(seed, n_channels, n_bins, total_bins, n_range, n_rx, n_azi=3):
+    return random_instance(np.random.default_rng(seed), n_channels=n_channels,
+                           n_bins=min(n_bins, total_bins), n_rx=n_rx, n_range=n_range,
+                           n_azi=n_azi, total_bins=total_bins)
+
+
+_grids = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+              n_bins=st.integers(1, 16), total_bins=st.integers(1, 16),
+              n_range=st.integers(1, 50), n_rx=st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_grids)
+@example(**_GRID_EXAMPLES[0])
+@example(**_GRID_EXAMPLES[1])
+@example(**_GRID_EXAMPLES[2])
+def test_lag_domain_bound_matches_the_weighted_row_energies(**draw):
+    coeffs, dicts = _grid_instance(**draw)
+    weights = _weights(dicts)
+    want = sum(np.sum(np.abs(h) ** 2, axis=1) * w
+               for h, w in zip(_range_maps(coeffs.matrices, dicts), weights))
+    got = _row_bound(coeffs.matrices, dicts, weights)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * want.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_share=st.floats(0.0, 1.0), **_grids)
+@example(row_share=0.5, **_GRID_EXAMPLES[0])
+@example(row_share=1.0, **_GRID_EXAMPLES[1])
+@example(row_share=0.3, **_GRID_EXAMPLES[2])
+def test_block_maps_are_the_range_map_rows(row_share, **draw):
+    coeffs, dicts = _grid_instance(**draw)
+    n_range = draw["n_range"]
+    rows = np.random.default_rng([draw["seed"], 1]).permutation(n_range)[
+        :max(1, round(row_share * n_range))]  # unsorted
+    full = _range_maps(coeffs.matrices, dicts)
+    peak = max(np.abs(h).max() for h in full)
+    got = _block_maps(np.hstack(coeffs.matrices), dicts, rows)
+    assert len(got) == len(full)
+    for g, h in zip(got, full):
+        np.testing.assert_allclose(g, h[rows], rtol=0, atol=1e-9 * peak)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
-       n_bins=st.integers(1, 12), n_range=st.integers(2, 40), n_rx=st.integers(1, 4),
-       n_azi=st.integers(1, 9), block_rows=st.integers(1, 5),
-       n_selected=st.integers(0, 4))
-def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, n_range,
-                                                     n_rx, n_azi, block_rows, n_selected):
+       n_bins=st.integers(1, 12), total_bins=st.integers(4, 16),
+       n_range=st.integers(2, 40), n_rx=st.integers(1, 4), n_azi=st.integers(1, 9),
+       block_rows=st.integers(1, 5), n_selected=st.integers(0, 4))
+@example(seed=3, n_channels=2, n_bins=5, total_bins=6, n_range=31, n_rx=3, n_azi=4,
+         block_rows=2, n_selected=2)  # C > 2N: the lag-domain scan
+def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, total_bins,
+                                                     n_range, n_rx, n_azi, block_rows,
+                                                     n_selected):
     rng = np.random.default_rng(seed)
-    coeffs, dicts = random_instance(rng, n_channels=n_channels, n_bins=n_bins,
-                                    n_rx=n_rx, n_range=n_range, n_azi=n_azi,
-                                    total_bins=16)
+    coeffs, dicts = random_instance(rng, n_channels=n_channels,
+                                    n_bins=min(n_bins, total_bins), n_rx=n_rx,
+                                    n_range=n_range, n_azi=n_azi, total_bins=total_bins)
     cells = rng.choice(n_range * n_azi, size=min(n_selected, n_range * n_azi - 1),
                        replace=False)
     support = [divmod(int(c), n_azi) for c in cells]
@@ -192,7 +249,7 @@ def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, n
     # blocks of a few rows force the bound-ordered, pruned scan
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * n_azi)
-        got = _select(_range_maps(coeffs.matrices, dicts), dicts, support)
+        got = _select(coeffs.matrices, dicts, support)
     # cells within float noise of the maximum; more than one only when the
     # instance ties them exactly (for example a single bin), where rounding
     # decides, so the row-major rule is pinned on bit-exact ties below
@@ -202,49 +259,78 @@ def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, n
         assert got == np.unravel_index(np.argmax(want), want.shape)
 
 
-def _tie_instance(n_range=6):
-    """Two identical azimuth columns, so every score has an exact twin."""
+def _tie_instance(n_range):
+    """Every cell scores exactly 1, under row bounds that differ.
+
+    Both azimuth columns see receiver 0 only, whose residual is bin 0 alone:
+    every range row correlates with it to exactly 1. Receiver 1 holds
+    1 - exp(2j*pi*n/C) on row n, which raises every bound but row 0's.
+    """
     bins = BinSet(indices=(0, 1), per_channel_bins=4)
-    dicts = DictionarySet(azimuth_atoms=(np.ones((2, 2), dtype=complex),), bins=bins,
-                          tx_indices=(0,), range_grid=RangeGrid.from_cells(1e-4, n_range),
+    atoms = np.array([[1, 1], [0, 0]], dtype=complex)
+    dicts = DictionarySet(azimuth_atoms=(atoms,), bins=bins, tx_indices=(0,),
+                          range_grid=RangeGrid.from_cells(1e-4, n_range),
                           azi_grid=AzimuthGrid(values=np.array([0.0, 0.5])))
-    return dicts
+    residual = np.array([[1, 1], [0, -1]], dtype=complex)  # rows: bins 0, 1
+    return dicts, residual
+
+
+# 6 cells take the FFT maps; 12 (> 2N = 8) the lag-domain bound and block maps
+_TIE_GRIDS = (6, 12)
 
 
 def test_selection_of_an_all_zero_residual_is_the_first_cell(monkeypatch):
-    dicts = _tie_instance()
     monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2)  # one row per block
-    assert _select([np.zeros((6, 2), dtype=complex)], dicts, []) == (0, 0)
+    for n_range in _TIE_GRIDS:
+        dicts, _ = _tie_instance(n_range)
+        assert _select([np.zeros((2, 2), dtype=complex)], dicts, []) == (0, 0)
 
 
-@pytest.mark.parametrize("block_rows", [1, 3])  # tied rows 4 and 2: two blocks, one block
+@pytest.mark.parametrize("block_rows", [1, 3])
 def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_rows):
-    dicts = _tie_instance()
     monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2 * block_rows)
-    h = np.zeros((6, 2), dtype=complex)
-    h[5] = [2.0, -2.0]  # the largest bound, yet orthogonal to both columns
-    h[2] = [1.0, 1.0]  # score 4 in both columns, bound 4
-    h[4] = [1.5, 0.5]  # the same scores under a larger bound: scanned before row 2
-    assert _select([h], dicts, []) == (2, 0)
-    assert _select([h], dicts, [(2, 0)]) == (2, 1)
-    assert _select([h], dicts, [(2, 0), (2, 1)]) == (4, 0)
+    for n_range in _TIE_GRIDS:
+        dicts, residual = _tie_instance(n_range)
+        bound = (_row_bound([residual], dicts, _weights(dicts)) if n_range > 8 else
+                 np.sum(np.abs(_range_maps([residual], dicts)[0]) ** 2, axis=1))
+        assert np.argmax(bound) > 0 and np.argmin(bound) == 0  # row 0 is scanned last
+        scores = _pair_scores(_range_maps([residual], dicts), dicts, slice(None))
+        assert np.all(scores == scores[0, 0])
+        assert _select([residual], dicts, []) == (0, 0)
+        assert _select([residual], dicts, [(0, 0)]) == (0, 1)
+        assert _select([residual], dicts, [(0, 0), (0, 1)]) == (1, 0)
 
 
-def test_desk_wide_trial_scores_at_most_two_blocks_per_iteration(desk_envs, monkeypatch):
-    env = desk_envs[ArrayMode.WIDE]
-    rows = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
-    assert rows < len(env.range_grid)  # the grid spans several blocks
+def test_single_block_grid_wider_than_2n_keeps_the_fft_maps(monkeypatch):
+    # 12 > 2N = 8 cells, but all 24 fit one block: no bound and no row table
+    dicts, residual = _tie_instance(12)
+    assert len(dicts.range_grid) * len(dicts.azi_grid) <= recovery._SCORE_BLOCK_CELLS
+    called = []
+    for name in ("_range_maps", "_row_bound", "_block_maps"):
+        monkeypatch.setattr(recovery, name, lambda *args, _name=name, _f=getattr(
+            recovery, name): called.append(_name) or _f(*args))
+    assert _select([residual], dicts, []) == (0, 0)
+    assert called == ["_range_maps"]
+
+
+def _counting_trial(env, monkeypatch, iteration_marker):
+    """Blocks scored per matrix OMP iteration on a seeded -5 dB trial."""
     scene = generate_scene(np.random.default_rng([7, 0, 0]),
                            SceneSpec(num_targets=10, min_sin_sep=0.025),
                            len(env.range_grid), env.plan.pri)
     rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
                    -5.0, [7, 0, 1])
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
-    blocks = []  # blocks scored per iteration
-    range_maps, pair_scores = recovery._range_maps, recovery._pair_scores
+    blocks, calls = [], {"_range_maps": 0}
+    marker, range_maps, pair_scores = (getattr(recovery, iteration_marker),
+                                       recovery._range_maps, recovery._pair_scores)
+
+    def counting_marker(*args):
+        blocks.append(0)
+        return marker(*args)
 
     def counting_range_maps(*args):
-        blocks.append(0)
+        calls["_range_maps"] += 1
         return range_maps(*args)
 
     def counting_pair_scores(*args):
@@ -252,8 +338,26 @@ def test_desk_wide_trial_scores_at_most_two_blocks_per_iteration(desk_envs, monk
         return pair_scores(*args)
 
     monkeypatch.setattr(recovery, "_range_maps", counting_range_maps)
+    monkeypatch.setattr(recovery, iteration_marker, counting_marker)
     monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
     est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    return est, blocks, calls["_range_maps"]
+
+
+def test_desk_wide_trial_scores_at_most_two_blocks_per_iteration(desk_envs, monkeypatch):
+    env = desk_envs[ArrayMode.WIDE]
+    rows = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
+    assert rows < len(env.range_grid)  # the grid spans several blocks
+    est, blocks, _ = _counting_trial(env, monkeypatch, "_range_maps")
+    assert len(blocks) == len(est) == 10
+    assert max(blocks) <= 2
+
+
+def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
+    env = build_environment(ArrayMode.WIDE, "full", seed=7)
+    assert len(env.range_grid) > 2 * env.bins.per_channel_bins
+    est, blocks, range_maps_calls = _counting_trial(env, monkeypatch, "_row_bound")
+    assert range_maps_calls == 0
     assert len(blocks) == len(est) == 10
     assert max(blocks) <= 2
 

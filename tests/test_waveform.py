@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from helpers import loop_channel_spectrum, loop_occupied_cells
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submimo import ConfigError, Subband
-from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
-                              conventional_plan, pulse_energy,
+from submimo.waveform import (_occupied_cells, build_cognitive_plan, build_fdm_plan,
+                              channel_spectrum, conventional_plan, pulse_energy,
                               reference_subbands, spectral_power, synth_pulse)
 
 
@@ -178,3 +179,60 @@ def test_power_conservation_for_random_slice_plans(starts, width_mhz):
     plan = build_cognitive_plan(full_plan(num_tx=2), bands, total_power=1.0)
     pulse = synth_pulse(plan, 1, 30e6)
     assert pulse_energy(pulse) == pytest.approx(1.0, rel=1e-9)
+
+
+def _assert_spectra_equal_the_loop(plan):
+    for got, want in zip(_occupied_cells(plan.subbands, plan.pri),
+                         loop_occupied_cells(plan.subbands, plan.pri)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for tx in range(plan.num_tx):
+        bins, values = channel_spectrum(plan, tx)
+        want_bins, want_values = loop_channel_spectrum(plan, tx)
+        assert bins.dtype == want_bins.dtype
+        np.testing.assert_array_equal(bins, want_bins)
+        np.testing.assert_array_equal(values, want_values)
+
+
+# edges in Hz on 10 kHz bin cells: a 0.009 Hz sliver (below the 1e-6-bin edge
+# tolerance) inside cell 3; three slices sharing cell 768 whose fractions
+# round to a sum above one cell; three slices inside cell 933 whose fractions
+# sum to another value in the reverse order
+_SLICE_PLANS = {
+    "sliver": [(10e3, 20e3), (32e3, 32e3 + 0.009)],
+    "clip": [(7.67e6, 7683118.314520105), (7683118.314520105, 7689486.494471372),
+             (7689486.494471372, 7.7e6)],
+    "order": [(9332842.011637488, 9332927.207490124), (9336485.472070798, 9336962.159966702),
+              (9337378.377872922, 9339562.672548361)],
+}
+
+
+@pytest.mark.parametrize("kind", ["reference", "conventional", *_SLICE_PLANS])
+def test_channel_spectrum_equals_the_loop_reference(kind):
+    base = full_plan()
+    if kind == "reference":
+        plan = build_cognitive_plan(base, reference_subbands())
+    elif kind == "conventional":
+        plan = conventional_plan(base)
+    else:
+        plan = build_cognitive_plan(base, [Subband(lo, hi) for lo, hi in _SLICE_PLANS[kind]])
+    _assert_spectra_equal_the_loop(plan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(st.integers(0, 400), min_size=2, max_size=9, unique=True),
+       shift=st.sampled_from([0.0, 0.25, 0.5, 1e-7]),
+       gaps=st.lists(st.booleans(), min_size=8, max_size=8))
+@example(cuts=[0, 1, 2, 3], shift=0.5, gaps=[False] * 8)  # slices within one bin cell
+@example(cuts=[10, 14, 30], shift=0.25, gaps=[False] * 8)  # shared sub-bin edges
+def test_channel_spectrum_equals_the_loop_on_slice_plans(cuts, shift, gaps):
+    # slice edges on a quarter-bin grid (2.5 kHz of the 10 kHz bin cells of a
+    # 100 us PRI), shifted off it; adjacent slices share an edge unless a gap
+    # drops one
+    edges = [(c / 4 + shift) * 1e4 for c in sorted(cuts)]
+    bands = [Subband(lo, hi) for (lo, hi), gap in zip(zip(edges, edges[1:]), gaps)
+             if not gap]
+    if not bands:
+        return
+    plan = build_cognitive_plan(full_plan(num_tx=2), bands)
+    _assert_spectra_equal_the_loop(plan)
