@@ -10,9 +10,10 @@ parent checkout and once in this repository, for 10 pairs; even pairs run
 the parent first, odd pairs the change first, so a drift of the host's
 speed hits both sides alike. For every end-to-end metric of BENCHMARK.json
 the output gives each side's median and quartiles, the pairs the change
-wins, the relative change of the median, the median gain, the parent's
-interquartile range and whether the gain meets RULE; the report metrics
-(`fail_ratio`, detection rates, raw trials per second) are kept per run.
+wins and loses, the relative change of the median, the median gain, the
+parent's interquartile range, and whether RULE finds the gain met or the
+metric worse; the report metrics (`fail_ratio`, detection rates, raw
+trials per second) are kept per run.
 With --trace-seed, each side also gets one traced run per workload.
 """
 
@@ -68,7 +69,8 @@ def aggregate(pairs, end_to_end) -> dict:
 
     `end_to_end` lists BENCHMARK.json's metric specs (name, better, bound).
     A metric missing from a failed run is left out of that side's
-    statistics and of the pair's win count. Each metric's `met` applies RULE.
+    statistics and of the pair's win and loss counts. Each metric's `met`
+    and `worse` apply RULE.
     """
     runs_of = dict(zip(("parent", "change"), zip(*pairs)))
     correct = {side: all(run["correct"] for run in runs) for side, runs in runs_of.items()}
@@ -85,15 +87,16 @@ def aggregate(pairs, end_to_end) -> dict:
         if not parent or not change:
             continue
         p, c = _quartiles(parent), _quartiles(change)
-        wins = sum(a is not None and b is not None and sign * (b - a) > 0
-                   for a, b in zip(*sides))
+        diffs = [sign * (b - a) for a, b in zip(*sides) if a is not None and b is not None]
+        wins, losses = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         gain, iqr = sign * (c["median"] - p["median"]), p["q3"] - p["q1"]
         metrics[name] = {
             "better": spec["better"], "bound": spec["bound"], "parent": p, "change": c,
-            "change_wins": wins,
+            "change_wins": wins, "change_losses": losses,
             "relative_change_of_median": c["median"] / p["median"] - 1.0,
             "median_gain": gain, "parent_iqr": iqr,
-            "met": 10 * wins >= 9 * len(pairs) and gain > iqr and no_worse}
+            "met": 10 * wins >= 9 * len(pairs) and gain > iqr and no_worse,
+            "worse": 10 * losses >= 9 * len(pairs) and -gain > iqr}
     report = {}
     for name in REPORT:
         parent_all, change_all = ([run["report"].get(name) for run in side]

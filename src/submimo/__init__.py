@@ -22,9 +22,8 @@ from .waveform import (BasebandPulse, CognitivePlan, FdmPlan, Subband,
                        build_cognitive_plan, build_fdm_plan, channel_spectrum,
                        conventional_plan, pulse_energy, reference_subbands,
                        spectral_power, synth_pulse)
-from .xampler import (AdcConfig, BinSet, CoefficientSet, acquire, channelize,
-                      check_coset, extract_coefficients, subband_bins,
-                      subsample)
+from .xampler import (AdcConfig, BinSet, CoefficientSet, acquire, check_coset,
+                      subband_bins)
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_acquire(args) -> int:
     env = fileio.ToolkitConfig.from_file(args.config).environment()
-    rx = fileio.read_received(args.infile)
+    rx = fileio.read_received(args.infile, env.plan)
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
     fileio.write_coefficients(args.out, coeffs)
     if args.csv:

@@ -46,11 +46,7 @@ def plan_digest(plan: CognitivePlan) -> str:
 
 def write_iq(path, samples: np.ndarray, header: dict) -> None:
     """Interleaved I/Q float32 (little-endian) plus a key=value sidecar."""
-    samples = np.asarray(samples).ravel()
-    inter = np.empty(2 * len(samples), dtype="<f4")
-    inter[0::2] = samples.real
-    inter[1::2] = samples.imag
-    inter.tofile(str(path))
+    np.asarray(samples).ravel().astype("<c8").view("<f4").tofile(str(path))
     with open(str(path) + ".hdr", "w") as fh:
         for key, value in header.items():
             fh.write(f"{key} = {value}\n")
@@ -60,7 +56,7 @@ def read_iq(path) -> tuple[np.ndarray, dict]:
     raw = np.fromfile(str(path), dtype="<f4")
     if len(raw) % 2:
         raise ValidationError(f"odd float count in I/Q file {path}")
-    samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    samples = raw.view("<c8").astype(complex)
     header: dict = {}
     hdr = Path(str(path) + ".hdr")
     if hdr.exists():
@@ -94,7 +90,12 @@ def write_received(directory, rx: ReceivedBaseband, plan=None) -> None:
                  {"sample_rate_hz": repr(rx.sample_rate), "rx_index": q})
 
 
-def read_received(directory) -> ReceivedBaseband:
+def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseband:
+    """Frames and manifest written by `write_received`.
+
+    With `plan`, a manifest that names the digest of another plan is
+    rejected: its frames carry that plan's spectra, not this one's.
+    """
     directory = Path(directory)
     manifest = directory / "received.hdr"
     if not manifest.exists():
@@ -107,6 +108,11 @@ def read_received(directory) -> ReceivedBaseband:
     num_rx = int(header["num_rx"])
     rate = float(header["sample_rate_hz"])
     pri = float(header["pri_s"])
+    written_for = header.get("plan_digest")
+    if plan is not None and written_for and written_for != plan_digest(plan):
+        raise ValidationError(f"frames in {directory} were synthesized for plan "
+                              f"{written_for}, not the configured plan "
+                              f"{plan_digest(plan)}")
     frames = [read_iq(directory / f"rx_{q:02d}.iq")[0] for q in range(num_rx)]
     samples = np.stack(frames)
     mask = None

@@ -55,6 +55,12 @@ class Environment:
 def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig,
                          range_cells: int) -> Environment:
     """Derive bins, grids, sample rate and dictionaries for one array, plan and ADC."""
+    # acquisition folds each channel's N bins onto the ADC's rate*pri
+    # low-rate bins, which must come out whole
+    low_bins = adc.rate * plan.pri
+    if abs(low_bins - round(low_bins)) > 1e-6:
+        raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
+                          f"or ADC rate that gives a whole number")
     bins = subband_bins(plan)
     rgrid = RangeGrid.from_cells(plan.pri, range_cells)
     agrid = azimuth_grid(array)

@@ -81,9 +81,8 @@ def _active_mask(scene: Scene, pulse_width: float, pri: float, n_frame: int) -> 
     mask = np.zeros(n_frame, dtype=bool)
     rate = n_frame / pri
     width = max(int(round(pulse_width * rate)), 1)
-    for t in scene.targets:
-        start = int(np.floor(t.delay * rate))
-        mask[np.arange(start, start + width) % n_frame] = True
+    starts = np.floor(np.array([t.delay for t in scene.targets]) * rate).astype(int)
+    mask[(starts[:, None] + np.arange(width)) % n_frame] = True
     return mask
 
 
@@ -96,6 +95,12 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
     summed over transmitters, built directly on the synthesis bins so the
     delay phase is exact. Delays at or beyond the PRI are ambiguous and
     rejected.
+
+    Channel m carries the cells k of every channel at absolute bins k + m*N,
+    so a target's delay phase splits into exp(-2j*pi*k*delay/pri), shared by
+    all transmitters, and exp(-2j*pi*m*N*delay/pri), folded into the
+    target's spatial factor. Each transmitter's bins are then one
+    (receivers x targets) @ (targets x cells) product.
     """
     base = plan.base
     for t in scene.targets:
@@ -110,15 +115,19 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
     if array.num_tx != base.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
 
+    n = base.bins_per_channel
+    lag = np.array([t.delay for t in scene.targets]) / base.pri
+    sin = np.array([t.sin_doa for t in scene.targets])
+    amp = np.array([t.amplitude for t in scene.targets], dtype=complex)
+    spectra = [channel_spectrum(plan, m, phase_seed) for m in range(base.num_tx)]
+    cells = spectra[0][0]  # channel 0 sits at offset 0
+    ramp = np.exp(-2j * np.pi * np.outer(lag, cells))  # targets x cells
     coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)
-    for m in range(base.num_tx):
-        bins, values = channel_spectrum(plan, m, phase_seed)
-        vpos = virtual_positions(array, m)
-        for t in scene.targets:
-            delayed = values * np.exp(-2j * np.pi * bins * (t.delay / base.pri))
-            spatial = t.amplitude * np.exp(2j * np.pi * vpos * t.sin_doa)
-            coeffs[:, bins] += np.outer(spatial, delayed)
-    samples = np.fft.ifft(coeffs, axis=1) * n_frame
+    for m, (bins, values) in enumerate(spectra):
+        spatial = np.exp(2j * np.pi * np.outer(virtual_positions(array, m), sin))
+        spatial *= amp * np.exp(-2j * np.pi * (m * n) * lag)
+        coeffs[:, bins] = (spatial @ ramp) * values
+    samples = np.fft.ifft(coeffs, axis=1, norm="forward")
     return ReceivedBaseband(samples=samples, sample_rate=sample_rate, pri=base.pri,
                             active_mask=_active_mask(scene, base.pulse_width,
                                                      base.pri, n_frame))
@@ -171,6 +180,14 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     signal_power = energy / int(mask.sum())
     variance = signal_power / 10 ** (snr_db / 10)
     rng = np.random.default_rng(seed)
-    noise = (rng.standard_normal(rx.samples.shape)
-             + 1j * rng.standard_normal(rx.samples.shape)) * np.sqrt(variance / 2)
-    return replace(rx, samples=rx.samples + noise)
+    # all real parts, then all imaginary parts: the stream of two draws of
+    # the frame's shape, drawn into one reused half-size buffer that keeps
+    # the stage's peak memory at the input, the output and half a frame
+    scale = np.sqrt(variance / 2)
+    samples = np.empty(rx.samples.shape, dtype=complex)
+    draw = np.empty(rx.samples.shape)
+    for signal, out in ((rx.samples.real, samples.real), (rx.samples.imag, samples.imag)):
+        rng.standard_normal(out=draw)
+        draw *= scale
+        np.add(signal, draw, out=out)
+    return replace(rx, samples=samples)

@@ -15,7 +15,7 @@ total power relations exact despite off-grid slice edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,12 +74,32 @@ class CognitivePlan:
     summed over the bin-cell fractions the pulse actually carries: flat
     spectra at that scale make the sliced waveform carry exactly the same
     total power as the full-band one.
+
+    The plan also holds a cache of arrays derived from it (see `cached`);
+    it takes no part in equality, hashing or `dataclasses.replace`.
     """
 
     base: FdmPlan
     subbands: tuple[Subband, ...]
     amplitude_scale: float
     total_power: float
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def cached(self, key, build):
+        """`build()`'s tuple of arrays, computed once per `key` for this plan.
+
+        The arrays are made read-only, since every later caller gets the
+        same objects.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            arrays = build()
+            for a in arrays:
+                a.flags.writeable = False
+            self._cache[key] = arrays
+            return arrays
 
     @property
     def pri(self) -> float:
@@ -200,12 +220,20 @@ def channel_spectrum(plan: CognitivePlan, tx: int,
 
     Returns (bins, values): absolute one-sided bin indices (spacing 1/pri
     across the whole multiplexed band) and the complex coefficient on each.
+    Every channel carries the same cells, offset by tx * bins_per_channel.
     The same function feeds synthesis and the receiver's per-bin
-    normalization, so the two sides agree exactly.
+    normalization, so the two sides agree exactly. It is computed once per
+    (plan, tx, phase_seed) and returned as read-only arrays.
     """
     base = plan.base
     if not 0 <= tx < base.num_tx:
         raise ValidationError(f"transmit index {tx} out of range")
+    return plan.cached(("spectrum", tx, phase_seed),
+                       lambda: _design_spectrum(plan, tx, phase_seed))
+
+
+def _design_spectrum(plan: CognitivePlan, tx: int, phase_seed: int):
+    base = plan.base
     cells, fracs = _occupied_cells(plan.subbands, base.pri)
     bins = cells + tx * base.bins_per_channel
     # flat design: per-bin energy tau*|c|^2 = scale^2 * g^2 * frac with

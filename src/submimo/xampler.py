@@ -5,12 +5,18 @@ extraction of its 1/pri-spaced Fourier coefficients), decimates the channel
 signal with a single low-rate ADC, and reads the selected coefficient set
 off the folded low-rate spectrum. Folding is alias-free whenever the
 occupied slices are coset bands with respect to the ADC rate.
+
+The chain is computed in the frequency domain, where it is defined. An ADC
+decimating channel m by D folds its N coefficients X[m*N + k] onto the
+L = N/D low-rate bins, low-rate bin j = sum_{l<D} X[m*N + j + l*L] (DFT
+aliasing), so one full-frame FFT and a sum over the D aliases of each
+selected bin replace the per-channel inverse and low-rate transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -137,53 +143,27 @@ def check_coset(plan: CognitivePlan, adc: AdcConfig) -> bool:
     return True
 
 
-def channelize(rx: "ReceivedBaseband", plan: CognitivePlan,
-               tx_indices: Sequence[int] | None = None) -> np.ndarray:
-    """Split the received frames into per-transmitter channel signals.
+def _normalization(plan: CognitivePlan, tx: tuple[int, ...], bins: BinSet,
+                   phase_seed: int) -> np.ndarray:
+    """Transmitted spectrum values on the selected bins of each channel in `tx`.
 
-    Ideal brick-wall extraction: channel m keeps the coefficient block
-    [m*N, (m+1)*N) of the full-rate frame and is reconstructed at the
-    channel rate, shifted down to [0, channel_spacing). Returns an array
-    of shape (len(tx_indices), num_rx, N).
+    One row per transmitter, computed once per (tx, bins, phase_seed) and
+    cached on the plan next to its spectra.
     """
-    base = plan.base
-    n = base.bins_per_channel
-    samples = np.atleast_2d(rx.samples)
-    n_frame = samples.shape[1]
-    if n_frame < base.num_tx * n:
-        raise ValidationError("received frame does not cover the full FDM band")
-    tx_indices = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
-    coeffs = np.fft.fft(samples, axis=1) / n_frame
-    out = np.empty((len(tx_indices), samples.shape[0], n), dtype=complex)
-    for i, m in enumerate(tx_indices):
-        if not 0 <= m < base.num_tx:
-            raise ValidationError(f"transmit index {m} out of range")
-        block = coeffs[:, m * n:(m + 1) * n]
-        out[i] = np.fft.ifft(block, axis=1) * n
-    return out
-
-
-def subsample(channel: np.ndarray, adc: AdcConfig) -> np.ndarray:
-    """Keep every D-th sample of a channel-rate signal (last axis)."""
-    d = adc.decimation
-    return np.asarray(channel)[..., ::d]
-
-
-def extract_coefficients(lowrate: np.ndarray, bins: BinSet, adc: AdcConfig) -> np.ndarray:
-    """Read the selected Fourier coefficients off the folded low-rate spectrum.
-
-    With a coset-clean plan each selected bin k lands alone on low-rate bin
-    k mod (rate*pri), and the low-rate Fourier-series coefficient there
-    equals the full-rate one exactly. Colliding folded positions are a
-    coset violation and raise.
-    """
-    lowrate = np.asarray(lowrate)
-    n_low = lowrate.shape[-1]
-    folded = bins.as_array % n_low
-    if len(set(folded.tolist())) != len(folded):
-        raise ValidationError("folded bin collision: subbands are not coset bands")
-    coeffs = np.fft.fft(lowrate, axis=-1) / n_low
-    return coeffs[..., folded]
+    def build():
+        n = plan.base.bins_per_channel
+        rows = []
+        for m in tx:
+            abs_bins, design = channel_spectrum(plan, m, phase_seed)
+            want = bins.as_array + m * n
+            at = np.minimum(np.searchsorted(abs_bins, want), len(abs_bins) - 1)
+            missing = want[abs_bins[at] != want]
+            if missing.size:
+                raise ValidationError(
+                    f"plan does not transmit on selected bin {missing[0]}")
+            rows.append(design[at])
+        return (np.array(rows),)
+    return plan.cached(("normalization", tx, bins, phase_seed), build)[0]
 
 
 def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
@@ -192,35 +172,48 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
             phase_seed: int = DEFAULT_PHASE_SEED) -> CoefficientSet:
     """Full acquisition chain: channelize, subsample, extract, normalize.
 
-    Only the requested (tx, rx) channels are processed. Each extracted
-    coefficient is divided by the known transmitted spectrum value on its
-    bin, which aligns all channels to the shared target model: a target at
+    Only the requested (tx, rx) channels are read out. Each selected bin k
+    of channel m is the sum of its D folded aliases, X[m*N + k mod L + l*L]
+    for l < D, of the frame's Fourier coefficients X; with a coset-clean
+    plan only the alias k itself carries signal. Each extracted coefficient
+    is divided by the known transmitted spectrum value on its bin, which
+    aligns all channels to the shared target model: a target at
     (delay, sin DoA, amplitude a) contributes
     a * exp(2j*pi*vpos*sin) * exp(-2j*pi*(k + m*N)*delay/pri) to bin k of
     channel m at receiver q.
     """
     base = plan.base
-    num_rx = np.atleast_2d(rx.samples).shape[0]
+    samples = np.atleast_2d(rx.samples)
+    num_rx, n_frame = samples.shape
     tx = tuple(active_tx) if active_tx is not None else tuple(range(base.num_tx))
     rxi = tuple(active_rx) if active_rx is not None else tuple(range(num_rx))
     if not tx or not rxi:
         raise ValidationError("empty active channel set")
     if any(not 0 <= q < num_rx for q in rxi):
         raise ValidationError("receive index out of range")
-
+    if abs(rx.pri - base.pri) > 1e-9 * base.pri:
+        raise ValidationError(f"frame spans a PRI of {rx.pri} s, the plan's is {base.pri} s")
     n = base.bins_per_channel
-    channels = channelize(rx, plan, tx)[:, rxi, :]
-    matrices = []
-    for i, m in enumerate(tx):
-        low = subsample(channels[i], adc)
-        values = extract_coefficients(low, bins, adc)  # (Q', K)
-        abs_bins, design = channel_spectrum(plan, m, phase_seed)
-        lookup = dict(zip(abs_bins.tolist(), design))
-        try:
-            norm = np.array([lookup[k + m * n] for k in bins.indices])
-        except KeyError as missing:
-            raise ValidationError(
-                f"plan does not transmit on selected bin {missing}") from None
-        matrices.append((values / norm).T.copy())
-    return CoefficientSet(matrices=tuple(matrices), bins=bins,
-                          tx_indices=tx, rx_indices=rxi)
+    if n_frame < base.num_tx * n:
+        raise ValidationError("received frame does not cover the full FDM band")
+    for m in tx:
+        if not 0 <= m < base.num_tx:
+            raise ValidationError(f"transmit index {m} out of range")
+    d = adc.decimation
+    if n % d:
+        raise ValidationError(f"the decimation {d} does not divide the channel's "
+                              f"{n} bins, so the ADC frame does not fold them")
+    n_low = n // d
+    folded = bins.as_array % n_low
+    if len(set(folded.tolist())) != len(folded):  # np.unique would import numpy.ma
+        raise ValidationError("folded bin collision: subbands are not coset bands")
+    norm = _normalization(plan, tx, bins, phase_seed)
+
+    frame = samples if rxi == tuple(range(num_rx)) else samples[list(rxi)]
+    spectrum = np.fft.fft(frame, axis=1, norm="forward")
+    aliases = folded[:, None] + n_low * np.arange(d)  # K x D channel offsets
+    offsets = n * np.asarray(tx)[:, None, None]
+    values = spectrum[:, offsets + aliases].sum(axis=-1)  # Q' x M' x K
+    values /= norm
+    return CoefficientSet(matrices=tuple(values.transpose(1, 2, 0).copy()),
+                          bins=bins, tx_indices=tx, rx_indices=rxi)

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from submimo.geometry import AzimuthGrid
+from submimo.errors import ValidationError
+from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
 from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED
 from submimo.xampler import BinSet, CoefficientSet
@@ -85,3 +86,88 @@ def loop_channel_spectrum(plan, tx, phase_seed=DEFAULT_PHASE_SEED):
     g = np.sqrt(plan.total_power / plan.base.signal_band) / pri
     phases = np.exp(2j * np.pi * np.random.default_rng([phase_seed, tx]).random(len(bins)))
     return bins, plan.amplitude_scale * g * np.sqrt(fracs) * phases
+
+
+# -- the time-domain receiver chain and per-target synthesis ------------------
+# `xampler.acquire` and `scene.synth_received` compute the same results in the
+# frequency domain; these are the references they are checked against.
+
+def channelize(rx, plan, tx_indices=None):
+    """Split the received frames into per-transmitter channel signals.
+
+    Ideal brick-wall extraction: channel m keeps the coefficient block
+    [m*N, (m+1)*N) of the full-rate frame and is reconstructed at the
+    channel rate, shifted down to [0, channel_spacing). Returns an array
+    of shape (len(tx_indices), num_rx, N).
+    """
+    base = plan.base
+    n = base.bins_per_channel
+    samples = np.atleast_2d(rx.samples)
+    n_frame = samples.shape[1]
+    if n_frame < base.num_tx * n:
+        raise ValidationError("received frame does not cover the full FDM band")
+    tx_indices = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
+    coeffs = np.fft.fft(samples, axis=1) / n_frame
+    out = np.empty((len(tx_indices), samples.shape[0], n), dtype=complex)
+    for i, m in enumerate(tx_indices):
+        if not 0 <= m < base.num_tx:
+            raise ValidationError(f"transmit index {m} out of range")
+        block = coeffs[:, m * n:(m + 1) * n]
+        out[i] = np.fft.ifft(block, axis=1) * n
+    return out
+
+
+def subsample(channel, adc):
+    """Keep every D-th sample of a channel-rate signal (last axis)."""
+    d = adc.decimation
+    return np.asarray(channel)[..., ::d]
+
+
+def extract_coefficients(lowrate, bins, adc):
+    """Read the selected Fourier coefficients off the folded low-rate spectrum.
+
+    With a coset-clean plan each selected bin k lands alone on low-rate bin
+    k mod (rate*pri), and the low-rate Fourier-series coefficient there
+    equals the full-rate one exactly. Colliding folded positions are a
+    coset violation and raise.
+    """
+    lowrate = np.asarray(lowrate)
+    n_low = lowrate.shape[-1]
+    folded = bins.as_array % n_low
+    if len(set(folded.tolist())) != len(folded):
+        raise ValidationError("folded bin collision: subbands are not coset bands")
+    coeffs = np.fft.fft(lowrate, axis=-1) / n_low
+    return coeffs[..., folded]
+
+
+def time_domain_acquire(rx, plan, adc, bins, active_tx=None, active_rx=None,
+                        phase_seed=DEFAULT_PHASE_SEED):
+    """`xampler.acquire` as channelize -> subsample -> extract, per transmitter."""
+    n = plan.base.bins_per_channel
+    tx = tuple(active_tx) if active_tx is not None else tuple(range(plan.num_tx))
+    rxi = tuple(active_rx) if active_rx is not None else tuple(range(rx.num_rx))
+    channels = channelize(rx, plan, tx)[:, rxi, :]
+    matrices = []
+    for i, m in enumerate(tx):
+        values = extract_coefficients(subsample(channels[i], adc), bins, adc)
+        abs_bins, design = loop_channel_spectrum(plan, m, phase_seed)
+        lookup = dict(zip(abs_bins.tolist(), design))
+        norm = np.array([lookup[k + m * n] for k in bins.indices])
+        matrices.append((values / norm).T.copy())
+    return CoefficientSet(matrices=tuple(matrices), bins=bins,
+                          tx_indices=tx, rx_indices=rxi)
+
+
+def loop_synth_received(scene, array, plan, sample_rate, phase_seed=DEFAULT_PHASE_SEED):
+    """Received frames built one target and one transmitter at a time."""
+    base = plan.base
+    n_frame = int(round(sample_rate * base.pri))
+    coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)
+    for m in range(base.num_tx):
+        bins, values = loop_channel_spectrum(plan, m, phase_seed)
+        vpos = virtual_positions(array, m)
+        for t in scene.targets:
+            delayed = values * np.exp(-2j * np.pi * bins * (t.delay / base.pri))
+            spatial = t.amplitude * np.exp(2j * np.pi * vpos * t.sin_doa)
+            coeffs[:, bins] += np.outer(spatial, delayed)
+    return np.fft.ifft(coeffs, axis=1) * n_frame

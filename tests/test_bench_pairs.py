@@ -111,3 +111,28 @@ def test_equal_failure_shares_keep_the_gain():
     assert out["operations"] == {"parent": {"attempted": 200, "failed": 1},
                                  "change": {"attempted": 400, "failed": 2}}
     assert out["metrics"]["trials_per_s"]["met"]
+
+
+def test_worse_mirrors_met_on_losses_beyond_the_parent_iqr():
+    parent = [5.0, 5.1, 5.2, 5.3, 5.4] * 2
+    change = [2.0] * 9 + [9.0]  # loses 9 of 10 pairs, far beyond the IQR
+    out = bench_pairs.aggregate([(_run(p), _run(c)) for p, c in zip(parent, change)],
+                                END_TO_END)
+    rate = out["metrics"]["trials_per_s"]
+    assert (rate["change_wins"], rate["change_losses"]) == (1, 9)
+    assert rate["worse"] and not rate["met"]
+    # lower is better for the per-trial time: the same pairs lose
+    assert out["metrics"]["trial_ms.p50"]["worse"]
+
+
+@pytest.mark.parametrize("change, losses", [
+    ([0.5] * 8 + [9.0, 9.0], 8),  # a loss far beyond the IQR, but on 8 of 10 pairs
+    ([0.9, 2.3] * 5, 10),         # every pair lost, by less than the parent's IQR
+])
+def test_worse_needs_nine_losses_and_a_loss_beyond_the_parent_iqr(change, losses):
+    parent = [1.0, 2.4] * 5  # median 1.7, IQR 1.4
+    out = bench_pairs.aggregate([(_run(p), _run(c)) for p, c in zip(parent, change)],
+                                END_TO_END)
+    rate = out["metrics"]["trials_per_s"]
+    assert rate["change_losses"] == losses
+    assert not rate["worse"]

@@ -119,12 +119,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):
+    # 1501 bins per channel fold onto 750.5 bins of the 7.5 MHz ADC
+    cfg, scene_path = write_inputs(tmp_path)
+    cfg.write_text(CONFIG + f"\n[waveform]\npri_s = {1501 / 15e6!r}\n")
+    code = main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")])
+    assert code == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
 def test_io_errors_exit_4(tmp_path, capsys):
     cfg, _ = write_inputs(tmp_path)
     code = main(["simulate", "-c", str(cfg), "--scene",
                  str(tmp_path / "missing.txt"), "-o", str(tmp_path / "x")])
     assert code == 4
     assert "error: io:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("pri_s", "50e-6"), ("total_power_w", "4")])
+def test_acquire_rejects_frames_simulated_under_another_plan(tmp_path, capsys, key, value):
+    cfg, scene_path = write_inputs(tmp_path)
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")]) == 0
+    other = tmp_path / "other.ini"
+    other.write_text(CONFIG + f"\n[waveform]\n{key} = {value}\n")
+    code = main(["acquire", "-c", str(other), "--in", str(tmp_path / "frames"),
+                 "-o", str(tmp_path / "coeffs.bin")])
+    assert code == 3
+    assert "error: validation:" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.bin").exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

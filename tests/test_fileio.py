@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ def test_iq_roundtrip(tmp_path):
     back, header = fileio.read_iq(path)
     np.testing.assert_allclose(back, samples, atol=1e-6)  # float32 storage
     assert header["rx_index"] == "3"
+
+
+def test_iq_bytes_are_interleaved_little_endian_float32(tmp_path):
+    samples = np.array([[1 + 2j, -0.5 + 0.25j], [0.0, 3.5 - 1e-3j]])
+    path = tmp_path / "frame.iq"
+    fileio.write_iq(path, samples, {})
+    interleaved = np.array([1.0, 2.0, -0.5, 0.25, 0.0, 0.0, 3.5, -1e-3], dtype="<f4")
+    assert path.read_bytes() == interleaved.tobytes()
 
 
 def test_pulse_export_carries_the_plan_digest(tmp_path, desk_env):
@@ -45,6 +54,17 @@ def test_received_roundtrip(tmp_path, desk_env):
     np.testing.assert_array_equal(back.active_mask, rx.active_mask)
     # float32 storage: relative error bounded by the mantissa
     assert np.max(np.abs(back.samples - rx.samples)) < 1e-5 * np.max(np.abs(rx.samples))
+    assert np.array_equal(fileio.read_received(tmp_path / "frames", desk_env.plan).samples,
+                          back.samples)
+
+
+def test_received_frames_of_another_plan_are_rejected(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    other = dataclasses.replace(desk_env.plan, total_power=4.0)
+    with pytest.raises(ValidationError, match="plan"):
+        fileio.read_received(tmp_path / "frames", other)
 
 
 def test_coefficient_blob_roundtrip(tmp_path, desk_env):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import dense_range_atoms
+from helpers import dense_range_atoms, loop_synth_received
 
-from submimo import (NumericalError, Scene, Target, ValidationError,
+from submimo import (ArrayMode, NumericalError, Scene, Target, ValidationError,
                      add_noise, oracle_coefficients, synth_received,
                      target_from_range)
 from submimo.scene import SPEED_OF_LIGHT
@@ -152,3 +152,28 @@ def test_active_mask_covers_the_pulse_windows(desk_env):
     assert int(rx.active_mask.sum()) == width
     assert rx.active_mask[start] and rx.active_mask[start + width - 1]
     assert not rx.active_mask[start - 1]
+
+
+@pytest.mark.parametrize("mode", list(ArrayMode))
+def test_synthesis_equals_the_per_target_loop(desk_envs, mode):
+    env = desk_envs[mode]
+    pri = env.plan.pri
+    scene = make_scene((0.0, 0.0, 1.0), (13.37e-6, 0.1, 0.3 - 0.8j),  # off-grid delay
+                       (123 * pri / 300, -0.55, 1j), (pri * (1 - 1e-9), 0.9, 2.0))
+    for s in (scene, Scene(targets=())):
+        got = synth_received(s, env.array, env.plan, env.sample_rate).samples
+        want = loop_synth_received(s, env.array, env.plan, env.sample_rate)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-9 * max(np.max(np.abs(want)), 1.0))
+
+
+def test_noise_is_the_two_draw_formula_bit_for_bit(desk_env):
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    noisy = add_noise(rx, -5.0, [3, 1])
+    energy = np.mean(np.sum(np.abs(rx.samples) ** 2, axis=1))
+    variance = energy / int(rx.active_mask.sum()) / 10 ** (-5.0 / 10)
+    rng = np.random.default_rng([3, 1])
+    noise = (rng.standard_normal(rx.samples.shape)
+             + 1j * rng.standard_normal(rx.samples.shape)) * np.sqrt(variance / 2)
+    assert np.array_equal(noisy.samples, rx.samples + noise)

@@ -152,6 +152,21 @@ def test_synthesis_is_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
+def test_channel_spectrum_is_computed_once_per_plan_and_read_only():
+    plan = build_cognitive_plan(full_plan(), reference_subbands())
+    bins, values = channel_spectrum(plan, 3)
+    assert channel_spectrum(plan, 3)[1] is values
+    assert channel_spectrum(plan, 3, phase_seed=7)[1] is not values
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    with pytest.raises(ValueError):
+        bins[0] = 0
+    # an equal plan built afresh has its own cache and the same spectrum
+    again = build_cognitive_plan(full_plan(), reference_subbands())
+    assert again == plan and hash(again) == hash(plan)
+    assert np.array_equal(channel_spectrum(again, 3)[1], values)
+
+
 def test_insufficient_sample_rate_rejected():
     plan = build_cognitive_plan(full_plan(), reference_subbands())
     with pytest.raises(ConfigError):

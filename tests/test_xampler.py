@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import (channelize, extract_coefficients, subsample,
+                     time_domain_acquire)
 
-from submimo import (AdcConfig, Scene, Subband, Target, ValidationError,
-                     acquire, channelize, check_coset, extract_coefficients,
-                     oracle_coefficients, subband_bins, subsample,
+from submimo import (AdcConfig, ArrayMode, BinSet, ReceivedBaseband, Scene,
+                     Subband, Target, ValidationError, acquire, build_mode,
+                     check_coset, oracle_coefficients, subband_bins,
                      synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
@@ -233,3 +237,64 @@ def test_folding_segments_cover_the_slice(lo, width, rate_mhz):
     for seg_lo, seg_hi in segments:
         assert seg_lo >= -1e-9
         assert seg_lo <= rate_mhz * 1e6 + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(starts=st.lists(st.integers(0, 110), min_size=1, max_size=4, unique=True),
+       width=st.integers(2, 10),
+       decimation=st.sampled_from([1, 2, 3, 5, 6]),
+       tx=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True),
+       rx=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2**16))
+def test_acquire_equals_the_time_domain_chain(starts, width, decimation, tx, rx, seed):
+    # slices on a 100 kHz lattice of the 12 MHz band; any frame, not only a
+    # synthesized one, must give the same coefficients on both paths
+    slices = sorted({Subband(s * 1e5, min(s + width, 120) * 1e5) for s in starts},
+                    key=lambda b: b.lo)
+    slices = [b for a, b in zip([None] + slices, slices) if a is None or b.lo >= a.hi]
+    plan = build_cognitive_plan(full_plan(3), slices)
+    adc = AdcConfig(rate=15e6 / decimation, channel_spacing=15e6)
+    assume(check_coset(plan, adc))
+    bins = subband_bins(plan)
+    rng = np.random.default_rng(seed)
+    shape = (4, 3 * plan.base.bins_per_channel)
+    rx_frames = ReceivedBaseband(
+        samples=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        sample_rate=45e6, pri=plan.pri)
+    got = acquire(rx_frames, plan, adc, bins, active_tx=tx, active_rx=rx)
+    want = time_domain_acquire(rx_frames, plan, adc, bins, active_tx=tx, active_rx=rx)
+    assert (got.tx_indices, got.rx_indices) == (want.tx_indices, want.rx_indices)
+    for a, b in zip(got.matrices, want.matrices):
+        assert a.flags.c_contiguous
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(np.abs(b)))
+
+
+def test_acquire_rejects_a_frame_of_another_pri(desk_env):
+    rx = synth_received(Scene(targets=(Target(1e-5, 0.0, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    halved = dataclasses.replace(rx, pri=rx.pri / 2)
+    with pytest.raises(ValidationError, match="PRI"):
+        acquire(halved, desk_env.plan, desk_env.adc, desk_env.bins)
+
+
+def test_acquire_rejects_a_decimation_that_does_not_divide_the_channel_bins():
+    # 1501 bins per channel under a decimation of 2: the low-rate frame would
+    # hold 750.5 bins, and the time-domain chain returned wrong coefficients
+    array = build_mode(ArrayMode.THINNED, seed=0)
+    base = dataclasses.replace(full_plan(array.num_tx), pri=1501 / 15e6)
+    plan = build_cognitive_plan(base, reference_subbands())
+    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    assert check_coset(plan, adc)
+    rx = synth_received(Scene(targets=(Target(1e-5, 0.0, 1.0),)), array, plan,
+                        plan.base.total_bandwidth)
+    with pytest.raises(ValidationError, match="does not divide"):
+        acquire(rx, plan, adc, subband_bins(plan))
+
+
+def test_acquire_rejects_a_bin_the_plan_does_not_transmit_on(desk_env):
+    rx = synth_received(Scene(targets=(Target(1e-5, 0.0, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    silent = BinSet(indices=(0,) + desk_env.bins.indices[1:],
+                    per_channel_bins=desk_env.bins.per_channel_bins)
+    with pytest.raises(ValidationError, match="does not transmit"):
+        acquire(rx, desk_env.plan, desk_env.adc, silent)
