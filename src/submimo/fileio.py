@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import configparser
 import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import struct
@@ -23,9 +25,8 @@ from .harness import (PROFILE_RANGE_CELLS, Environment, ExperimentConfig,
                       MetricsRecord, SceneSpec, assemble_environment)
 from .recovery import SparseEstimate
 from .scene import ReceivedBaseband, Scene, target_from_range
-from .waveform import (REFERENCE_FDM_PLAN, BasebandPulse, CognitivePlan,
-                       FdmPlan, Subband, build_cognitive_plan, build_fdm_plan,
-                       reference_subbands)
+from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, FdmPlan, Subband,
+                       build_cognitive_plan, build_fdm_plan, reference_subbands)
 from .xampler import REFERENCE_ADC_RATE, AdcConfig
 
 _COEFF_MAGIC = b"SMCS"
@@ -52,19 +53,23 @@ def write_iq(path, samples: np.ndarray, header: dict) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def _read_header(path: Path) -> dict:
+    """The `key = value` lines of a sidecar or manifest, as strings."""
+    header = {}
+    for line in path.read_text().splitlines():
+        if "=" in line:
+            key, _, value = line.partition("=")
+            header[key.strip()] = value.strip()
+    return header
+
+
 def read_iq(path) -> tuple[np.ndarray, dict]:
     raw = np.fromfile(str(path), dtype="<f4")
     if len(raw) % 2:
         raise ValidationError(f"odd float count in I/Q file {path}")
     samples = raw.view("<c8").astype(complex)
-    header: dict = {}
     hdr = Path(str(path) + ".hdr")
-    if hdr.exists():
-        for line in hdr.read_text().splitlines():
-            if "=" in line:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-    return samples, header
+    return samples, _read_header(hdr) if hdr.exists() else {}
 
 
 def write_received(directory, rx: ReceivedBaseband, plan=None) -> None:
@@ -100,36 +105,43 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
     manifest = directory / "received.hdr"
     if not manifest.exists():
         raise ValidationError(f"no received.hdr manifest in {directory}")
-    header = {}
-    for line in manifest.read_text().splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-    num_rx = int(header["num_rx"])
-    rate = float(header["sample_rate_hz"])
-    pri = float(header["pri_s"])
+    header = _read_header(manifest)
+
+    def number(key, convert):
+        if key not in header:
+            raise ValidationError(f"{manifest} lacks the key {key}")
+        try:
+            return convert(header[key])
+        except ValueError:
+            raise ValidationError(f"{manifest}: {key} = {header[key]!r} is not "
+                                  f"a valid {convert.__name__}") from None
+
+    num_rx = number("num_rx", int)
+    rate = number("sample_rate_hz", float)
+    pri = number("pri_s", float)
+    if num_rx < 1:
+        raise ValidationError(f"{manifest}: num_rx = {num_rx} lists no receiver")
     written_for = header.get("plan_digest")
     if plan is not None and written_for and written_for != plan_digest(plan):
         raise ValidationError(f"frames in {directory} were synthesized for plan "
                               f"{written_for}, not the configured plan "
                               f"{plan_digest(plan)}")
     frames = [read_iq(directory / f"rx_{q:02d}.iq")[0] for q in range(num_rx)]
+    if len({len(f) for f in frames}) > 1:
+        raise ValidationError(f"the receiver frames in {directory} differ in length")
     samples = np.stack(frames)
     mask = None
     if header.get("active_spans"):
         mask = np.zeros(samples.shape[1], dtype=bool)
         for span in header["active_spans"].split(";"):
             a, _, b = span.partition(":")
-            mask[int(a):int(b)] = True
+            try:
+                mask[int(a):int(b)] = True
+            except ValueError:
+                raise ValidationError(f"{manifest}: active_spans holds the "
+                                      f"malformed span {span!r}") from None
     return ReceivedBaseband(samples=samples, sample_rate=rate, pri=pri,
                             active_mask=mask)
-
-
-def write_pulse(path, pulse: BasebandPulse, plan=None) -> None:
-    header = {"sample_rate_hz": repr(pulse.sample_rate), "tx_index": pulse.tx_index}
-    if plan is not None:
-        header["plan_digest"] = plan_digest(plan)
-    write_iq(path, pulse.samples, header)
 
 
 # -- coefficient sets ---------------------------------------------------------
@@ -201,14 +213,6 @@ def write_array_config(path, array: ArrayConfig) -> None:
         parser.write(fh)
 
 
-def read_array_config(path) -> ArrayConfig:
-    """Rebuild an array layout; explicit positions override the seeded draw."""
-    cfg = ToolkitConfig.from_file(path)
-    if not cfg.parser.has_section("array"):
-        raise ConfigError(f"no [array] section in {path}")
-    return cfg.array()
-
-
 # -- scenes and estimates -----------------------------------------------------
 
 def write_scene(path, scene: Scene) -> None:
@@ -230,7 +234,10 @@ def read_scene(path) -> Scene:
         fields = line.split()
         if len(fields) != 4:
             raise ValidationError(f"scene line needs 4 fields, got {raw!r}")
-        range_m, sin_doa, amp, phase_deg = map(float, fields)
+        try:
+            range_m, sin_doa, amp, phase_deg = map(float, fields)
+        except ValueError:
+            raise ValidationError(f"scene line needs 4 numbers, got {raw!r}") from None
         targets.append(target_from_range(
             range_m, sin_doa, amp * np.exp(1j * np.radians(phase_deg))))
     return Scene(targets=tuple(targets))
@@ -336,8 +343,16 @@ def _parse_subbands(text: str):
     bands = []
     for chunk in text.split(","):
         lo, _, hi = chunk.partition(":")
-        bands.append(Subband(float(lo), float(hi)))
+        try:
+            bands.append(Subband(float(lo), float(hi)))
+        except ValueError:
+            raise ConfigError(f"[waveform] subbands: {chunk.strip()!r} is not "
+                              f"lo_hz:hi_hz") from None
     return tuple(bands)
+
+
+def _positions(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split())
 
 
 class ToolkitConfig:
@@ -349,7 +364,10 @@ class ToolkitConfig:
     @classmethod
     def from_file(cls, path) -> "ToolkitConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls(parser)
@@ -359,8 +377,21 @@ class ToolkitConfig:
                               f"{sorted(PROFILE_RANGE_CELLS)}")
         return cfg
 
-    def _get(self, section, option, fallback=None):
-        return self.parser.get(section, option, fallback=fallback)
+    def _get(self, section, option, fallback=None, convert=None):
+        """`[section] option` as a string, or converted by `convert`.
+
+        A converted key that is absent or empty gives `fallback`; a value
+        `convert` rejects is a ConfigError naming the key.
+        """
+        if convert is None:
+            return self.parser.get(section, option, fallback=fallback)
+        raw = self.parser.get(section, option, fallback="")
+        if not raw:
+            return fallback
+        try:
+            return convert(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {option} = {raw!r}: {exc}") from None
 
     @property
     def mode(self) -> ArrayMode:
@@ -368,7 +399,7 @@ class ToolkitConfig:
 
     @property
     def array_seed(self) -> int:
-        return int(self._get("array", "seed", "0"))
+        return self._get("array", "seed", 0, int)
 
     def in_mode(self, mode: ArrayMode) -> "ToolkitConfig":
         """This configuration with `[array] mode` set to `mode`.
@@ -387,20 +418,16 @@ class ToolkitConfig:
         return ToolkitConfig(parser)
 
     def array(self) -> ArrayConfig:
+        """The configured mode's seeded layout; explicit positions override it."""
         built = build_mode(self.mode, seed=self.array_seed,
-                           wavelength=float(self._get("array", "wavelength_m",
-                                                      DEFAULT_WAVELENGTH)))
-        tx_raw = self._get("array", "tx_positions", "")
-        rx_raw = self._get("array", "rx_positions", "")
-        if tx_raw or rx_raw:
-            return ArrayConfig(
-                mode=built.mode, wavelength=built.wavelength,
-                num_tx=built.num_tx, num_rx=built.num_rx,
-                virtual_tx=built.virtual_tx, virtual_rx=built.virtual_rx,
-                tx_positions=tuple(int(x) for x in tx_raw.split()) or built.tx_positions,
-                rx_positions=tuple(int(x) for x in rx_raw.split()) or built.rx_positions,
-                aperture_slots=built.aperture_slots, seed=built.seed)
-        return built
+                           wavelength=self._get("array", "wavelength_m",
+                                                DEFAULT_WAVELENGTH, float))
+        return dataclasses.replace(
+            built,
+            tx_positions=self._get("array", "tx_positions", built.tx_positions,
+                                   _positions),
+            rx_positions=self._get("array", "rx_positions", built.rx_positions,
+                                   _positions))
 
     @property
     def profile(self) -> str:
@@ -408,11 +435,10 @@ class ToolkitConfig:
 
     @property
     def range_cells(self) -> int | None:
-        raw = self._get("recovery", "range_cells", "")
-        return int(raw) if raw else None
+        return self._get("recovery", "range_cells", None, int)
 
     def fdm_plan(self, num_tx: int) -> FdmPlan:
-        g = lambda opt, dflt: float(self._get("waveform", opt, dflt))
+        g = lambda opt, dflt: self._get("waveform", opt, dflt, float)
         ref = REFERENCE_FDM_PLAN
         return build_fdm_plan(
             num_tx=num_tx,
@@ -427,11 +453,11 @@ class ToolkitConfig:
         return build_cognitive_plan(
             self.fdm_plan(num_tx),
             _parse_subbands(self._get("waveform", "subbands", "reference")),
-            total_power=float(self._get("waveform", "total_power_w", "1.0")),
+            total_power=self._get("waveform", "total_power_w", 1.0, float),
         )
 
     def adc(self, plan: CognitivePlan) -> AdcConfig:
-        return AdcConfig(rate=float(self._get("adc", "rate_hz", REFERENCE_ADC_RATE)),
+        return AdcConfig(rate=self._get("adc", "rate_hz", REFERENCE_ADC_RATE, float),
                          channel_spacing=plan.base.channel_spacing)
 
     def environment(self) -> Environment:
@@ -442,26 +468,23 @@ class ToolkitConfig:
         return assemble_environment(array, plan, self.adc(plan), cells)
 
     def experiment(self) -> ExperimentConfig:
-        get = lambda opt, dflt="": self._get("experiment", opt, dflt)
-        snr_raw = get("snr_db")
+        get = functools.partial(self._get, "experiment")
         scene_file = get("scene_file")
         if scene_file:
             scene: Scene | SceneSpec = read_scene(scene_file)
         else:
-            pair_raw = get("close_pair_sin_gap")
             scene = SceneSpec(
-                num_targets=int(get("num_targets", "10")),
-                min_range_sep_cells=int(get("min_range_sep_cells", "0")),
-                min_sin_sep=float(get("min_sin_sep", "0") or 0),
-                close_pair_sin_gap=float(pair_raw) if pair_raw else None,
+                num_targets=get("num_targets", 10, int),
+                min_range_sep_cells=get("min_range_sep_cells", 0, int),
+                min_sin_sep=get("min_sin_sep", 0.0, float),
+                close_pair_sin_gap=get("close_pair_sin_gap", None, float),
             )
-        max_raw = get("max_targets")
         return ExperimentConfig(
             mode=self.mode,
             scene=scene,
             profile=self.profile,
-            snr_db=float(snr_raw) if snr_raw else None,
-            trials=int(get("trials", "1")),
-            seed=int(get("seed", "0")),
-            max_targets=int(max_raw) if max_raw else None,
+            snr_db=get("snr_db", None, float),
+            trials=get("trials", 1, int),
+            seed=get("seed", 0, int),
+            max_targets=get("max_targets", None, int),
         )

@@ -40,35 +40,47 @@ _MAX_PLACEMENT_DRAWS = 100_000
 
 @dataclass(frozen=True)
 class Environment:
-    """Everything needed to run the pipeline for one mode and profile."""
+    """Everything needed to run the pipeline for one mode and profile.
+
+    The bins and grids are the dictionaries' own, and frames are sampled
+    at the plan's whole multiplexed band.
+    """
 
     array: ArrayConfig
     plan: CognitivePlan
     adc: AdcConfig
-    bins: BinSet
-    range_grid: RangeGrid
-    azi_grid: AzimuthGrid
-    sample_rate: float
     dictionaries: DictionarySet
+
+    @property
+    def bins(self) -> BinSet:
+        return self.dictionaries.bins
+
+    @property
+    def range_grid(self) -> RangeGrid:
+        return self.dictionaries.range_grid
+
+    @property
+    def azi_grid(self) -> AzimuthGrid:
+        return self.dictionaries.azi_grid
+
+    @property
+    def sample_rate(self) -> float:
+        return self.plan.base.total_bandwidth
 
 
 def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig,
                          range_cells: int) -> Environment:
-    """Derive bins, grids, sample rate and dictionaries for one array, plan and ADC."""
+    """Derive the bins, grids and dictionaries of one array, plan and ADC."""
     # acquisition folds each channel's N bins onto the ADC's rate*pri
     # low-rate bins, which must come out whole
     low_bins = adc.rate * plan.pri
     if abs(low_bins - round(low_bins)) > 1e-6:
         raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
                           f"or ADC rate that gives a whole number")
-    bins = subband_bins(plan)
-    rgrid = RangeGrid.from_cells(plan.pri, range_cells)
-    agrid = azimuth_grid(array)
-    dicts = build_dictionaries(array, plan, bins, rgrid, agrid)
-    return Environment(array=array, plan=plan, adc=adc, bins=bins,
-                       range_grid=rgrid, azi_grid=agrid,
-                       sample_rate=plan.base.total_bandwidth,
-                       dictionaries=dicts)
+    dicts = build_dictionaries(array, plan, subband_bins(plan),
+                               RangeGrid.from_cells(plan.pri, range_cells),
+                               azimuth_grid(array))
+    return Environment(array=array, plan=plan, adc=adc, dictionaries=dicts)
 
 
 def build_environment(mode: ArrayMode, profile: str = "desk",

@@ -90,8 +90,7 @@ class SparseEstimate:
 
 
 def build_dictionaries(array: ArrayConfig, plan: CognitivePlan, bins: BinSet,
-                       range_grid: RangeGrid, azi_grid: AzimuthGrid,
-                       tx_indices=None) -> DictionarySet:
+                       range_grid: RangeGrid, azi_grid: AzimuthGrid) -> DictionarySet:
     """Unit-modulus azimuth atoms on the given grids; range atoms stay implicit."""
     base = plan.base
     if array.num_tx != base.num_tx:
@@ -100,7 +99,7 @@ def build_dictionaries(array: ArrayConfig, plan: CognitivePlan, bins: BinSet,
     uniform = RangeGrid.from_cells(base.pri, len(range_grid)).delays
     if not np.array_equal(range_grid.delays, uniform):
         raise ValidationError("range grid is not RangeGrid.from_cells(pri, cells)")
-    tx = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
+    tx = tuple(range(base.num_tx))
     azimuth_atoms = tuple(
         np.exp(2j * np.pi * np.outer(virtual_positions(array, m), azi_grid.values))
         for m in tx)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import ArrayConfig, virtual_positions
-from .waveform import DEFAULT_PHASE_SEED, CognitivePlan, channel_spectrum
+from .waveform import CognitivePlan, channel_spectrum
 from .xampler import BinSet, CoefficientSet
 
 SPEED_OF_LIGHT = 3.0e8
@@ -87,8 +87,7 @@ def _active_mask(scene: Scene, pulse_width: float, pri: float, n_frame: int) -> 
 
 
 def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
-                   sample_rate: float,
-                   phase_seed: int = DEFAULT_PHASE_SEED) -> ReceivedBaseband:
+                   sample_rate: float) -> ReceivedBaseband:
     """Superimpose delayed, spatially phased pulse echoes at every receiver.
 
     Each target contributes amplitude * h_m(t - delay) * exp(2j*pi*vpos*sin)
@@ -119,7 +118,7 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
     lag = np.array([t.delay for t in scene.targets]) / base.pri
     sin = np.array([t.sin_doa for t in scene.targets])
     amp = np.array([t.amplitude for t in scene.targets], dtype=complex)
-    spectra = [channel_spectrum(plan, m, phase_seed) for m in range(base.num_tx)]
+    spectra = [channel_spectrum(plan, m) for m in range(base.num_tx)]
     cells = spectra[0][0]  # channel 0 sits at offset 0
     ramp = np.exp(-2j * np.pi * np.outer(lag, cells))  # targets x cells
     coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 
-DEFAULT_PHASE_SEED = 0x5D1CE5
+DEFAULT_PHASE_SEED = 0x5D1CE5  # seeds the one phase code every pulse carries
 _BIN_EPS = 1e-6  # absolute tolerance, in bin units, for slice/bin edge tests
 
 
@@ -214,8 +214,7 @@ def _occupied_cells(subbands, pri: float) -> tuple[np.ndarray, np.ndarray]:
     return bins, np.minimum(total[bins], 1.0)
 
 
-def channel_spectrum(plan: CognitivePlan, tx: int,
-                     phase_seed: int = DEFAULT_PHASE_SEED):
+def channel_spectrum(plan: CognitivePlan, tx: int):
     """Designed Fourier-series coefficients of transmitter `tx`'s pulse.
 
     Returns (bins, values): absolute one-sided bin indices (spacing 1/pri
@@ -223,30 +222,28 @@ def channel_spectrum(plan: CognitivePlan, tx: int,
     Every channel carries the same cells, offset by tx * bins_per_channel.
     The same function feeds synthesis and the receiver's per-bin
     normalization, so the two sides agree exactly. It is computed once per
-    (plan, tx, phase_seed) and returned as read-only arrays.
+    (plan, tx) and returned as read-only arrays.
     """
     base = plan.base
     if not 0 <= tx < base.num_tx:
         raise ValidationError(f"transmit index {tx} out of range")
-    return plan.cached(("spectrum", tx, phase_seed),
-                       lambda: _design_spectrum(plan, tx, phase_seed))
+    return plan.cached(("spectrum", tx), lambda: _design_spectrum(plan, tx))
 
 
-def _design_spectrum(plan: CognitivePlan, tx: int, phase_seed: int):
+def _design_spectrum(plan: CognitivePlan, tx: int):
     base = plan.base
     cells, fracs = _occupied_cells(plan.subbands, base.pri)
     bins = cells + tx * base.bins_per_channel
     # flat design: per-bin energy tau*|c|^2 = scale^2 * g^2 * frac with
     # g^2 = P_t / (B_h * tau^2); summed over the slices this is exactly P_t
     g = np.sqrt(plan.total_power / base.signal_band) / base.pri
-    rng = np.random.default_rng([phase_seed, tx])
+    rng = np.random.default_rng([DEFAULT_PHASE_SEED, tx])
     phases = np.exp(2j * np.pi * rng.random(len(bins)))
     values = plan.amplitude_scale * g * np.sqrt(fracs) * phases
     return bins, values
 
 
-def synth_pulse(plan: CognitivePlan, tx: int, sample_rate: float,
-                phase_seed: int = DEFAULT_PHASE_SEED) -> BasebandPulse:
+def synth_pulse(plan: CognitivePlan, tx: int, sample_rate: float) -> BasebandPulse:
     """Synthesize transmitter `tx`'s baseband pulse over one PRI frame.
 
     The frame's spectrum is exactly the designed one: flat (scaled) slices,
@@ -262,7 +259,7 @@ def synth_pulse(plan: CognitivePlan, tx: int, sample_rate: float,
     n_frame = int(round(sample_rate * base.pri))
     if abs(sample_rate * base.pri - n_frame) > 1e-6:
         raise ConfigError("sample_rate * pri must be an integer sample count")
-    bins, values = channel_spectrum(plan, tx, phase_seed)
+    bins, values = channel_spectrum(plan, tx)
     coeffs = np.zeros(n_frame, dtype=complex)
     coeffs[bins] = values
     samples = np.fft.ifft(coeffs) * n_frame

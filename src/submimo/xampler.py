@@ -16,17 +16,15 @@ selected bin replace the per-channel inverse and low-rate transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .waveform import DEFAULT_PHASE_SEED, CognitivePlan, channel_spectrum
+from .waveform import _BIN_EPS, CognitivePlan, channel_spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import ReceivedBaseband
-
-_BIN_EPS = 1e-6
 
 # the prototype's ADC: half the 15 MHz complex channel rate (a quarter of its
 # real Nyquist rate), under which the reference slices fold alias-free
@@ -96,10 +94,6 @@ class CoefficientSet:
             if y.shape != (k, q):
                 raise ValidationError(f"coefficient matrix shape {y.shape} != ({k}, {q})")
 
-    @property
-    def frobenius_norm(self) -> float:
-        return float(sum(np.linalg.norm(y) for y in self.matrices))
-
 
 def subband_bins(plan: CognitivePlan) -> BinSet:
     """Channel-offset bins whose full 1/pri cell lies inside a subband.
@@ -143,18 +137,17 @@ def check_coset(plan: CognitivePlan, adc: AdcConfig) -> bool:
     return True
 
 
-def _normalization(plan: CognitivePlan, tx: tuple[int, ...], bins: BinSet,
-                   phase_seed: int) -> np.ndarray:
-    """Transmitted spectrum values on the selected bins of each channel in `tx`.
+def _normalization(plan: CognitivePlan, bins: BinSet) -> np.ndarray:
+    """Transmitted spectrum values on the selected bins of every channel.
 
-    One row per transmitter, computed once per (tx, bins, phase_seed) and
-    cached on the plan next to its spectra.
+    One row per transmitter, computed once per bin set and cached on the
+    plan next to its spectra.
     """
     def build():
         n = plan.base.bins_per_channel
         rows = []
-        for m in tx:
-            abs_bins, design = channel_spectrum(plan, m, phase_seed)
+        for m in range(plan.num_tx):
+            abs_bins, design = channel_spectrum(plan, m)
             want = bins.as_array + m * n
             at = np.minimum(np.searchsorted(abs_bins, want), len(abs_bins) - 1)
             missing = want[abs_bins[at] != want]
@@ -163,19 +156,17 @@ def _normalization(plan: CognitivePlan, tx: tuple[int, ...], bins: BinSet,
                     f"plan does not transmit on selected bin {missing[0]}")
             rows.append(design[at])
         return (np.array(rows),)
-    return plan.cached(("normalization", tx, bins, phase_seed), build)[0]
+    return plan.cached(("normalization", bins), build)[0]
 
 
 def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
-            bins: BinSet, active_tx: Iterable[int] | None = None,
-            active_rx: Iterable[int] | None = None,
-            phase_seed: int = DEFAULT_PHASE_SEED) -> CoefficientSet:
+            bins: BinSet) -> CoefficientSet:
     """Full acquisition chain: channelize, subsample, extract, normalize.
 
-    Only the requested (tx, rx) channels are read out. Each selected bin k
-    of channel m is the sum of its D folded aliases, X[m*N + k mod L + l*L]
-    for l < D, of the frame's Fourier coefficients X; with a coset-clean
-    plan only the alias k itself carries signal. Each extracted coefficient
+    Every (tx, rx) channel is read out. Each selected bin k of channel m is
+    the sum of its D folded aliases, X[m*N + k mod L + l*L] for l < D, of
+    the frame's Fourier coefficients X; with a coset-clean plan only the
+    alias k itself carries signal. Each extracted coefficient
     is divided by the known transmitted spectrum value on its bin, which
     aligns all channels to the shared target model: a target at
     (delay, sin DoA, amplitude a) contributes
@@ -185,20 +176,11 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     base = plan.base
     samples = np.atleast_2d(rx.samples)
     num_rx, n_frame = samples.shape
-    tx = tuple(active_tx) if active_tx is not None else tuple(range(base.num_tx))
-    rxi = tuple(active_rx) if active_rx is not None else tuple(range(num_rx))
-    if not tx or not rxi:
-        raise ValidationError("empty active channel set")
-    if any(not 0 <= q < num_rx for q in rxi):
-        raise ValidationError("receive index out of range")
     if abs(rx.pri - base.pri) > 1e-9 * base.pri:
         raise ValidationError(f"frame spans a PRI of {rx.pri} s, the plan's is {base.pri} s")
     n = base.bins_per_channel
     if n_frame < base.num_tx * n:
         raise ValidationError("received frame does not cover the full FDM band")
-    for m in tx:
-        if not 0 <= m < base.num_tx:
-            raise ValidationError(f"transmit index {m} out of range")
     d = adc.decimation
     if n % d:
         raise ValidationError(f"the decimation {d} does not divide the channel's "
@@ -207,13 +189,13 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     folded = bins.as_array % n_low
     if len(set(folded.tolist())) != len(folded):  # np.unique would import numpy.ma
         raise ValidationError("folded bin collision: subbands are not coset bands")
-    norm = _normalization(plan, tx, bins, phase_seed)
+    norm = _normalization(plan, bins)
 
-    frame = samples if rxi == tuple(range(num_rx)) else samples[list(rxi)]
-    spectrum = np.fft.fft(frame, axis=1, norm="forward")
+    spectrum = np.fft.fft(samples, axis=1, norm="forward")
     aliases = folded[:, None] + n_low * np.arange(d)  # K x D channel offsets
-    offsets = n * np.asarray(tx)[:, None, None]
-    values = spectrum[:, offsets + aliases].sum(axis=-1)  # Q' x M' x K
+    offsets = n * np.arange(base.num_tx)[:, None, None]
+    values = spectrum[:, offsets + aliases].sum(axis=-1)  # Q x M x K
     values /= norm
     return CoefficientSet(matrices=tuple(values.transpose(1, 2, 0).copy()),
-                          bins=bins, tx_indices=tx, rx_indices=rxi)
+                          bins=bins, tx_indices=tuple(range(base.num_tx)),
+                          rx_indices=tuple(range(num_rx)))

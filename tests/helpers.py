@@ -78,13 +78,14 @@ def loop_occupied_cells(subbands, pri):
     return np.array(bins, dtype=int), np.array(fracs)
 
 
-def loop_channel_spectrum(plan, tx, phase_seed=DEFAULT_PHASE_SEED):
+def loop_channel_spectrum(plan, tx):
     """`waveform.channel_spectrum` on the cells of `loop_occupied_cells`."""
     pri = plan.base.pri
     cells, fracs = loop_occupied_cells(plan.subbands, pri)
     bins = cells + tx * plan.base.bins_per_channel
     g = np.sqrt(plan.total_power / plan.base.signal_band) / pri
-    phases = np.exp(2j * np.pi * np.random.default_rng([phase_seed, tx]).random(len(bins)))
+    rng = np.random.default_rng([DEFAULT_PHASE_SEED, tx])
+    phases = np.exp(2j * np.pi * rng.random(len(bins)))
     return bins, plan.amplitude_scale * g * np.sqrt(fracs) * phases
 
 
@@ -92,13 +93,13 @@ def loop_channel_spectrum(plan, tx, phase_seed=DEFAULT_PHASE_SEED):
 # `xampler.acquire` and `scene.synth_received` compute the same results in the
 # frequency domain; these are the references they are checked against.
 
-def channelize(rx, plan, tx_indices=None):
+def channelize(rx, plan):
     """Split the received frames into per-transmitter channel signals.
 
     Ideal brick-wall extraction: channel m keeps the coefficient block
     [m*N, (m+1)*N) of the full-rate frame and is reconstructed at the
     channel rate, shifted down to [0, channel_spacing). Returns an array
-    of shape (len(tx_indices), num_rx, N).
+    of shape (num_tx, num_rx, N).
     """
     base = plan.base
     n = base.bins_per_channel
@@ -106,14 +107,11 @@ def channelize(rx, plan, tx_indices=None):
     n_frame = samples.shape[1]
     if n_frame < base.num_tx * n:
         raise ValidationError("received frame does not cover the full FDM band")
-    tx_indices = tuple(tx_indices) if tx_indices is not None else tuple(range(base.num_tx))
     coeffs = np.fft.fft(samples, axis=1) / n_frame
-    out = np.empty((len(tx_indices), samples.shape[0], n), dtype=complex)
-    for i, m in enumerate(tx_indices):
-        if not 0 <= m < base.num_tx:
-            raise ValidationError(f"transmit index {m} out of range")
+    out = np.empty((base.num_tx, samples.shape[0], n), dtype=complex)
+    for m in range(base.num_tx):
         block = coeffs[:, m * n:(m + 1) * n]
-        out[i] = np.fft.ifft(block, axis=1) * n
+        out[m] = np.fft.ifft(block, axis=1) * n
     return out
 
 
@@ -140,31 +138,28 @@ def extract_coefficients(lowrate, bins, adc):
     return coeffs[..., folded]
 
 
-def time_domain_acquire(rx, plan, adc, bins, active_tx=None, active_rx=None,
-                        phase_seed=DEFAULT_PHASE_SEED):
+def time_domain_acquire(rx, plan, adc, bins):
     """`xampler.acquire` as channelize -> subsample -> extract, per transmitter."""
     n = plan.base.bins_per_channel
-    tx = tuple(active_tx) if active_tx is not None else tuple(range(plan.num_tx))
-    rxi = tuple(active_rx) if active_rx is not None else tuple(range(rx.num_rx))
-    channels = channelize(rx, plan, tx)[:, rxi, :]
     matrices = []
-    for i, m in enumerate(tx):
-        values = extract_coefficients(subsample(channels[i], adc), bins, adc)
-        abs_bins, design = loop_channel_spectrum(plan, m, phase_seed)
+    for m, channel in enumerate(channelize(rx, plan)):
+        values = extract_coefficients(subsample(channel, adc), bins, adc)
+        abs_bins, design = loop_channel_spectrum(plan, m)
         lookup = dict(zip(abs_bins.tolist(), design))
         norm = np.array([lookup[k + m * n] for k in bins.indices])
         matrices.append((values / norm).T.copy())
     return CoefficientSet(matrices=tuple(matrices), bins=bins,
-                          tx_indices=tx, rx_indices=rxi)
+                          tx_indices=tuple(range(plan.num_tx)),
+                          rx_indices=tuple(range(rx.num_rx)))
 
 
-def loop_synth_received(scene, array, plan, sample_rate, phase_seed=DEFAULT_PHASE_SEED):
+def loop_synth_received(scene, array, plan, sample_rate):
     """Received frames built one target and one transmitter at a time."""
     base = plan.base
     n_frame = int(round(sample_rate * base.pri))
     coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)
     for m in range(base.num_tx):
-        bins, values = loop_channel_spectrum(plan, m, phase_seed)
+        bins, values = loop_channel_spectrum(plan, m)
         vpos = virtual_positions(array, m)
         for t in scene.targets:
             delayed = values * np.exp(-2j * np.pi * bins * (t.delay / base.pri))

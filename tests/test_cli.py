@@ -151,6 +151,44 @@ def test_acquire_rejects_frames_simulated_under_another_plan(tmp_path, capsys, k
     assert not (tmp_path / "coeffs.bin").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    (CONFIG.replace("seed = 7", "seed = seven"), "[array] seed"),
+    (CONFIG + "[waveform]\nsubbands = 1e6:abc\n", "[waveform] subbands"),
+    (CONFIG + "[adc]\nrate_hz = fast\n", "[adc] rate_hz"),
+])
+def test_a_malformed_number_in_the_ini_exits_2(tmp_path, capsys, text, key):
+    cfg, scene_path = write_inputs(tmp_path)
+    cfg.write_text(text)
+    code = main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")])
+    assert code == 2
+    assert f"error: config: {key}" in capsys.readouterr().err
+
+
+def test_a_non_numeric_scene_field_exits_3(tmp_path, capsys):
+    cfg, scene_path = write_inputs(tmp_path)
+    scene_path.write_text("100 0.1 abc 0\n")
+    code = main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")])
+    assert code == 3
+    assert "error: validation:" in capsys.readouterr().err
+
+
+def test_acquire_rejects_a_manifest_without_num_rx(tmp_path, capsys):
+    cfg, scene_path = write_inputs(tmp_path)
+    frames = tmp_path / "frames"
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(frames)]) == 0
+    manifest = frames / "received.hdr"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith("num_rx")))
+    code = main(["acquire", "-c", str(cfg), "--in", str(frames),
+                 "-o", str(tmp_path / "coeffs.bin")])
+    assert code == 3
+    assert "error: validation:" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.bin").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["reduction", "-c", str(tmp_path / "absent.ini")])
     assert code == 2

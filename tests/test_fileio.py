@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from submimo import (ConfigError, Scene, Target, ValidationError, conventional_plan,
-                     oracle_coefficients, synth_received, synth_pulse)
+                     oracle_coefficients, synth_received)
 from submimo import fileio
 from submimo.geometry import ArrayMode
 
@@ -27,16 +27,6 @@ def test_iq_bytes_are_interleaved_little_endian_float32(tmp_path):
     assert path.read_bytes() == interleaved.tobytes()
 
 
-def test_pulse_export_carries_the_plan_digest(tmp_path, desk_env):
-    pulse = synth_pulse(desk_env.plan, 2, desk_env.sample_rate)
-    path = tmp_path / "pulse.iq"
-    fileio.write_pulse(path, pulse, desk_env.plan)
-    back, header = fileio.read_iq(path)
-    assert header["tx_index"] == "2"
-    assert header["plan_digest"] == fileio.plan_digest(desk_env.plan)
-    np.testing.assert_allclose(back, pulse.samples, atol=1e-5)
-
-
 def test_plan_digest_is_stable_and_discriminating(desk_env):
     a = fileio.plan_digest(desk_env.plan)
     assert a == fileio.plan_digest(desk_env.plan)
@@ -56,6 +46,40 @@ def test_received_roundtrip(tmp_path, desk_env):
     assert np.max(np.abs(back.samples - rx.samples)) < 1e-5 * np.max(np.abs(rx.samples))
     assert np.array_equal(fileio.read_received(tmp_path / "frames", desk_env.plan).samples,
                           back.samples)
+
+
+def _rewrite_manifest(directory, key, value):
+    """Set `key = value` in a written manifest; a value of None drops the key."""
+    manifest = directory / "received.hdr"
+    lines = [line for line in manifest.read_text().splitlines()
+             if line.partition("=")[0].strip() != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    manifest.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("num_rx", None), ("sample_rate_hz", None), ("pri_s", None),
+    ("num_rx", "ten"), ("num_rx", "2.5"), ("sample_rate_hz", "fast"), ("pri_s", ""),
+    ("num_rx", "0"), ("active_spans", "12:x"),
+])
+def test_received_manifest_with_a_missing_or_malformed_key_is_rejected(
+        tmp_path, desk_env, key, value):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    _rewrite_manifest(tmp_path / "frames", key, value)
+    with pytest.raises(ValidationError, match=key):
+        fileio.read_received(tmp_path / "frames")
+
+
+def test_received_frames_of_unequal_length_are_rejected(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    fileio.write_iq(tmp_path / "frames" / "rx_01.iq", rx.samples[1, :-1], {})
+    with pytest.raises(ValidationError, match="length"):
+        fileio.read_received(tmp_path / "frames")
 
 
 def test_received_frames_of_another_plan_are_rejected(tmp_path, desk_env):
@@ -129,7 +153,14 @@ def test_scene_roundtrip(tmp_path):
 def test_scene_file_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1000.0 0.5\n")
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError):
+        fileio.read_scene(path)
+
+
+def test_scene_file_rejects_a_non_numeric_field(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("100 0.1 abc 0\n")
+    with pytest.raises(ValidationError, match="abc"):
         fileio.read_scene(path)
 
 
@@ -168,7 +199,7 @@ def test_array_config_roundtrip(tmp_path):
     array = build_mode(ArrayMode.THINNED, seed=13)
     path = tmp_path / "array.ini"
     fileio.write_array_config(path, array)
-    back = fileio.read_array_config(path)
+    back = fileio.ToolkitConfig.from_file(path).array()
     assert back == array
 
 
@@ -180,7 +211,7 @@ mode = thinned
 tx_positions = 0 20 40 60
 rx_positions = 1 15 33 52 79
 """)
-    array = fileio.read_array_config(path)
+    array = fileio.ToolkitConfig.from_file(path).array()
     assert array.tx_positions == (0, 20, 40, 60)
     assert array.rx_positions == (1, 15, 33, 52, 79)
     assert array.aperture_slots == 80
@@ -190,15 +221,8 @@ def test_array_config_rejects_bad_positions(tmp_path):
     path = tmp_path / "array.ini"
     path.write_text("[array]\nmode = thinned\ntx_positions = 0 99 40 60\n"
                     "rx_positions = 1 15 33 52 79\n")
-    with pytest.raises(Exception):
-        fileio.read_array_config(path)
-
-
-def test_array_config_without_an_array_section_is_a_config_error(tmp_path):
-    path = tmp_path / "array.ini"
-    path.write_text("[recovery]\nprofile = desk\n")
-    with pytest.raises(ConfigError):
-        fileio.read_array_config(path)
+    with pytest.raises(ValidationError):
+        fileio.ToolkitConfig.from_file(path).array()
 
 
 class RecordingParser(configparser.ConfigParser):
@@ -265,6 +289,48 @@ trials = 1
     plan = cfg.cognitive_plan(8)
     assert len(plan.subbands) == 2
     assert plan.subbands[0].lo == pytest.approx(1.0e6)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("array", "seed", "seven"),
+    ("array", "wavelength_m", "3 cm"),
+    ("array", "tx_positions", "0 20 forty 60"),
+    ("waveform", "pri_s", "100us"),
+    ("waveform", "subbands", "1e6:abc"),
+    ("waveform", "subbands", "1e6"),
+    ("adc", "rate_hz", "7.5 MHz"),
+    ("recovery", "range_cells", "3e2"),
+    ("experiment", "trials", "ten"),
+    ("experiment", "snr_db", "-5dB"),
+])
+def test_a_malformed_number_is_a_config_error_naming_its_key(tmp_path, section,
+                                                             key, value):
+    path = tmp_path / "run.ini"
+    text = "[array]\nmode = thinned\n" + ("" if section == "array" else f"[{section}]\n")
+    path.write_text(text + f"{key} = {value}\n")
+    cfg = fileio.ToolkitConfig.from_file(path)
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        cfg.environment()
+        cfg.experiment()
+
+
+def test_an_empty_numeric_key_takes_its_default(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[array]\nmode = thinned\nseed =\n[experiment]\ntrials =\n"
+                    "snr_db =\n")
+    cfg = fileio.ToolkitConfig.from_file(path)
+    assert cfg.array_seed == 0
+    exp = cfg.experiment()
+    assert (exp.trials, exp.snr_db) == (1, None)
+
+
+@pytest.mark.parametrize("text", ["mode = ula\n", "[array]\nmode = ula\n[array]\n",
+                                  "[array]\nmode = ula\nmode = wide\n"])
+def test_an_ini_that_does_not_parse_is_a_config_error(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        fileio.ToolkitConfig.from_file(path)
 
 
 def test_missing_config_is_a_config_error(tmp_path):

@@ -379,8 +379,10 @@ def test_receiver_subset_rejected(desk_env):
     scene = Scene(targets=(Target(desk_env.range_grid.delays[10],
                                   desk_env.azi_grid.values[5], 1.0),))
     rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
-    coeffs = acquire(rx, desk_env.plan, desk_env.adc, desk_env.bins,
-                     active_rx=range(5))
+    full = acquire(rx, desk_env.plan, desk_env.adc, desk_env.bins)
+    coeffs = CoefficientSet(matrices=tuple(y[:, :5] for y in full.matrices),
+                            bins=full.bins, tx_indices=full.tx_indices,
+                            rx_indices=tuple(range(5)))
     with pytest.raises(ValidationError):
         matrix_omp(coeffs, desk_env.dictionaries, max_targets=1)
 
