@@ -13,7 +13,8 @@ the output gives each side's median and quartiles, the pairs the change
 wins and loses, the relative change of the median, the median gain, the
 parent's interquartile range, and whether RULE finds the gain met or the
 metric worse; the report metrics (`fail_ratio`, detection rates, raw
-trials per second) are kept per run.
+trials per second) are kept per run, and raw trials per second also gets
+the change's pair wins and losses, for comparison with the host-scaled ones.
 With --trace-seed, each side also gets one traced run per workload.
 """
 
@@ -106,6 +107,12 @@ def aggregate(pairs, end_to_end) -> dict:
         report[name] = {"parent": float(np.median(parent_all)),
                         "change": float(np.median(change_all)),
                         "parent_all": parent_all, "change_all": change_all}
+        if name == "trials_per_s.raw":
+            # the pairs of trials_per_s without the host-speed scaling, to show
+            # whether the probe decided them; report only, no verdict
+            diffs = [c - p for p, c in zip(parent_all, change_all)]
+            report[name].update(change_wins=sum(d > 0 for d in diffs),
+                                change_losses=sum(d < 0 for d in diffs))
     return {"pairs": len(pairs), "metrics": metrics, "report": report,
             "correct": correct, "operations": ops}
 

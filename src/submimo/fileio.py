@@ -434,8 +434,14 @@ class ToolkitConfig:
         return self._get("recovery", "profile", "desk")
 
     @property
-    def range_cells(self) -> int | None:
-        return self._get("recovery", "range_cells", None, int)
+    def range_cells(self) -> int:
+        """`[recovery] range_cells`, or the profile's count when it is absent."""
+        cells = self._get("recovery", "range_cells", None, int)
+        if cells is None:
+            return PROFILE_RANGE_CELLS[self.profile]
+        if cells < 1:
+            raise ConfigError(f"[recovery] range_cells = {cells}: need at least one cell")
+        return cells
 
     def fdm_plan(self, num_tx: int) -> FdmPlan:
         g = lambda opt, dflt: self._get("waveform", opt, dflt, float)
@@ -464,8 +470,7 @@ class ToolkitConfig:
         """The pipeline environment of the configured array, plan and ADC."""
         array = self.array()
         plan = self.cognitive_plan(array.num_tx)
-        cells = self.range_cells or PROFILE_RANGE_CELLS[self.profile]
-        return assemble_environment(array, plan, self.adc(plan), cells)
+        return assemble_environment(array, plan, self.adc(plan), self.range_cells)
 
     def experiment(self) -> ExperimentConfig:
         get = functools.partial(self._get, "experiment")

@@ -132,6 +132,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        if self.max_targets is not None and self.max_targets < 1:
+            raise ConfigError(f"max_targets = {self.max_targets}: need at least one")
+        targets = (len(self.scene) if isinstance(self.scene, Scene)
+                   else self.scene.num_targets)
+        if targets < 1:
+            raise ConfigError("the scene holds no target to recover")
 
 
 @dataclass(frozen=True)
@@ -320,7 +326,8 @@ def run_trial(env: Environment, scene: Scene, snr_db: float | None, noise_seed,
         coeffs = acquire(rx, env.plan, env.adc, env.bins)
     with _stage(stages, "recover"):
         estimate = matrix_omp(coeffs, env.dictionaries,
-                              max_targets=max_targets or len(scene))
+                              max_targets=len(scene) if max_targets is None
+                              else max_targets)
     with _stage(stages, "match"):
         report = match_targets(scene, estimate, env.range_grid, env.azi_grid)
     return estimate, report

@@ -25,6 +25,9 @@ DEFAULT_RESIDUAL_TOL = 1e-3
 
 # score cells per row block: 512 KB of complex products, which stay in cache
 _SCORE_BLOCK_CELLS = 1 << 15
+# rows scored first on a multi-block grid; the exact stop test is met after
+# a few to a few dozen rows in bound order
+_FIRST_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -146,25 +149,47 @@ def _block_maps(stacked, dicts: DictionarySet, rows) -> list[np.ndarray]:
             for m, lo, hi in zip(dicts.tx_indices, edges, edges[1:])]
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT takes fast."""
+    best = 1 << (n - 1).bit_length()  # the power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _row_bound(residuals, dicts: DictionarySet, weights) -> np.ndarray:
     """sum_m w_m ||h_m(n)||^2 for every range cell n, from lag autocorrelations.
 
-    ||h_m(n)||^2 = sum over lags |d| < N of a_m(d) exp(2j*pi*d*n/C), with
+    ||h_m(n)||^2 = sum over lags d of a_m(d) exp(2j*pi*d*n/C), with
     a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^* (the channel offset m*N
-    is a unit phase per row and drops out). The weighted power spectra of
-    2N-point FFTs, summed over receivers and channels, give sum_m w_m a_m
-    without wrap; folded mod C, the lags take one C-point Hermitian transform.
+    is a unit phase per row and drops out). Lags reach only |d| < span, the
+    span of the selected bins, and do not move when the bins shift; so the
+    bins sit at k - min(k) in an FFT of the smallest 5-smooth length
+    >= 2*span - 1, whose weighted power spectra, summed over receivers and
+    channels, give sum_m w_m a_m without wrap. Folded mod C, the lags take
+    one C-point Hermitian transform.
     """
-    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
+    c, k = len(dicts.range_grid), dicts.bins.as_array
+    offsets = k - k.min()
+    span = int(offsets.max()) + 1
+    length = _smooth_length(2 * span - 1)
     power = 0.0
     for r, w in zip(residuals, weights):  # per channel, so the spectra stay in cache
-        spec = np.zeros((r.shape[1], 2 * n_bins), dtype=complex)
-        spec[:, k] = r.T
+        spec = np.zeros((r.shape[1], length), dtype=complex)
+        spec[:, offsets] = r.T
         pairs = np.fft.fft(spec, out=spec).view(float)
         power = power + w * np.einsum("ij,ij->j", pairs, pairs)
-    # power interleaves the re^2 and im^2 sums; lag d sits at index d mod 2N
+    # power interleaves the re^2 and im^2 sums; lag d sits at index d mod length
     lags = np.fft.ifft(power.reshape(-1, 2).sum(axis=1))
-    d = np.arange(1 - n_bins, n_bins)
+    d = np.arange(1 - span, span)
     folded = np.zeros(c, dtype=complex)
     np.add.at(folded, d % c, lags[d])
     return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
@@ -185,14 +210,16 @@ def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
 def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
     """Exact argmax of S over the cells not in `support`, scanned in row blocks.
 
-    Rows are scored in cache-sized blocks. When the grid spans several
-    blocks, they are visited in descending order of the Cauchy-Schwarz bound
-    S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2, and the scan stops at the
-    first block whose top bound cannot beat the best score found. A grid
-    that fits one block or spans at most 2N cells takes every range map from
-    one FFT per channel; a wider multi-block one takes the bound from the
-    residuals' lag autocorrelation (`_row_bound`) and only the scored rows'
-    maps (`_block_maps`).
+    A grid that fits one cache-sized block is scored whole. A wider one is
+    pruned by the Cauchy-Schwarz bound
+    S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2: first the _FIRST_ROWS
+    rows of largest bound, found by partition, are scored; then every other
+    row whose bound can still reach the best score is sorted by descending
+    bound and scanned in blocks, stopping at the first block whose top bound
+    cannot beat the best score found. A multi-block grid spanning at most
+    2N cells takes every range map from one FFT per channel; a wider one
+    takes the bound from the residuals' lag autocorrelation (`_row_bound`)
+    and only the scored rows' maps (`_block_maps`).
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
     """
@@ -204,23 +231,11 @@ def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
         stacked = np.hstack(residuals)
     else:
         maps = _range_maps(residuals, dicts)
-    order, bound = np.arange(c), None
-    if rows < c:
-        weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
-        bound = (_row_bound(residuals, dicts, weights) if lag_domain else
-                 sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
-                     for h, w in zip(maps, weights)))
-        order = np.argsort(-bound, kind="stable")
-        # the lag-domain bound rounds at the scale of the largest row
-        slack = 1e-9 * bound[order[0]]
     best, cell = -np.inf, (0, 0)
-    for lo in range(0, c, rows):
-        block, scored = order[lo:lo + rows], slice(lo, lo + rows)
-        if bound is not None:
-            if bound[block[0]] + slack < best:
-                break
-            # rows ascending within the block, so its argmax breaks ties row-major
-            block = scored = np.sort(block)
+
+    def scan(block, scored):
+        # `block` holds rows ascending, so the argmax breaks ties row-major
+        nonlocal best, cell
         if lag_domain:
             score = _pair_scores(_block_maps(stacked, dicts, block), dicts, slice(None))
         else:
@@ -232,6 +247,29 @@ def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
         top, at = score.flat[i], (int(block[i // n_azi]), i % n_azi)
         if top > best or (top == best and at < cell):
             best, cell = top, at
+
+    if rows >= c:
+        scan(np.arange(c), slice(None))
+        return cell
+    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+    bound = (_row_bound(residuals, dicts, weights) if lag_domain else
+             sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
+                 for h, w in zip(maps, weights)))
+    # the lag-domain bound rounds at the scale of the largest row
+    slack = 1e-9 * bound.max()
+    first = min(_FIRST_ROWS, rows)
+    head = np.sort(np.argpartition(bound, c - first)[c - first:])
+    scan(head, head)
+    open_rows = bound + slack >= best
+    open_rows[head] = False
+    candidates = np.flatnonzero(open_rows)
+    order = candidates[np.argsort(-bound[candidates], kind="stable")]
+    for lo in range(0, len(order), rows):
+        block = order[lo:lo + rows]
+        if bound[block[0]] + slack < best:
+            break
+        block = np.sort(block)
+        scan(block, block)
     return cell
 
 

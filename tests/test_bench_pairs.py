@@ -43,6 +43,22 @@ def test_aggregate_gives_quartiles_wins_and_the_parent_iqr():
     assert out["operations"]["change"] == {"attempted": 100, "failed": 0}
 
 
+def test_aggregate_counts_the_raw_rate_pairs_beside_the_scaled_ones():
+    # the host-scaled rate wins every pair; the raw rate splits them
+    pairs = []
+    for i, (p_raw, c_raw) in enumerate([(1.0, 2.0), (2.0, 1.0), (3.0, 3.0), (4.0, 5.0)]):
+        parent, change = _run(1.0 + i), _run(2.0 + i)
+        parent["report"]["trials_per_s.raw"] = p_raw
+        change["report"]["trials_per_s.raw"] = c_raw
+        pairs.append((parent, change))
+    out = bench_pairs.aggregate(pairs, END_TO_END)
+    assert out["metrics"]["trials_per_s"]["change_wins"] == 4
+    raw = out["report"]["trials_per_s.raw"]
+    assert (raw["change_wins"], raw["change_losses"]) == (2, 1)  # pair 3 ties
+    assert (raw["parent"], raw["change"]) == (2.5, 2.5)
+    assert "change_wins" not in out["report"]["detection_rate"]
+
+
 def test_aggregate_leaves_failed_runs_out_of_the_statistics():
     failed = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}, "report": {},
               "environment": {}}

@@ -119,6 +119,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("profile = desk", "profile = desk\nrange_cells = 0"),
+    ("profile = desk", "profile = desk\nrange_cells = -5"),
+    ("max_targets = 3", "max_targets = 0"),
+    ("num_targets = 3", "num_targets = 0"),
+])
+def test_a_zero_or_negative_count_in_the_ini_exits_2(tmp_path, capsys, old, new):
+    cfg, _ = write_inputs(tmp_path)
+    cfg.write_text(CONFIG.replace(old, new))
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    assert code == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
 def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):
     # 1501 bins per channel fold onto 750.5 bins of the 7.5 MHz ADC
     cfg, scene_path = write_inputs(tmp_path)

@@ -314,6 +314,30 @@ def test_a_malformed_number_is_a_config_error_naming_its_key(tmp_path, section,
         cfg.experiment()
 
 
+@pytest.mark.parametrize("cells, want", [("", 300), ("40", 40)])
+def test_range_cells_default_to_the_profile(tmp_path, cells, want):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[array]\nmode = thinned\n[recovery]\nrange_cells = {cells}\n")
+    cfg = fileio.ToolkitConfig.from_file(path)
+    assert cfg.range_cells == want
+    assert len(cfg.environment().range_grid) == want
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("recovery", "range_cells", "0"),
+    ("recovery", "range_cells", "-5"),
+    ("experiment", "max_targets", "0"),
+    ("experiment", "num_targets", "0"),
+])
+def test_a_zero_or_negative_count_is_a_config_error(tmp_path, section, key, value):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[array]\nmode = thinned\n[{section}]\n{key} = {value}\n")
+    cfg = fileio.ToolkitConfig.from_file(path)
+    with pytest.raises(ConfigError):
+        cfg.environment()
+        cfg.experiment()
+
+
 def test_an_empty_numeric_key_takes_its_default(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[array]\nmode = thinned\nseed =\n[experiment]\ntrials =\n"

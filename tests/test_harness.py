@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submimo import (ArrayMode, ConfigError, ExperimentConfig, Scene,
-                     SceneSpec, Target, build_environment, emit_ppi, generate_scene,
-                     match_targets, run_experiment, sampling_reduction)
+                     SceneSpec, Target, ValidationError, build_environment, emit_ppi,
+                     generate_scene, match_targets, run_experiment, run_trial,
+                     sampling_reduction)
 from submimo.recovery import SparseEstimate
 
 
@@ -151,6 +152,27 @@ def test_noiseless_experiment_recovers_everything():
     assert record.detection_rate == 1.0
     assert record.strict_rate == 1.0
     assert record.false_alarm_rate == 0.0
+
+
+@pytest.mark.parametrize("changes", [
+    dict(max_targets=0), dict(max_targets=-2),
+    dict(scene=SceneSpec(num_targets=0)), dict(scene=SceneSpec(num_targets=-1)),
+    dict(scene=Scene(targets=())),
+])
+def test_experiment_without_a_target_to_recover_is_a_config_error(changes):
+    base = dict(mode=ArrayMode.THINNED, scene=SceneSpec(num_targets=3), profile="desk")
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**base, **changes})
+
+
+def test_run_trial_takes_max_targets_as_given(desk_env):
+    scene = scene_from([(30, 10), (120, 45), (250, 70)], desk_env)
+    estimate, _ = run_trial(desk_env, scene, None, 0)
+    assert len(estimate) == 3  # as many as the scene holds
+    estimate, _ = run_trial(desk_env, scene, None, 0, max_targets=1)
+    assert len(estimate) == 1
+    with pytest.raises(ValidationError):
+        run_trial(desk_env, scene, None, 0, max_targets=0)
 
 
 def test_experiment_is_deterministic():

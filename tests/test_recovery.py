@@ -12,7 +12,8 @@ from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
                      oracle_coefficients, recovery, synth_received)
 from submimo.geometry import AzimuthGrid
 from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _pair_scores,
-                              _range_maps, _row_bound, _select, _support_atoms)
+                              _range_maps, _row_bound, _select, _smooth_length,
+                              _support_atoms)
 from submimo.xampler import BinSet, CoefficientSet
 
 
@@ -177,6 +178,20 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
 _GRID_EXAMPLES = [dict(seed=0, n_channels=2, n_bins=8, total_bins=8, n_range=5, n_rx=3),
                   dict(seed=1, n_channels=3, n_bins=5, total_bins=8, n_range=16, n_rx=2),
                   dict(seed=2, n_channels=2, n_bins=6, total_bins=9, n_range=41, n_rx=4)]
+# bins 8, 9, 11 of N = 16 and 7, 8, 10 of N = 14 span 4: the bound's FFT
+# takes 8 points, not 2N; C = 3 folds the seven lags, C = 40 and 33 exceed 2N
+_SHIFTED_BINS_EXAMPLES = [
+    dict(seed=0, n_channels=2, n_bins=3, total_bins=16, n_range=40, n_rx=2),
+    dict(seed=0, n_channels=1, n_bins=3, total_bins=16, n_range=3, n_rx=3),
+    dict(seed=0, n_channels=3, n_bins=3, total_bins=14, n_range=33, n_rx=4)]
+
+
+def test_smooth_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                    for a in range(14) for b in range(9) for c in range(7))
+    for n in range(1, 5001):
+        assert _smooth_length(n) == next(m for m in smooth if m >= n)
+    assert _smooth_length(2 * 1106 - 1) == 2250  # the reference plan's bin span
 
 
 def _weights(dicts):
@@ -199,6 +214,9 @@ _grids = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
 @example(**_GRID_EXAMPLES[0])
 @example(**_GRID_EXAMPLES[1])
 @example(**_GRID_EXAMPLES[2])
+@example(**_SHIFTED_BINS_EXAMPLES[0])
+@example(**_SHIFTED_BINS_EXAMPLES[1])
+@example(**_SHIFTED_BINS_EXAMPLES[2])
 def test_lag_domain_bound_matches_the_weighted_row_energies(**draw):
     coeffs, dicts = _grid_instance(**draw)
     weights = _weights(dicts)
@@ -230,12 +248,15 @@ def test_block_maps_are_the_range_map_rows(row_share, **draw):
 @given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
        n_bins=st.integers(1, 12), total_bins=st.integers(4, 16),
        n_range=st.integers(2, 40), n_rx=st.integers(1, 4), n_azi=st.integers(1, 9),
-       block_rows=st.integers(1, 5), n_selected=st.integers(0, 4))
+       block_rows=st.integers(1, 5), first_rows=st.integers(1, 3),
+       n_selected=st.integers(0, 4))
 @example(seed=3, n_channels=2, n_bins=5, total_bins=6, n_range=31, n_rx=3, n_azi=4,
-         block_rows=2, n_selected=2)  # C > 2N: the lag-domain scan
+         block_rows=2, first_rows=1, n_selected=2)  # C > 2N: the lag-domain scan
+@example(seed=0, n_channels=2, n_bins=3, total_bins=16, n_range=40, n_rx=2, n_azi=3,
+         block_rows=3, first_rows=2, n_selected=3)  # and a bin span below N
 def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, total_bins,
                                                      n_range, n_rx, n_azi, block_rows,
-                                                     n_selected):
+                                                     first_rows, n_selected):
     rng = np.random.default_rng(seed)
     coeffs, dicts = random_instance(rng, n_channels=n_channels,
                                     n_bins=min(n_bins, total_bins), n_rx=n_rx,
@@ -246,9 +267,11 @@ def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, t
     want = brute_force_scores(coeffs.matrices, dicts)
     for n, p in support:
         want[n, p] = -np.inf
-    # blocks of a few rows force the bound-ordered, pruned scan
+    # blocks of a few rows force the bound-ordered, pruned scan; a first block
+    # of even fewer rows leaves the candidate pass several blocks to scan
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * n_azi)
+        mp.setattr(recovery, "_FIRST_ROWS", first_rows)
         got = _select(coeffs.matrices, dicts, support)
     # cells within float noise of the maximum; more than one only when the
     # instance ties them exactly (for example a single bin), where rounding
@@ -314,19 +337,19 @@ def test_single_block_grid_wider_than_2n_keeps_the_fft_maps(monkeypatch):
 
 
 def _counting_trial(env, monkeypatch, iteration_marker):
-    """Blocks scored per matrix OMP iteration on a seeded -5 dB trial."""
+    """Range rows scored per matrix OMP iteration on a seeded -5 dB trial."""
     scene = generate_scene(np.random.default_rng([7, 0, 0]),
                            SceneSpec(num_targets=10, min_sin_sep=0.025),
                            len(env.range_grid), env.plan.pri)
     rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
                    -5.0, [7, 0, 1])
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
-    blocks, calls = [], {"_range_maps": 0}
+    rows, calls = [], {"_range_maps": 0}
     marker, range_maps, pair_scores = (getattr(recovery, iteration_marker),
                                        recovery._range_maps, recovery._pair_scores)
 
     def counting_marker(*args):
-        blocks.append(0)
+        rows.append(0)
         return marker(*args)
 
     def counting_range_maps(*args):
@@ -334,32 +357,33 @@ def _counting_trial(env, monkeypatch, iteration_marker):
         return range_maps(*args)
 
     def counting_pair_scores(*args):
-        blocks[-1] += 1
-        return pair_scores(*args)
+        score = pair_scores(*args)
+        rows[-1] += score.shape[0]
+        return score
 
     monkeypatch.setattr(recovery, "_range_maps", counting_range_maps)
     monkeypatch.setattr(recovery, iteration_marker, counting_marker)
     monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
     est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
-    return est, blocks, calls["_range_maps"]
+    return est, rows, calls["_range_maps"]
 
 
-def test_desk_wide_trial_scores_at_most_two_blocks_per_iteration(desk_envs, monkeypatch):
+def test_desk_wide_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch):
     env = desk_envs[ArrayMode.WIDE]
-    rows = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
-    assert rows < len(env.range_grid)  # the grid spans several blocks
-    est, blocks, _ = _counting_trial(env, monkeypatch, "_range_maps")
-    assert len(blocks) == len(est) == 10
-    assert max(blocks) <= 2
+    block = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
+    assert block < len(env.range_grid)  # the grid spans several blocks
+    est, rows, _ = _counting_trial(env, monkeypatch, "_range_maps")
+    assert len(rows) == len(est) == 10
+    assert max(rows) <= 64
 
 
 def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
     env = build_environment(ArrayMode.WIDE, "full", seed=7)
     assert len(env.range_grid) > 2 * env.bins.per_channel_bins
-    est, blocks, range_maps_calls = _counting_trial(env, monkeypatch, "_row_bound")
+    est, rows, range_maps_calls = _counting_trial(env, monkeypatch, "_row_bound")
     assert range_maps_calls == 0
-    assert len(blocks) == len(est) == 10
-    assert max(blocks) <= 2
+    assert len(rows) == len(est) == 10
+    assert max(rows) <= 64
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
