@@ -2,7 +2,7 @@
 """Benchmark a change against its parent in alternating pairs; write BENCH_<pr>.json.
 
     git worktree add ../parent HEAD~
-    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_5.json
+    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_<pr>.json
 
 For every workload of BENCHMARK.json, pair i runs `python3 perfbench/run.py
 --workload W --seed 501+i --seconds <run_seconds> --trace 0` once in the

@@ -72,7 +72,7 @@ def read_iq(path) -> tuple[np.ndarray, dict]:
     return samples, _read_header(hdr) if hdr.exists() else {}
 
 
-def write_received(directory, rx: ReceivedBaseband, plan=None) -> None:
+def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None:
     """One I/Q file per receiver plus a manifest with rates and active spans."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -86,9 +86,8 @@ def write_received(directory, rx: ReceivedBaseband, plan=None) -> None:
         f"pri_s = {rx.pri!r}",
         f"num_rx = {rx.num_rx}",
         f"active_spans = {';'.join(f'{a}:{b}' for a, b in spans)}",
+        f"plan_digest = {plan_digest(plan)}",
     ]
-    if plan is not None:
-        lines.append(f"plan_digest = {plan_digest(plan)}")
     (directory / "received.hdr").write_text("\n".join(lines) + "\n")
     for q in range(rx.num_rx):
         write_iq(directory / f"rx_{q:02d}.iq", rx.samples[q],

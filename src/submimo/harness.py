@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (ArrayConfig, ArrayMode, AzimuthGrid, azimuth_grid,
-                       build_mode, mode_shape)
+from .geometry import ArrayConfig, ArrayMode, AzimuthGrid, build_mode, mode_shape
 from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
                        build_dictionaries, matrix_omp)
 from .scene import (Scene, Target, add_noise, synth_received)
 from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, build_cognitive_plan,
                        reference_subbands)
-from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, acquire, subband_bins
+from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, acquire
 
 PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 
@@ -77,10 +76,8 @@ def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig
     if abs(low_bins - round(low_bins)) > 1e-6:
         raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
                           f"or ADC rate that gives a whole number")
-    dicts = build_dictionaries(array, plan, subband_bins(plan),
-                               RangeGrid.from_cells(plan.pri, range_cells),
-                               azimuth_grid(array))
-    return Environment(array=array, plan=plan, adc=adc, dictionaries=dicts)
+    return Environment(array=array, plan=plan, adc=adc,
+                       dictionaries=build_dictionaries(array, plan, range_cells))
 
 
 def build_environment(mode: ArrayMode, profile: str = "desk",

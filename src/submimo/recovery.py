@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import ArrayConfig, AzimuthGrid, virtual_positions
+from .geometry import ArrayConfig, AzimuthGrid, azimuth_grid, virtual_positions
 from .scene import SPEED_OF_LIGHT
 from .waveform import CognitivePlan
-from .xampler import BinSet, CoefficientSet
+from .xampler import BinSet, CoefficientSet, subband_bins
 
 DEFAULT_RESIDUAL_TOL = 1e-3
 
 # score cells per row block: 512 KB of complex products, which stay in cache
 _SCORE_BLOCK_CELLS = 1 << 15
-# rows scored first on a multi-block grid; the exact stop test is met after
-# a few to a few dozen rows in bound order
+# rows scored first; the exact stop test is met after a few to a few dozen
+# rows in bound order
 _FIRST_ROWS = 16
 
 
@@ -60,14 +60,14 @@ class RangeGrid:
 class DictionarySet:
     """Per-transmitter azimuth atoms (Q x N_theta) and the range atoms' grids.
 
-    Range atom n of transmitter m is exp(-2j*pi*(k + m*N)*n / C) over the
-    selected bins k (N bins per channel, C uniform range cells); it is
-    applied by FFT or partial DFT and never stored.
+    Channel m is transmitter m. Range atom n of transmitter m is
+    exp(-2j*pi*(k + m*N)*n / C) over the selected bins k (N bins per
+    channel, C uniform range cells); it is applied by FFT or partial DFT
+    and never stored.
     """
 
     azimuth_atoms: tuple[np.ndarray, ...]
     bins: BinSet
-    tx_indices: tuple[int, ...]
     range_grid: RangeGrid
     azi_grid: AzimuthGrid
 
@@ -92,22 +92,19 @@ class SparseEstimate:
         return len(self.support)
 
 
-def build_dictionaries(array: ArrayConfig, plan: CognitivePlan, bins: BinSet,
-                       range_grid: RangeGrid, azi_grid: AzimuthGrid) -> DictionarySet:
-    """Unit-modulus azimuth atoms on the given grids; range atoms stay implicit."""
-    base = plan.base
-    if array.num_tx != base.num_tx:
+def build_dictionaries(array: ArrayConfig, plan: CognitivePlan,
+                       range_cells: int) -> DictionarySet:
+    """Unit-modulus azimuth atoms on the array's sine-DoA grid, with the plan's
+    bins and `range_cells` delay cells over one PRI; range atoms stay implicit."""
+    if array.num_tx != plan.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
-    # the FFT range operator holds only on the uniform grid over one PRI
-    uniform = RangeGrid.from_cells(base.pri, len(range_grid)).delays
-    if not np.array_equal(range_grid.delays, uniform):
-        raise ValidationError("range grid is not RangeGrid.from_cells(pri, cells)")
-    tx = tuple(range(base.num_tx))
+    azi_grid = azimuth_grid(array)
     azimuth_atoms = tuple(
         np.exp(2j * np.pi * np.outer(virtual_positions(array, m), azi_grid.values))
-        for m in tx)
-    return DictionarySet(azimuth_atoms=azimuth_atoms, bins=bins, tx_indices=tx,
-                         range_grid=range_grid, azi_grid=azi_grid)
+        for m in range(plan.num_tx))
+    return DictionarySet(azimuth_atoms=azimuth_atoms, bins=subband_bins(plan),
+                         range_grid=RangeGrid.from_cells(plan.pri, range_cells),
+                         azi_grid=azi_grid)
 
 
 def _range_maps(residuals, dicts: DictionarySet) -> list[np.ndarray]:
@@ -117,7 +114,7 @@ def _range_maps(residuals, dicts: DictionarySet) -> list[np.ndarray]:
     """
     c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
     maps = []
-    for r, m in zip(residuals, dicts.tx_indices):
+    for m, r in enumerate(residuals):
         scattered = np.zeros((c, r.shape[1]), dtype=complex)
         np.add.at(scattered, (k + m * n_bins) % c, r)
         maps.append(c * np.fft.ifft(scattered, axis=0))
@@ -146,7 +143,7 @@ def _block_maps(stacked, dicts: DictionarySet, rows) -> list[np.ndarray]:
     g = roots[phase] @ stacked
     edges = np.cumsum([0] + [b.shape[0] for b in dicts.azimuth_atoms])
     return [roots[m * n_bins * rows % c][:, None] * g[:, lo:hi]
-            for m, lo, hi in zip(dicts.tx_indices, edges, edges[1:])]
+            for m, (lo, hi) in enumerate(zip(edges, edges[1:]))]
 
 
 def _smooth_length(n: int) -> int:
@@ -195,14 +192,14 @@ def _row_bound(residuals, dicts: DictionarySet, weights) -> np.ndarray:
     return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
 
 
-def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
-    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2 for the range rows n.
+def _pair_scores(block_maps, dicts: DictionarySet) -> np.ndarray:
+    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2 for the maps' rows n.
 
-    `rows` is an index array or a slice; a slice scores without copying.
+    `block_maps` holds, per channel, the range-map rows of the scored block.
     """
     score = 0.0
-    for h, b in zip(range_maps, dicts.azimuth_atoms):
-        g = h[rows] @ b.conj()
+    for h, b in zip(block_maps, dicts.azimuth_atoms):
+        g = h @ b.conj()
         score += g.real ** 2 + g.imag ** 2
     return score
 
@@ -210,36 +207,37 @@ def _pair_scores(range_maps, dicts: DictionarySet, rows) -> np.ndarray:
 def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
     """Exact argmax of S over the cells not in `support`, scanned in row blocks.
 
-    A grid that fits one cache-sized block is scored whole. A wider one is
-    pruned by the Cauchy-Schwarz bound
+    Rows are pruned by the Cauchy-Schwarz bound
     S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2: first the _FIRST_ROWS
     rows of largest bound, found by partition, are scored; then every other
     row whose bound can still reach the best score is sorted by descending
-    bound and scanned in blocks, stopping at the first block whose top bound
-    cannot beat the best score found. A multi-block grid spanning at most
-    2N cells takes every range map from one FFT per channel; a wider one
-    takes the bound from the residuals' lag autocorrelation (`_row_bound`)
-    and only the scored rows' maps (`_block_maps`).
+    bound and scanned in cache-sized blocks, stopping at the first block
+    whose top bound cannot beat the best score found. A grid spanning at
+    most 2N cells takes every range map, and so the bound, from one FFT per
+    channel; a wider one takes the bound from the residuals' lag
+    autocorrelation (`_row_bound`) and only the scored rows' maps
+    (`_block_maps`).
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
     """
     c, n_azi = len(dicts.range_grid), len(dicts.azi_grid)
     rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
     ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
-    lag_domain = rows < c and c > 2 * dicts.bins.per_channel_bins
-    if lag_domain:
-        stacked = np.hstack(residuals)
+    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+    if c > 2 * dicts.bins.per_channel_bins:
+        block_maps = functools.partial(_block_maps, np.hstack(residuals), dicts)
+        bound = _row_bound(residuals, dicts, weights)
     else:
         maps = _range_maps(residuals, dicts)
+        block_maps = lambda block: [h[block] for h in maps]
+        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
+                    for h, w in zip(maps, weights))
     best, cell = -np.inf, (0, 0)
 
-    def scan(block, scored):
+    def scan(block):
         # `block` holds rows ascending, so the argmax breaks ties row-major
         nonlocal best, cell
-        if lag_domain:
-            score = _pair_scores(_block_maps(stacked, dicts, block), dicts, slice(None))
-        else:
-            score = _pair_scores(maps, dicts, scored)
+        score = _pair_scores(block_maps(block), dicts)
         j = np.minimum(np.searchsorted(block, ns), len(block) - 1)
         hit = block[j] == ns  # a pair may only be selected once
         score[j[hit], ps[hit]] = -np.inf
@@ -248,18 +246,11 @@ def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
         if top > best or (top == best and at < cell):
             best, cell = top, at
 
-    if rows >= c:
-        scan(np.arange(c), slice(None))
-        return cell
-    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
-    bound = (_row_bound(residuals, dicts, weights) if lag_domain else
-             sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
-                 for h, w in zip(maps, weights)))
     # the lag-domain bound rounds at the scale of the largest row
     slack = 1e-9 * bound.max()
-    first = min(_FIRST_ROWS, rows)
+    first = min(_FIRST_ROWS, rows, c)
     head = np.sort(np.argpartition(bound, c - first)[c - first:])
-    scan(head, head)
+    scan(head)
     open_rows = bound + slack >= best
     open_rows[head] = False
     candidates = np.flatnonzero(open_rows)
@@ -268,8 +259,7 @@ def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
         block = order[lo:lo + rows]
         if bound[block[0]] + slack < best:
             break
-        block = np.sort(block)
-        scan(block, block)
+        scan(np.sort(block))
     return cell
 
 
@@ -279,7 +269,7 @@ def _support_atoms(dicts: DictionarySet, support):
     ns, ps = (list(cells) for cells in zip(*support))
     roots = _roots_of_unity(c)  # indexed by the integer phase (k + m*N)*n mod C
     return [(roots[np.outer(k + m * n_bins, ns) % c], b[:, ps])
-            for m, b in zip(dicts.tx_indices, dicts.azimuth_atoms)]
+            for m, b in enumerate(dicts.azimuth_atoms)]
 
 
 def _joint_refit(matrices, atoms, support):
@@ -305,17 +295,18 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     """Greedy simultaneous sparse recovery over all channels.
 
     Per iteration: add the best-scoring grid pair on the current residuals
-    (found exactly by the bound-pruned scan of `_select`), jointly refit
-    every selected amplitude across channels, and subtract the
-    reconstruction. Scores equal in floating point resolve to the smallest
-    range cell, then the smallest azimuth cell. Scores equal only in exact
-    arithmetic may round apart, and differently on a grid wider than 2N,
-    whose partial-DFT maps round unlike the FFT maps; such ties may resolve
-    to any of the tied cells.
+    (found exactly by `_select`'s bound-pruned scan, which on every grid
+    scores a few to a few dozen range rows), jointly refit every selected
+    amplitude across channels, and subtract the reconstruction. Scores
+    equal in floating point resolve to the smallest range cell, then the
+    smallest azimuth cell. Scores equal only in exact arithmetic may round
+    apart, and differently on a grid wider than 2N, whose partial-DFT maps
+    round unlike the FFT maps; such ties may resolve to any of the tied
+    cells.
     Stops after `max_targets` selections, or, when no target count is given,
     once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.
     """
-    if coefficients.tx_indices != dicts.tx_indices:
+    if coefficients.tx_indices != tuple(range(len(dicts.azimuth_atoms))):
         raise ValidationError("coefficients and dictionaries cover different channels")
     if coefficients.bins != dicts.bins:
         raise ValidationError("coefficients and dictionaries cover different bins")

@@ -20,7 +20,7 @@ def dense_range_atoms(dicts):
     k = np.asarray(dicts.bins.indices)
     n_bins = dicts.bins.per_channel_bins
     return tuple(np.exp(-2j * np.pi * np.outer(k + m * n_bins, grid.delays / pri))
-                 for m in dicts.tx_indices)
+                 for m in range(len(dicts.azimuth_atoms)))
 
 
 def brute_force_scores(matrices, dicts):
@@ -48,7 +48,6 @@ def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
     azimuth_atoms = tuple(np.exp(2j * np.pi * np.outer(vpos, agrid.values))
                           for _ in range(n_channels))
     dicts = DictionarySet(azimuth_atoms=azimuth_atoms, bins=bins,
-                          tx_indices=tuple(range(n_channels)),
                           range_grid=rgrid, azi_grid=agrid)
     shape = (n_bins, n_rx)
     matrices = tuple(

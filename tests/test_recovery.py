@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
-                     ValidationError, acquire, add_noise, build_dictionaries,
-                     build_environment, coherence, generate_scene, matrix_omp,
-                     oracle_coefficients, recovery, synth_received)
+                     ValidationError, acquire, add_noise, build_environment,
+                     coherence, generate_scene, matrix_omp, oracle_coefficients,
+                     recovery, synth_received)
 from submimo.geometry import AzimuthGrid
 from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _pair_scores,
                               _range_maps, _row_bound, _select, _smooth_length,
@@ -119,22 +119,13 @@ def test_degenerate_support_is_reported():
     rgrid = RangeGrid.from_cells(1e-4, 8)
     agrid = AzimuthGrid(values=np.array([0.0, 0.5]))
     atom_b = np.ones((2, 2), dtype=complex)
-    dicts = DictionarySet(azimuth_atoms=(atom_b,) * 2, bins=bins, tx_indices=(0, 1),
+    dicts = DictionarySet(azimuth_atoms=(atom_b,) * 2, bins=bins,
                           range_grid=rgrid, azi_grid=agrid)
     y = np.ones((4, 2), dtype=complex)  # range cell 0, either azimuth cell
     coeffs = CoefficientSet(matrices=(y, -y), bins=bins, tx_indices=(0, 1),
                             rx_indices=(0, 1))
     with pytest.raises(NumericalError):
         matrix_omp(coeffs, dicts, max_targets=2)
-
-
-def test_dictionaries_need_the_uniform_range_grid(desk_env):
-    grid = desk_env.range_grid
-    shifted = RangeGrid(delays=grid.delays + grid.resolution / 2,
-                        resolution=grid.resolution)
-    with pytest.raises(ValidationError):
-        build_dictionaries(desk_env.array, desk_env.plan, desk_env.bins, shifted,
-                           desk_env.azi_grid)
 
 
 def _array_bytes(obj) -> int:
@@ -169,7 +160,7 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
                                     n_bins=n_bins, n_rx=n_rx, n_range=n_range,
                                     n_azi=n_azi, total_bins=total_bins)
     want = brute_force_scores(coeffs.matrices, dicts)
-    got = _pair_scores(_range_maps(coeffs.matrices, dicts), dicts, np.arange(n_range))
+    got = _pair_scores(_range_maps(coeffs.matrices, dicts), dicts)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
 
 
@@ -244,16 +235,21 @@ def test_block_maps_are_the_range_map_rows(row_share, **draw):
         np.testing.assert_allclose(g, h[rows], rtol=0, atol=1e-9 * peak)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
        n_bins=st.integers(1, 12), total_bins=st.integers(4, 16),
        n_range=st.integers(2, 40), n_rx=st.integers(1, 4), n_azi=st.integers(1, 9),
-       block_rows=st.integers(1, 5), first_rows=st.integers(1, 3),
+       block_rows=st.one_of(st.integers(1, 5), st.integers(1, 48)),
+       first_rows=st.one_of(st.integers(1, 3), st.integers(1, 48)),
        n_selected=st.integers(0, 4))
 @example(seed=3, n_channels=2, n_bins=5, total_bins=6, n_range=31, n_rx=3, n_azi=4,
          block_rows=2, first_rows=1, n_selected=2)  # C > 2N: the lag-domain scan
 @example(seed=0, n_channels=2, n_bins=3, total_bins=16, n_range=40, n_rx=2, n_azi=3,
          block_rows=3, first_rows=2, n_selected=3)  # and a bin span below N
+@example(seed=4, n_channels=2, n_bins=6, total_bins=8, n_range=12, n_rx=3, n_azi=5,
+         block_rows=16, first_rows=16, n_selected=2)  # one block, C < first rows
+@example(seed=5, n_channels=3, n_bins=4, total_bins=5, n_range=13, n_rx=2, n_azi=4,
+         block_rows=20, first_rows=16, n_selected=3)  # and the same with C > 2N
 def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, total_bins,
                                                      n_range, n_rx, n_azi, block_rows,
                                                      first_rows, n_selected):
@@ -267,8 +263,9 @@ def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, t
     want = brute_force_scores(coeffs.matrices, dicts)
     for n, p in support:
         want[n, p] = -np.inf
-    # blocks of a few rows force the bound-ordered, pruned scan; a first block
-    # of even fewer rows leaves the candidate pass several blocks to scan
+    # blocks of a few rows leave the candidate pass several blocks to scan,
+    # wider ones fit the whole grid; a first pass of more rows than the grid
+    # holds scores every row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * n_azi)
         mp.setattr(recovery, "_FIRST_ROWS", first_rows)
@@ -291,7 +288,7 @@ def _tie_instance(n_range):
     """
     bins = BinSet(indices=(0, 1), per_channel_bins=4)
     atoms = np.array([[1, 1], [0, 0]], dtype=complex)
-    dicts = DictionarySet(azimuth_atoms=(atoms,), bins=bins, tx_indices=(0,),
+    dicts = DictionarySet(azimuth_atoms=(atoms,), bins=bins,
                           range_grid=RangeGrid.from_cells(1e-4, n_range),
                           azi_grid=AzimuthGrid(values=np.array([0.0, 0.5])))
     residual = np.array([[1, 1], [0, -1]], dtype=complex)  # rows: bins 0, 1
@@ -317,15 +314,16 @@ def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_
         bound = (_row_bound([residual], dicts, _weights(dicts)) if n_range > 8 else
                  np.sum(np.abs(_range_maps([residual], dicts)[0]) ** 2, axis=1))
         assert np.argmax(bound) > 0 and np.argmin(bound) == 0  # row 0 is scanned last
-        scores = _pair_scores(_range_maps([residual], dicts), dicts, slice(None))
+        scores = _pair_scores(_range_maps([residual], dicts), dicts)
         assert np.all(scores == scores[0, 0])
         assert _select([residual], dicts, []) == (0, 0)
         assert _select([residual], dicts, [(0, 0)]) == (0, 1)
         assert _select([residual], dicts, [(0, 0), (0, 1)]) == (1, 0)
 
 
-def test_single_block_grid_wider_than_2n_keeps_the_fft_maps(monkeypatch):
-    # 12 > 2N = 8 cells, but all 24 fit one block: no bound and no row table
+def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
+    # 12 > 2N = 8 cells: the bound and the scored rows' maps come from the
+    # residuals, though all 24 cells fit one block
     dicts, residual = _tie_instance(12)
     assert len(dicts.range_grid) * len(dicts.azi_grid) <= recovery._SCORE_BLOCK_CELLS
     called = []
@@ -333,7 +331,7 @@ def test_single_block_grid_wider_than_2n_keeps_the_fft_maps(monkeypatch):
         monkeypatch.setattr(recovery, name, lambda *args, _name=name, _f=getattr(
             recovery, name): called.append(_name) or _f(*args))
     assert _select([residual], dicts, []) == (0, 0)
-    assert called == ["_range_maps"]
+    assert called[0] == "_row_bound" and set(called[1:]) == {"_block_maps"}
 
 
 def _counting_trial(env, monkeypatch, iteration_marker):
@@ -368,10 +366,10 @@ def _counting_trial(env, monkeypatch, iteration_marker):
     return est, rows, calls["_range_maps"]
 
 
-def test_desk_wide_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch):
-    env = desk_envs[ArrayMode.WIDE]
-    block = recovery._SCORE_BLOCK_CELLS // len(env.azi_grid)
-    assert block < len(env.range_grid)  # the grid spans several blocks
+@pytest.mark.parametrize("mode", list(ArrayMode))
+def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch, mode):
+    # ULA, random and thinned fit one block; wide spans several
+    env = desk_envs[mode]
     est, rows, _ = _counting_trial(env, monkeypatch, "_range_maps")
     assert len(rows) == len(est) == 10
     assert max(rows) <= 64
