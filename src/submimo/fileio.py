@@ -97,8 +97,9 @@ def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None
 def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseband:
     """Frames and manifest written by `write_received`.
 
-    With `plan`, a manifest that names the digest of another plan is
-    rejected: its frames carry that plan's spectra, not this one's.
+    With `plan`, a manifest that names the digest of another plan, or no
+    digest, is rejected: its frames carry that plan's spectra, or spectra
+    that cannot be told apart from another plan's.
     """
     directory = Path(directory)
     manifest = directory / "received.hdr"
@@ -120,11 +121,15 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
     pri = number("pri_s", float)
     if num_rx < 1:
         raise ValidationError(f"{manifest}: num_rx = {num_rx} lists no receiver")
-    written_for = header.get("plan_digest")
-    if plan is not None and written_for and written_for != plan_digest(plan):
-        raise ValidationError(f"frames in {directory} were synthesized for plan "
-                              f"{written_for}, not the configured plan "
-                              f"{plan_digest(plan)}")
+    if plan is not None:
+        written_for = header.get("plan_digest")
+        if not written_for:
+            raise ValidationError(f"{manifest} names no plan_digest, so its frames "
+                                  f"cannot be checked against the configured plan")
+        if written_for != plan_digest(plan):
+            raise ValidationError(f"frames in {directory} were synthesized for plan "
+                                  f"{written_for}, not the configured plan "
+                                  f"{plan_digest(plan)}")
     frames = [read_iq(directory / f"rx_{q:02d}.iq")[0] for q in range(num_rx)]
     if len({len(f) for f in frames}) > 1:
         raise ValidationError(f"the receiver frames in {directory} differ in length")

@@ -162,34 +162,169 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _row_bound(residuals, dicts: DictionarySet, weights) -> np.ndarray:
-    """sum_m w_m ||h_m(n)||^2 for every range cell n, from lag autocorrelations.
+def _power_spectrum(matrices, offsets, length, weights) -> np.ndarray:
+    """sum_m w_m sum_q |F r_mq|^2 at the `length` frequencies of F.
+
+    F r is the FFT of a column r_mq of the channels' K x Q `matrices`,
+    placed at `offsets` (its bins' k - min(k)), zero elsewhere; the result
+    is `length` floats.
+    """
+    power = 0.0
+    for r, w in zip(matrices, weights):  # per channel, so the spectra stay in cache
+        spec = np.zeros((r.shape[1], length), dtype=complex)
+        spec[:, offsets] = r.T
+        pairs = np.fft.fft(spec, out=spec).view(float)
+        power = power + w * np.einsum("ij,ij->j", pairs, pairs)
+    # power interleaves the re^2 and im^2 sums
+    return power.reshape(-1, 2).sum(axis=1)
+
+
+def _fold_bound(power, span: int, c: int) -> np.ndarray:
+    """sum_m w_m ||h_m(n)||^2 for every range cell n, from a power spectrum.
 
     ||h_m(n)||^2 = sum over lags d of a_m(d) exp(2j*pi*d*n/C), with
     a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^* (the channel offset m*N
     is a unit phase per row and drops out). Lags reach only |d| < span, the
     span of the selected bins, and do not move when the bins shift; so the
-    bins sit at k - min(k) in an FFT of the smallest 5-smooth length
-    >= 2*span - 1, whose weighted power spectra, summed over receivers and
-    channels, give sum_m w_m a_m without wrap. Folded mod C, the lags take
-    one C-point Hermitian transform.
+    inverse FFT of `power` (`_power_spectrum` at a length >= 2*span - 1)
+    gives sum_m w_m a_m without wrap. On a grid of C > 2N >= 2*span cells
+    the lags do not fold, and a C-point Hermitian transform reads only the
+    lags 0 <= d < span.
     """
-    c, k = len(dicts.range_grid), dicts.bins.as_array
-    offsets = k - k.min()
-    span = int(offsets.max()) + 1
-    length = _smooth_length(2 * span - 1)
-    power = 0.0
-    for r, w in zip(residuals, weights):  # per channel, so the spectra stay in cache
-        spec = np.zeros((r.shape[1], length), dtype=complex)
-        spec[:, offsets] = r.T
-        pairs = np.fft.fft(spec, out=spec).view(float)
-        power = power + w * np.einsum("ij,ij->j", pairs, pairs)
-    # power interleaves the re^2 and im^2 sums; lag d sits at index d mod length
-    lags = np.fft.ifft(power.reshape(-1, 2).sum(axis=1))
-    d = np.arange(1 - span, span)
-    folded = np.zeros(c, dtype=complex)
-    np.add.at(folded, d % c, lags[d])
-    return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
+    lags = np.fft.ifft(power)  # lag d sits at index d mod length
+    half = np.zeros(c // 2 + 1, dtype=complex)
+    half[:span] = lags[:span]
+    return c * np.fft.irfft(half, n=c)
+
+
+class _MapState:
+    """The range maps of a trial's residuals, on a grid of C <= 2N cells.
+
+    The coefficients' maps H_m(Y) are transformed once. Since
+    a_m(n)^H a_m(n') = kappa_m((n - n') mod C), with kappa_m the map of
+    atom 0 (all ones), the residual's maps are
+    H_m(R) = H_m(Y) - K_m[:, S] (x b_{m,S}^T), K_m[n, j] = kappa_m(n - n_j):
+    a C x s by s x Q product per channel, no scatter and no inverse FFT.
+    The update rounds at the scale of its terms, about 1e-16 of H_m(Y) for
+    a well-conditioned support. The scan reads the bound and the scores
+    from the same maps, so its slack need only cover their rounding
+    against each other: 1e-9 of the largest bound.
+    """
+
+    def __init__(self, matrices, dicts: DictionarySet, weights):
+        self.dicts, self.weights = dicts, weights
+        self.maps = _range_maps(matrices, dicts)
+        ones = np.ones((len(dicts.bins), 1))
+        self.kernels = [h[:, 0] for h in _range_maps([ones] * len(matrices), dicts)]
+        self.bound = self.residual([], None, None)[0]
+
+    def residual(self, support, amplitudes, residuals):
+        """The residual's row bound, block-map source (rows -> maps) and slack."""
+        maps = self.maps
+        if support:
+            c = len(self.dicts.range_grid)
+            ns, ps = np.array(support).T
+            lag = np.subtract.outer(np.arange(c), ns) % c
+            maps = [h - kappa[lag] @ (amplitudes[:, None] * b[:, ps].T)
+                    for h, kappa, b in zip(maps, self.kernels, self.dicts.azimuth_atoms)]
+        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
+                    for h, w in zip(maps, self.weights))
+        return bound, lambda block: [h[block] for h in maps], 1e-9 * bound.max()
+
+
+class _LagState:
+    """The row bound of a trial's residuals, on a grid of C > 2N cells.
+
+    The bins sit at k - min(k) in FFTs F of the smallest 5-smooth length
+    >= 2*span - 1. The coefficients' power spectrum P_Y is transformed once
+    (M*Q FFTs). Column q of R_m is Y_m[:, q] - sum_j x_j b_{m,p_j}[q]
+    phi_m(n_j) e_j, with e_j(k) = exp(-2j*pi*k*n_j/C) and the channel phase
+    phi_m(n) = exp(-2j*pi*m*N*n/C); so with S_j = F e_j, V_j = F z_j and
+    z_j = sum_m w_m phi_m(n_j)^* Y_m b_{m,p_j}^*,
+    P = P_Y - 2 Re sum_j x_j S_j V_j^* + sum_{j,l} S_j Gamma_jl S_l^*,
+    Gamma_jl = x_j x_l^* G_jl, G_jl = sum_m w_m phi_m(n_j) phi_m(n_l)^*
+    b_{m,p_j}^T b_{m,p_l}^*. A selected cell costs two FFTs and a row of G,
+    once. The scored rows' maps still come from the residuals
+    (`_block_maps`), so the bound must not fall below their scores by more
+    than the slack. The terms cancel, however small the residual: the
+    bound rounds at about 1e-16 of the largest term, which is at most the
+    coefficients' largest bound plus K^2 sum_jl |Gamma_jl| (|S_j| <= K,
+    the bin count; the cross term is bounded by the other two). The slack
+    is 1e-9 of that sum; for a well-conditioned support it is within a
+    small factor of 1e-9 of the coefficients' largest bound. A slack that
+    large would open every row once the residual's bound falls below it,
+    as a noiseless fit's does; below 1e3 times the slack the bound is
+    taken from the residual's own spectrum (M*Q FFTs), with 1e-9 of its
+    largest row as the slack.
+    """
+
+    def __init__(self, matrices, dicts: DictionarySet, weights):
+        self.matrices, self.dicts, self.weights = matrices, dicts, np.array(weights)
+        k = dicts.bins.as_array
+        self.offsets = k - k.min()
+        self.span = int(self.offsets.max()) + 1
+        length = _smooth_length(2 * self.span - 1)
+        self.power = _power_spectrum(matrices, self.offsets, length, weights)
+        self.bound = _fold_bound(self.power, self.span, len(dicts.range_grid))
+        self.spectra = np.zeros((0, length), dtype=complex)  # S_j
+        self.cross = np.zeros((0, length), dtype=complex)    # S_j V_j^*
+        self.gram = np.zeros((0, 0), dtype=complex)          # G
+
+    def _add_cell(self, cells) -> None:
+        """S, S V^* and G for the last of `cells`, the support so far."""
+        c, k, n_bins = (len(self.dicts.range_grid), self.dicts.bins.as_array,
+                        self.dicts.bins.per_channel_bins)
+        roots = _roots_of_unity(c)
+        (n, p), (ns, ps) = cells[-1], np.array(cells).T
+        phase = roots[np.multiply.outer(np.arange(len(self.weights)) * n_bins, ns) % c]
+        scale = self.weights * phase[:, -1]  # w_m phi_m(n)
+        z = sum(f.conjugate() * (y @ b[:, p].conj())
+                for f, y, b in zip(scale, self.matrices, self.dicts.azimuth_atoms))
+        pair = np.zeros((2, self.spectra.shape[1]), dtype=complex)
+        pair[0, self.offsets] = roots[k * n % c]
+        pair[1, self.offsets] = z
+        s, v = np.fft.fft(pair, out=pair)
+        self.spectra = np.vstack([self.spectra, s])
+        self.cross = np.vstack([self.cross, s * v.conj()])
+        row = sum(f * g.conj() * (b[:, p] @ b[:, ps].conj())
+                  for f, g, b in zip(scale, phase, self.dicts.azimuth_atoms))
+        self.gram = np.block([[self.gram, row[:-1, None].conj()], [row]])
+
+    def residual(self, support, amplitudes, residuals):
+        """The residual's row bound, block-map source (rows -> maps) and slack."""
+        block_maps = functools.partial(_block_maps, np.hstack(residuals), self.dicts)
+        if not support:
+            return self.bound, block_maps, 1e-9 * self.bound.max()
+        for j in range(len(self.spectra), len(support)):
+            self._add_cell(support[:j + 1])
+        gamma = np.outer(amplitudes, amplitudes.conj()) * self.gram
+        # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
+        quad = (gamma.T @ self.spectra).view(float)
+        quad *= self.spectra.view(float)
+        power = (self.power - 2 * (amplitudes @ self.cross).real
+                 + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
+        c = len(self.dicts.range_grid)
+        bound = _fold_bound(power, self.span, c)
+        slack = 1e-9 * (self.bound.max() + len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
+        if bound.max() < 1e3 * slack:
+            # a residual below a millionth of the terms (a noiseless fit): the
+            # expansion cannot resolve its bound, its own spectrum can
+            bound = _fold_bound(_power_spectrum(residuals, self.offsets, len(self.power),
+                                                self.weights), self.span, c)
+            slack = 1e-9 * bound.max()
+        return bound, block_maps, slack
+
+
+def _residual_state(matrices, dicts: DictionarySet):
+    """The state a trial's selections read the residual's bound and maps from.
+
+    `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one;
+    both hold the coefficients' row bound as `bound`. The row weights
+    w_m = max_p ||b_mp||^2 are taken once.
+    """
+    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+    wide = len(dicts.range_grid) > 2 * dicts.bins.per_channel_bins
+    return (_LagState if wide else _MapState)(matrices, dicts, weights)
 
 
 def _pair_scores(block_maps, dicts: DictionarySet) -> np.ndarray:
@@ -204,34 +339,24 @@ def _pair_scores(block_maps, dicts: DictionarySet) -> np.ndarray:
     return score
 
 
-def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
+def _select(bound, block_maps, slack: float, dicts: DictionarySet,
+            support) -> tuple[int, int]:
     """Exact argmax of S over the cells not in `support`, scanned in row blocks.
 
-    Rows are pruned by the Cauchy-Schwarz bound
-    S(n, p) <= sum_m ||h_m(n)||^2 max_p ||b_mp||^2: first the _FIRST_ROWS
-    rows of largest bound, found by partition, are scored; then every other
-    row whose bound can still reach the best score is sorted by descending
-    bound and scanned in cache-sized blocks, stopping at the first block
-    whose top bound cannot beat the best score found. A grid spanning at
-    most 2N cells takes every range map, and so the bound, from one FFT per
-    channel; a wider one takes the bound from the residuals' lag
-    autocorrelation (`_row_bound`) and only the scored rows' maps
-    (`_block_maps`).
+    `bound` holds every range row's Cauchy-Schwarz bound
+    sum_m w_m ||h_m(n)||^2 >= S(n, p), w_m = max_p ||b_mp||^2, and
+    `block_maps(rows)` the rows' maps h_m(n), ascending rows in. First the
+    _FIRST_ROWS rows of largest bound, found by partition, are scored; then
+    every other row whose bound plus `slack` can still reach the best score
+    is sorted by descending bound and scanned in cache-sized blocks,
+    stopping at the first block whose top bound plus `slack` cannot beat
+    the best score found. `slack` must cover the bound's rounding error.
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
     """
     c, n_azi = len(dicts.range_grid), len(dicts.azi_grid)
     rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
     ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
-    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
-    if c > 2 * dicts.bins.per_channel_bins:
-        block_maps = functools.partial(_block_maps, np.hstack(residuals), dicts)
-        bound = _row_bound(residuals, dicts, weights)
-    else:
-        maps = _range_maps(residuals, dicts)
-        block_maps = lambda block: [h[block] for h in maps]
-        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
-                    for h, w in zip(maps, weights))
     best, cell = -np.inf, (0, 0)
 
     def scan(block):
@@ -246,8 +371,6 @@ def _select(residuals, dicts: DictionarySet, support) -> tuple[int, int]:
         if top > best or (top == best and at < cell):
             best, cell = top, at
 
-    # the lag-domain bound rounds at the scale of the largest row
-    slack = 1e-9 * bound.max()
     first = min(_FIRST_ROWS, rows, c)
     head = np.sort(np.argpartition(bound, c - first)[c - first:])
     scan(head)
@@ -297,12 +420,18 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     Per iteration: add the best-scoring grid pair on the current residuals
     (found exactly by `_select`'s bound-pruned scan, which on every grid
     scores a few to a few dozen range rows), jointly refit every selected
-    amplitude across channels, and subtract the reconstruction. Scores
-    equal in floating point resolve to the smallest range cell, then the
-    smallest azimuth cell. Scores equal only in exact arithmetic may round
-    apart, and differently on a grid wider than 2N, whose partial-DFT maps
-    round unlike the FFT maps; such ties may resolve to any of the tied
-    cells.
+    amplitude across channels, and subtract the reconstruction. The
+    coefficients are transformed once per call: on a grid of C <= 2N cells
+    into range maps that each iteration updates by the support's kernels
+    (`_MapState`), on a wider one into the bound's power spectrum, updated
+    in closed form (`_LagState`). Both updates subtract the support's terms
+    from the coefficients' and so round at the scale of those terms, not of
+    the residual; each state gives the scan the slack that covers its
+    rounding. Scores equal in floating point resolve to the smallest range
+    cell, then the smallest azimuth cell. Scores equal only in exact
+    arithmetic may round apart, and differently on a grid wider than 2N,
+    whose partial-DFT maps round unlike the updated maps; such ties may
+    resolve to any of the tied cells.
     Stops after `max_targets` selections, or, when no target count is given,
     once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.
     """
@@ -326,8 +455,10 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     support: list[tuple[int, int]] = []
     amplitudes = np.zeros(0, dtype=complex)
     history: list[float] = []
+    state = _residual_state(matrices, dicts)
     while len(support) < cap and res_norm > tol * signal_norm:
-        support.append(_select(residuals, dicts, support))
+        support.append(_select(*state.residual(support, amplitudes, residuals),
+                               dicts, support))
         atoms = _support_atoms(dicts, support)
         amplitudes = _joint_refit(matrices, atoms, support)
         residuals = [y - a @ (amplitudes[:, None] * b.T)

@@ -36,6 +36,50 @@ def brute_force_scores(matrices, dicts):
     return scores
 
 
+def row_bound(residuals, dicts, weights):
+    """sum_m w_m ||h_m(n)||^2 for every range cell n, from the residuals' lags.
+
+    The reference for the updated bounds: lag d of channel m is
+    a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^*, from the power spectra
+    of the residual columns, with their bins at k - min(k), in FFTs of
+    2*span - 1 points (no wrap); the lags fold mod C (C may be below the
+    span) and take one C-point Hermitian transform.
+    """
+    c, k = len(dicts.range_grid), np.asarray(dicts.bins.indices)
+    offsets = k - k.min()
+    span = int(offsets.max()) + 1
+    length = 2 * span - 1
+    power = 0.0
+    for r, w in zip(residuals, weights):
+        spec = np.zeros((r.shape[1], length), dtype=complex)
+        spec[:, offsets] = r.T
+        power = power + w * np.sum(np.abs(np.fft.fft(spec, axis=1)) ** 2, axis=0)
+    lags = np.fft.ifft(power)
+    d = np.arange(1 - span, span)
+    folded = np.zeros(c, dtype=complex)
+    np.add.at(folded, d % c, lags[d])
+    return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
+
+
+def lstsq_fit(matrices, dicts, support):
+    """Least-squares amplitudes of `support` and the residuals they leave.
+
+    Dense atoms and one stacked least-squares solve over every channel; a
+    dependent support takes the minimum-norm amplitudes.
+    """
+    if not support:
+        return np.zeros(0, dtype=complex), list(matrices)
+    dense = dense_range_atoms(dicts)
+    ns, ps = [n for n, _ in support], [p for _, p in support]
+    cols = [np.stack([np.kron(b[:, p], a[:, n]) for n, p in support], axis=1)
+            for a, b in zip(dense, dicts.azimuth_atoms)]
+    rhs = np.concatenate([y.reshape(-1, order="F") for y in matrices])
+    amplitudes = np.linalg.lstsq(np.vstack(cols), rhs, rcond=None)[0]
+    residuals = [y - a[:, ns] @ (amplitudes[:, None] * b[:, ps].T)
+                 for y, a, b in zip(matrices, dense, dicts.azimuth_atoms)]
+    return amplitudes, residuals
+
+
 def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
                     total_bins=64):
     """A small synthetic solver instance with structured unit-modulus atoms."""

@@ -204,6 +204,21 @@ def test_acquire_rejects_a_manifest_without_num_rx(tmp_path, capsys):
     assert not (tmp_path / "coeffs.bin").exists()
 
 
+def test_acquire_rejects_a_manifest_without_a_plan_digest(tmp_path, capsys):
+    cfg, scene_path = write_inputs(tmp_path)
+    frames = tmp_path / "frames"
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(frames)]) == 0
+    manifest = frames / "received.hdr"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith("plan_digest")))
+    code = main(["acquire", "-c", str(cfg), "--in", str(frames),
+                 "-o", str(tmp_path / "coeffs.bin")])
+    assert code == 3
+    assert "plan_digest" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.bin").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["reduction", "-c", str(tmp_path / "absent.ini")])
     assert code == 2

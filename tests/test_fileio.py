@@ -91,6 +91,19 @@ def test_received_frames_of_another_plan_are_rejected(tmp_path, desk_env):
         fileio.read_received(tmp_path / "frames", other)
 
 
+@pytest.mark.parametrize("value", [None, ""])
+def test_received_manifest_without_a_plan_digest_is_rejected_given_a_plan(
+        tmp_path, desk_env, value):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    _rewrite_manifest(tmp_path / "frames", "plan_digest", value)
+    with pytest.raises(ValidationError, match="plan_digest"):
+        fileio.read_received(tmp_path / "frames", desk_env.plan)
+    # without a plan there is nothing to check the frames against
+    assert fileio.read_received(tmp_path / "frames").num_rx == rx.num_rx
+
+
 def test_coefficient_blob_roundtrip(tmp_path, desk_env):
     scene = Scene(targets=(Target(2e-5, 0.25, 1.0),))
     coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)

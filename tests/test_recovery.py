@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import brute_force_scores, dense_range_atoms, random_instance
+from helpers import (brute_force_scores, dense_range_atoms, lstsq_fit, random_instance,
+                     row_bound)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,9 +12,9 @@ from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
                      coherence, generate_scene, matrix_omp, oracle_coefficients,
                      recovery, synth_received)
 from submimo.geometry import AzimuthGrid
-from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _pair_scores,
-                              _range_maps, _row_bound, _select, _smooth_length,
-                              _support_atoms)
+from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _LagState,
+                              _MapState, _pair_scores, _range_maps, _residual_state,
+                              _select, _smooth_length, _support_atoms)
 from submimo.xampler import BinSet, CoefficientSet
 
 
@@ -209,12 +210,102 @@ _grids = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
 @example(**_SHIFTED_BINS_EXAMPLES[1])
 @example(**_SHIFTED_BINS_EXAMPLES[2])
 def test_lag_domain_bound_matches_the_weighted_row_energies(**draw):
+    # the reference on every grid; the coefficients' bound of the lag-domain
+    # state on grids wider than 2N, the only ones it serves
     coeffs, dicts = _grid_instance(**draw)
     weights = _weights(dicts)
     want = sum(np.sum(np.abs(h) ** 2, axis=1) * w
                for h, w in zip(_range_maps(coeffs.matrices, dicts), weights))
-    got = _row_bound(coeffs.matrices, dicts, weights)
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * want.max())
+    got = [row_bound(coeffs.matrices, dicts, weights)]
+    if draw["n_range"] > 2 * draw["total_bins"]:
+        got.append(_LagState(coeffs.matrices, dicts, weights).bound)
+    for bound in got:
+        np.testing.assert_allclose(bound, want, rtol=1e-9, atol=1e-12 * want.max())
+
+
+def _fitted_instance(seed, n_channels, n_bins, total_bins, n_range, n_rx, n_azi,
+                     n_selected, noiseless):
+    """A random instance, a random support and its least-squares amplitudes.
+
+    Noiseless, the coefficients are the support's atoms times random
+    amplitudes, which the fit recovers up to rounding: the residual is
+    about 1e-15 of the coefficients.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs, dicts = random_instance(rng, n_channels=n_channels,
+                                    n_bins=min(n_bins, total_bins), n_rx=n_rx,
+                                    n_range=n_range, n_azi=n_azi, total_bins=total_bins)
+    cells = rng.choice(n_range * n_azi, size=min(n_selected, n_range * n_azi - 1),
+                       replace=False)
+    support = [divmod(int(c), n_azi) for c in cells]
+    matrices = coeffs.matrices
+    if noiseless and support:
+        x = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+        ns, ps = [n for n, _ in support], [p for _, p in support]
+        matrices = [a[:, ns] @ (x[:, None] * b[:, ps].T)
+                    for a, b in zip(dense_range_atoms(dicts), dicts.azimuth_atoms)]
+    amplitudes, residuals = lstsq_fit(matrices, dicts, support)
+    return matrices, dicts, support, amplitudes, residuals
+
+
+def _fit_peak(dicts, amplitudes):
+    """K sum_j |x_j|: no entry of a range map of the support's atoms exceeds it."""
+    return len(dicts.bins) * np.abs(amplitudes).sum()
+
+
+_fits = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+             n_bins=st.integers(1, 16), total_bins=st.integers(1, 16),
+             n_rx=st.integers(1, 4), n_azi=st.integers(1, 6),
+             n_selected=st.integers(0, 5), noiseless=st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_range=st.integers(1, 50), **_fits)
+@example(seed=0, n_channels=2, n_bins=8, total_bins=8, n_range=5, n_rx=3, n_azi=4,
+         n_selected=3, noiseless=False)  # C below the bin span: rows collide
+@example(seed=1, n_channels=3, n_bins=6, total_bins=8, n_range=16, n_rx=3, n_azi=4,
+         n_selected=4, noiseless=True)  # C = 2N, fitted exactly
+def test_updated_maps_match_the_residual_maps(**draw):
+    matrices, dicts, support, amplitudes, residuals = _fitted_instance(**draw)
+    weights = _weights(dicts)
+    state = _MapState(matrices, dicts, weights)
+    bound, block_maps, _ = state.residual(support, amplitudes, residuals)
+    want = _range_maps(residuals, dicts)
+    # the update rounds at its largest term: |H(Y)| or K |x_j| (unit atoms)
+    peak = max(np.abs(h).max() for h in state.maps) + _fit_peak(dicts, amplitudes)
+    for got, h in zip(block_maps(np.arange(draw["n_range"])), want):
+        np.testing.assert_allclose(got, h, rtol=0, atol=1e-12 * peak)
+    energies = sum(np.sum(np.abs(h) ** 2, axis=1) * w for h, w in zip(want, weights))
+    rows_scale = sum(w * b.shape[0] for w, b in zip(weights, dicts.azimuth_atoms))
+    np.testing.assert_allclose(bound, energies, rtol=0, atol=1e-12 * rows_scale * peak ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra_cells=st.integers(1, 30), **_fits)
+@example(seed=2, n_channels=2, n_bins=6, total_bins=9, extra_cells=22, n_rx=4, n_azi=3,
+         n_selected=4, noiseless=False)
+@example(seed=3, n_channels=3, n_bins=3, total_bins=14, extra_cells=4, n_rx=2, n_azi=5,
+         n_selected=5, noiseless=True)  # a bin span below N, fitted exactly
+@example(seed=0, n_channels=3, n_bins=1, total_bins=6, extra_cells=21, n_rx=1, n_azi=1,
+         n_selected=4, noiseless=False)  # three cells nearly dependent: |x| near 1e14
+def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
+    # one state grows its support a cell per call, as in matrix_omp; a fresh
+    # one takes the whole support at once
+    draw["n_range"] = 2 * draw["total_bins"] + extra_cells  # C > 2N
+    matrices, dicts, support, _, _ = _fitted_instance(**draw)
+    weights = _weights(dicts)
+    state = _LagState(matrices, dicts, weights)
+    calls = [(state, size) for size in range(len(support) + 1)]
+    calls.append((_LagState(matrices, dicts, weights), len(support)))
+    for state, size in calls:
+        amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
+        bound, _, slack = state.residual(support[:size], amplitudes, residuals)
+        # the slack is 1e-9 of the largest term: of the coefficients' bound
+        # for a well-conditioned support, more for a nearly dependent one
+        if size == 0:
+            assert slack == 1e-9 * state.bound.max()
+        np.testing.assert_allclose(bound, row_bound(residuals, dicts, weights),
+                                   rtol=0, atol=1e-3 * slack)
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,6 +326,30 @@ def test_block_maps_are_the_range_map_rows(row_share, **draw):
         np.testing.assert_allclose(g, h[rows], rtol=0, atol=1e-9 * peak)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
+    # the expansion rounds at the coefficients' scale, far above this
+    # residual's bound; the state takes the bound from the residual instead,
+    # so the slack shrinks with it and the scan still prunes
+    matrices, dicts, support, amplitudes, residuals = _fitted_instance(
+        seed=seed, n_channels=3, n_bins=3, total_bins=14, n_range=33, n_rx=2, n_azi=5,
+        n_selected=5, noiseless=True)
+    weights = _weights(dicts)
+    state = _LagState(matrices, dicts, weights)
+    bound, _, slack = state.residual(support, amplitudes, residuals)
+    want = row_bound(residuals, dicts, weights)
+    assert want.max() < 1e-20 * state.bound.max()
+    assert slack == 1e-9 * bound.max()
+    np.testing.assert_allclose(bound, want, rtol=0, atol=1e-9 * want.max())
+
+
+def _select_through_state(matrices, dicts, support, amplitudes, residuals):
+    """`_select` on the residual as matrix_omp reaches it: through the state
+    of the coefficients, updated by the support and its amplitudes."""
+    state = _residual_state(matrices, dicts)
+    return _select(*state.residual(support, amplitudes, residuals), dicts, support)
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
        n_bins=st.integers(1, 12), total_bins=st.integers(4, 16),
@@ -250,30 +365,27 @@ def test_block_maps_are_the_range_map_rows(row_share, **draw):
          block_rows=16, first_rows=16, n_selected=2)  # one block, C < first rows
 @example(seed=5, n_channels=3, n_bins=4, total_bins=5, n_range=13, n_rx=2, n_azi=4,
          block_rows=20, first_rows=16, n_selected=3)  # and the same with C > 2N
-def test_bound_pruned_selection_is_the_masked_argmax(seed, n_channels, n_bins, total_bins,
-                                                     n_range, n_rx, n_azi, block_rows,
-                                                     first_rows, n_selected):
-    rng = np.random.default_rng(seed)
-    coeffs, dicts = random_instance(rng, n_channels=n_channels,
-                                    n_bins=min(n_bins, total_bins), n_rx=n_rx,
-                                    n_range=n_range, n_azi=n_azi, total_bins=total_bins)
-    cells = rng.choice(n_range * n_azi, size=min(n_selected, n_range * n_azi - 1),
-                       replace=False)
-    support = [divmod(int(c), n_azi) for c in cells]
-    want = brute_force_scores(coeffs.matrices, dicts)
+def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **draw):
+    matrices, dicts, support, amplitudes, residuals = _fitted_instance(
+        noiseless=False, **draw)
+    want = brute_force_scores(residuals, dicts)
     for n, p in support:
         want[n, p] = -np.inf
     # blocks of a few rows leave the candidate pass several blocks to scan,
     # wider ones fit the whole grid; a first pass of more rows than the grid
     # holds scores every row
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * n_azi)
+        mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * draw["n_azi"])
         mp.setattr(recovery, "_FIRST_ROWS", first_rows)
-        got = _select(coeffs.matrices, dicts, support)
-    # cells within float noise of the maximum; more than one only when the
+        got = _select_through_state(matrices, dicts, support, amplitudes, residuals)
+    # cells within rounding of the maximum: the updated maps round at their
+    # largest term, |H(Y)| or the fit's K |x_j|. More than one only when the
     # instance ties them exactly (for example a single bin), where rounding
     # decides, so the row-major rule is pinned on bit-exact ties below
-    best = np.argwhere(want >= want.max() * (1 - 1e-9))
+    peak = max(np.abs(h).max() for h in _range_maps(matrices, dicts))
+    scale = sum(b.shape[0] ** 2 for b in dicts.azimuth_atoms) * (
+        peak + _fit_peak(dicts, amplitudes)) ** 2
+    best = np.argwhere(want >= want.max() - 1e-9 * scale)
     assert list(got) in best.tolist()
     if len(best) == 1:
         assert got == np.unravel_index(np.argmax(want), want.shape)
@@ -299,11 +411,18 @@ def _tie_instance(n_range):
 _TIE_GRIDS = (6, 12)
 
 
+def _select_masked(residual, dicts, support):
+    """Select on `residual` with `support` masked: zero amplitudes leave the
+    state's residual equal to the coefficients, bit for bit."""
+    zeros = np.zeros(len(support), dtype=complex)
+    return _select_through_state([residual], dicts, support, zeros, [residual])
+
+
 def test_selection_of_an_all_zero_residual_is_the_first_cell(monkeypatch):
     monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2)  # one row per block
     for n_range in _TIE_GRIDS:
         dicts, _ = _tie_instance(n_range)
-        assert _select([np.zeros((2, 2), dtype=complex)], dicts, []) == (0, 0)
+        assert _select_masked(np.zeros((2, 2), dtype=complex), dicts, []) == (0, 0)
 
 
 @pytest.mark.parametrize("block_rows", [1, 3])
@@ -311,76 +430,97 @@ def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_
     monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2 * block_rows)
     for n_range in _TIE_GRIDS:
         dicts, residual = _tie_instance(n_range)
-        bound = (_row_bound([residual], dicts, _weights(dicts)) if n_range > 8 else
-                 np.sum(np.abs(_range_maps([residual], dicts)[0]) ** 2, axis=1))
+        state = _residual_state([residual], dicts)
+        bound, block_maps, _ = state.residual([(0, 0)], np.zeros(1, dtype=complex),
+                                              [residual])
+        np.testing.assert_array_equal(bound, state.bound)
         assert np.argmax(bound) > 0 and np.argmin(bound) == 0  # row 0 is scanned last
-        scores = _pair_scores(_range_maps([residual], dicts), dicts)
+        scores = _pair_scores(block_maps(np.arange(n_range)), dicts)
         assert np.all(scores == scores[0, 0])
-        assert _select([residual], dicts, []) == (0, 0)
-        assert _select([residual], dicts, [(0, 0)]) == (0, 1)
-        assert _select([residual], dicts, [(0, 0), (0, 1)]) == (1, 0)
+        np.testing.assert_allclose(scores, brute_force_scores([residual], dicts))
+        assert _select_masked(residual, dicts, []) == (0, 0)
+        assert _select_masked(residual, dicts, [(0, 0)]) == (0, 1)
+        assert _select_masked(residual, dicts, [(0, 0), (0, 1)]) == (1, 0)
 
 
 def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
-    # 12 > 2N = 8 cells: the bound and the scored rows' maps come from the
-    # residuals, though all 24 cells fit one block
+    # 12 > 2N = 8 cells: the bound comes from the power spectrum and the
+    # scored rows' maps from the residuals, though all 24 cells fit one block
     dicts, residual = _tie_instance(12)
     assert len(dicts.range_grid) * len(dicts.azi_grid) <= recovery._SCORE_BLOCK_CELLS
+    assert isinstance(_residual_state([residual], dicts), _LagState)
+    assert isinstance(_residual_state([residual], _tie_instance(8)[0]), _MapState)
     called = []
-    for name in ("_range_maps", "_row_bound", "_block_maps"):
+    for name in ("_range_maps", "_block_maps"):
         monkeypatch.setattr(recovery, name, lambda *args, _name=name, _f=getattr(
             recovery, name): called.append(_name) or _f(*args))
-    assert _select([residual], dicts, []) == (0, 0)
-    assert called[0] == "_row_bound" and set(called[1:]) == {"_block_maps"}
+    assert _select_masked(residual, dicts, []) == (0, 0)
+    assert set(called) == {"_block_maps"}
 
 
-def _counting_trial(env, monkeypatch, iteration_marker):
-    """Range rows scored per matrix OMP iteration on a seeded -5 dB trial."""
+def _counting_trial(env, monkeypatch):
+    """Per matrix OMP iteration of a seeded -5 dB trial, the range rows scored;
+    per call, the `_range_maps` calls on the coefficients and on anything
+    else, and the shapes of the forward FFTs."""
     scene = generate_scene(np.random.default_rng([7, 0, 0]),
                            SceneSpec(num_targets=10, min_sin_sep=0.025),
                            len(env.range_grid), env.plan.pri)
     rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
                    -5.0, [7, 0, 1])
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
-    rows, calls = [], {"_range_maps": 0}
-    marker, range_maps, pair_scores = (getattr(recovery, iteration_marker),
-                                       recovery._range_maps, recovery._pair_scores)
+    rows, calls, ffts = [], {"coefficients": 0, "other": 0}, []
+    select, range_maps, pair_scores, fft = (recovery._select, recovery._range_maps,
+                                            recovery._pair_scores, np.fft.fft)
 
-    def counting_marker(*args):
+    def counting_select(*args):
         rows.append(0)
-        return marker(*args)
+        return select(*args)
 
-    def counting_range_maps(*args):
-        calls["_range_maps"] += 1
-        return range_maps(*args)
+    def counting_range_maps(residuals, dicts):
+        calls["coefficients" if residuals is coeffs.matrices else "other"] += 1
+        return range_maps(residuals, dicts)
 
     def counting_pair_scores(*args):
         score = pair_scores(*args)
         rows[-1] += score.shape[0]
         return score
 
+    def counting_fft(a, *args, **kwargs):
+        ffts.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
     monkeypatch.setattr(recovery, "_range_maps", counting_range_maps)
-    monkeypatch.setattr(recovery, iteration_marker, counting_marker)
+    monkeypatch.setattr(recovery, "_select", counting_select)
     monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
     est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
-    return est, rows, calls["_range_maps"]
+    monkeypatch.setattr(np.fft, "fft", fft)
+    return est, rows, calls, ffts
 
 
 @pytest.mark.parametrize("mode", list(ArrayMode))
 def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch, mode):
-    # ULA, random and thinned fit one block; wide spans several
+    # ULA, random and thinned fit one block; wide spans several. The range
+    # maps of the coefficients and of the kernels are taken once per call
     env = desk_envs[mode]
-    est, rows, _ = _counting_trial(env, monkeypatch, "_range_maps")
+    assert len(env.range_grid) <= 2 * env.bins.per_channel_bins
+    est, rows, calls, ffts = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
+    assert calls == {"coefficients": 1, "other": 1}
+    assert ffts == []
     assert max(rows) <= 64
 
 
 def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
+    # no full range map; the L-point FFTs of the coefficients' M x Q columns
+    # run once, then each selected cell takes two more
     env = build_environment(ArrayMode.WIDE, "full", seed=7)
     assert len(env.range_grid) > 2 * env.bins.per_channel_bins
-    est, rows, range_maps_calls = _counting_trial(env, monkeypatch, "_row_bound")
-    assert range_maps_calls == 0
+    est, rows, calls, ffts = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
+    assert calls == {"coefficients": 0, "other": 0}
+    num_rx, length = env.array.num_rx, ffts[0][-1]
+    assert ffts == [(num_rx, length)] * env.array.num_tx + [(2, length)] * 9
     assert max(rows) <= 64
 
 
