@@ -5,7 +5,7 @@
     python3 scripts/compare_outputs.py --parent ../parent --seed 4242
 
 Each checkout runs, in its own subprocess with its own `src/` on the path,
-the same 10-target trials at --snr-db: --desk-trials per mode on the four
+the same 10-target trials at SNR_DB: --desk-trials per mode on the four
 desk modes and --full-trials per mode on full ULA and wide. Trial r of a
 mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
@@ -30,9 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_MODES = ("ula", "random", "thinned", "wide")
 FULL_MODES = ("ula", "wide")
 FIELDS = ("support", "amplitudes", "residual_history")
+SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
-def run_trials(seed: int, snr_db: float, desk_trials: int, full_trials: int) -> dict:
+def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
     """(profile, mode, r) -> the recovered support, amplitudes and history."""
     from submimo import ArrayMode, SceneSpec, build_environment, generate_scene, run_trial
 
@@ -47,7 +48,7 @@ def run_trials(seed: int, snr_db: float, desk_trials: int, full_trials: int) -> 
             for r in range(trials):
                 scene = generate_scene(np.random.default_rng([seed, r, 0]), spec,
                                        len(env.range_grid), env.plan.pri)
-                est, _ = run_trial(env, scene, snr_db, [seed, r, 1])
+                est, _ = run_trial(env, scene, SNR_DB, [seed, r, 1])
                 outputs[profile, mode, r] = {
                     "support": np.array(est.support), "amplitudes": est.amplitudes,
                     "residual_history": np.array(est.residual_history)}
@@ -60,8 +61,7 @@ def outputs_of(checkout: Path, args) -> dict:
         out = Path(tmp) / "outputs.pkl"
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
         subprocess.run([sys.executable, __file__, "--worker", str(out),
-                        "--seed", str(args.seed), "--snr-db", str(args.snr_db),
-                        "--desk-trials", str(args.desk_trials),
+                        "--seed", str(args.seed), "--desk-trials", str(args.desk_trials),
                         "--full-trials", str(args.full_trials)],
                        cwd=checkout, env=env, check=True)
         return pickle.loads(out.read_bytes())
@@ -79,14 +79,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, help="checkout to compare this one with")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--snr-db", type=float, default=-5.0)
     parser.add_argument("--desk-trials", type=int, default=20)
     parser.add_argument("--full-trials", type=int, default=3)
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         args.worker.write_bytes(pickle.dumps(
-            run_trials(args.seed, args.snr_db, args.desk_trials, args.full_trials)))
+            run_trials(args.seed, args.desk_trials, args.full_trials)))
         return 0
     if args.parent is None:
         parser.error("--parent is required")

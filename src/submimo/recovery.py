@@ -28,6 +28,15 @@ _SCORE_BLOCK_CELLS = 1 << 15
 # rows scored first; the exact stop test is met after a few to a few dozen
 # rows in bound order
 _FIRST_ROWS = 16
+# the scan's slack, as a share of the values its bound rounds against
+_SLACK = 1e-9
+# an updated bound is kept while its largest row exceeds this many slacks
+# of its terms, 1e-6 of them: it then rounds at under 1e-10 of itself and
+# its slack is under a thousandth of it, so the scan prunes as on the
+# residual's own bound. Below (a residual under a millionth of the
+# coefficients, as after a noiseless fit) the update is mostly rounding
+# and would leave every row open; the state transforms the residual itself
+_KEEP_UPDATE_SLACKS = 1e3
 
 
 @dataclass(frozen=True)
@@ -205,31 +214,47 @@ class _MapState:
     atom 0 (all ones), the residual's maps are
     H_m(R) = H_m(Y) - K_m[:, S] (x b_{m,S}^T), K_m[n, j] = kappa_m(n - n_j):
     a C x s by s x Q product per channel, no scatter and no inverse FFT.
-    The update rounds at the scale of its terms, about 1e-16 of H_m(Y) for
-    a well-conditioned support. The scan reads the bound and the scores
-    from the same maps, so its slack need only cover their rounding
-    against each other: 1e-9 of the largest bound.
+    The update rounds at the scale of its terms, about 1e-16 of
+    |H_m(Y)| + K sum_j |x_j| per entry (|kappa_m| <= K, the bin count; unit
+    azimuth atoms), so its bound rounds at about 1e-16 of
+    sum_m w_m Q_m (max |H_m(Y)| + K sum_j |x_j|)^2. While the updated
+    bound's largest row exceeds _KEEP_UPDATE_SLACKS slacks of that sum, the
+    update is kept; below (a noiseless fit), the maps are taken from the
+    residuals (`_range_maps`), so later selections follow the residual, not
+    the update's rounding. The scan reads the bound and the scores from
+    the same maps, so its slack need only cover their rounding against
+    each other: _SLACK of the largest bound.
     """
 
     def __init__(self, matrices, dicts: DictionarySet, weights):
         self.dicts, self.weights = dicts, weights
         self.maps = _range_maps(matrices, dicts)
+        self.peaks = [np.abs(h).max() for h in self.maps]
         ones = np.ones((len(dicts.bins), 1))
         self.kernels = [h[:, 0] for h in _range_maps([ones] * len(matrices), dicts)]
-        self.bound = self.residual([], None, None)[0]
+        self.bound = self._bound(self.maps)
+
+    def _bound(self, maps) -> np.ndarray:
+        return sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
+                   for h, w in zip(maps, self.weights))
 
     def residual(self, support, amplitudes, residuals):
         """The residual's row bound, block-map source (rows -> maps) and slack."""
-        maps = self.maps
+        maps, bound = self.maps, self.bound
         if support:
             c = len(self.dicts.range_grid)
             ns, ps = np.array(support).T
             lag = np.subtract.outer(np.arange(c), ns) % c
             maps = [h - kappa[lag] @ (amplitudes[:, None] * b[:, ps].T)
                     for h, kappa, b in zip(maps, self.kernels, self.dicts.azimuth_atoms)]
-        bound = sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
-                    for h, w in zip(maps, self.weights))
-        return bound, lambda block: [h[block] for h in maps], 1e-9 * bound.max()
+            bound = self._bound(maps)
+            fit = len(self.dicts.bins) * np.abs(amplitudes).sum()
+            terms = sum(w * h.shape[1] * (peak + fit) ** 2
+                        for h, w, peak in zip(maps, self.weights, self.peaks))
+            if bound.max() < _KEEP_UPDATE_SLACKS * _SLACK * terms:
+                maps = _range_maps(residuals, self.dicts)
+                bound = self._bound(maps)
+        return bound, lambda block: [h[block] for h in maps], _SLACK * bound.max()
 
 
 class _LagState:
@@ -250,12 +275,12 @@ class _LagState:
     bound rounds at about 1e-16 of the largest term, which is at most the
     coefficients' largest bound plus K^2 sum_jl |Gamma_jl| (|S_j| <= K,
     the bin count; the cross term is bounded by the other two). The slack
-    is 1e-9 of that sum; for a well-conditioned support it is within a
-    small factor of 1e-9 of the coefficients' largest bound. A slack that
+    is _SLACK of that sum; for a well-conditioned support it is within a
+    small factor of _SLACK of the coefficients' largest bound. A slack that
     large would open every row once the residual's bound falls below it,
-    as a noiseless fit's does; below 1e3 times the slack the bound is
-    taken from the residual's own spectrum (M*Q FFTs), with 1e-9 of its
-    largest row as the slack.
+    as a noiseless fit's does; below _KEEP_UPDATE_SLACKS slacks the bound
+    is taken from the residual's own spectrum (M*Q FFTs), with _SLACK of
+    its largest row as the slack.
     """
 
     def __init__(self, matrices, dicts: DictionarySet, weights):
@@ -294,7 +319,7 @@ class _LagState:
         """The residual's row bound, block-map source (rows -> maps) and slack."""
         block_maps = functools.partial(_block_maps, np.hstack(residuals), self.dicts)
         if not support:
-            return self.bound, block_maps, 1e-9 * self.bound.max()
+            return self.bound, block_maps, _SLACK * self.bound.max()
         for j in range(len(self.spectra), len(support)):
             self._add_cell(support[:j + 1])
         gamma = np.outer(amplitudes, amplitudes.conj()) * self.gram
@@ -305,13 +330,13 @@ class _LagState:
                  + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
         c = len(self.dicts.range_grid)
         bound = _fold_bound(power, self.span, c)
-        slack = 1e-9 * (self.bound.max() + len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
-        if bound.max() < 1e3 * slack:
+        slack = _SLACK * (self.bound.max() + len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
+        if bound.max() < _KEEP_UPDATE_SLACKS * slack:
             # a residual below a millionth of the terms (a noiseless fit): the
             # expansion cannot resolve its bound, its own spectrum can
             bound = _fold_bound(_power_spectrum(residuals, self.offsets, len(self.power),
                                                 self.weights), self.span, c)
-            slack = 1e-9 * bound.max()
+            slack = _SLACK * bound.max()
         return bound, block_maps, slack
 
 
@@ -427,10 +452,13 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     in closed form (`_LagState`). Both updates subtract the support's terms
     from the coefficients' and so round at the scale of those terms, not of
     the residual; each state gives the scan the slack that covers its
-    rounding. Scores equal in floating point resolve to the smallest range
-    cell, then the smallest azimuth cell. Scores equal only in exact
-    arithmetic may round apart, and differently on a grid wider than 2N,
-    whose partial-DFT maps round unlike the updated maps; such ties may
+    rounding, and takes the residual's own transform once the residual
+    falls below a millionth of those terms (after a noiseless fit), so
+    selections past an exact fit follow the residual. Scores equal in
+    floating point resolve to the smallest range cell, then the smallest
+    azimuth cell. Scores equal only in exact arithmetic may round apart,
+    and differently on a grid wider than 2N, whose partial-DFT maps round
+    unlike the updated maps; such ties may
     resolve to any of the tied cells.
     Stops after `max_targets` selections, or, when no target count is given,
     once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.

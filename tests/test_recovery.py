@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import (brute_force_scores, dense_range_atoms, lstsq_fit, random_instance,
                      row_bound)
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
@@ -343,6 +343,39 @@ def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
     np.testing.assert_allclose(bound, want, rtol=0, atol=1e-9 * want.max())
 
 
+def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, monkeypatch):
+    # coefficients made of three cells' atoms fit exactly, leaving a residual
+    # of about 1e-16 of them: the updated maps would be the update's
+    # rounding, so the state maps the residual itself and the surplus
+    # selections are the masked argmax of the residual's own scores
+    env = desk_envs[ArrayMode.THINNED]
+    cells = [(105, 50), (169, 74), (184, 73)]
+    x = np.array([1.0, 0.7j, -0.5])
+    coeffs = oracle_coefficients(Scene(targets=()), env.array, env.plan, env.bins)
+    coeffs = dataclasses.replace(coeffs, matrices=tuple(
+        a @ (x[:, None] * b.T) for a, b in _support_atoms(env.dictionaries, cells)))
+    seen, mapped = [], []
+    residual, range_maps = _MapState.residual, recovery._range_maps
+
+    def spy(self, support, amplitudes, residuals):
+        seen.append((list(support), residuals))
+        return residual(self, support, amplitudes, residuals)
+
+    monkeypatch.setattr(_MapState, "residual", spy)
+    monkeypatch.setattr(recovery, "_range_maps",
+                        lambda r, d: mapped.append(r) or range_maps(r, d))
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=5)
+    assert sorted(est.support[:3]) == cells
+    assert est.residual_history[2] < 1e-28 * est.residual_history[0]
+    # the coefficients' and kernels' maps, then the residual's at selections 4, 5
+    assert [r is later for r, (_, later) in zip(mapped[2:], seen[3:])] == [True, True]
+    for (support, residuals), cell in zip(seen[3:], est.support[3:]):
+        want = brute_force_scores(residuals, env.dictionaries)
+        for n, p in support:
+            want[n, p] = -np.inf
+        assert want[cell] >= want.max() * (1 - 1e-9)
+
+
 def _select_through_state(matrices, dicts, support, amplitudes, residuals):
     """`_select` on the residual as matrix_omp reaches it: through the state
     of the coefficients, updated by the support and its amplitudes."""
@@ -371,21 +404,39 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     want = brute_force_scores(residuals, dicts)
     for n, p in support:
         want[n, p] = -np.inf
+    state = _residual_state(matrices, dicts)
+    own = []  # whether the state transforms the residual itself
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_range_maps", lambda r, d, _f=recovery._range_maps:
+                   own.append(r) or _f(r, d))
+        scan = state.residual(support, amplitudes, residuals)
+    updated = isinstance(state, _MapState) and support and not own
     # blocks of a few rows leave the candidate pass several blocks to scan,
     # wider ones fit the whole grid; a first pass of more rows than the grid
     # holds scores every row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * draw["n_azi"])
         mp.setattr(recovery, "_FIRST_ROWS", first_rows)
-        got = _select_through_state(matrices, dicts, support, amplitudes, residuals)
-    # cells within rounding of the maximum: the updated maps round at their
-    # largest term, |H(Y)| or the fit's K |x_j|. More than one only when the
+        got = _select(*scan, dicts, support)
+    # The scored maps' entries round at about 1e-16 of the values they come
+    # from, v_m: K |R_m| for the residual's own maps (and for brute force),
+    # plus |H_m(Y)| + K sum_j |x_j| for the updated desk maps. A score of such
+    # maps is within 2 sqrt(S) E + E^2 of the true one, E^2 = sum_m (Q_m e_m)^2,
+    # e_m the entries' error, so the selected cell's true score is within
+    # 4 sqrt(S*) E + 2 E^2 of the best, S*; with e_m below 1e-13 v_m that is
+    # under 1e-9 S* + floor, floor = 1e-15 sum_m (Q_m v_m)^2.
+    values = [len(dicts.bins) * np.abs(r).max() for r in residuals]
+    if updated:
+        values = [v + np.abs(h).max() + _fit_peak(dicts, amplitudes)
+                  for v, h in zip(values, _range_maps(matrices, dicts))]
+    floor = 1e-15 * sum((b.shape[0] * v) ** 2 for v, b in zip(values, dicts.azimuth_atoms))
+    # a best score within rounding of zero ties every cell (one bin and one
+    # azimuth cell, say) and checks nothing: no such draw is taken
+    assume(floor < 1e-9 * want.max())
+    # cells within rounding of the maximum; more than one only when the
     # instance ties them exactly (for example a single bin), where rounding
     # decides, so the row-major rule is pinned on bit-exact ties below
-    peak = max(np.abs(h).max() for h in _range_maps(matrices, dicts))
-    scale = sum(b.shape[0] ** 2 for b in dicts.azimuth_atoms) * (
-        peak + _fit_peak(dicts, amplitudes)) ** 2
-    best = np.argwhere(want >= want.max() - 1e-9 * scale)
+    best = np.argwhere(want >= want.max() * (1 - 1e-9) - floor)
     assert list(got) in best.tolist()
     if len(best) == 1:
         assert got == np.unravel_index(np.argmax(want), want.shape)
