@@ -10,7 +10,10 @@ desk modes and --full-trials per mode on full ULA and wide. Trial r of a
 mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
 trials. For every trial the script reports whether the supports, the
-amplitudes and the residual histories are `np.array_equal`. It exits 1
+amplitudes and the residual histories are `np.array_equal`, and per mode
+the largest relative difference |change - parent| / |parent| of any
+amplitude or residual-history entry over the trials with equal supports,
+so a change that is not bit-identical can state its tolerance. It exits 1
 when any support differs and 0 otherwise.
 """
 
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DESK_MODES = ("ula", "random", "thinned", "wide")
 FULL_MODES = ("ula", "wide")
 FIELDS = ("support", "amplitudes", "residual_history")
+VALUES = FIELDS[1:]  # the fields whose relative difference is reported
 SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
@@ -67,12 +71,25 @@ def outputs_of(checkout: Path, args) -> dict:
         return pickle.loads(out.read_bytes())
 
 
-def compare(parent: dict, change: dict) -> dict:
-    """Per trial key, field -> whether both sides' outputs are array-equal."""
+def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
+    """The largest |change - parent| / |parent| over the entries of equal-shaped
+    arrays; a zero parent entry counts 0 if the change's is zero too, else inf."""
+    diff = np.abs(change - parent)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(diff == 0, 0.0, diff / np.abs(parent))
+    return float(rel.max(initial=0.0))
+
+
+def compare(parent: dict, change: dict) -> tuple[dict, dict]:
+    """Per trial key, field -> whether both sides' outputs are array-equal; and
+    per trial key with equal supports, value field -> `relative_difference`."""
     if parent.keys() != change.keys():
         raise SystemExit("the checkouts ran different trials")
-    return {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
-            for key in parent}
+    equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
+             for key in parent}
+    diffs = {key: {f: relative_difference(parent[key][f], change[key][f]) for f in VALUES}
+             for key in parent if equal[key]["support"]}
+    return equal, diffs
 
 
 def main(argv=None) -> int:
@@ -90,11 +107,15 @@ def main(argv=None) -> int:
     if args.parent is None:
         parser.error("--parent is required")
 
-    equal = compare(outputs_of(args.parent.resolve(), args), outputs_of(ROOT, args))
+    equal, diffs = compare(outputs_of(args.parent.resolve(), args), outputs_of(ROOT, args))
     for profile, mode in sorted({key[:2] for key in equal}):
         trials = [same for key, same in equal.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: {len(trials)} trials, " + ", ".join(
             f"{f} equal in {sum(t[f] for t in trials)}" for f in FIELDS))
+        rel = [d for key, d in diffs.items() if key[:2] == (profile, mode)]
+        print(f"{profile} {mode}: largest relative difference over {len(rel)} trials with "
+              f"equal supports: " + ", ".join(
+                  f"{f} {max((d[f] for d in rel), default=0.0):.1e}" for f in VALUES))
     for key, same in sorted(equal.items()):
         if not all(same.values()):
             print(f"differs: {key[0]} {key[1]} trial {key[2]}: "

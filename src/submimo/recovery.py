@@ -4,8 +4,10 @@ The coefficient matrices factor as Y^m = A^m X (B^m)^T with a shared sparse
 X: column n of A^m is the phase signature of a delay cell on channel m's
 selected bins, column p of B^m the spatial signature of a sine-DoA cell on
 that transmitter's virtual elements. The solver greedily selects the grid
-pair maximizing the summed per-channel correlation energy, then refits all
-selected amplitudes jointly across channels each iteration.
+pair maximizing the summed per-channel correlation energy, then grows the
+joint least-squares refit of the selected amplitudes across channels by
+that one cell: an atom, a Gram row and a right-hand-side entry, with the
+new Schur pivot as its rank test.
 """
 
 from __future__ import annotations
@@ -150,25 +152,20 @@ def _block_maps(stacked, dicts: DictionarySet, rows) -> list[np.ndarray]:
     phase = np.multiply.outer(rows, k)
     phase %= c
     g = roots[phase] @ stacked
-    edges = np.cumsum([0] + [b.shape[0] for b in dicts.azimuth_atoms])
-    return [roots[m * n_bins * rows % c][:, None] * g[:, lo:hi]
-            for m, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    return [roots[m * n_bins * rows % c][:, None] * h
+            for m, h in enumerate(np.hsplit(g, len(dicts.azimuth_atoms)))]
 
 
 def _smooth_length(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT takes fast."""
-    best = 1 << (n - 1).bit_length()  # the power of two
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
 
 
 def _power_spectrum(matrices, offsets, length, weights) -> np.ndarray:
@@ -238,7 +235,7 @@ class _MapState:
         return sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
                    for h, w in zip(maps, self.weights))
 
-    def residual(self, support, amplitudes, residuals):
+    def residual(self, support, amplitudes, residual):
         """The residual's row bound, block-map source (rows -> maps) and slack."""
         maps, bound = self.maps, self.bound
         if support:
@@ -252,7 +249,7 @@ class _MapState:
             terms = sum(w * h.shape[1] * (peak + fit) ** 2
                         for h, w, peak in zip(maps, self.weights, self.peaks))
             if bound.max() < _KEEP_UPDATE_SLACKS * _SLACK * terms:
-                maps = _range_maps(residuals, self.dicts)
+                maps = _range_maps(np.hsplit(residual, len(maps)), self.dicts)
                 bound = self._bound(maps)
         return bound, lambda block: [h[block] for h in maps], _SLACK * bound.max()
 
@@ -262,67 +259,53 @@ class _LagState:
 
     The bins sit at k - min(k) in FFTs F of the smallest 5-smooth length
     >= 2*span - 1. The coefficients' power spectrum P_Y is transformed once
-    (M*Q FFTs). Column q of R_m is Y_m[:, q] - sum_j x_j b_{m,p_j}[q]
-    phi_m(n_j) e_j, with e_j(k) = exp(-2j*pi*k*n_j/C) and the channel phase
-    phi_m(n) = exp(-2j*pi*m*N*n/C); so with S_j = F e_j, V_j = F z_j and
-    z_j = sum_m w_m phi_m(n_j)^* Y_m b_{m,p_j}^*,
+    (M*Q FFTs). On the channels' columns side by side, with column weights
+    u (w_m on channel m's), the residual is Y - sum_j x_j a_j d_j^T
+    (`_cell_atoms`); so with S_j = F a_j, V_j = F z_j and z_j = Y (u d_j)^*,
     P = P_Y - 2 Re sum_j x_j S_j V_j^* + sum_{j,l} S_j Gamma_jl S_l^*,
-    Gamma_jl = x_j x_l^* G_jl, G_jl = sum_m w_m phi_m(n_j) phi_m(n_l)^*
-    b_{m,p_j}^T b_{m,p_l}^*. A selected cell costs two FFTs and a row of G,
-    once. The scored rows' maps still come from the residuals
-    (`_block_maps`), so the bound must not fall below their scores by more
-    than the slack. The terms cancel, however small the residual: the
-    bound rounds at about 1e-16 of the largest term, which is at most the
-    coefficients' largest bound plus K^2 sum_jl |Gamma_jl| (|S_j| <= K,
-    the bin count; the cross term is bounded by the other two). The slack
-    is _SLACK of that sum; for a well-conditioned support it is within a
-    small factor of _SLACK of the coefficients' largest bound. A slack that
-    large would open every row once the residual's bound falls below it,
-    as a noiseless fit's does; below _KEEP_UPDATE_SLACKS slacks the bound
-    is taken from the residual's own spectrum (M*Q FFTs), with _SLACK of
-    its largest row as the slack.
+    Gamma_jl = x_j x_l^* G_jl, G_jl = sum_c u_c d_j(c) d_l(c)^*. A
+    selected cell costs two FFTs, once. The scored rows' maps still come
+    from the residuals (`_block_maps`), so the bound must not fall below
+    their scores by more than the slack. The terms cancel, however small
+    the residual: the bound rounds at about 1e-16 of the largest term, at
+    most the coefficients' largest bound plus K^2 sum_jl |Gamma_jl|
+    (|S_j| <= K, the bin count; the cross term is bounded by the other
+    two). The slack is _SLACK of that sum, within a small factor of _SLACK
+    of the coefficients' largest bound for a well-conditioned support. It
+    would open every row once the residual's bound falls below it, as a
+    noiseless fit's does; below _KEEP_UPDATE_SLACKS slacks the bound is
+    taken from the residual's own spectrum (M*Q FFTs), with _SLACK of its
+    largest row as the slack.
     """
 
     def __init__(self, matrices, dicts: DictionarySet, weights):
-        self.matrices, self.dicts, self.weights = matrices, dicts, np.array(weights)
-        k = dicts.bins.as_array
-        self.offsets = k - k.min()
+        self.stacked, self.dicts, self.weights = np.hstack(matrices), dicts, weights
+        self.atoms, self.u = _cell_atoms(dicts), np.repeat(weights, matrices[0].shape[1])
+        self.offsets = dicts.bins.as_array - min(dicts.bins.indices)
         self.span = int(self.offsets.max()) + 1
         length = _smooth_length(2 * self.span - 1)
         self.power = _power_spectrum(matrices, self.offsets, length, weights)
         self.bound = _fold_bound(self.power, self.span, len(dicts.range_grid))
-        self.spectra = np.zeros((0, length), dtype=complex)  # S_j
-        self.cross = np.zeros((0, length), dtype=complex)    # S_j V_j^*
-        self.gram = np.zeros((0, 0), dtype=complex)          # G
+        self.spectra = self.cross = np.zeros((0, length), dtype=complex)  # S_j, S_j V_j^*
+        self.d = np.zeros((0, self.stacked.shape[1]), dtype=complex)  # d_j
 
-    def _add_cell(self, cells) -> None:
-        """S, S V^* and G for the last of `cells`, the support so far."""
-        c, k, n_bins = (len(self.dicts.range_grid), self.dicts.bins.as_array,
-                        self.dicts.bins.per_channel_bins)
-        roots = _roots_of_unity(c)
-        (n, p), (ns, ps) = cells[-1], np.array(cells).T
-        phase = roots[np.multiply.outer(np.arange(len(self.weights)) * n_bins, ns) % c]
-        scale = self.weights * phase[:, -1]  # w_m phi_m(n)
-        z = sum(f.conjugate() * (y @ b[:, p].conj())
-                for f, y, b in zip(scale, self.matrices, self.dicts.azimuth_atoms))
+    def _add_cell(self, n: int, p: int) -> None:
+        a, d = self.atoms(n, p)
         pair = np.zeros((2, self.spectra.shape[1]), dtype=complex)
-        pair[0, self.offsets] = roots[k * n % c]
-        pair[1, self.offsets] = z
+        pair[0, self.offsets], pair[1, self.offsets] = a, self.stacked @ (self.u * d).conj()
         s, v = np.fft.fft(pair, out=pair)
         self.spectra = np.vstack([self.spectra, s])
         self.cross = np.vstack([self.cross, s * v.conj()])
-        row = sum(f * g.conj() * (b[:, p] @ b[:, ps].conj())
-                  for f, g, b in zip(scale, phase, self.dicts.azimuth_atoms))
-        self.gram = np.block([[self.gram, row[:-1, None].conj()], [row]])
+        self.d = np.vstack([self.d, d])
 
-    def residual(self, support, amplitudes, residuals):
-        """The residual's row bound, block-map source (rows -> maps) and slack."""
-        block_maps = functools.partial(_block_maps, np.hstack(residuals), self.dicts)
+    def residual(self, support, amplitudes, residual):
+        """As `_MapState.residual`; the block maps read `residual` as it is."""
+        block_maps = functools.partial(_block_maps, residual, self.dicts)
         if not support:
             return self.bound, block_maps, _SLACK * self.bound.max()
-        for j in range(len(self.spectra), len(support)):
-            self._add_cell(support[:j + 1])
-        gamma = np.outer(amplitudes, amplitudes.conj()) * self.gram
+        for cell in support[len(self.spectra):]:
+            self._add_cell(*cell)
+        gamma = np.outer(amplitudes, amplitudes.conj()) * ((self.u * self.d) @ self.d.conj().T)
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
         quad = (gamma.T @ self.spectra).view(float)
         quad *= self.spectra.view(float)
@@ -334,8 +317,9 @@ class _LagState:
         if bound.max() < _KEEP_UPDATE_SLACKS * slack:
             # a residual below a millionth of the terms (a noiseless fit): the
             # expansion cannot resolve its bound, its own spectrum can
-            bound = _fold_bound(_power_spectrum(residuals, self.offsets, len(self.power),
-                                                self.weights), self.span, c)
+            bound = _fold_bound(_power_spectrum(np.hsplit(residual, len(self.weights)),
+                                                self.offsets, len(self.power), self.weights),
+                                self.span, c)
             slack = _SLACK * bound.max()
         return bound, block_maps, slack
 
@@ -344,7 +328,8 @@ def _residual_state(matrices, dicts: DictionarySet):
     """The state a trial's selections read the residual's bound and maps from.
 
     `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one;
-    both hold the coefficients' row bound as `bound`. The row weights
+    both hold the coefficients' row bound as `bound` and take the residual
+    as the channels' K x Q residuals side by side. The row weights
     w_m = max_p ||b_mp||^2 are taken once.
     """
     weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
@@ -411,31 +396,57 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     return cell
 
 
-def _support_atoms(dicts: DictionarySet, support):
-    """Per channel, the range (K x s) and azimuth (Q x s) atoms of the support."""
-    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
-    ns, ps = (list(cells) for cells in zip(*support))
-    roots = _roots_of_unity(c)  # indexed by the integer phase (k + m*N)*n mod C
-    return [(roots[np.outer(k + m * n_bins, ns) % c], b[:, ps])
-            for m, b in enumerate(dicts.azimuth_atoms)]
+def _cell_atoms(dicts: DictionarySet):
+    """(n, p) -> the factors a_n, d of cell (n, p)'s atom a_n d^T on the
+    channels' K x Q matrices side by side: a_n(k) = exp(-2j*pi*k*n/C) and
+    d stacks phi_m(n) b_{m,p} over the channels, since channel m's range
+    atom is phi_m(n) a_n with the phase phi_m(n) = exp(-2j*pi*m*N*n/C)."""
+    c, k, atoms = len(dicts.range_grid), dicts.bins.as_array, dicts.azimuth_atoms
+    roots = _roots_of_unity(c)  # indexed by the integer phase mod C
+    shift = np.repeat(np.arange(len(atoms)) * dicts.bins.per_channel_bins, len(atoms[0]))
+    return lambda n, p: (roots[k * n % c],  # column p gathered per call, no stacked copy
+                         roots[shift * n % c] * np.concatenate([b[:, p] for b in atoms]))
 
 
-def _joint_refit(matrices, atoms, support):
-    """Least-squares amplitudes fitting all channels simultaneously.
+class _Refit:
+    """The support's joint least-squares fit, grown by one cell per selection.
 
-    The column of support entry (n, p) on channel m is vec(a_n b_p^T), so
-    the normal equations are s x s: the Gram sum_m (A_S^H A_S) * (B_S^H B_S)
-    (elementwise) against sum_m diag(A_S^H Y_m B_S^*), as in Batch-OMP.
+    Cell s appends its factors a_s, d_s (`_cell_atoms`), the Gram row
+    (a_s^H a_l)(d_s^H d_l) and the right-hand side a_s^H Y d_s^* to buffers
+    that double when full. Its Schur pivot g_ss - g^H u, u = G^-1 g, is 0
+    when it depends on the support; a pivot within rounding of the terms it
+    cancels, (s + 1) eps tr(G) (1 + u^H u), raises NumericalError.
     """
-    gram = sum((a.conj().T @ a) * (b.conj().T @ b) for a, b in atoms)
-    rhs = sum(np.sum((a.conj().T @ y) * b.conj().T, axis=1)
-              for y, (a, b) in zip(matrices, atoms))
-    if np.linalg.matrix_rank(gram, hermitian=True) < len(support):
-        n, p = support[-1]
-        raise NumericalError(
-            f"degenerate support: cell (range {n}, azimuth {p}) is linearly "
-            f"dependent on the already selected cells")
-    return np.linalg.solve(gram, rhs)
+
+    def __init__(self, stacked, dicts: DictionarySet):
+        self.stacked, self.atoms, self.size = stacked, _cell_atoms(dicts), 0
+        self.channels = len(dicts.azimuth_atoms)
+        self.a, self.d = (np.zeros((8, n), complex) for n in (len(dicts.bins), stacked.shape[1]))
+        self.gram, self.rhs = np.zeros((8, 8), complex), np.zeros(8, complex)
+
+    def add(self, n: int, p: int) -> None:
+        s = self.size
+        if s == len(self.rhs):
+            self.a, self.d = np.pad(self.a, ((0, s), (0, 0))), np.pad(self.d, ((0, s), (0, 0)))
+            self.gram, self.rhs = np.pad(self.gram, (0, s)), np.pad(self.rhs, (0, s))
+        a, d = self.a[s], self.d[s] = self.atoms(n, p)
+        row = (self.a[:s + 1] @ a.conj()) * (self.d[:s + 1] @ d.conj())
+        self.gram[s, :s + 1], self.gram[:s, s] = row, row[:s].conj()
+        self.rhs[s] = (a.conj() @ self.stacked) @ d.conj()
+        g = self.gram[:s, s]
+        u = np.linalg.solve(self.gram[:s, :s], g)
+        pivot, terms = row[s].real - (g.conj() @ u).real, 1 + (u.conj() @ u).real
+        if pivot <= (s + 1) * np.finfo(float).eps * self.gram.trace().real * terms:
+            raise NumericalError(f"degenerate support: cell (range {n}, azimuth {p}) is "
+                                 f"linearly dependent on the already selected cells")
+        self.size = s + 1
+
+    def fit(self):
+        """The amplitudes, the stacked residual and each channel's squared norm."""
+        x = np.linalg.solve(self.gram[:self.size, :self.size], self.rhs[:self.size])
+        residual = self.stacked - self.a[:self.size].T @ (x[:, None] * self.d[:self.size])
+        parts = residual.view(float).reshape(len(residual), self.channels, -1)
+        return x, residual, np.einsum("kmq,kmq->m", parts, parts)
 
 
 def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
@@ -443,56 +454,45 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     """Greedy simultaneous sparse recovery over all channels.
 
     Per iteration: add the best-scoring grid pair on the current residuals
-    (found exactly by `_select`'s bound-pruned scan, which on every grid
-    scores a few to a few dozen range rows), jointly refit every selected
-    amplitude across channels, and subtract the reconstruction. The
-    coefficients are transformed once per call: on a grid of C <= 2N cells
-    into range maps that each iteration updates by the support's kernels
-    (`_MapState`), on a wider one into the bound's power spectrum, updated
-    in closed form (`_LagState`). Both updates subtract the support's terms
-    from the coefficients' and so round at the scale of those terms, not of
-    the residual; each state gives the scan the slack that covers its
-    rounding, and takes the residual's own transform once the residual
-    falls below a millionth of those terms (after a noiseless fit), so
-    selections past an exact fit follow the residual. Scores equal in
-    floating point resolve to the smallest range cell, then the smallest
-    azimuth cell. Scores equal only in exact arithmetic may round apart,
-    and differently on a grid wider than 2N, whose partial-DFT maps round
-    unlike the updated maps; such ties may
-    resolve to any of the tied cells.
-    Stops after `max_targets` selections, or, when no target count is given,
-    once the summed relative residual drops to DEFAULT_RESIDUAL_TOL.
+    (`_select`'s exact, bound-pruned scan, on the state `_residual_state`
+    updates from the coefficients transformed once per call), grow the
+    joint least-squares refit across channels by that cell (`_Refit`: one
+    atom, one Gram row and one right-hand-side entry; a dependent cell's
+    Schur pivot raises NumericalError), and form every channel's residual
+    in one product. Scores equal in floating point resolve to the smallest
+    range cell, then the smallest azimuth cell; scores equal only in exact
+    arithmetic may round apart and resolve to any of the tied cells. Stops
+    after min(`max_targets`, C*P, sum_m K*Q) selections, or, when no target
+    count is given, once the summed relative residual drops to
+    DEFAULT_RESIDUAL_TOL.
     """
     if coefficients.tx_indices != tuple(range(len(dicts.azimuth_atoms))):
         raise ValidationError("coefficients and dictionaries cover different channels")
     if coefficients.bins != dicts.bins:
         raise ValidationError("coefficients and dictionaries cover different bins")
-    if any(y.shape[1] != b.shape[0]
-           for y, b in zip(coefficients.matrices, dicts.azimuth_atoms)):
+    if any(y.shape[1] != len(b) for y, b in zip(coefficients.matrices, dicts.azimuth_atoms)):
         raise ValidationError("coefficients and dictionaries cover different receivers")
     if not all(np.isfinite(y).all() for y in coefficients.matrices):
         raise ValidationError("coefficients hold non-finite values")
     if max_targets is not None and max_targets < 1:
         raise ValidationError("max_targets must be at least 1")
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
-    cap = max_targets or min(len(dicts.range_grid) * len(dicts.azi_grid),
-                             sum(y.size for y in coefficients.matrices))
     matrices = coefficients.matrices
+    cap = min(max_targets or np.inf, len(dicts.range_grid) * len(dicts.azi_grid),
+              sum(y.size for y in matrices))
     signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
-    residuals = list(matrices)
+    residual = np.hstack(matrices)
+    refit = _Refit(residual, dicts)
     support: list[tuple[int, int]] = []
-    amplitudes = np.zeros(0, dtype=complex)
-    history: list[float] = []
+    amplitudes, history = np.zeros(0, dtype=complex), []
     state = _residual_state(matrices, dicts)
     while len(support) < cap and res_norm > tol * signal_norm:
-        support.append(_select(*state.residual(support, amplitudes, residuals),
+        support.append(_select(*state.residual(support, amplitudes, residual),
                                dicts, support))
-        atoms = _support_atoms(dicts, support)
-        amplitudes = _joint_refit(matrices, atoms, support)
-        residuals = [y - a @ (amplitudes[:, None] * b.T)
-                     for y, (a, b) in zip(matrices, atoms)]
-        history.append(float(sum(np.linalg.norm(r) ** 2 for r in residuals)))
-        res_norm = float(sum(np.linalg.norm(r) for r in residuals))
+        refit.add(*support[-1])
+        amplitudes, residual, energies = refit.fit()
+        history.append(float(energies.sum()))
+        res_norm = float(np.sqrt(energies).sum())
     cells = np.array(support, dtype=int).reshape(-1, 2)
     return SparseEstimate(support=tuple(support), amplitudes=amplitudes,
                           ranges_m=dicts.range_grid.ranges_m[cells[:, 0]],

@@ -12,18 +12,18 @@ from submimo import (ArrayMode, NumericalError, Scene, SceneSpec, Target,
                      coherence, generate_scene, matrix_omp, oracle_coefficients,
                      recovery, synth_received)
 from submimo.geometry import AzimuthGrid
-from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _LagState,
-                              _MapState, _pair_scores, _range_maps, _residual_state,
-                              _select, _smooth_length, _support_atoms)
+from submimo.recovery import (DictionarySet, RangeGrid, _block_maps, _cell_atoms,
+                              _LagState, _MapState, _pair_scores, _range_maps, _Refit,
+                              _residual_state, _select, _smooth_length)
 from submimo.xampler import BinSet, CoefficientSet
 
 
 def test_dictionary_entries_at_the_grid_origin(desk_env):
     dicts = desk_env.dictionaries
     p0 = np.where(desk_env.azi_grid.values == 0.0)[0][0]
-    for a, b in _support_atoms(dicts, [(0, p0)]):  # zero delay, broadside
-        np.testing.assert_allclose(a[:, 0], np.ones(a.shape[0]))
-        np.testing.assert_allclose(b[:, 0], np.ones(b.shape[0]))
+    a, d = _cell_atoms(dicts)(0, p0)  # zero delay, broadside
+    np.testing.assert_allclose(a, np.ones(len(dicts.bins)))
+    np.testing.assert_allclose(d, np.ones(sum(len(b) for b in dicts.azimuth_atoms)))
 
 
 @pytest.mark.parametrize("instance", ["desk", "random"])
@@ -34,11 +34,19 @@ def test_support_atoms_match_the_dense_formula(desk_env, instance):
         dicts = desk_env.dictionaries
     else:
         _, dicts = random_instance(np.random.default_rng(5))
+    # channel m's atom a_{m,n} b_{m,p}^T is the outer product of a_n and
+    # channel m's block of d; on channel 0 (no phase) they are a_{0,n} and
+    # b_{0,p} themselves
     cells = [(n, n % len(dicts.azi_grid)) for n in range(len(dicts.range_grid))]
-    for (a, b), dense, full_b in zip(_support_atoms(dicts, cells),
-                                     dense_range_atoms(dicts), dicts.azimuth_atoms):
-        np.testing.assert_allclose(a, dense, atol=1e-9)
-        np.testing.assert_array_equal(b, full_b[:, [p for _, p in cells]])
+    atoms, dense = _cell_atoms(dicts), dense_range_atoms(dicts)
+    for n, p in cells:
+        a, d = atoms(n, p)
+        np.testing.assert_allclose(a, dense[0][:, n], atol=1e-9)
+        np.testing.assert_array_equal(d[:len(dicts.azimuth_atoms[0])],
+                                      dicts.azimuth_atoms[0][:, p])
+        for a_m, d_m, full_b in zip(dense, np.split(d, len(dense)), dicts.azimuth_atoms):
+            np.testing.assert_allclose(np.outer(a, d_m), np.outer(a_m[:, n], full_b[:, p]),
+                                       atol=1e-9)
 
 
 def test_dictionary_atoms_are_unit_modulus(desk_env):
@@ -127,6 +135,90 @@ def test_degenerate_support_is_reported():
                             rx_indices=(0, 1))
     with pytest.raises(NumericalError):
         matrix_omp(coeffs, dicts, max_targets=2)
+
+
+def test_max_targets_above_the_grid_selects_every_cell_once():
+    # 4 x 3 cells: the selections stop at the grid's 12, where every score
+    # is -inf and another selection would repeat a cell of the support
+    coeffs, dicts = random_instance(np.random.default_rng(5), n_range=4, n_azi=3)
+    est = matrix_omp(coeffs, dicts, max_targets=14)
+    assert len(est) == len(set(est.support)) == 12
+
+
+@pytest.mark.parametrize("instance", ["desk", "random"])
+def test_grown_refit_matches_the_least_squares_reference(desk_env, instance):
+    # one cell at a time, as in matrix_omp, past the buffers' first
+    # doubling; on the desk grid the channel offset m*N is a multiple of C,
+    # the random instance keeps it
+    rng = np.random.default_rng(11)
+    if instance == "desk":
+        dicts, shape = desk_env.dictionaries, (len(desk_env.bins), desk_env.array.num_rx)
+        matrices = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in dicts.azimuth_atoms]
+    else:
+        coeffs, dicts = random_instance(rng)
+        matrices = list(coeffs.matrices)
+    n_azi = len(dicts.azi_grid)
+    cells = [divmod(int(c), n_azi)
+             for c in rng.choice(len(dicts.range_grid) * n_azi, size=12, replace=False)]
+    scale = max(np.abs(y).max() for y in matrices)
+    refit = _Refit(np.hstack(matrices), dicts)
+    for size, cell in enumerate(cells, start=1):
+        refit.add(*cell)
+        amplitudes, stacked, energies = refit.fit()
+        want_x, want_r = lstsq_fit(matrices, dicts, cells[:size])
+        np.testing.assert_allclose(amplitudes, want_x, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want_x).max())
+        np.testing.assert_allclose(stacked, np.hstack(want_r), rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(energies, [np.linalg.norm(r) ** 2 for r in want_r],
+                                   rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+       n_bins=st.integers(1, 10), total_bins=st.integers(10, 16), n_rx=st.integers(1, 4),
+       n_range=st.integers(2, 30), n_azi=st.integers(2, 6), n_selected=st.integers(1, 6),
+       planted=st.booleans())
+@example(seed=0, n_channels=2, n_bins=4, total_bins=12, n_rx=2, n_range=5, n_azi=3,
+         n_selected=3, planted=True)
+@example(seed=1, n_channels=1, n_bins=1, total_bins=10, n_rx=1, n_range=6, n_azi=2,
+         n_selected=3, planted=False)  # one bin and one receiver: rank 1
+def test_pivot_rank_check_raises_exactly_when_the_dense_gram_is_short(
+        seed, n_channels, n_bins, total_bins, n_rx, n_range, n_azi, n_selected, planted):
+    rng = np.random.default_rng(seed)
+    coeffs, dicts = random_instance(rng, n_channels=n_channels, n_bins=n_bins, n_rx=n_rx,
+                                    n_range=n_range, n_azi=n_azi, total_bins=total_bins)
+    cells = [divmod(int(c), n_azi)
+             for c in rng.choice(n_range * n_azi, size=min(n_selected, n_range * n_azi - 1),
+                                 replace=False)]
+    if planted:
+        # azimuth cell p2 repeats p1 on every channel; (n, p2) follows (n, p1)
+        n, p1 = cells[int(rng.integers(len(cells)))]
+        p2 = (p1 + 1 + int(rng.integers(n_azi - 1))) % n_azi
+        atoms = tuple(b.copy() for b in dicts.azimuth_atoms)
+        for b in atoms:
+            b[:, p2] = b[:, p1]
+        dicts = dataclasses.replace(dicts, azimuth_atoms=atoms)
+        if (n, p2) in cells:
+            cells.remove((n, p2))
+        after = cells.index((n, p1)) + 1
+        cells.insert(after + int(rng.integers(len(cells) - after + 1)), (n, p2))
+    columns = np.stack([np.concatenate([np.kron(b[:, p], a[:, n]) for a, b in zip(
+        dense_range_atoms(dicts), dicts.azimuth_atoms)]) for n, p in cells], axis=1)
+    refit = _Refit(np.hstack(coeffs.matrices), dicts)
+    for size, cell in enumerate(cells, start=1):
+        gram = columns[:, :size].conj().T @ columns[:, :size]
+        short = np.linalg.matrix_rank(gram, hermitian=True) < size
+        eig = np.linalg.eigvalsh(gram)
+        # no draw within rounding of either tolerance: a full Gram is well
+        # conditioned, a short one is singular in exact arithmetic
+        assume(short or eig[0] > 1e-4 * eig[-1])
+        if not short:
+            refit.add(*cell)
+            continue
+        with pytest.raises(NumericalError, match=f"range {cell[0]}, azimuth {cell[1]}"):
+            refit.add(*cell)
+        break
 
 
 def _array_bytes(obj) -> int:
@@ -269,7 +361,7 @@ def test_updated_maps_match_the_residual_maps(**draw):
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(**draw)
     weights = _weights(dicts)
     state = _MapState(matrices, dicts, weights)
-    bound, block_maps, _ = state.residual(support, amplitudes, residuals)
+    bound, block_maps, _ = state.residual(support, amplitudes, np.hstack(residuals))
     want = _range_maps(residuals, dicts)
     # the update rounds at its largest term: |H(Y)| or K |x_j| (unit atoms)
     peak = max(np.abs(h).max() for h in state.maps) + _fit_peak(dicts, amplitudes)
@@ -299,7 +391,7 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
     calls.append((_LagState(matrices, dicts, weights), len(support)))
     for state, size in calls:
         amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
-        bound, _, slack = state.residual(support[:size], amplitudes, residuals)
+        bound, _, slack = state.residual(support[:size], amplitudes, np.hstack(residuals))
         # the slack is 1e-9 of the largest term: of the coefficients' bound
         # for a well-conditioned support, more for a nearly dependent one
         if size == 0:
@@ -336,7 +428,7 @@ def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
         n_selected=5, noiseless=True)
     weights = _weights(dicts)
     state = _LagState(matrices, dicts, weights)
-    bound, _, slack = state.residual(support, amplitudes, residuals)
+    bound, _, slack = state.residual(support, amplitudes, np.hstack(residuals))
     want = row_bound(residuals, dicts, weights)
     assert want.max() < 1e-20 * state.bound.max()
     assert slack == 1e-9 * bound.max()
@@ -352,14 +444,15 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     cells = [(105, 50), (169, 74), (184, 73)]
     x = np.array([1.0, 0.7j, -0.5])
     coeffs = oracle_coefficients(Scene(targets=()), env.array, env.plan, env.bins)
-    coeffs = dataclasses.replace(coeffs, matrices=tuple(
-        a @ (x[:, None] * b.T) for a, b in _support_atoms(env.dictionaries, cells)))
+    atoms = _cell_atoms(env.dictionaries)
+    stacked = sum(x_j * np.outer(*atoms(n, p)) for x_j, (n, p) in zip(x, cells))
+    coeffs = dataclasses.replace(coeffs, matrices=tuple(np.hsplit(stacked, env.array.num_tx)))
     seen, mapped = [], []
     residual, range_maps = _MapState.residual, recovery._range_maps
 
-    def spy(self, support, amplitudes, residuals):
-        seen.append((list(support), residuals))
-        return residual(self, support, amplitudes, residuals)
+    def spy(self, support, amplitudes, stacked):
+        seen.append((list(support), stacked))
+        return residual(self, support, amplitudes, stacked)
 
     monkeypatch.setattr(_MapState, "residual", spy)
     monkeypatch.setattr(recovery, "_range_maps",
@@ -368,9 +461,10 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     assert sorted(est.support[:3]) == cells
     assert est.residual_history[2] < 1e-28 * est.residual_history[0]
     # the coefficients' and kernels' maps, then the residual's at selections 4, 5
-    assert [r is later for r, (_, later) in zip(mapped[2:], seen[3:])] == [True, True]
-    for (support, residuals), cell in zip(seen[3:], est.support[3:]):
-        want = brute_force_scores(residuals, env.dictionaries)
+    assert [np.array_equal(np.hstack(r), later)
+            for r, (_, later) in zip(mapped[2:], seen[3:])] == [True, True]
+    for (support, stacked), cell in zip(seen[3:], est.support[3:]):
+        want = brute_force_scores(np.hsplit(stacked, env.array.num_tx), env.dictionaries)
         for n, p in support:
             want[n, p] = -np.inf
         assert want[cell] >= want.max() * (1 - 1e-9)
@@ -380,7 +474,8 @@ def _select_through_state(matrices, dicts, support, amplitudes, residuals):
     """`_select` on the residual as matrix_omp reaches it: through the state
     of the coefficients, updated by the support and its amplitudes."""
     state = _residual_state(matrices, dicts)
-    return _select(*state.residual(support, amplitudes, residuals), dicts, support)
+    return _select(*state.residual(support, amplitudes, np.hstack(residuals)), dicts,
+                   support)
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,7 +504,7 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_range_maps", lambda r, d, _f=recovery._range_maps:
                    own.append(r) or _f(r, d))
-        scan = state.residual(support, amplitudes, residuals)
+        scan = state.residual(support, amplitudes, np.hstack(residuals))
     updated = isinstance(state, _MapState) and support and not own
     # blocks of a few rows leave the candidate pass several blocks to scan,
     # wider ones fit the whole grid; a first pass of more rows than the grid
@@ -483,7 +578,7 @@ def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_
         dicts, residual = _tie_instance(n_range)
         state = _residual_state([residual], dicts)
         bound, block_maps, _ = state.residual([(0, 0)], np.zeros(1, dtype=complex),
-                                              [residual])
+                                              residual)
         np.testing.assert_array_equal(bound, state.bound)
         assert np.argmax(bound) > 0 and np.argmin(bound) == 0  # row 0 is scanned last
         scores = _pair_scores(block_maps(np.arange(n_range)), dicts)

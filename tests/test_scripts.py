@@ -44,21 +44,48 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
                  "full ula", "full wide"):
         assert (f"{mode}: 1 trials, support equal in 1, amplitudes equal in 1, "
                 f"residual_history equal in 1") in done.stdout
+        assert (f"{mode}: largest relative difference over 1 trials with equal supports: "
+                f"amplitudes 0.0e+00, residual_history 0.0e+00") in done.stdout
     assert "6 of 6 trials with equal supports" in done.stdout
 
 
-def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
+def _compare_outputs_on(monkeypatch, parent, change):
+    """compare_outputs.main on the given per-trial outputs of both sides."""
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    trial = {"support": np.array([[3, 1]]), "amplitudes": np.array([1j]),
-             "residual_history": np.array([0.5])}
-    moved = dict(trial, support=np.array([[3, 2]]))
-    sides = iter([{("desk", "ula", 0): trial, ("desk", "ula", 1): trial},
-                  {("desk", "ula", 0): trial, ("desk", "ula", 1): moved}])
+    sides = iter([parent, change])
     monkeypatch.setattr(script, "outputs_of", lambda checkout, args: next(sides))
-    assert script.main(["--parent", str(ROOT), "--seed", "1"]) == 1
+    return script.main(["--parent", str(ROOT), "--seed", "1"])
+
+
+_TRIAL = {"support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
+          "residual_history": np.array([0.5, 0.125])}
+
+
+def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
+    moved = dict(_TRIAL, support=np.array([[3, 2], [5, 0]]))
+    parent = {("desk", "ula", 0): _TRIAL, ("desk", "ula", 1): _TRIAL}
+    change = {("desk", "ula", 0): _TRIAL, ("desk", "ula", 1): moved}
+    assert _compare_outputs_on(monkeypatch, parent, change) == 1
     out = capsys.readouterr().out
     assert "differs: desk ula trial 1: support" in out
     assert "1 of 2 trials with equal supports" in out
+    assert ("desk ula: largest relative difference over 1 trials with equal supports: "
+            "amplitudes 0.0e+00, residual_history 0.0e+00") in out
+
+
+def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, capsys):
+    # rounding-level changes of equal supports are reported, entry by entry
+    # relative to the parent's, and do not fail the comparison
+    nudged = dict(_TRIAL, amplitudes=np.array([1j, -0.25 * (1 + 3e-13)]),
+                  residual_history=np.array([0.5 * (1 - 2e-15), 0.125]))
+    assert _compare_outputs_on(monkeypatch, {("full", "wide", 0): _TRIAL},
+                               {("full", "wide", 0): nudged}) == 0
+    out = capsys.readouterr().out
+    assert ("full wide: 1 trials, support equal in 1, amplitudes equal in 0, "
+            "residual_history equal in 0") in out
+    assert ("full wide: largest relative difference over 1 trials with equal supports: "
+            "amplitudes 3.0e-13, residual_history 2.0e-15") in out
+    assert "1 of 1 trials with equal supports" in out
