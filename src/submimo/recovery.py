@@ -3,8 +3,9 @@
 The coefficient matrices factor as Y^m = A^m X (B^m)^T with a shared sparse
 X: column n of A^m is the phase signature of a delay cell on channel m's
 selected bins, column p of B^m the spatial signature of a sine-DoA cell on
-that transmitter's virtual elements. The solver greedily selects the grid
-pair maximizing the summed per-channel correlation energy, then grows the
+that transmitter's virtual elements. The solver works on the channels'
+K x Q matrices side by side (K x MQ). It greedily selects the grid pair
+maximizing the summed per-channel correlation energy, then grows the
 joint least-squares refit of the selected amplitudes across channels by
 that one cell: an atom, a Gram row and a right-hand-side entry, with the
 new Schur pivot as its rank test.
@@ -69,15 +70,16 @@ class RangeGrid:
 
 @dataclass(frozen=True)
 class DictionarySet:
-    """Per-transmitter azimuth atoms (Q x N_theta) and the range atoms' grids.
+    """Per-transmitter azimuth atoms (M x Q x N_theta) and the range atoms' grids.
 
-    Channel m is transmitter m. Range atom n of transmitter m is
+    Channel m is transmitter m; `azimuth_atoms[m]` holds its Q x N_theta
+    atoms. Range atom n of transmitter m is
     exp(-2j*pi*(k + m*N)*n / C) over the selected bins k (N bins per
     channel, C uniform range cells); it is applied by FFT or partial DFT
     and never stored.
     """
 
-    azimuth_atoms: tuple[np.ndarray, ...]
+    azimuth_atoms: np.ndarray
     bins: BinSet
     range_grid: RangeGrid
     azi_grid: AzimuthGrid
@@ -110,26 +112,26 @@ def build_dictionaries(array: ArrayConfig, plan: CognitivePlan,
     if array.num_tx != plan.num_tx:
         raise ValidationError("array and plan disagree on the transmitter count")
     azi_grid = azimuth_grid(array)
-    azimuth_atoms = tuple(
-        np.exp(2j * np.pi * np.outer(virtual_positions(array, m), azi_grid.values))
-        for m in range(plan.num_tx))
+    azimuth_atoms = np.empty((plan.num_tx, array.num_rx, len(azi_grid)), dtype=complex)
+    for m, atoms in enumerate(azimuth_atoms):  # a channel at a time: no M-fold temporaries
+        np.exp(2j * np.pi * np.outer(virtual_positions(array, m), azi_grid.values), out=atoms)
     return DictionarySet(azimuth_atoms=azimuth_atoms, bins=subband_bins(plan),
                          range_grid=RangeGrid.from_cells(plan.pri, range_cells),
                          azi_grid=azi_grid)
 
 
-def _range_maps(residuals, dicts: DictionarySet) -> list[np.ndarray]:
-    """Per channel, the C x Q map of a_n^H R over every range cell n.
+def _range_maps(stacked, dicts: DictionarySet) -> np.ndarray:
+    """The C x MQ map a_n^H R of every range cell n, a_n(k) = exp(-2j*pi*k*n/C).
 
-    That is C * ifft of R scattered to rows (k + m*N) mod C (colliding bins add).
+    `stacked` holds the channels' K x Q residuals side by side. That is
+    C * ifft of R scattered to rows k mod C (colliding bins add). Channel
+    m's range atom is phi_m(n) a_n (`_cell_atoms`); the unit row phase
+    cancels in every score and bound, so no map carries it.
     """
-    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
-    maps = []
-    for m, r in enumerate(residuals):
-        scattered = np.zeros((c, r.shape[1]), dtype=complex)
-        np.add.at(scattered, (k + m * n_bins) % c, r)
-        maps.append(c * np.fft.ifft(scattered, axis=0))
-    return maps
+    c = len(dicts.range_grid)
+    scattered = np.zeros((c, stacked.shape[1]), dtype=complex)
+    np.add.at(scattered, dicts.bins.as_array % c, stacked)
+    return c * np.fft.ifft(scattered, axis=0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -140,20 +142,13 @@ def _roots_of_unity(c: int) -> np.ndarray:
     return roots
 
 
-def _block_maps(stacked, dicts: DictionarySet, rows) -> list[np.ndarray]:
-    """The given rows of every channel's range map, as a partial DFT.
-
-    `stacked` holds the channels' K x Q residuals side by side. One GEMM of
-    the rows x K table exp(2j*pi*k*n/C) against it, then each channel's row
-    phase exp(2j*pi*m*N*n/C).
-    """
-    c, k, n_bins = len(dicts.range_grid), dicts.bins.as_array, dicts.bins.per_channel_bins
-    roots = _roots_of_unity(c).conj()
-    phase = np.multiply.outer(rows, k)
+def _block_maps(stacked, dicts: DictionarySet, rows) -> np.ndarray:
+    """The given rows of `_range_maps`, as a partial DFT: one GEMM of the
+    rows x K table exp(2j*pi*k*n/C) against `stacked`."""
+    c = len(dicts.range_grid)
+    phase = np.multiply.outer(rows, dicts.bins.as_array)
     phase %= c
-    g = roots[phase] @ stacked
-    return [roots[m * n_bins * rows % c][:, None] * h
-            for m, h in enumerate(np.hsplit(g, len(dicts.azimuth_atoms)))]
+    return _roots_of_unity(c).conj()[phase] @ stacked
 
 
 def _smooth_length(n: int) -> int:
@@ -168,34 +163,33 @@ def _smooth_length(n: int) -> int:
         n += 1
 
 
-def _power_spectrum(matrices, offsets, length, weights) -> np.ndarray:
-    """sum_m w_m sum_q |F r_mq|^2 at the `length` frequencies of F.
+def _power_spectrum(stacked, channels: int, offsets, length) -> np.ndarray:
+    """sum_c |F r_c|^2 at the `length` frequencies of F.
 
-    F r is the FFT of a column r_mq of the channels' K x Q `matrices`,
-    placed at `offsets` (its bins' k - min(k)), zero elsewhere; the result
-    is `length` floats.
+    F r is the FFT of a column r_c of `stacked` (the channels' K x Q
+    matrices side by side), placed at `offsets` (its bins' k - min(k)),
+    zero elsewhere; the result is `length` floats.
     """
     power = 0.0
-    for r, w in zip(matrices, weights):  # per channel, so the spectra stay in cache
+    for r in np.hsplit(stacked, channels):  # per channel, so the spectra stay in cache
         spec = np.zeros((r.shape[1], length), dtype=complex)
         spec[:, offsets] = r.T
         pairs = np.fft.fft(spec, out=spec).view(float)
-        power = power + w * np.einsum("ij,ij->j", pairs, pairs)
+        power = power + np.einsum("ij,ij->j", pairs, pairs)
     # power interleaves the re^2 and im^2 sums
     return power.reshape(-1, 2).sum(axis=1)
 
 
 def _fold_bound(power, span: int, c: int) -> np.ndarray:
-    """sum_m w_m ||h_m(n)||^2 for every range cell n, from a power spectrum.
+    """||g(n)||^2 for every range cell n, from a power spectrum.
 
-    ||h_m(n)||^2 = sum over lags d of a_m(d) exp(2j*pi*d*n/C), with
-    a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^* (the channel offset m*N
-    is a unit phase per row and drops out). Lags reach only |d| < span, the
-    span of the selected bins, and do not move when the bins shift; so the
-    inverse FFT of `power` (`_power_spectrum` at a length >= 2*span - 1)
-    gives sum_m w_m a_m without wrap. On a grid of C > 2N >= 2*span cells
-    the lags do not fold, and a C-point Hermitian transform reads only the
-    lags 0 <= d < span.
+    g(n) is row n of `_range_maps`: ||g(n)||^2 = sum over lags d of
+    a(d) exp(2j*pi*d*n/C), with a(d) = sum_c sum_k r(k + d, c) r(k, c)^*
+    over the stacked columns c. Lags reach only |d| < span, the span of the
+    selected bins, and do not move when the bins shift; so the inverse FFT
+    of `power` (`_power_spectrum` at a length >= 2*span - 1) gives a
+    without wrap. On a grid of C > 2N >= 2*span cells the lags do not fold,
+    and a C-point Hermitian transform reads only the lags 0 <= d < span.
     """
     lags = np.fft.ifft(power)  # lag d sits at index d mod length
     half = np.zeros(c // 2 + 1, dtype=complex)
@@ -206,52 +200,47 @@ def _fold_bound(power, span: int, c: int) -> np.ndarray:
 class _MapState:
     """The range maps of a trial's residuals, on a grid of C <= 2N cells.
 
-    The coefficients' maps H_m(Y) are transformed once. Since
-    a_m(n)^H a_m(n') = kappa_m((n - n') mod C), with kappa_m the map of
-    atom 0 (all ones), the residual's maps are
-    H_m(R) = H_m(Y) - K_m[:, S] (x b_{m,S}^T), K_m[n, j] = kappa_m(n - n_j):
-    a C x s by s x Q product per channel, no scatter and no inverse FFT.
-    The update rounds at the scale of its terms, about 1e-16 of
-    |H_m(Y)| + K sum_j |x_j| per entry (|kappa_m| <= K, the bin count; unit
-    azimuth atoms), so its bound rounds at about 1e-16 of
-    sum_m w_m Q_m (max |H_m(Y)| + K sum_j |x_j|)^2. While the updated
-    bound's largest row exceeds _KEEP_UPDATE_SLACKS slacks of that sum, the
-    update is kept; below (a noiseless fit), the maps are taken from the
-    residuals (`_range_maps`), so later selections follow the residual, not
-    the update's rounding. The scan reads the bound and the scores from
-    the same maps, so its slack need only cover their rounding against
-    each other: _SLACK of the largest bound.
+    The coefficients' maps G(Y) (`_range_maps`) are transformed once. Since
+    a_n^H a_n' = kappa((n - n') mod C), with kappa the map of atom 0 (all
+    ones), and the residual is Y - sum_j x_j a_j d_j^T (the refit's
+    factors), its maps are G(R) = G(Y) - K[:, S] (x d_S), with
+    K[n, j] = kappa(n - n_j): one C x s by s x MQ product, no scatter and
+    no inverse FFT. The update rounds at the scale of its terms, about
+    1e-16 of |G(Y)| + K sum_j |x_j| per entry (|kappa| <= K, the bin count;
+    unit azimuth atoms), so its bound rounds at about 1e-16 of
+    w MQ (max |G(Y)| + K sum_j |x_j|)^2. While the updated bound's largest
+    row exceeds _KEEP_UPDATE_SLACKS slacks of that, the update is kept;
+    below (a noiseless fit), the maps are taken from the residual
+    (`_range_maps`), so later selections follow the residual, not the
+    update's rounding. The scan reads the bound and the scores from the
+    same maps, so its slack need only cover their rounding against each
+    other: _SLACK of the largest bound.
     """
 
-    def __init__(self, matrices, dicts: DictionarySet, weights):
-        self.dicts, self.weights = dicts, weights
-        self.maps = _range_maps(matrices, dicts)
-        self.peaks = [np.abs(h).max() for h in self.maps]
-        ones = np.ones((len(dicts.bins), 1))
-        self.kernels = [h[:, 0] for h in _range_maps([ones] * len(matrices), dicts)]
+    def __init__(self, refit, dicts: DictionarySet, weight: float):
+        self.refit, self.dicts, self.weight = refit, dicts, weight
+        self.maps = _range_maps(refit.stacked, dicts)
+        self.peak = np.abs(self.maps).max()
+        self.kernel = _range_maps(np.ones((len(dicts.bins), 1)), dicts)[:, 0]
         self.bound = self._bound(self.maps)
 
     def _bound(self, maps) -> np.ndarray:
-        return sum(np.einsum("ij,ij->i", h.view(float), h.view(float)) * w
-                   for h, w in zip(maps, self.weights))
+        return self.weight * np.einsum("ij,ij->i", maps.view(float), maps.view(float))
 
     def residual(self, support, amplitudes, residual):
         """The residual's row bound, block-map source (rows -> maps) and slack."""
         maps, bound = self.maps, self.bound
         if support:
             c = len(self.dicts.range_grid)
-            ns, ps = np.array(support).T
-            lag = np.subtract.outer(np.arange(c), ns) % c
-            maps = [h - kappa[lag] @ (amplitudes[:, None] * b[:, ps].T)
-                    for h, kappa, b in zip(maps, self.kernels, self.dicts.azimuth_atoms)]
+            lag = np.subtract.outer(np.arange(c), [n for n, _ in support]) % c
+            maps = maps - self.kernel[lag] @ (amplitudes[:, None] * self.refit.d[:len(support)])
             bound = self._bound(maps)
             fit = len(self.dicts.bins) * np.abs(amplitudes).sum()
-            terms = sum(w * h.shape[1] * (peak + fit) ** 2
-                        for h, w, peak in zip(maps, self.weights, self.peaks))
+            terms = self.weight * maps.shape[1] * (self.peak + fit) ** 2
             if bound.max() < _KEEP_UPDATE_SLACKS * _SLACK * terms:
-                maps = _range_maps(np.hsplit(residual, len(maps)), self.dicts)
+                maps = _range_maps(residual, self.dicts)
                 bound = self._bound(maps)
-        return bound, lambda block: [h[block] for h in maps], _SLACK * bound.max()
+        return bound, lambda block: maps[block], _SLACK * bound.max()
 
 
 class _LagState:
@@ -259,16 +248,15 @@ class _LagState:
 
     The bins sit at k - min(k) in FFTs F of the smallest 5-smooth length
     >= 2*span - 1. The coefficients' power spectrum P_Y is transformed once
-    (M*Q FFTs). On the channels' columns side by side, with column weights
-    u (w_m on channel m's), the residual is Y - sum_j x_j a_j d_j^T
-    (`_cell_atoms`); so with S_j = F a_j, V_j = F z_j and z_j = Y (u d_j)^*,
+    (M*Q FFTs). The residual is Y - sum_j x_j a_j d_j^T (the refit's
+    factors); so with S_j = F a_j and V_j = F (Y d_j^*),
     P = P_Y - 2 Re sum_j x_j S_j V_j^* + sum_{j,l} S_j Gamma_jl S_l^*,
-    Gamma_jl = x_j x_l^* G_jl, G_jl = sum_c u_c d_j(c) d_l(c)^*. A
-    selected cell costs two FFTs, once. The scored rows' maps still come
-    from the residuals (`_block_maps`), so the bound must not fall below
+    Gamma_jl = x_j x_l^* (d_j . d_l^*), and the bound is w times its fold.
+    A selected cell costs two FFTs, once. The scored rows' maps still come
+    from the residual (`_block_maps`), so the bound must not fall below
     their scores by more than the slack. The terms cancel, however small
     the residual: the bound rounds at about 1e-16 of the largest term, at
-    most the coefficients' largest bound plus K^2 sum_jl |Gamma_jl|
+    most the coefficients' largest bound plus w K^2 sum_jl |Gamma_jl|
     (|S_j| <= K, the bin count; the cross term is bounded by the other
     two). The slack is _SLACK of that sum, within a small factor of _SLACK
     of the coefficients' largest bound for a well-conditioned support. It
@@ -278,72 +266,71 @@ class _LagState:
     largest row as the slack.
     """
 
-    def __init__(self, matrices, dicts: DictionarySet, weights):
-        self.stacked, self.dicts, self.weights = np.hstack(matrices), dicts, weights
-        self.atoms, self.u = _cell_atoms(dicts), np.repeat(weights, matrices[0].shape[1])
+    def __init__(self, refit, dicts: DictionarySet, weight: float):
+        self.refit, self.dicts, self.weight = refit, dicts, weight
         self.offsets = dicts.bins.as_array - min(dicts.bins.indices)
         self.span = int(self.offsets.max()) + 1
         length = _smooth_length(2 * self.span - 1)
-        self.power = _power_spectrum(matrices, self.offsets, length, weights)
-        self.bound = _fold_bound(self.power, self.span, len(dicts.range_grid))
+        self.power = _power_spectrum(refit.stacked, len(dicts.azimuth_atoms), self.offsets,
+                                     length)
+        self.bound = self._fold(self.power)
         self.spectra = self.cross = np.zeros((0, length), dtype=complex)  # S_j, S_j V_j^*
-        self.d = np.zeros((0, self.stacked.shape[1]), dtype=complex)  # d_j
 
-    def _add_cell(self, n: int, p: int) -> None:
-        a, d = self.atoms(n, p)
+    def _fold(self, power) -> np.ndarray:
+        return self.weight * _fold_bound(power, self.span, len(self.dicts.range_grid))
+
+    def _add_cell(self, j: int) -> None:
+        a, d = self.refit.a[j], self.refit.d[j]
         pair = np.zeros((2, self.spectra.shape[1]), dtype=complex)
-        pair[0, self.offsets], pair[1, self.offsets] = a, self.stacked @ (self.u * d).conj()
+        pair[0, self.offsets], pair[1, self.offsets] = a, self.refit.stacked @ d.conj()
         s, v = np.fft.fft(pair, out=pair)
         self.spectra = np.vstack([self.spectra, s])
         self.cross = np.vstack([self.cross, s * v.conj()])
-        self.d = np.vstack([self.d, d])
 
     def residual(self, support, amplitudes, residual):
         """As `_MapState.residual`; the block maps read `residual` as it is."""
         block_maps = functools.partial(_block_maps, residual, self.dicts)
         if not support:
             return self.bound, block_maps, _SLACK * self.bound.max()
-        for cell in support[len(self.spectra):]:
-            self._add_cell(*cell)
-        gamma = np.outer(amplitudes, amplitudes.conj()) * ((self.u * self.d) @ self.d.conj().T)
+        for j in range(len(self.spectra), len(support)):
+            self._add_cell(j)
+        d = self.refit.d[:len(support)]
+        gamma = np.outer(amplitudes, amplitudes.conj()) * (d @ d.conj().T)
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
         quad = (gamma.T @ self.spectra).view(float)
         quad *= self.spectra.view(float)
-        power = (self.power - 2 * (amplitudes @ self.cross).real
-                 + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
-        c = len(self.dicts.range_grid)
-        bound = _fold_bound(power, self.span, c)
-        slack = _SLACK * (self.bound.max() + len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
+        bound = self._fold(self.power - 2 * (amplitudes @ self.cross).real
+                           + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
+        slack = _SLACK * (self.bound.max()
+                          + self.weight * len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
         if bound.max() < _KEEP_UPDATE_SLACKS * slack:
             # a residual below a millionth of the terms (a noiseless fit): the
             # expansion cannot resolve its bound, its own spectrum can
-            bound = _fold_bound(_power_spectrum(np.hsplit(residual, len(self.weights)),
-                                                self.offsets, len(self.power), self.weights),
-                                self.span, c)
+            bound = self._fold(_power_spectrum(residual, len(self.dicts.azimuth_atoms),
+                                               self.offsets, len(self.power)))
             slack = _SLACK * bound.max()
         return bound, block_maps, slack
 
 
-def _residual_state(matrices, dicts: DictionarySet):
+def _residual_state(refit, dicts: DictionarySet):
     """The state a trial's selections read the residual's bound and maps from.
 
-    `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one;
-    both hold the coefficients' row bound as `bound` and take the residual
-    as the channels' K x Q residuals side by side. The row weights
-    w_m = max_p ||b_mp||^2 are taken once.
+    `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one.
+    Both hold the coefficients' row bound as `bound`, read the coefficients
+    and the support's cell factors a_j, d_j from `refit` (a `_Refit`), and
+    take the residual as the refit forms it. The row weight
+    w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms) is taken once.
     """
-    weights = [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+    weight = np.max(np.sum(np.abs(dicts.azimuth_atoms) ** 2, axis=1))
     wide = len(dicts.range_grid) > 2 * dicts.bins.per_channel_bins
-    return (_LagState if wide else _MapState)(matrices, dicts, weights)
+    return (_LagState if wide else _MapState)(refit, dicts, weight)
 
 
-def _pair_scores(block_maps, dicts: DictionarySet) -> np.ndarray:
-    """S(n, p) = sum over channels of |a_n^H R b_p^*|^2 for the maps' rows n.
-
-    `block_maps` holds, per channel, the range-map rows of the scored block.
-    """
+def _pair_scores(maps, dicts: DictionarySet) -> np.ndarray:
+    """S(n, p) = sum over channels of |a_{m,n}^H R_m b_mp^*|^2 for the rows n
+    of the stacked range maps `maps` (rows x MQ, `_range_maps` rows)."""
     score = 0.0
-    for h, b in zip(block_maps, dicts.azimuth_atoms):
+    for h, b in zip(np.hsplit(maps, len(dicts.azimuth_atoms)), dicts.azimuth_atoms):
         g = h @ b.conj()
         score += g.real ** 2 + g.imag ** 2
     return score
@@ -354,11 +341,11 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     """Exact argmax of S over the cells not in `support`, scanned in row blocks.
 
     `bound` holds every range row's Cauchy-Schwarz bound
-    sum_m w_m ||h_m(n)||^2 >= S(n, p), w_m = max_p ||b_mp||^2, and
-    `block_maps(rows)` the rows' maps h_m(n), ascending rows in. First the
-    _FIRST_ROWS rows of largest bound, found by partition, are scored; then
-    every other row whose bound plus `slack` can still reach the best score
-    is sorted by descending bound and scanned in cache-sized blocks,
+    w ||g(n)||^2 >= S(n, p), w = max_{m,p} ||b_mp||^2, and
+    `block_maps(rows)` the rows' stacked maps g(n), ascending rows in. First
+    the _FIRST_ROWS rows of largest bound, found by partition, are scored;
+    then every other row whose bound plus `slack` can still reach the best
+    score is sorted by descending bound and scanned in cache-sized blocks,
     stopping at the first block whose top bound plus `slack` cannot beat
     the best score found. `slack` must cover the bound's rounding error.
     Within a block, equal scores resolve to the smallest (range, azimuth)
@@ -400,12 +387,12 @@ def _cell_atoms(dicts: DictionarySet):
     """(n, p) -> the factors a_n, d of cell (n, p)'s atom a_n d^T on the
     channels' K x Q matrices side by side: a_n(k) = exp(-2j*pi*k*n/C) and
     d stacks phi_m(n) b_{m,p} over the channels, since channel m's range
-    atom is phi_m(n) a_n with the phase phi_m(n) = exp(-2j*pi*m*N*n/C)."""
+    atom is phi_m(n) a_n with the phase phi_m(n) = exp(-2j*pi*m*N*n/C).
+    This is the only place the channel phase is taken."""
     c, k, atoms = len(dicts.range_grid), dicts.bins.as_array, dicts.azimuth_atoms
     roots = _roots_of_unity(c)  # indexed by the integer phase mod C
-    shift = np.repeat(np.arange(len(atoms)) * dicts.bins.per_channel_bins, len(atoms[0]))
-    return lambda n, p: (roots[k * n % c],  # column p gathered per call, no stacked copy
-                         roots[shift * n % c] * np.concatenate([b[:, p] for b in atoms]))
+    shift = np.repeat(np.arange(len(atoms)) * dicts.bins.per_channel_bins, atoms.shape[1])
+    return lambda n, p: (roots[k * n % c], roots[shift * n % c] * atoms[:, :, p].ravel())
 
 
 class _Refit:
@@ -415,7 +402,9 @@ class _Refit:
     (a_s^H a_l)(d_s^H d_l) and the right-hand side a_s^H Y d_s^* to buffers
     that double when full. Its Schur pivot g_ss - g^H u, u = G^-1 g, is 0
     when it depends on the support; a pivot within rounding of the terms it
-    cancels, (s + 1) eps tr(G) (1 + u^H u), raises NumericalError.
+    cancels, (s + 1) eps tr(G) (1 + u^H u), raises NumericalError. The
+    residual states read the coefficients `stacked` and the rows of `a`
+    and `d`, so a cell's factors are built once.
     """
 
     def __init__(self, stacked, dicts: DictionarySet):
@@ -466,12 +455,13 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     count is given, once the summed relative residual drops to
     DEFAULT_RESIDUAL_TOL.
     """
-    if coefficients.tx_indices != tuple(range(len(dicts.azimuth_atoms))):
+    channels, receivers = dicts.azimuth_atoms.shape[:2]
+    if coefficients.tx_indices != tuple(range(channels)):
         raise ValidationError("coefficients and dictionaries cover different channels")
+    if coefficients.rx_indices != tuple(range(receivers)):  # every matrix is K x len(rx)
+        raise ValidationError("coefficients and dictionaries cover different receivers")
     if coefficients.bins != dicts.bins:
         raise ValidationError("coefficients and dictionaries cover different bins")
-    if any(y.shape[1] != len(b) for y, b in zip(coefficients.matrices, dicts.azimuth_atoms)):
-        raise ValidationError("coefficients and dictionaries cover different receivers")
     if not all(np.isfinite(y).all() for y in coefficients.matrices):
         raise ValidationError("coefficients hold non-finite values")
     if max_targets is not None and max_targets < 1:
@@ -481,11 +471,10 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     cap = min(max_targets or np.inf, len(dicts.range_grid) * len(dicts.azi_grid),
               sum(y.size for y in matrices))
     signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
-    residual = np.hstack(matrices)
-    refit = _Refit(residual, dicts)
+    refit = _Refit(np.hstack(matrices), dicts)
+    state, residual = _residual_state(refit, dicts), refit.stacked
     support: list[tuple[int, int]] = []
     amplitudes, history = np.zeros(0, dtype=complex), []
-    state = _residual_state(matrices, dicts)
     while len(support) < cap and res_norm > tol * signal_norm:
         support.append(_select(*state.residual(support, amplitudes, residual),
                                dicts, support))

@@ -36,29 +36,43 @@ def brute_force_scores(matrices, dicts):
     return scores
 
 
-def row_bound(residuals, dicts, weights):
-    """sum_m w_m ||h_m(n)||^2 for every range cell n, from the residuals' lags.
+def row_bound(stacked, dicts, weight):
+    """w ||g(n)||^2 for every range cell n, from the residual's lags.
 
-    The reference for the updated bounds: lag d of channel m is
-    a_m(d) = sum_q sum_k r_m(k + d, q) r_m(k, q)^*, from the power spectra
-    of the residual columns, with their bins at k - min(k), in FFTs of
-    2*span - 1 points (no wrap); the lags fold mod C (C may be below the
-    span) and take one C-point Hermitian transform.
+    The reference for the updated bounds: g(n) is row n of the range maps
+    of the channels' residuals side by side (`stacked`), and lag d is
+    a(d) = sum_c sum_k r(k + d, c) r(k, c)^* over its columns c, from their
+    power spectra, with the bins at k - min(k), in FFTs of 2*span - 1
+    points (no wrap); the lags fold mod C (C may be below the span) and
+    take one C-point Hermitian transform.
     """
     c, k = len(dicts.range_grid), np.asarray(dicts.bins.indices)
     offsets = k - k.min()
     span = int(offsets.max()) + 1
     length = 2 * span - 1
-    power = 0.0
-    for r, w in zip(residuals, weights):
-        spec = np.zeros((r.shape[1], length), dtype=complex)
-        spec[:, offsets] = r.T
-        power = power + w * np.sum(np.abs(np.fft.fft(spec, axis=1)) ** 2, axis=0)
+    spec = np.zeros((stacked.shape[1], length), dtype=complex)
+    spec[:, offsets] = stacked.T
+    power = weight * np.sum(np.abs(np.fft.fft(spec, axis=1)) ** 2, axis=0)
     lags = np.fft.ifft(power)
     d = np.arange(1 - span, span)
     folded = np.zeros(c, dtype=complex)
     np.add.at(folded, d % c, lags[d])
     return c * np.fft.irfft(folded[:c // 2 + 1], n=c)
+
+
+def dense_maps(stacked, dicts):
+    """The range maps of the channels' residuals side by side (C x MQ), from
+    the dense atoms, without the channel phase.
+
+    Channel m's map a_{m,n}^H R_m times phi_m(n) = exp(-2j*pi*m*N*n/C) on
+    row n: the phase that channel m's range atom carries on top of
+    channel 0's.
+    """
+    c, n_bins = len(dicts.range_grid), dicts.bins.per_channel_bins
+    rows = np.arange(c)
+    return np.hstack([np.exp(-2j * np.pi * m * n_bins * rows / c)[:, None] * (a.conj().T @ r)
+                      for m, (a, r) in enumerate(zip(dense_range_atoms(dicts), np.hsplit(
+                          stacked, len(dicts.azimuth_atoms))))])
 
 
 def lstsq_fit(matrices, dicts, support):
@@ -89,9 +103,8 @@ def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
     agrid = AzimuthGrid(values=-1.0 + 2.0 * np.arange(n_azi) / n_azi)
     # continuous positions keep the azimuth atoms free of exact grating ties
     vpos = np.sort(rng.uniform(0.0, 20.0, size=n_rx))
-    azimuth_atoms = tuple(np.exp(2j * np.pi * np.outer(vpos, agrid.values))
-                          for _ in range(n_channels))
-    dicts = DictionarySet(azimuth_atoms=azimuth_atoms, bins=bins,
+    atoms = np.exp(2j * np.pi * np.outer(vpos, agrid.values))
+    dicts = DictionarySet(azimuth_atoms=np.stack([atoms] * n_channels), bins=bins,
                           range_grid=rgrid, azi_grid=agrid)
     shape = (n_bins, n_rx)
     matrices = tuple(

@@ -252,7 +252,7 @@ def test_experiment_and_simulate_build_from_the_same_ini(tmp_path, monkeypatch):
     assert adcs[0] == adcs[1] and adcs[0].rate == 15e6
 
 
-@pytest.mark.parametrize("mismatch", [None, "bins", "tx_indices"])
+@pytest.mark.parametrize("mismatch", [None, "bins", "tx_indices", "rx_indices"])
 def test_recover_checks_the_blob_against_the_configured_environment(
         tmp_path, capsys, mismatch):
     cfg, _ = write_inputs(tmp_path)
@@ -268,6 +268,8 @@ def test_recover_checks_the_blob_against_the_configured_environment(
     elif mismatch == "tx_indices":
         c = CoefficientSet(matrices=c.matrices[1:], bins=c.bins,
                            tx_indices=c.tx_indices[1:], rx_indices=c.rx_indices)
+    elif mismatch == "rx_indices":  # every receiver, listed out of order
+        c = dataclasses.replace(c, rx_indices=c.rx_indices[::-1])
     blob, est_csv = tmp_path / "coeffs.bin", tmp_path / "estimate.csv"
     fileio.write_coefficients(blob, c)
     code = main(["recover", "-c", str(cfg), "--in", str(blob),

@@ -1,9 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (brute_force_scores, dense_range_atoms, lstsq_fit, random_instance,
-                     row_bound)
+from helpers import (brute_force_scores, dense_maps, dense_range_atoms, lstsq_fit,
+                     random_instance, row_bound)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -128,7 +129,7 @@ def test_degenerate_support_is_reported():
     rgrid = RangeGrid.from_cells(1e-4, 8)
     agrid = AzimuthGrid(values=np.array([0.0, 0.5]))
     atom_b = np.ones((2, 2), dtype=complex)
-    dicts = DictionarySet(azimuth_atoms=(atom_b,) * 2, bins=bins,
+    dicts = DictionarySet(azimuth_atoms=np.stack([atom_b] * 2), bins=bins,
                           range_grid=rgrid, azi_grid=agrid)
     y = np.ones((4, 2), dtype=complex)  # range cell 0, either azimuth cell
     coeffs = CoefficientSet(matrices=(y, -y), bins=bins, tx_indices=(0, 1),
@@ -195,9 +196,8 @@ def test_pivot_rank_check_raises_exactly_when_the_dense_gram_is_short(
         # azimuth cell p2 repeats p1 on every channel; (n, p2) follows (n, p1)
         n, p1 = cells[int(rng.integers(len(cells)))]
         p2 = (p1 + 1 + int(rng.integers(n_azi - 1))) % n_azi
-        atoms = tuple(b.copy() for b in dicts.azimuth_atoms)
-        for b in atoms:
-            b[:, p2] = b[:, p1]
+        atoms = dicts.azimuth_atoms.copy()
+        atoms[:, :, p2] = atoms[:, :, p1]
         dicts = dataclasses.replace(dicts, azimuth_atoms=atoms)
         if (n, p2) in cells:
             cells.remove((n, p2))
@@ -253,7 +253,7 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
                                     n_bins=n_bins, n_rx=n_rx, n_range=n_range,
                                     n_azi=n_azi, total_bins=total_bins)
     want = brute_force_scores(coeffs.matrices, dicts)
-    got = _pair_scores(_range_maps(coeffs.matrices, dicts), dicts)
+    got = _pair_scores(_range_maps(np.hstack(coeffs.matrices), dicts), dicts)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
 
 
@@ -278,8 +278,16 @@ def test_smooth_length_is_the_smallest_5_smooth_length():
     assert _smooth_length(2 * 1106 - 1) == 2250  # the reference plan's bin span
 
 
-def _weights(dicts):
-    return [np.max(np.sum(np.abs(b) ** 2, axis=0)) for b in dicts.azimuth_atoms]
+def _refit_of(matrices, dicts, support):
+    """What the residual states read of a `_Refit` holding `support`: the
+    stacked coefficients and the cells' factors (`_cell_atoms`), taken
+    without the refit's pivot test, so a dependent support is held too."""
+    stacked, atoms = np.hstack(matrices), _cell_atoms(dicts)
+    a = np.zeros((len(support), len(dicts.bins)), dtype=complex)
+    d = np.zeros((len(support), stacked.shape[1]), dtype=complex)
+    for j, cell in enumerate(support):
+        a[j], d[j] = atoms(*cell)
+    return SimpleNamespace(stacked=stacked, a=a, d=d)
 
 
 def _grid_instance(seed, n_channels, n_bins, total_bins, n_range, n_rx, n_azi=3):
@@ -302,16 +310,15 @@ _grids = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
 @example(**_SHIFTED_BINS_EXAMPLES[1])
 @example(**_SHIFTED_BINS_EXAMPLES[2])
 def test_lag_domain_bound_matches_the_weighted_row_energies(**draw):
-    # the reference on every grid; the coefficients' bound of the lag-domain
-    # state on grids wider than 2N, the only ones it serves
+    # the reference, and the coefficients' bound of the state matrix_omp
+    # takes on every grid: the lag-domain state on grids wider than 2N
     coeffs, dicts = _grid_instance(**draw)
-    weights = _weights(dicts)
-    want = sum(np.sum(np.abs(h) ** 2, axis=1) * w
-               for h, w in zip(_range_maps(coeffs.matrices, dicts), weights))
-    got = [row_bound(coeffs.matrices, dicts, weights)]
-    if draw["n_range"] > 2 * draw["total_bins"]:
-        got.append(_LagState(coeffs.matrices, dicts, weights).bound)
-    for bound in got:
+    stacked = np.hstack(coeffs.matrices)
+    state = _residual_state(_refit_of(coeffs.matrices, dicts, []), dicts)
+    assert isinstance(state, _LagState) == (draw["n_range"] > 2 * draw["total_bins"])
+    assert state.weight == pytest.approx(draw["n_rx"], rel=1e-15)  # unit-modulus atoms
+    want = state.weight * np.sum(np.abs(_range_maps(stacked, dicts)) ** 2, axis=1)
+    for bound in (row_bound(stacked, dicts, state.weight), state.bound):
         np.testing.assert_allclose(bound, want, rtol=1e-9, atol=1e-12 * want.max())
 
 
@@ -359,16 +366,17 @@ _fits = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
          n_selected=4, noiseless=True)  # C = 2N, fitted exactly
 def test_updated_maps_match_the_residual_maps(**draw):
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(**draw)
-    weights = _weights(dicts)
-    state = _MapState(matrices, dicts, weights)
+    weight = draw["n_rx"]  # max_p ||b_mp||^2 of unit-modulus atoms
+    state = _MapState(_refit_of(matrices, dicts, support), dicts, weight)
     bound, block_maps, _ = state.residual(support, amplitudes, np.hstack(residuals))
-    want = _range_maps(residuals, dicts)
-    # the update rounds at its largest term: |H(Y)| or K |x_j| (unit atoms)
-    peak = max(np.abs(h).max() for h in state.maps) + _fit_peak(dicts, amplitudes)
-    for got, h in zip(block_maps(np.arange(draw["n_range"])), want):
-        np.testing.assert_allclose(got, h, rtol=0, atol=1e-12 * peak)
-    energies = sum(np.sum(np.abs(h) ** 2, axis=1) * w for h, w in zip(want, weights))
-    rows_scale = sum(w * b.shape[0] for w, b in zip(weights, dicts.azimuth_atoms))
+    # the stacked maps without the channel phase, every channel at once
+    want = dense_maps(np.hstack(residuals), dicts)
+    # the update rounds at its largest term: |G(Y)| or K |x_j| (unit atoms)
+    peak = np.abs(state.maps).max() + _fit_peak(dicts, amplitudes)
+    np.testing.assert_allclose(block_maps(np.arange(draw["n_range"])), want,
+                               rtol=0, atol=1e-12 * peak)
+    energies = weight * np.sum(np.abs(want) ** 2, axis=1)
+    rows_scale = weight * want.shape[1]
     np.testing.assert_allclose(bound, energies, rtol=0, atol=1e-12 * rows_scale * peak ** 2)
 
 
@@ -385,10 +393,10 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
     # one takes the whole support at once
     draw["n_range"] = 2 * draw["total_bins"] + extra_cells  # C > 2N
     matrices, dicts, support, _, _ = _fitted_instance(**draw)
-    weights = _weights(dicts)
-    state = _LagState(matrices, dicts, weights)
+    weight, refit = draw["n_rx"], _refit_of(matrices, dicts, support)
+    state = _LagState(refit, dicts, weight)
     calls = [(state, size) for size in range(len(support) + 1)]
-    calls.append((_LagState(matrices, dicts, weights), len(support)))
+    calls.append((_LagState(refit, dicts, weight), len(support)))
     for state, size in calls:
         amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
         bound, _, slack = state.residual(support[:size], amplitudes, np.hstack(residuals))
@@ -396,7 +404,7 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
         # for a well-conditioned support, more for a nearly dependent one
         if size == 0:
             assert slack == 1e-9 * state.bound.max()
-        np.testing.assert_allclose(bound, row_bound(residuals, dicts, weights),
+        np.testing.assert_allclose(bound, row_bound(np.hstack(residuals), dicts, weight),
                                    rtol=0, atol=1e-3 * slack)
 
 
@@ -406,16 +414,18 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
 @example(row_share=1.0, **_GRID_EXAMPLES[1])
 @example(row_share=0.3, **_GRID_EXAMPLES[2])
 def test_block_maps_are_the_range_map_rows(row_share, **draw):
+    # both against the dense maps, each channel's row phase taken off
     coeffs, dicts = _grid_instance(**draw)
     n_range = draw["n_range"]
     rows = np.random.default_rng([draw["seed"], 1]).permutation(n_range)[
         :max(1, round(row_share * n_range))]  # unsorted
-    full = _range_maps(coeffs.matrices, dicts)
-    peak = max(np.abs(h).max() for h in full)
-    got = _block_maps(np.hstack(coeffs.matrices), dicts, rows)
-    assert len(got) == len(full)
-    for g, h in zip(got, full):
-        np.testing.assert_allclose(g, h[rows], rtol=0, atol=1e-9 * peak)
+    stacked = np.hstack(coeffs.matrices)
+    want = dense_maps(stacked, dicts)
+    peak = np.abs(want).max()
+    full = _range_maps(stacked, dicts)
+    np.testing.assert_allclose(full, want, rtol=0, atol=1e-9 * peak)
+    got = _block_maps(stacked, dicts, rows)
+    np.testing.assert_allclose(got, want[rows], rtol=0, atol=1e-9 * peak)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -426,10 +436,10 @@ def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(
         seed=seed, n_channels=3, n_bins=3, total_bins=14, n_range=33, n_rx=2, n_azi=5,
         n_selected=5, noiseless=True)
-    weights = _weights(dicts)
-    state = _LagState(matrices, dicts, weights)
+    weight = 2  # n_rx, with unit-modulus atoms
+    state = _LagState(_refit_of(matrices, dicts, support), dicts, weight)
     bound, _, slack = state.residual(support, amplitudes, np.hstack(residuals))
-    want = row_bound(residuals, dicts, weights)
+    want = row_bound(np.hstack(residuals), dicts, weight)
     assert want.max() < 1e-20 * state.bound.max()
     assert slack == 1e-9 * bound.max()
     np.testing.assert_allclose(bound, want, rtol=0, atol=1e-9 * want.max())
@@ -460,8 +470,8 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     est = matrix_omp(coeffs, env.dictionaries, max_targets=5)
     assert sorted(est.support[:3]) == cells
     assert est.residual_history[2] < 1e-28 * est.residual_history[0]
-    # the coefficients' and kernels' maps, then the residual's at selections 4, 5
-    assert [np.array_equal(np.hstack(r), later)
+    # the coefficients' and the kernel's maps, then the residual's at selections 4, 5
+    assert [np.array_equal(r, later)
             for r, (_, later) in zip(mapped[2:], seen[3:])] == [True, True]
     for (support, stacked), cell in zip(seen[3:], est.support[3:]):
         want = brute_force_scores(np.hsplit(stacked, env.array.num_tx), env.dictionaries)
@@ -473,7 +483,7 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
 def _select_through_state(matrices, dicts, support, amplitudes, residuals):
     """`_select` on the residual as matrix_omp reaches it: through the state
     of the coefficients, updated by the support and its amplitudes."""
-    state = _residual_state(matrices, dicts)
+    state = _residual_state(_refit_of(matrices, dicts, support), dicts)
     return _select(*state.residual(support, amplitudes, np.hstack(residuals)), dicts,
                    support)
 
@@ -499,7 +509,7 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     want = brute_force_scores(residuals, dicts)
     for n, p in support:
         want[n, p] = -np.inf
-    state = _residual_state(matrices, dicts)
+    state = _residual_state(_refit_of(matrices, dicts, support), dicts)
     own = []  # whether the state transforms the residual itself
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_range_maps", lambda r, d, _f=recovery._range_maps:
@@ -522,8 +532,9 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     # under 1e-9 S* + floor, floor = 1e-15 sum_m (Q_m v_m)^2.
     values = [len(dicts.bins) * np.abs(r).max() for r in residuals]
     if updated:
+        maps = np.hsplit(_range_maps(np.hstack(matrices), dicts), len(matrices))
         values = [v + np.abs(h).max() + _fit_peak(dicts, amplitudes)
-                  for v, h in zip(values, _range_maps(matrices, dicts))]
+                  for v, h in zip(values, maps)]
     floor = 1e-15 * sum((b.shape[0] * v) ** 2 for v, b in zip(values, dicts.azimuth_atoms))
     # a best score within rounding of zero ties every cell (one bin and one
     # azimuth cell, say) and checks nothing: no such draw is taken
@@ -546,7 +557,7 @@ def _tie_instance(n_range):
     """
     bins = BinSet(indices=(0, 1), per_channel_bins=4)
     atoms = np.array([[1, 1], [0, 0]], dtype=complex)
-    dicts = DictionarySet(azimuth_atoms=(atoms,), bins=bins,
+    dicts = DictionarySet(azimuth_atoms=atoms[None], bins=bins,
                           range_grid=RangeGrid.from_cells(1e-4, n_range),
                           azi_grid=AzimuthGrid(values=np.array([0.0, 0.5])))
     residual = np.array([[1, 1], [0, -1]], dtype=complex)  # rows: bins 0, 1
@@ -576,7 +587,7 @@ def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_
     monkeypatch.setattr(recovery, "_SCORE_BLOCK_CELLS", 2 * block_rows)
     for n_range in _TIE_GRIDS:
         dicts, residual = _tie_instance(n_range)
-        state = _residual_state([residual], dicts)
+        state = _residual_state(_refit_of([residual], dicts, [(0, 0)]), dicts)
         bound, block_maps, _ = state.residual([(0, 0)], np.zeros(1, dtype=complex),
                                               residual)
         np.testing.assert_array_equal(bound, state.bound)
@@ -594,8 +605,9 @@ def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
     # scored rows' maps from the residuals, though all 24 cells fit one block
     dicts, residual = _tie_instance(12)
     assert len(dicts.range_grid) * len(dicts.azi_grid) <= recovery._SCORE_BLOCK_CELLS
-    assert isinstance(_residual_state([residual], dicts), _LagState)
-    assert isinstance(_residual_state([residual], _tie_instance(8)[0]), _MapState)
+    assert isinstance(_residual_state(_refit_of([residual], dicts, []), dicts), _LagState)
+    narrow = _tie_instance(8)[0]
+    assert isinstance(_residual_state(_refit_of([residual], narrow, []), narrow), _MapState)
     called = []
     for name in ("_range_maps", "_block_maps"):
         monkeypatch.setattr(recovery, name, lambda *args, _name=name, _f=getattr(
@@ -607,23 +619,25 @@ def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
 def _counting_trial(env, monkeypatch):
     """Per matrix OMP iteration of a seeded -5 dB trial, the range rows scored;
     per call, the `_range_maps` calls on the coefficients and on anything
-    else, and the shapes of the forward FFTs."""
+    else, the shapes of the forward FFTs and the cells whose factors
+    `_cell_atoms` builds."""
     scene = generate_scene(np.random.default_rng([7, 0, 0]),
                            SceneSpec(num_targets=10, min_sin_sep=0.025),
                            len(env.range_grid), env.plan.pri)
     rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
                    -5.0, [7, 0, 1])
     coeffs = acquire(rx, env.plan, env.adc, env.bins)
-    rows, calls, ffts = [], {"coefficients": 0, "other": 0}, []
+    rows, calls, ffts, factors = [], {"coefficients": 0, "other": 0}, [], []
     select, range_maps, pair_scores, fft = (recovery._select, recovery._range_maps,
                                             recovery._pair_scores, np.fft.fft)
+    stacked, cell_atoms = np.hstack(coeffs.matrices), recovery._cell_atoms
 
     def counting_select(*args):
         rows.append(0)
         return select(*args)
 
     def counting_range_maps(residuals, dicts):
-        calls["coefficients" if residuals is coeffs.matrices else "other"] += 1
+        calls["coefficients" if np.array_equal(residuals, stacked) else "other"] += 1
         return range_maps(residuals, dicts)
 
     def counting_pair_scores(*args):
@@ -635,38 +649,47 @@ def _counting_trial(env, monkeypatch):
         ffts.append(np.shape(a))
         return fft(a, *args, **kwargs)
 
+    def counting_cell_atoms(dicts):
+        atoms = cell_atoms(dicts)
+        return lambda n, p: factors.append((n, p)) or atoms(n, p)
+
     monkeypatch.setattr(recovery, "_range_maps", counting_range_maps)
     monkeypatch.setattr(recovery, "_select", counting_select)
     monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
+    monkeypatch.setattr(recovery, "_cell_atoms", counting_cell_atoms)
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
     monkeypatch.setattr(np.fft, "fft", fft)
-    return est, rows, calls, ffts
+    return est, rows, calls, ffts, factors
 
 
 @pytest.mark.parametrize("mode", list(ArrayMode))
 def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch, mode):
     # ULA, random and thinned fit one block; wide spans several. The range
-    # maps of the coefficients and of the kernels are taken once per call
+    # maps of the coefficients and of the kernel are taken once per call,
+    # and each selected cell's factors once
     env = desk_envs[mode]
     assert len(env.range_grid) <= 2 * env.bins.per_channel_bins
-    est, rows, calls, ffts = _counting_trial(env, monkeypatch)
+    est, rows, calls, ffts, factors = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
     assert calls == {"coefficients": 1, "other": 1}
     assert ffts == []
+    assert factors == list(est.support)
     assert max(rows) <= 64
 
 
 def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
     # no full range map; the L-point FFTs of the coefficients' M x Q columns
-    # run once, then each selected cell takes two more
+    # run once, then each selected cell takes two more. The bound reads the
+    # refit's cell factors: one build per selection, none by the bound
     env = build_environment(ArrayMode.WIDE, "full", seed=7)
     assert len(env.range_grid) > 2 * env.bins.per_channel_bins
-    est, rows, calls, ffts = _counting_trial(env, monkeypatch)
+    est, rows, calls, ffts, factors = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
     assert calls == {"coefficients": 0, "other": 0}
     num_rx, length = env.array.num_rx, ffts[0][-1]
     assert ffts == [(num_rx, length)] * env.array.num_tx + [(2, length)] * 9
+    assert factors == list(est.support)
     assert max(rows) <= 64
 
 
