@@ -10,11 +10,12 @@ desk modes and --full-trials per mode on full ULA and wide. Trial r of a
 mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
 trials. For every trial the script reports whether the supports, the
-amplitudes and the residual histories are `np.array_equal`, and per mode
-the largest relative difference |change - parent| / |parent| of any
-amplitude or residual-history entry over the trials with equal supports,
-so a change that is not bit-identical can state its tolerance. It exits 1
-when any support differs and 0 otherwise.
+amplitudes, the residual histories and the signal and residual norms are
+`np.array_equal`, and per mode the largest relative difference
+|change - parent| / |parent| of any amplitude, residual-history entry or
+norm over the trials with equal supports, so a change that is not
+bit-identical can state its tolerance. It exits 1 when any support differs
+and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,13 +33,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 DESK_MODES = ("ula", "random", "thinned", "wide")
 FULL_MODES = ("ula", "wide")
-FIELDS = ("support", "amplitudes", "residual_history")
+FIELDS = ("support", "amplitudes", "residual_history", "signal_norm", "residual_norm")
 VALUES = FIELDS[1:]  # the fields whose relative difference is reported
 SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
 def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
-    """(profile, mode, r) -> the recovered support, amplitudes and history."""
+    """(profile, mode, r) -> the recovered support, amplitudes, history and norms."""
     from submimo import ArrayMode, SceneSpec, build_environment, generate_scene, run_trial
 
     spec = SceneSpec(num_targets=10, min_sin_sep=0.025)
@@ -55,7 +56,9 @@ def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
                 est, _ = run_trial(env, scene, SNR_DB, [seed, r, 1])
                 outputs[profile, mode, r] = {
                     "support": np.array(est.support), "amplitudes": est.amplitudes,
-                    "residual_history": np.array(est.residual_history)}
+                    "residual_history": np.array(est.residual_history),
+                    "signal_norm": np.float64(est.signal_norm),
+                    "residual_norm": np.float64(est.residual_norm)}
     return outputs
 
 

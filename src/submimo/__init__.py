@@ -7,7 +7,7 @@ azimuth by simultaneous matrix orthogonal matching pursuit.
 
 from .errors import ConfigError, NumericalError, RadarError, ValidationError
 from .geometry import (ArrayConfig, ArrayMode, AzimuthGrid, azimuth_grid,
-                       build_mode, virtual_position, virtual_positions)
+                       build_mode, virtual_positions)
 from .harness import (DetectionReport, Environment, ExperimentConfig,
                       MetricsRecord, ReductionSummary, SceneSpec,
                       assemble_environment, build_environment, emit_ppi,

@@ -38,8 +38,8 @@ def _cmd_acquire(args) -> int:
     fileio.write_coefficients(args.out, coeffs)
     if args.csv:
         fileio.coefficients_to_csv(args.csv, coeffs)
-    print(f"extracted {len(coeffs.bins)} bins x {len(coeffs.rx_indices)} receivers "
-          f"x {len(coeffs.tx_indices)} channels -> {args.out}")
+    m, k, q = coeffs.matrices.shape
+    print(f"extracted {k} bins x {q} receivers x {m} channels -> {args.out}")
     return 0
 
 

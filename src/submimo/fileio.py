@@ -27,7 +27,7 @@ from .recovery import SparseEstimate
 from .scene import ReceivedBaseband, Scene, target_from_range
 from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, FdmPlan, Subband,
                        build_cognitive_plan, build_fdm_plan, reference_subbands)
-from .xampler import REFERENCE_ADC_RATE, AdcConfig
+from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, CoefficientSet
 
 _COEFF_MAGIC = b"SMCS"
 _COEFF_VERSION = 1
@@ -150,24 +150,21 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
 
 # -- coefficient sets ---------------------------------------------------------
 
-def write_coefficients(path, coeffs) -> None:
-    """Binary blob: counts, tx/rx indices, bin list, then complex64 matrices."""
-    m = len(coeffs.tx_indices)
-    k = len(coeffs.bins)
-    q = len(coeffs.rx_indices)
+def write_coefficients(path, coeffs: CoefficientSet) -> None:
+    """Binary blob: counts, tx/rx indices, bin list, then the complex64 (M, K, Q) array."""
+    m, k, q = coeffs.matrices.shape
     with open(str(path), "wb") as fh:
         fh.write(_COEFF_MAGIC)
         fh.write(struct.pack("<IIIII", _COEFF_VERSION, m, k, q,
                              coeffs.bins.per_channel_bins))
-        fh.write(np.asarray(coeffs.tx_indices, dtype="<i4").tobytes())
-        fh.write(np.asarray(coeffs.rx_indices, dtype="<i4").tobytes())
+        fh.write(np.arange(m, dtype="<i4").tobytes())
+        fh.write(np.arange(q, dtype="<i4").tobytes())
         fh.write(coeffs.bins.as_array.astype("<i4").tobytes())
-        for y in coeffs.matrices:
-            fh.write(np.ascontiguousarray(y, dtype=np.complex64).tobytes())
+        fh.write(coeffs.matrices.astype("<c8").tobytes())
 
 
-def read_coefficients(path):
-    from .xampler import BinSet, CoefficientSet
+def read_coefficients(path) -> CoefficientSet:
+    """A blob of `write_coefficients`; its index lists must be range(M) and range(Q)."""
     data = Path(path).read_bytes()
     if data[:4] != _COEFF_MAGIC or len(data) < 24:
         raise ValidationError(f"{path} is not a coefficient blob")
@@ -178,27 +175,24 @@ def read_coefficients(path):
     if len(data) != size:
         raise ValidationError(f"{path} holds {len(data)} bytes; its header "
                               f"describes {size}")
-    off = 24
-    tx = tuple(np.frombuffer(data, "<i4", m, off).tolist()); off += 4 * m
-    rx = tuple(np.frombuffer(data, "<i4", q, off).tolist()); off += 4 * q
-    bins = tuple(np.frombuffer(data, "<i4", k, off).tolist()); off += 4 * k
-    matrices = []
-    for _ in range(m):
-        y = np.frombuffer(data, np.complex64, k * q, off).reshape(k, q)
-        matrices.append(y.astype(complex))
-        off += 8 * k * q
-    return CoefficientSet(matrices=tuple(matrices),
-                          bins=BinSet(indices=bins, per_channel_bins=n),
-                          tx_indices=tx, rx_indices=rx)
+    tx, rx, bins = np.split(np.frombuffer(data, "<i4", m + q + k, 24), [m, m + q])
+    if not (np.array_equal(tx, np.arange(m)) and np.array_equal(rx, np.arange(q))):
+        raise ValidationError(f"{path} lists transmitters {tx.tolist()} and receivers "
+                              f"{rx.tolist()}; a blob holds every one, in order")
+    y = np.frombuffer(data, "<c8", m * k * q, 24 + 4 * (m + q + k))
+    return CoefficientSet(matrices=y.reshape(m, k, q).astype(complex),
+                          bins=BinSet(indices=tuple(bins.tolist()), per_channel_bins=n))
 
 
-def coefficients_to_csv(path, coeffs) -> None:
+def coefficients_to_csv(path, coeffs: CoefficientSet) -> None:
+    m, _, q = coeffs.matrices.shape
     with open(str(path), "w") as fh:
         fh.write("tx_index,bin,rx_index,re,im\n")
-        for m, y in zip(coeffs.tx_indices, coeffs.matrices):
+        for tx in range(m):
             for i, k in enumerate(coeffs.bins.indices):
-                for j, q in enumerate(coeffs.rx_indices):
-                    fh.write(f"{m},{k},{q},{y[i, j].real!r},{y[i, j].imag!r}\n")
+                for rx in range(q):
+                    y = complex(coeffs.matrices[tx, i, rx])
+                    fh.write(f"{tx},{k},{rx},{y.real!r},{y.imag!r}\n")
 
 
 # -- array layouts ------------------------------------------------------------

@@ -144,23 +144,15 @@ def build_mode(mode: ArrayMode, seed: int = 0,
     )
 
 
-def virtual_position(array: ArrayConfig, tx: int, rx: int) -> float:
-    """Position of the (tx, rx) virtual element in wavelengths: (xi + zeta)/2.
+def virtual_positions(array: ArrayConfig, tx: int) -> np.ndarray:
+    """Positions in wavelengths, (xi + zeta)/2, of transmitter `tx`'s virtual
+    elements with every receiver.
 
     The received spatial phase for a target at sine-DoA theta is
-    exp(j*2*pi*virtual_position*theta); with slot-integer placements the
-    phase has period 2 in theta, which is what makes the full [-1, 1)
-    sine range (180 degrees of DoA) unambiguous.
+    exp(j*2*pi*position*theta); with slot-integer placements the phase has
+    period 2 in theta, which is what makes the full [-1, 1) sine range
+    (180 degrees of DoA) unambiguous.
     """
-    if not 0 <= tx < array.num_tx:
-        raise ValidationError(f"transmit index {tx} out of range")
-    if not 0 <= rx < array.num_rx:
-        raise ValidationError(f"receive index {rx} out of range")
-    return (array.tx_positions[tx] + array.rx_positions[rx]) / 2
-
-
-def virtual_positions(array: ArrayConfig, tx: int) -> np.ndarray:
-    """Virtual positions of transmitter `tx` paired with every receiver."""
     if not 0 <= tx < array.num_tx:
         raise ValidationError(f"transmit index {tx} out of range")
     return (array.tx_positions[tx] + np.asarray(array.rx_positions)) / 2.0

@@ -455,23 +455,22 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     count is given, once the summed relative residual drops to
     DEFAULT_RESIDUAL_TOL.
     """
-    channels, receivers = dicts.azimuth_atoms.shape[:2]
-    if coefficients.tx_indices != tuple(range(channels)):
-        raise ValidationError("coefficients and dictionaries cover different channels")
-    if coefficients.rx_indices != tuple(range(receivers)):  # every matrix is K x len(rx)
-        raise ValidationError("coefficients and dictionaries cover different receivers")
+    matrices = coefficients.matrices
+    channels, k, receivers = matrices.shape
+    if (channels, receivers) != dicts.azimuth_atoms.shape[:2]:
+        raise ValidationError("coefficients and dictionaries cover different channels "
+                              "or receivers")
     if coefficients.bins != dicts.bins:
         raise ValidationError("coefficients and dictionaries cover different bins")
-    if not all(np.isfinite(y).all() for y in coefficients.matrices):
+    if not np.isfinite(matrices).all():
         raise ValidationError("coefficients hold non-finite values")
     if max_targets is not None and max_targets < 1:
         raise ValidationError("max_targets must be at least 1")
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
-    matrices = coefficients.matrices
     cap = min(max_targets or np.inf, len(dicts.range_grid) * len(dicts.azi_grid),
-              sum(y.size for y in matrices))
+              matrices.size)
     signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
-    refit = _Refit(np.hstack(matrices), dicts)
+    refit = _Refit(matrices.transpose(1, 0, 2).reshape(k, -1), dicts)
     state, residual = _residual_state(refit, dicts), refit.stacked
     support: list[tuple[int, int]] = []
     amplitudes, history = np.zeros(0, dtype=complex), []

@@ -145,18 +145,14 @@ def oracle_coefficients(scene: Scene, array: ArrayConfig,
         raise ValidationError("array and plan disagree on the transmitter count")
     k = bins.as_array
     n = bins.per_channel_bins
-    matrices = []
-    for m in range(base.num_tx):
+    matrices = np.zeros((base.num_tx, len(bins), array.num_rx), dtype=complex)
+    for m, y in enumerate(matrices):
         vpos = virtual_positions(array, m)
-        y = np.zeros((len(bins), array.num_rx), dtype=complex)
         for t in scene.targets:
             range_phase = np.exp(-2j * np.pi * (k + m * n) * (t.delay / base.pri))
             spatial_phase = np.exp(2j * np.pi * vpos * t.sin_doa)
             y += t.amplitude * np.outer(range_phase, spatial_phase)
-        matrices.append(y)
-    return CoefficientSet(matrices=tuple(matrices), bins=bins,
-                          tx_indices=tuple(range(base.num_tx)),
-                          rx_indices=tuple(range(array.num_rx)))
+    return CoefficientSet(matrices=matrices, bins=bins)
 
 
 def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseband:

@@ -81,18 +81,26 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Extracted coefficient matrices, one K x Q matrix per processed transmitter."""
+    """Extracted coefficients of every (tx, rx) channel: one complex (M, K, Q)
+    array, `matrices[m]` transmitter m's K x Q matrix on the bins `bins`."""
 
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
     bins: BinSet
-    tx_indices: tuple[int, ...]
-    rx_indices: tuple[int, ...]
 
     def __post_init__(self):
-        k, q = len(self.bins), len(self.rx_indices)
-        for y in self.matrices:
-            if y.shape != (k, q):
-                raise ValidationError(f"coefficient matrix shape {y.shape} != ({k}, {q})")
+        y, k = self.matrices, len(self.bins)
+        if not isinstance(y, np.ndarray) or y.ndim != 3 or y.shape[1] != k:
+            raise ValidationError(f"coefficients must be one (M, {k}, Q) array, "
+                                  f"not {type(y).__name__} {getattr(y, 'shape', '')}")
+
+    # read only by perfbench/workload.py; both go once ROADMAP item 6 moves its reads
+    @property
+    def tx_indices(self) -> tuple[int, ...]:
+        return tuple(range(self.matrices.shape[0]))
+
+    @property
+    def rx_indices(self) -> tuple[int, ...]:
+        return tuple(range(self.matrices.shape[2]))
 
 
 def subband_bins(plan: CognitivePlan) -> BinSet:
@@ -175,7 +183,7 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     """
     base = plan.base
     samples = np.atleast_2d(rx.samples)
-    num_rx, n_frame = samples.shape
+    n_frame = samples.shape[1]
     if abs(rx.pri - base.pri) > 1e-9 * base.pri:
         raise ValidationError(f"frame spans a PRI of {rx.pri} s, the plan's is {base.pri} s")
     n = base.bins_per_channel
@@ -196,6 +204,4 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     offsets = n * np.arange(base.num_tx)[:, None, None]
     values = spectrum[:, offsets + aliases].sum(axis=-1)  # Q x M x K
     values /= norm
-    return CoefficientSet(matrices=tuple(values.transpose(1, 2, 0).copy()),
-                          bins=bins, tx_indices=tuple(range(base.num_tx)),
-                          rx_indices=tuple(range(num_rx)))
+    return CoefficientSet(matrices=values.transpose(1, 2, 0).copy(), bins=bins)

@@ -1,5 +1,7 @@
 """Shared test-side oracles and synthetic solver instances."""
 
+import struct
+
 import numpy as np
 
 from submimo.errors import ValidationError
@@ -107,13 +109,30 @@ def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
     dicts = DictionarySet(azimuth_atoms=np.stack([atoms] * n_channels), bins=bins,
                           range_grid=rgrid, azi_grid=agrid)
     shape = (n_bins, n_rx)
-    matrices = tuple(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for _ in range(n_channels))
-    coeffs = CoefficientSet(matrices=matrices, bins=bins,
-                            tx_indices=tuple(range(n_channels)),
-                            rx_indices=tuple(range(n_rx)))
-    return coeffs, dicts
+    matrices = np.stack([rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         for _ in range(n_channels)])
+    return CoefficientSet(matrices=matrices, bins=bins), dicts
+
+
+def write_blob(path, bins, matrices, tx, rx):
+    """A version-1 coefficient blob with the given index lists, laid out from
+    the format itself: magic, the u32 version and counts M, K, Q, N, the i32
+    transmitter, receiver and bin lists, then the complex64 (M, K, Q) array."""
+    with open(path, "wb") as fh:
+        fh.write(b"SMCS" + struct.pack("<IIIII", 1, len(tx), len(bins), len(rx),
+                                       bins.per_channel_bins))
+        for ids in (tx, rx, bins.indices):
+            fh.write(np.asarray(ids, dtype="<i4").tobytes())
+        fh.write(np.asarray(matrices, dtype="<c8").tobytes())
+
+
+# blobs whose index lists are not every transmitter and every receiver in
+# order, as (M, K, Q) array -> (array, tx list, rx list)
+MISINDEXED_BLOBS = {
+    "tx_subset": lambda y: (y[1:], range(1, len(y)), range(y.shape[2])),
+    "rx_reversed": lambda y: (y[:, :, ::-1], range(len(y)), range(y.shape[2])[::-1]),
+    "rx_subset": lambda y: (y[:, :, ::2], range(len(y)), range(0, y.shape[2], 2)),
+}
 
 
 def loop_occupied_cells(subbands, pri):
@@ -197,16 +216,14 @@ def extract_coefficients(lowrate, bins, adc):
 def time_domain_acquire(rx, plan, adc, bins):
     """`xampler.acquire` as channelize -> subsample -> extract, per transmitter."""
     n = plan.base.bins_per_channel
-    matrices = []
+    matrices = np.zeros((plan.num_tx, len(bins), rx.num_rx), dtype=complex)
     for m, channel in enumerate(channelize(rx, plan)):
         values = extract_coefficients(subsample(channel, adc), bins, adc)
         abs_bins, design = loop_channel_spectrum(plan, m)
         lookup = dict(zip(abs_bins.tolist(), design))
         norm = np.array([lookup[k + m * n] for k in bins.indices])
-        matrices.append((values / norm).T.copy())
-    return CoefficientSet(matrices=tuple(matrices), bins=bins,
-                          tx_indices=tuple(range(plan.num_tx)),
-                          rx_indices=tuple(range(rx.num_rx)))
+        matrices[m] = (values / norm).T
+    return CoefficientSet(matrices=matrices, bins=bins)
 
 
 def loop_synth_received(scene, array, plan, sample_rate):

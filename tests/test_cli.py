@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import MISINDEXED_BLOBS, write_blob
 
 from submimo import (ArrayMode, Scene, Target, build_mode, cli, fileio, harness,
                      oracle_coefficients)
@@ -252,7 +253,7 @@ def test_experiment_and_simulate_build_from_the_same_ini(tmp_path, monkeypatch):
     assert adcs[0] == adcs[1] and adcs[0].rate == 15e6
 
 
-@pytest.mark.parametrize("mismatch", [None, "bins", "tx_indices", "rx_indices"])
+@pytest.mark.parametrize("mismatch", [None, "bins", "channels"])
 def test_recover_checks_the_blob_against_the_configured_environment(
         tmp_path, capsys, mismatch):
     cfg, _ = write_inputs(tmp_path)
@@ -261,15 +262,11 @@ def test_recover_checks_the_blob_against_the_configured_environment(
                                   env.azi_grid.values[50], 1.0),))
     c = oracle_coefficients(scene, env.array, env.plan, env.bins)
     if mismatch == "bins":
-        c = CoefficientSet(matrices=tuple(y[:-1] for y in c.matrices),
+        c = CoefficientSet(matrices=c.matrices[:, :-1],
                            bins=BinSet(indices=c.bins.indices[:-1],
-                                       per_channel_bins=c.bins.per_channel_bins),
-                           tx_indices=c.tx_indices, rx_indices=c.rx_indices)
-    elif mismatch == "tx_indices":
-        c = CoefficientSet(matrices=c.matrices[1:], bins=c.bins,
-                           tx_indices=c.tx_indices[1:], rx_indices=c.rx_indices)
-    elif mismatch == "rx_indices":  # every receiver, listed out of order
-        c = dataclasses.replace(c, rx_indices=c.rx_indices[::-1])
+                                       per_channel_bins=c.bins.per_channel_bins))
+    elif mismatch == "channels":  # 7 of the 8 transmitters
+        c = dataclasses.replace(c, matrices=c.matrices[1:])
     blob, est_csv = tmp_path / "coeffs.bin", tmp_path / "estimate.csv"
     fileio.write_coefficients(blob, c)
     code = main(["recover", "-c", str(cfg), "--in", str(blob),
@@ -298,10 +295,9 @@ def _recover_blob(tmp_path, capsys, transform):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_recover_rejects_a_blob_with_non_finite_coefficients(tmp_path, capsys, value):
     def corrupt(blob, c):
-        y = c.matrices[0].copy()
-        y[3, 2] = value
-        fileio.write_coefficients(blob, dataclasses.replace(
-            c, matrices=(y,) + c.matrices[1:]))
+        y = c.matrices.copy()
+        y[0, 3, 2] = value
+        fileio.write_coefficients(blob, dataclasses.replace(c, matrices=y))
     code, out = _recover_blob(tmp_path, capsys, corrupt)
     assert code == 3
     assert "error: validation:" in out.err and "recovered" not in out.out
@@ -309,12 +305,20 @@ def test_recover_rejects_a_blob_with_non_finite_coefficients(tmp_path, capsys, v
 
 def test_recover_rejects_a_blob_from_a_receiver_subset(tmp_path, capsys):
     def subset(blob, c):
-        fileio.write_coefficients(blob, CoefficientSet(
-            matrices=tuple(y[:, :3] for y in c.matrices), bins=c.bins,
-            tx_indices=c.tx_indices, rx_indices=tuple(range(3))))
+        fileio.write_coefficients(blob, dataclasses.replace(c, matrices=c.matrices[:, :, :3]))
     code, out = _recover_blob(tmp_path, capsys, subset)
     assert code == 3
     assert "error: validation:" in out.err
+
+
+@pytest.mark.parametrize("case", sorted(MISINDEXED_BLOBS))
+def test_recover_rejects_a_blob_whose_index_lists_are_not_every_one_in_order(
+        tmp_path, capsys, case):
+    def misindex(blob, c):
+        write_blob(blob, c.bins, *MISINDEXED_BLOBS[case](c.matrices))
+    code, out = _recover_blob(tmp_path, capsys, misindex)
+    assert code == 3
+    assert "error: validation:" in out.err and "every one, in order" in out.err
 
 
 @pytest.mark.parametrize("cut", [16, -3])

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import MISINDEXED_BLOBS, write_blob
 
 from submimo import (ConfigError, Scene, Target, ValidationError, conventional_plan,
                      oracle_coefficients, synth_received)
@@ -110,12 +111,23 @@ def test_coefficient_blob_roundtrip(tmp_path, desk_env):
     path = tmp_path / "coeffs.bin"
     fileio.write_coefficients(path, coeffs)
     back = fileio.read_coefficients(path)
-    assert back.tx_indices == coeffs.tx_indices
-    assert back.rx_indices == coeffs.rx_indices
-    assert back.bins.indices == coeffs.bins.indices
-    assert back.bins.per_channel_bins == coeffs.bins.per_channel_bins
-    for a, b in zip(back.matrices, coeffs.matrices):
-        assert np.max(np.abs(a - b)) < 1e-6
+    assert back.bins == coeffs.bins
+    assert back.matrices.shape == coeffs.matrices.shape
+    assert np.max(np.abs(back.matrices - coeffs.matrices)) < 1e-6
+    # the blob is the format's version-1 layout with every index, in order
+    m, _, q = coeffs.matrices.shape
+    write_blob(tmp_path / "ref.bin", coeffs.bins, coeffs.matrices, range(m), range(q))
+    assert path.read_bytes() == (tmp_path / "ref.bin").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(MISINDEXED_BLOBS))
+def test_coefficient_blob_must_list_every_channel_in_order(tmp_path, desk_env, case):
+    scene = Scene(targets=(Target(2e-5, 0.25, 1.0),))
+    coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)
+    path = tmp_path / "coeffs.bin"
+    write_blob(path, coeffs.bins, *MISINDEXED_BLOBS[case](coeffs.matrices))
+    with pytest.raises(ValidationError, match="every one, in order"):
+        fileio.read_coefficients(path)
 
 
 @pytest.mark.parametrize("cut", [1, 8, 1000, -1, -4])
@@ -144,8 +156,11 @@ def test_coefficient_csv(tmp_path, desk_env):
     path = tmp_path / "coeffs.csv"
     fileio.coefficients_to_csv(path, coeffs)
     lines = path.read_text().strip().splitlines()
-    k, q, m = len(coeffs.bins), len(coeffs.rx_indices), len(coeffs.tx_indices)
-    assert len(lines) == 1 + m * k * q
+    assert len(lines) == 1 + coeffs.matrices.size
+    tx, k, rx, re, im = lines[-1].split(",")
+    m, _, q = coeffs.matrices.shape
+    assert (int(tx), int(k), int(rx)) == (m - 1, coeffs.bins.indices[-1], q - 1)
+    assert complex(float(re), float(im)) == coeffs.matrices[-1, -1, -1]
 
 
 def test_scene_roundtrip(tmp_path):

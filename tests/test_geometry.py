@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submimo import ArrayMode, ValidationError, azimuth_grid, build_mode
-from submimo.geometry import virtual_position, virtual_positions
+from submimo.geometry import virtual_positions
 
 
 def test_ula_layout_is_the_classic_virtual_array():
@@ -59,17 +59,15 @@ def test_distinct_seeds_give_distinct_layouts():
 
 def test_virtual_position_examples():
     cfg = build_mode(ArrayMode.ULA)
-    assert virtual_position(cfg, 0, 0) == 0.0
-    assert virtual_position(cfg, 1, 2) == 6.0
-    assert virtual_position(cfg, 7, 9) == 39.5
+    assert virtual_positions(cfg, 0)[0] == 0.0
+    assert virtual_positions(cfg, 1)[2] == 6.0
+    assert virtual_positions(cfg, 7)[9] == 39.5
 
 
 def test_virtual_position_rejects_bad_indices():
     cfg = build_mode(ArrayMode.ULA)
     with pytest.raises(ValidationError):
-        virtual_position(cfg, 8, 0)
-    with pytest.raises(ValidationError):
-        virtual_position(cfg, 0, 10)
+        virtual_positions(cfg, 8)
     with pytest.raises(ValidationError):
         virtual_positions(cfg, -1)
 

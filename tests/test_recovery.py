@@ -101,22 +101,16 @@ def test_three_separated_targets_recovered_exactly(desk_env):
 
 
 def test_zero_input_returns_empty_estimate(desk_env):
-    k, q = len(desk_env.bins), desk_env.array.num_rx
-    zeros = tuple(np.zeros((k, q), dtype=complex)
-                  for _ in range(desk_env.array.num_tx))
-    coeffs = CoefficientSet(matrices=zeros, bins=desk_env.bins,
-                            tx_indices=tuple(range(desk_env.array.num_tx)),
-                            rx_indices=tuple(range(q)))
+    shape = (desk_env.array.num_tx, len(desk_env.bins), desk_env.array.num_rx)
+    coeffs = CoefficientSet(matrices=np.zeros(shape, dtype=complex), bins=desk_env.bins)
     est = matrix_omp(coeffs, desk_env.dictionaries, max_targets=5)
     assert est.support == ()
     assert est.residual_norm == 0.0
 
 
 def test_mismatched_channels_rejected(desk_env):
-    k, q = len(desk_env.bins), desk_env.array.num_rx
-    coeffs = CoefficientSet(matrices=(np.zeros((k, q), dtype=complex),),
-                            bins=desk_env.bins, tx_indices=(0,),
-                            rx_indices=tuple(range(q)))
+    shape = (1, len(desk_env.bins), desk_env.array.num_rx)
+    coeffs = CoefficientSet(matrices=np.zeros(shape, dtype=complex), bins=desk_env.bins)
     with pytest.raises(ValidationError):
         matrix_omp(coeffs, desk_env.dictionaries)
 
@@ -132,8 +126,7 @@ def test_degenerate_support_is_reported():
     dicts = DictionarySet(azimuth_atoms=np.stack([atom_b] * 2), bins=bins,
                           range_grid=rgrid, azi_grid=agrid)
     y = np.ones((4, 2), dtype=complex)  # range cell 0, either azimuth cell
-    coeffs = CoefficientSet(matrices=(y, -y), bins=bins, tx_indices=(0, 1),
-                            rx_indices=(0, 1))
+    coeffs = CoefficientSet(matrices=np.stack([y, -y]), bins=bins)
     with pytest.raises(NumericalError):
         matrix_omp(coeffs, dicts, max_targets=2)
 
@@ -456,7 +449,7 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     coeffs = oracle_coefficients(Scene(targets=()), env.array, env.plan, env.bins)
     atoms = _cell_atoms(env.dictionaries)
     stacked = sum(x_j * np.outer(*atoms(n, p)) for x_j, (n, p) in zip(x, cells))
-    coeffs = dataclasses.replace(coeffs, matrices=tuple(np.hsplit(stacked, env.array.num_tx)))
+    coeffs = dataclasses.replace(coeffs, matrices=np.stack(np.hsplit(stacked, env.array.num_tx)))
     seen, mapped = [], []
     residual, range_maps = _MapState.residual, recovery._range_maps
 
@@ -698,10 +691,9 @@ def test_non_finite_coefficients_rejected(desk_env, value):
     scene = Scene(targets=(Target(desk_env.range_grid.delays[10],
                                   desk_env.azi_grid.values[5], 1.0),))
     coeffs = oracle_coefficients(scene, desk_env.array, desk_env.plan, desk_env.bins)
-    y = coeffs.matrices[1].copy()
-    y[0, 0] = complex(value, 0.0)
-    bad = dataclasses.replace(coeffs, matrices=(coeffs.matrices[0], y)
-                              + coeffs.matrices[2:])
+    y = coeffs.matrices.copy()
+    y[1, 0, 0] = complex(value, 0.0)
+    bad = dataclasses.replace(coeffs, matrices=y)
     with pytest.raises(ValidationError):
         matrix_omp(bad, desk_env.dictionaries, max_targets=3)
 
@@ -711,9 +703,7 @@ def test_receiver_subset_rejected(desk_env):
                                   desk_env.azi_grid.values[5], 1.0),))
     rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
     full = acquire(rx, desk_env.plan, desk_env.adc, desk_env.bins)
-    coeffs = CoefficientSet(matrices=tuple(y[:, :5] for y in full.matrices),
-                            bins=full.bins, tx_indices=full.tx_indices,
-                            rx_indices=tuple(range(5)))
+    coeffs = CoefficientSet(matrices=full.matrices[:, :, :5], bins=full.bins)
     with pytest.raises(ValidationError):
         matrix_omp(coeffs, desk_env.dictionaries, max_targets=1)
 

@@ -43,9 +43,11 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
     for mode in ("desk ula", "desk random", "desk thinned", "desk wide",
                  "full ula", "full wide"):
         assert (f"{mode}: 1 trials, support equal in 1, amplitudes equal in 1, "
-                f"residual_history equal in 1") in done.stdout
+                f"residual_history equal in 1, signal_norm equal in 1, "
+                f"residual_norm equal in 1\n") in done.stdout
         assert (f"{mode}: largest relative difference over 1 trials with equal supports: "
-                f"amplitudes 0.0e+00, residual_history 0.0e+00") in done.stdout
+                f"amplitudes 0.0e+00, residual_history 0.0e+00, signal_norm 0.0e+00, "
+                f"residual_norm 0.0e+00\n") in done.stdout
     assert "6 of 6 trials with equal supports" in done.stdout
 
 
@@ -61,7 +63,8 @@ def _compare_outputs_on(monkeypatch, parent, change):
 
 
 _TRIAL = {"support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
-          "residual_history": np.array([0.5, 0.125])}
+          "residual_history": np.array([0.5, 0.125]), "signal_norm": np.float64(2.0),
+          "residual_norm": np.float64(0.75)}
 
 
 def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
@@ -73,19 +76,24 @@ def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
     assert "differs: desk ula trial 1: support" in out
     assert "1 of 2 trials with equal supports" in out
     assert ("desk ula: largest relative difference over 1 trials with equal supports: "
-            "amplitudes 0.0e+00, residual_history 0.0e+00") in out
+            "amplitudes 0.0e+00, residual_history 0.0e+00, signal_norm 0.0e+00, "
+            "residual_norm 0.0e+00\n") in out
 
 
 def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, capsys):
     # rounding-level changes of equal supports are reported, entry by entry
     # relative to the parent's, and do not fail the comparison
     nudged = dict(_TRIAL, amplitudes=np.array([1j, -0.25 * (1 + 3e-13)]),
-                  residual_history=np.array([0.5 * (1 - 2e-15), 0.125]))
+                  residual_history=np.array([0.5 * (1 - 2e-15), 0.125]),
+                  signal_norm=np.float64(2.0 * (1 + 5e-16)),
+                  residual_norm=np.float64(0.75 * (1 - 4e-14)))
     assert _compare_outputs_on(monkeypatch, {("full", "wide", 0): _TRIAL},
                                {("full", "wide", 0): nudged}) == 0
     out = capsys.readouterr().out
     assert ("full wide: 1 trials, support equal in 1, amplitudes equal in 0, "
-            "residual_history equal in 0") in out
+            "residual_history equal in 0, signal_norm equal in 0, "
+            "residual_norm equal in 0\n") in out
     assert ("full wide: largest relative difference over 1 trials with equal supports: "
-            "amplitudes 3.0e-13, residual_history 2.0e-15") in out
+            "amplitudes 3.0e-13, residual_history 2.0e-15, signal_norm 4.4e-16, "
+            "residual_norm 4.0e-14\n") in out
     assert "1 of 1 trials with equal supports" in out

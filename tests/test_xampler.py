@@ -13,6 +13,7 @@ from submimo import (AdcConfig, ArrayMode, BinSet, ReceivedBaseband, Scene,
                      synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
+from submimo.xampler import CoefficientSet
 
 
 def full_plan(num_tx=8):
@@ -189,6 +190,16 @@ def test_acquire_matches_oracle(desk_env):
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-6
 
 
+def test_coefficient_set_takes_one_array_with_a_row_per_bin():
+    bins = BinSet(indices=tuple(range(12)), per_channel_bins=64)
+    good = np.zeros((2, 12, 3), dtype=complex)
+    # a 2-D array, a K off the bins' count, per-channel matrices in a tuple
+    for bad in (good[0], good[:, 1:], np.zeros((2, 13, 3)), tuple(good)):
+        with pytest.raises(ValidationError):
+            CoefficientSet(matrices=bad, bins=bins)
+    assert CoefficientSet(matrices=good, bins=bins).matrices is good
+
+
 def test_acquire_processes_the_expected_channel_counts(desk_envs):
     from submimo import ArrayMode
     for mode, expected in ((ArrayMode.ULA, 80), (ArrayMode.RANDOM, 80),
@@ -197,7 +208,8 @@ def test_acquire_processes_the_expected_channel_counts(desk_envs):
         scene = Scene(targets=(Target(1e-5, 0.0, 1.0),))
         rx = synth_received(scene, env.array, env.plan, env.sample_rate)
         coeffs = acquire(rx, env.plan, env.adc, env.bins)
-        assert len(coeffs.tx_indices) * len(coeffs.rx_indices) == expected
+        m, k, q = coeffs.matrices.shape
+        assert (m * q, k) == (expected, len(env.bins))
 
 
 def test_acquire_is_linear(desk_env):
@@ -256,9 +268,9 @@ def test_acquire_equals_the_time_domain_chain(starts, width, decimation, num_tx,
         sample_rate=45e6, pri=plan.pri)
     got = acquire(rx_frames, plan, adc, bins)
     want = time_domain_acquire(rx_frames, plan, adc, bins)
-    assert (got.tx_indices, got.rx_indices) == (want.tx_indices, want.rx_indices)
+    assert got.matrices.shape == want.matrices.shape
+    assert got.matrices.flags.c_contiguous
     for a, b in zip(got.matrices, want.matrices):
-        assert a.flags.c_contiguous
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(np.abs(b)))
 
 
