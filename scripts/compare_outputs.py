@@ -14,8 +14,11 @@ amplitudes, the residual histories and the signal and residual norms are
 `np.array_equal`, and per mode the largest relative difference
 |change - parent| / |parent| of any amplitude, residual-history entry or
 norm over the trials with equal supports, so a change that is not
-bit-identical can state its tolerance. It exits 1 when any support differs
-and 0 otherwise.
+bit-identical can state its tolerance. The same is reported per mode for
+the acquired coefficients, taken by the public calls `run_trial` makes
+(`synth_received`, `add_noise`, `acquire`), over every trial: a front-end
+change moves them at rounding level before the estimates show it. It
+exits 1 when any support differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,8 +42,10 @@ SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
 def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
-    """(profile, mode, r) -> the recovered support, amplitudes, history and norms."""
-    from submimo import ArrayMode, SceneSpec, build_environment, generate_scene, run_trial
+    """(profile, mode, r) -> the recovered support, amplitudes, history and norms,
+    and the acquired coefficients."""
+    from submimo import (ArrayMode, SceneSpec, acquire, add_noise, build_environment,
+                         generate_scene, run_trial, synth_received)
 
     spec = SceneSpec(num_targets=10, min_sin_sep=0.025)
     outputs = {}
@@ -54,7 +59,10 @@ def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
                 scene = generate_scene(np.random.default_rng([seed, r, 0]), spec,
                                        len(env.range_grid), env.plan.pri)
                 est, _ = run_trial(env, scene, SNR_DB, [seed, r, 1])
+                rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
+                               SNR_DB, [seed, r, 1])
                 outputs[profile, mode, r] = {
+                    "coefficients": acquire(rx, env.plan, env.adc, env.bins).matrices,
                     "support": np.array(est.support), "amplitudes": est.amplitudes,
                     "residual_history": np.array(est.residual_history),
                     "signal_norm": np.float64(est.signal_norm),
@@ -83,16 +91,21 @@ def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
     return float(rel.max(initial=0.0))
 
 
-def compare(parent: dict, change: dict) -> tuple[dict, dict]:
-    """Per trial key, field -> whether both sides' outputs are array-equal; and
-    per trial key with equal supports, value field -> `relative_difference`."""
+def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
+    """Per trial key, field -> whether both sides' outputs are array-equal; per
+    trial key with equal supports, value field -> `relative_difference`; and
+    per trial key, the coefficients' (equal, `relative_difference`)."""
     if parent.keys() != change.keys():
         raise SystemExit("the checkouts ran different trials")
     equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
              for key in parent}
     diffs = {key: {f: relative_difference(parent[key][f], change[key][f]) for f in VALUES}
              for key in parent if equal[key]["support"]}
-    return equal, diffs
+    coefficients = {}
+    for key in parent:
+        p, c = parent[key]["coefficients"], change[key]["coefficients"]
+        coefficients[key] = (np.array_equal(p, c), relative_difference(p, c))
+    return equal, diffs, coefficients
 
 
 def main(argv=None) -> int:
@@ -110,7 +123,8 @@ def main(argv=None) -> int:
     if args.parent is None:
         parser.error("--parent is required")
 
-    equal, diffs = compare(outputs_of(args.parent.resolve(), args), outputs_of(ROOT, args))
+    equal, diffs, coefficients = compare(outputs_of(args.parent.resolve(), args),
+                                         outputs_of(ROOT, args))
     for profile, mode in sorted({key[:2] for key in equal}):
         trials = [same for key, same in equal.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: {len(trials)} trials, " + ", ".join(
@@ -119,6 +133,10 @@ def main(argv=None) -> int:
         print(f"{profile} {mode}: largest relative difference over {len(rel)} trials with "
               f"equal supports: " + ", ".join(
                   f"{f} {max((d[f] for d in rel), default=0.0):.1e}" for f in VALUES))
+        coeffs = [c for key, c in coefficients.items() if key[:2] == (profile, mode)]
+        print(f"{profile} {mode}: acquired coefficients equal in "
+              f"{sum(same for same, _ in coeffs)} of {len(coeffs)} trials, largest "
+              f"relative difference {max(d for _, d in coeffs):.1e}")
     for key, same in sorted(equal.items()):
         if not all(same.values()):
             print(f"differs: {key[0]} {key[1]} trial {key[2]}: "

@@ -63,11 +63,16 @@ def _read_header(path: Path) -> dict:
     return header
 
 
-def read_iq(path) -> tuple[np.ndarray, dict]:
+def _iq_values(path) -> np.ndarray:
+    """The complex64 values of an I/Q file, without its sidecar."""
     raw = np.fromfile(str(path), dtype="<f4")
     if len(raw) % 2:
         raise ValidationError(f"odd float count in I/Q file {path}")
-    samples = raw.view("<c8").astype(complex)
+    return raw.view("<c8")
+
+
+def read_iq(path) -> tuple[np.ndarray, dict]:
+    samples = _iq_values(path).astype(complex)
     hdr = Path(str(path) + ".hdr")
     return samples, _read_header(hdr) if hdr.exists() else {}
 
@@ -89,13 +94,18 @@ def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None
         f"plan_digest = {plan_digest(plan)}",
     ]
     (directory / "received.hdr").write_text("\n".join(lines) + "\n")
+    samples = rx.samples
     for q in range(rx.num_rx):
-        write_iq(directory / f"rx_{q:02d}.iq", rx.samples[q],
+        write_iq(directory / f"rx_{q:02d}.iq", samples[q],
                  {"sample_rate_hz": repr(rx.sample_rate), "rx_index": q})
 
 
 def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseband:
-    """Frames and manifest written by `write_received`.
+    """Frames and manifest written by `write_received`, as the frame's spectrum.
+
+    Each receiver's I/Q file is read into one (num_rx, n) array, which is
+    transformed once; the per-file sidecars are not read. Active spans
+    must lie within the frame, start before they end.
 
     With `plan`, a manifest that names the digest of another plan, or no
     digest, is rejected: its frames carry that plan's spectra, or spectra
@@ -130,22 +140,30 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
             raise ValidationError(f"frames in {directory} were synthesized for plan "
                                   f"{written_for}, not the configured plan "
                                   f"{plan_digest(plan)}")
-    frames = [read_iq(directory / f"rx_{q:02d}.iq")[0] for q in range(num_rx)]
-    if len({len(f) for f in frames}) > 1:
-        raise ValidationError(f"the receiver frames in {directory} differ in length")
-    samples = np.stack(frames)
+    first = _iq_values(directory / "rx_00.iq")
+    samples = np.empty((num_rx, len(first)), dtype=complex)
+    samples[0] = first
+    for q in range(1, num_rx):
+        values = _iq_values(directory / f"rx_{q:02d}.iq")
+        if len(values) != samples.shape[1]:
+            raise ValidationError(f"the receiver frames in {directory} differ in length")
+        samples[q] = values
     mask = None
     if header.get("active_spans"):
         mask = np.zeros(samples.shape[1], dtype=bool)
         for span in header["active_spans"].split(";"):
             a, _, b = span.partition(":")
             try:
-                mask[int(a):int(b)] = True
+                a, b = int(a), int(b)
             except ValueError:
                 raise ValidationError(f"{manifest}: active_spans holds the "
                                       f"malformed span {span!r}") from None
-    return ReceivedBaseband(samples=samples, sample_rate=rate, pri=pri,
-                            active_mask=mask)
+            if not 0 <= a < b <= len(mask):
+                raise ValidationError(f"{manifest}: active span {span!r} is not "
+                                      f"start:end with 0 <= start < end <= {len(mask)}")
+            mask[a:b] = True
+    return ReceivedBaseband.from_samples(samples, sample_rate=rate, pri=pri,
+                                         active_mask=mask)
 
 
 # -- coefficient sets ---------------------------------------------------------

@@ -76,13 +76,61 @@ class DictionarySet:
     atoms. Range atom n of transmitter m is
     exp(-2j*pi*(k + m*N)*n / C) over the selected bins k (N bins per
     channel, C uniform range cells); it is applied by FFT or partial DFT
-    and never stored.
+    and never stored. The solver's tables that depend only on these (the
+    underscored properties) are built on first use and kept, read-only.
     """
 
     azimuth_atoms: np.ndarray
     bins: BinSet
     range_grid: RangeGrid
     azi_grid: AzimuthGrid
+
+    @functools.cached_property
+    def _bin_array(self) -> np.ndarray:
+        """The selected bins k."""
+        return _read_only(self.bins.as_array)
+
+    @functools.cached_property
+    def _conj_roots(self) -> np.ndarray:
+        """exp(2j*pi*j/C) for j < C, as the conjugates of exp(-2j*pi*j/C),
+        indexed by an integer phase mod C."""
+        c = len(self.range_grid)
+        return _read_only(np.exp(-2j * np.pi * np.arange(c) / c).conj())
+
+    @functools.cached_property
+    def _scatter(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Layer j's (rows, picks): the j-th bin, in bin order, of each row
+        k mod C onto which more than j bins fold, and those bins' positions."""
+        folded = self._bin_array % len(self.range_grid)
+        # a bin's layer is the count of earlier bins on its row
+        order = np.argsort(folded, kind="stable")
+        layer = np.empty_like(order)
+        layer[order] = np.arange(len(order)) - np.searchsorted(folded[order], folded[order])
+        picks = [np.flatnonzero(layer == j) for j in range(layer.max() + 1)]
+        return tuple((_read_only(folded[p]), _read_only(p)) for p in picks)
+
+    @functools.cached_property
+    def _kernel(self) -> np.ndarray:
+        """kappa(n) = a_n^H a_0 for every range cell n: the map of atom 0."""
+        return _read_only(_range_maps(np.ones((len(self.bins), 1)), self)[:, 0])
+
+    @functools.cached_property
+    def _weight(self) -> float:
+        """w = max_{m,p} ||b_mp||^2, the row weight (Q for unit-modulus atoms)."""
+        return np.max(np.sum(np.abs(self.azimuth_atoms) ** 2, axis=1))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _doubled(buffer: np.ndarray, axes=(0,)) -> np.ndarray:
+    """`buffer` with its length doubled along `axes`, zero-filled past its entries."""
+    shape = [n * 2 if axis in axes else n for axis, n in enumerate(buffer.shape)]
+    grown = np.zeros(shape, dtype=buffer.dtype)
+    grown[tuple(slice(n) for n in buffer.shape)] = buffer
+    return grown
 
 
 @dataclass(frozen=True)
@@ -124,31 +172,24 @@ def _range_maps(stacked, dicts: DictionarySet) -> np.ndarray:
     """The C x MQ map a_n^H R of every range cell n, a_n(k) = exp(-2j*pi*k*n/C).
 
     `stacked` holds the channels' K x Q residuals side by side. That is
-    C * ifft of R scattered to rows k mod C (colliding bins add). Channel
-    m's range atom is phi_m(n) a_n (`_cell_atoms`); the unit row phase
-    cancels in every score and bound, so no map carries it.
+    C * ifft of R scattered to rows k mod C, where colliding bins add in
+    bin order, as `np.add.at` adds them: one layer of distinct rows at a
+    time (`DictionarySet._scatter`). Channel m's range atom is
+    phi_m(n) a_n (`_cell_atoms`); the unit row phase cancels in every
+    score and bound, so no map carries it.
     """
-    c = len(dicts.range_grid)
-    scattered = np.zeros((c, stacked.shape[1]), dtype=complex)
-    np.add.at(scattered, dicts.bins.as_array % c, stacked)
-    return c * np.fft.ifft(scattered, axis=0)
-
-
-@functools.lru_cache(maxsize=4)
-def _roots_of_unity(c: int) -> np.ndarray:
-    """exp(-2j*pi*j/C) for j < C (read-only), indexed by an integer phase mod C."""
-    roots = np.exp(-2j * np.pi * np.arange(c) / c)
-    roots.flags.writeable = False
-    return roots
+    scattered = np.zeros((len(dicts.range_grid), stacked.shape[1]), dtype=complex)
+    for rows, picks in dicts._scatter:
+        scattered[rows] += stacked[picks]
+    return len(dicts.range_grid) * np.fft.ifft(scattered, axis=0)
 
 
 def _block_maps(stacked, dicts: DictionarySet, rows) -> np.ndarray:
     """The given rows of `_range_maps`, as a partial DFT: one GEMM of the
     rows x K table exp(2j*pi*k*n/C) against `stacked`."""
-    c = len(dicts.range_grid)
-    phase = np.multiply.outer(rows, dicts.bins.as_array)
-    phase %= c
-    return _roots_of_unity(c).conj()[phase] @ stacked
+    phase = np.multiply.outer(rows, dicts._bin_array)
+    phase %= len(dicts.range_grid)
+    return dicts._conj_roots[phase] @ stacked
 
 
 def _smooth_length(n: int) -> int:
@@ -205,9 +246,11 @@ class _MapState:
     ones), and the residual is Y - sum_j x_j a_j d_j^T (the refit's
     factors), its maps are G(R) = G(Y) - K[:, S] (x d_S), with
     K[n, j] = kappa(n - n_j): one C x s by s x MQ product, no scatter and
-    no inverse FFT. The update rounds at the scale of its terms, about
-    1e-16 of |G(Y)| + K sum_j |x_j| per entry (|kappa| <= K, the bin count;
-    unit azimuth atoms), so its bound rounds at about 1e-16 of
+    no inverse FFT. The support grows as matrix OMP selects, and each cell
+    adds its column of K once (kappa is the dictionaries' `_kernel`). The
+    update rounds at the scale of its terms, about 1e-16 of
+    |G(Y)| + K sum_j |x_j| per entry (|kappa| <= K, the bin count; unit
+    azimuth atoms), so its bound rounds at about 1e-16 of
     w MQ (max |G(Y)| + K sum_j |x_j|)^2. While the updated bound's largest
     row exceeds _KEEP_UPDATE_SLACKS slacks of that, the update is kept;
     below (a noiseless fit), the maps are taken from the residual
@@ -217,23 +260,29 @@ class _MapState:
     other: _SLACK of the largest bound.
     """
 
-    def __init__(self, refit, dicts: DictionarySet, weight: float):
-        self.refit, self.dicts, self.weight = refit, dicts, weight
+    def __init__(self, refit, dicts: DictionarySet):
+        self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
         self.maps = _range_maps(refit.stacked, dicts)
         self.peak = np.abs(self.maps).max()
-        self.kernel = _range_maps(np.ones((len(dicts.bins), 1)), dicts)[:, 0]
         self.bound = self._bound(self.maps)
+        # the support's kernel columns K[:, j], in a buffer that doubles when full
+        self.columns, self.size = np.zeros((len(dicts.range_grid), 8), dtype=complex), 0
 
     def _bound(self, maps) -> np.ndarray:
         return self.weight * np.einsum("ij,ij->i", maps.view(float), maps.view(float))
 
     def residual(self, support, amplitudes, residual):
         """The residual's row bound, block-map source (rows -> maps) and slack."""
-        maps, bound = self.maps, self.bound
+        maps, bound, s = self.maps, self.bound, len(support)
         if support:
-            c = len(self.dicts.range_grid)
-            lag = np.subtract.outer(np.arange(c), [n for n, _ in support]) % c
-            maps = maps - self.kernel[lag] @ (amplitudes[:, None] * self.refit.d[:len(support)])
+            while self.columns.shape[1] < s:
+                self.columns = _doubled(self.columns, axes=(1,))
+            kernel, c = self.dicts._kernel, len(self.dicts.range_grid)
+            for j in range(self.size, s):  # K[n, j] = kappa((n - n_j) mod C)
+                n = support[j][0]
+                self.columns[:n, j], self.columns[n:, j] = kernel[c - n:], kernel[:c - n]
+            self.size = s
+            maps = maps - self.columns[:, :s] @ (amplitudes[:, None] * self.refit.d[:s])
             bound = self._bound(maps)
             fit = len(self.dicts.bins) * np.abs(amplitudes).sum()
             terms = self.weight * maps.shape[1] * (self.peak + fit) ** 2
@@ -266,40 +315,46 @@ class _LagState:
     largest row as the slack.
     """
 
-    def __init__(self, refit, dicts: DictionarySet, weight: float):
-        self.refit, self.dicts, self.weight = refit, dicts, weight
-        self.offsets = dicts.bins.as_array - min(dicts.bins.indices)
+    def __init__(self, refit, dicts: DictionarySet):
+        self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
+        self.offsets = dicts._bin_array - min(dicts.bins.indices)
         self.span = int(self.offsets.max()) + 1
         length = _smooth_length(2 * self.span - 1)
         self.power = _power_spectrum(refit.stacked, len(dicts.azimuth_atoms), self.offsets,
                                      length)
         self.bound = self._fold(self.power)
-        self.spectra = self.cross = np.zeros((0, length), dtype=complex)  # S_j, S_j V_j^*
+        # S_j and S_j V_j^* of the support's cells, in buffers that double when full
+        self.spectra, self.cross = (np.zeros((8, length), dtype=complex) for _ in range(2))
+        self.size = 0
 
     def _fold(self, power) -> np.ndarray:
         return self.weight * _fold_bound(power, self.span, len(self.dicts.range_grid))
 
     def _add_cell(self, j: int) -> None:
+        if j == len(self.spectra):
+            self.spectra, self.cross = _doubled(self.spectra), _doubled(self.cross)
         a, d = self.refit.a[j], self.refit.d[j]
         pair = np.zeros((2, self.spectra.shape[1]), dtype=complex)
         pair[0, self.offsets], pair[1, self.offsets] = a, self.refit.stacked @ d.conj()
         s, v = np.fft.fft(pair, out=pair)
-        self.spectra = np.vstack([self.spectra, s])
-        self.cross = np.vstack([self.cross, s * v.conj()])
+        self.spectra[j] = s
+        np.multiply(s, v.conj(), out=self.cross[j])
 
     def residual(self, support, amplitudes, residual):
         """As `_MapState.residual`; the block maps read `residual` as it is."""
         block_maps = functools.partial(_block_maps, residual, self.dicts)
         if not support:
             return self.bound, block_maps, _SLACK * self.bound.max()
-        for j in range(len(self.spectra), len(support)):
+        s = len(support)
+        for j in range(self.size, s):
             self._add_cell(j)
-        d = self.refit.d[:len(support)]
+        self.size = s
+        d, spectra = self.refit.d[:s], self.spectra[:s]
         gamma = np.outer(amplitudes, amplitudes.conj()) * (d @ d.conj().T)
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
-        quad = (gamma.T @ self.spectra).view(float)
-        quad *= self.spectra.view(float)
-        bound = self._fold(self.power - 2 * (amplitudes @ self.cross).real
+        quad = (gamma.T @ spectra).view(float)
+        quad *= spectra.view(float)
+        bound = self._fold(self.power - 2 * (amplitudes @ self.cross[:s]).real
                            + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
         slack = _SLACK * (self.bound.max()
                           + self.weight * len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
@@ -318,20 +373,21 @@ def _residual_state(refit, dicts: DictionarySet):
     `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one.
     Both hold the coefficients' row bound as `bound`, read the coefficients
     and the support's cell factors a_j, d_j from `refit` (a `_Refit`), and
-    take the residual as the refit forms it. The row weight
-    w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms) is taken once.
+    take the residual as the refit forms it. Both weigh their rows by
+    the dictionaries' w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms).
     """
-    weight = np.max(np.sum(np.abs(dicts.azimuth_atoms) ** 2, axis=1))
     wide = len(dicts.range_grid) > 2 * dicts.bins.per_channel_bins
-    return (_LagState if wide else _MapState)(refit, dicts, weight)
+    return (_LagState if wide else _MapState)(refit, dicts)
 
 
 def _pair_scores(maps, dicts: DictionarySet) -> np.ndarray:
     """S(n, p) = sum over channels of |a_{m,n}^H R_m b_mp^*|^2 for the rows n
     of the stacked range maps `maps` (rows x MQ, `_range_maps` rows)."""
     score = 0.0
-    for h, b in zip(np.hsplit(maps, len(dicts.azimuth_atoms)), dicts.azimuth_atoms):
-        g = h @ b.conj()
+    # |h b^*| = |h^* b|: the scan conjugates the rows' maps, not the atoms
+    conj, q = maps.conj(), dicts.azimuth_atoms.shape[1]
+    for m, b in enumerate(dicts.azimuth_atoms):
+        g = conj[:, m * q:(m + 1) * q] @ b
         score += g.real ** 2 + g.imag ** 2
     return score
 
@@ -389,10 +445,11 @@ def _cell_atoms(dicts: DictionarySet):
     d stacks phi_m(n) b_{m,p} over the channels, since channel m's range
     atom is phi_m(n) a_n with the phase phi_m(n) = exp(-2j*pi*m*N*n/C).
     This is the only place the channel phase is taken."""
-    c, k, atoms = len(dicts.range_grid), dicts.bins.as_array, dicts.azimuth_atoms
-    roots = _roots_of_unity(c)  # indexed by the integer phase mod C
+    c, k, atoms = len(dicts.range_grid), dicts._bin_array, dicts.azimuth_atoms
+    conj_roots = dicts._conj_roots  # indexed by the integer phase mod C
     shift = np.repeat(np.arange(len(atoms)) * dicts.bins.per_channel_bins, atoms.shape[1])
-    return lambda n, p: (roots[k * n % c], roots[shift * n % c] * atoms[:, :, p].ravel())
+    return lambda n, p: (conj_roots[k * n % c].conj(),
+                         conj_roots[shift * n % c].conj() * atoms[:, :, p].ravel())
 
 
 class _Refit:
@@ -416,8 +473,8 @@ class _Refit:
     def add(self, n: int, p: int) -> None:
         s = self.size
         if s == len(self.rhs):
-            self.a, self.d = np.pad(self.a, ((0, s), (0, 0))), np.pad(self.d, ((0, s), (0, 0)))
-            self.gram, self.rhs = np.pad(self.gram, (0, s)), np.pad(self.rhs, (0, s))
+            self.a, self.d, self.rhs = _doubled(self.a), _doubled(self.d), _doubled(self.rhs)
+            self.gram = _doubled(self.gram, axes=(0, 1))
         a, d = self.a[s], self.d[s] = self.atoms(n, p)
         row = (self.a[:s + 1] @ a.conj()) * (self.d[:s + 1] @ d.conj())
         self.gram[s, :s + 1], self.gram[:s, s] = row, row[:s].conj()

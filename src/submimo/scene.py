@@ -60,21 +60,40 @@ class Scene:
 
 @dataclass(frozen=True)
 class ReceivedBaseband:
-    """Per-receiver complex frames spanning exactly one PRI.
+    """Per-receiver complex frames spanning exactly one PRI, held as their spectrum.
 
+    `spectrum[q]` is receiver q's forward-normalized DFT of its frame,
+    X_k = (1/n) sum_t x_t exp(-2j*pi*k*t/n): the frame's 1/pri-spaced
+    Fourier coefficients, which synthesis builds and acquisition reads, so
+    neither transforms the frame. `samples` derives the time samples;
+    `from_samples` builds a frame that arrives as time samples.
     `active_mask` marks the nominal pulse-occupied samples (the union of
     [delay, delay + pulse_width) windows of the generating scene); it is
     the reference window for SNR accounting.
     """
 
-    samples: np.ndarray  # (num_rx, frame)
+    spectrum: np.ndarray  # (num_rx, frame)
     sample_rate: float
     pri: float
     active_mask: np.ndarray | None = None
 
+    @classmethod
+    def from_samples(cls, samples, sample_rate: float, pri: float,
+                     active_mask: np.ndarray | None = None) -> "ReceivedBaseband":
+        """The frame of time samples `samples` (num_rx, frame)."""
+        return cls(spectrum=np.fft.fft(np.atleast_2d(samples), axis=1, norm="forward"),
+                   sample_rate=sample_rate, pri=pri, active_mask=active_mask)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The time samples (num_rx, frame), read-only; one inverse FFT per read."""
+        samples = np.fft.ifft(self.spectrum, axis=1, norm="forward")
+        samples.flags.writeable = False
+        return samples
+
     @property
     def num_rx(self) -> int:
-        return self.samples.shape[0]
+        return self.spectrum.shape[0]
 
 
 def _active_mask(scene: Scene, pulse_width: float, pri: float, n_frame: int) -> np.ndarray:
@@ -99,7 +118,8 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
     so a target's delay phase splits into exp(-2j*pi*k*delay/pri), shared by
     all transmitters, and exp(-2j*pi*m*N*delay/pri), folded into the
     target's spatial factor. Each transmitter's bins are then one
-    (receivers x targets) @ (targets x cells) product.
+    (receivers x targets) @ (targets x cells) product, written straight
+    into the frame's spectrum.
     """
     base = plan.base
     for t in scene.targets:
@@ -121,13 +141,12 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
     spectra = [channel_spectrum(plan, m) for m in range(base.num_tx)]
     cells = spectra[0][0]  # channel 0 sits at offset 0
     ramp = np.exp(-2j * np.pi * np.outer(lag, cells))  # targets x cells
-    coeffs = np.zeros((array.num_rx, n_frame), dtype=complex)
+    spectrum = np.zeros((array.num_rx, n_frame), dtype=complex)
     for m, (bins, values) in enumerate(spectra):
         spatial = np.exp(2j * np.pi * np.outer(virtual_positions(array, m), sin))
         spatial *= amp * np.exp(-2j * np.pi * (m * n) * lag)
-        coeffs[:, bins] = (spatial @ ramp) * values
-    samples = np.fft.ifft(coeffs, axis=1, norm="forward")
-    return ReceivedBaseband(samples=samples, sample_rate=sample_rate, pri=base.pri,
+        spectrum[:, bins] = (spatial @ ramp) * values
+    return ReceivedBaseband(spectrum=spectrum, sample_rate=sample_rate, pri=base.pri,
                             active_mask=_active_mask(scene, base.pulse_width,
                                                      base.pri, n_frame))
 
@@ -162,27 +181,36 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     the same energy would have over the active support: total frame energy
     divided by the active-sample count, against the per-sample noise
     variance at the synthesis rate. All receivers get the same variance.
-    `snr_db=None` (or +inf) returns the input untouched.
+    The frame is held as its spectrum, so the energy is n sum_k |X_k|^2
+    (Parseval), and the noise, drawn per time sample, is added as its
+    forward-normalized FFT. `snr_db=None` (or +inf) returns the input
+    untouched.
     """
     if snr_db is None or np.isinf(snr_db):
         return rx
+    shape = rx.spectrum.shape
     mask = rx.active_mask
     if mask is None or not mask.any():
-        mask = np.ones(rx.samples.shape[1], dtype=bool)
-    energy = np.mean(np.sum(np.abs(rx.samples) ** 2, axis=1))
+        mask = np.ones(shape[1], dtype=bool)
+    pairs = rx.spectrum.view(float)  # re, im interleaved
+    energy = shape[1] * np.mean(np.einsum("ij,ij->i", pairs, pairs))
     if energy == 0.0:
         raise NumericalError("SNR undefined for an all-zero signal")
     signal_power = energy / int(mask.sum())
     variance = signal_power / 10 ** (snr_db / 10)
     rng = np.random.default_rng(seed)
     # all real parts, then all imaginary parts: the stream of two draws of
-    # the frame's shape, drawn into one reused half-size buffer that keeps
-    # the stage's peak memory at the input, the output and half a frame
+    # the frame's shape, drawn into one reused half-size buffer, freed
+    # before the in-place transform, so the stage's peak memory stays at
+    # the input, the output and half a frame (an allocated transform
+    # output raised the process's peak RSS by about 2 MB)
     scale = np.sqrt(variance / 2)
-    samples = np.empty(rx.samples.shape, dtype=complex)
-    draw = np.empty(rx.samples.shape)
-    for signal, out in ((rx.samples.real, samples.real), (rx.samples.imag, samples.imag)):
+    noise = np.empty(shape, dtype=complex)
+    draw = np.empty(shape)
+    for out in (noise.real, noise.imag):
         rng.standard_normal(out=draw)
-        draw *= scale
-        np.add(signal, draw, out=out)
-    return replace(rx, samples=samples)
+        np.multiply(draw, scale, out=out)
+    del draw
+    spectrum = np.fft.fft(noise, axis=1, norm="forward", out=noise)
+    spectrum += rx.spectrum
+    return replace(rx, spectrum=spectrum)

@@ -9,8 +9,8 @@ occupied slices are coset bands with respect to the ADC rate.
 The chain is computed in the frequency domain, where it is defined. An ADC
 decimating channel m by D folds its N coefficients X[m*N + k] onto the
 L = N/D low-rate bins, low-rate bin j = sum_{l<D} X[m*N + j + l*L] (DFT
-aliasing), so one full-frame FFT and a sum over the D aliases of each
-selected bin replace the per-channel inverse and low-rate transforms.
+aliasing), so a sum over the D aliases of each selected bin of the
+frame's spectrum replaces the per-channel inverse and low-rate transforms.
 """
 
 from __future__ import annotations
@@ -167,13 +167,30 @@ def _normalization(plan: CognitivePlan, bins: BinSet) -> np.ndarray:
     return plan.cached(("normalization", bins), build)[0]
 
 
+def _alias_table(plan: CognitivePlan, bins: BinSet, d: int) -> np.ndarray:
+    """The (M, K, D) frame bins m*N + k mod L + l*L whose sum is bin k of
+    channel m under decimation D, L = N/D; computed once per bin set and
+    decimation and cached on the plan. Raises when two bins fold onto one
+    low-rate bin."""
+    def build():
+        n = plan.base.bins_per_channel
+        n_low = n // d
+        folded = bins.as_array % n_low
+        if len(set(folded.tolist())) != len(folded):  # np.unique would import numpy.ma
+            raise ValidationError("folded bin collision: subbands are not coset bands")
+        aliases = folded[:, None] + n_low * np.arange(d)  # K x D channel offsets
+        return (n * np.arange(plan.num_tx)[:, None, None] + aliases,)
+    return plan.cached(("aliases", bins, d), build)[0]
+
+
 def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
             bins: BinSet) -> CoefficientSet:
     """Full acquisition chain: channelize, subsample, extract, normalize.
 
     Every (tx, rx) channel is read out. Each selected bin k of channel m is
     the sum of its D folded aliases, X[m*N + k mod L + l*L] for l < D, of
-    the frame's Fourier coefficients X; with a coset-clean plan only the
+    the frame's Fourier coefficients X, which the frame holds as its
+    spectrum, so no transform is taken; with a coset-clean plan only the
     alias k itself carries signal. Each extracted coefficient
     is divided by the known transmitted spectrum value on its bin, which
     aligns all channels to the shared target model: a target at
@@ -182,26 +199,17 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     channel m at receiver q.
     """
     base = plan.base
-    samples = np.atleast_2d(rx.samples)
-    n_frame = samples.shape[1]
     if abs(rx.pri - base.pri) > 1e-9 * base.pri:
         raise ValidationError(f"frame spans a PRI of {rx.pri} s, the plan's is {base.pri} s")
     n = base.bins_per_channel
-    if n_frame < base.num_tx * n:
+    if rx.spectrum.shape[1] < base.num_tx * n:
         raise ValidationError("received frame does not cover the full FDM band")
     d = adc.decimation
     if n % d:
         raise ValidationError(f"the decimation {d} does not divide the channel's "
                               f"{n} bins, so the ADC frame does not fold them")
-    n_low = n // d
-    folded = bins.as_array % n_low
-    if len(set(folded.tolist())) != len(folded):  # np.unique would import numpy.ma
-        raise ValidationError("folded bin collision: subbands are not coset bands")
+    table = _alias_table(plan, bins, d)
     norm = _normalization(plan, bins)
-
-    spectrum = np.fft.fft(samples, axis=1, norm="forward")
-    aliases = folded[:, None] + n_low * np.arange(d)  # K x D channel offsets
-    offsets = n * np.arange(base.num_tx)[:, None, None]
-    values = spectrum[:, offsets + aliases].sum(axis=-1)  # Q x M x K
+    values = rx.spectrum[:, table].sum(axis=-1)  # Q x M x K
     values /= norm
     return CoefficientSet(matrices=values.transpose(1, 2, 0).copy(), bins=bins)

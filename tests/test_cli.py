@@ -220,6 +220,24 @@ def test_acquire_rejects_a_manifest_without_a_plan_digest(tmp_path, capsys):
     assert not (tmp_path / "coeffs.bin").exists()
 
 
+def test_acquire_rejects_active_spans_outside_the_frame(tmp_path, capsys):
+    # the thinned desk frame holds 6000 samples; these spans read as 50
+    # active samples at 5900-5949 when slices wrap and clip
+    cfg, scene_path = write_inputs(tmp_path)
+    frames = tmp_path / "frames"
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(frames)]) == 0
+    manifest = frames / "received.hdr"
+    manifest.write_text("".join(
+        "active_spans = -100:-50;7:3;99990:100000\n" if line.startswith("active_spans")
+        else line for line in manifest.read_text().splitlines(True)))
+    code = main(["acquire", "-c", str(cfg), "--in", str(frames),
+                 "-o", str(tmp_path / "coeffs.bin")])
+    assert code == 3
+    assert "active span" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.bin").exists()
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     code = main(["reduction", "-c", str(tmp_path / "absent.ini")])
     assert code == 2

@@ -74,6 +74,52 @@ def test_received_manifest_with_a_missing_or_malformed_key_is_rejected(
         fileio.read_received(tmp_path / "frames")
 
 
+@pytest.mark.parametrize("spans", ["-100:-50", "7:3", "5:5", "11999:12001",
+                                   "99990:100000", "0:10;-3:2"])
+def test_received_active_spans_must_lie_in_the_frame_and_start_before_they_end(
+        tmp_path, desk_env, spans):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    _rewrite_manifest(tmp_path / "frames", "active_spans", spans)
+    with pytest.raises(ValidationError, match="active span"):
+        fileio.read_received(tmp_path / "frames")
+
+
+def test_received_active_spans_may_cover_the_whole_frame(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    n = rx.spectrum.shape[1]
+    _rewrite_manifest(tmp_path / "frames", "active_spans", f"0:1;{n - 1}:{n}")
+    mask = fileio.read_received(tmp_path / "frames").active_mask
+    assert np.flatnonzero(mask).tolist() == [0, n - 1]
+
+
+def test_received_frames_are_read_without_their_sidecars(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    want = fileio.read_received(tmp_path / "frames")
+    stored = np.stack([fileio.read_iq(tmp_path / "frames" / f"rx_{q:02d}.iq")[0]
+                       for q in range(rx.num_rx)])
+    assert np.array_equal(want.spectrum, np.fft.fft(stored, axis=1, norm="forward"))
+    for q in range(rx.num_rx):
+        (tmp_path / "frames" / f"rx_{q:02d}.iq.hdr").unlink()
+    back = fileio.read_received(tmp_path / "frames")
+    assert np.array_equal(back.spectrum, want.spectrum)
+
+
+def test_received_frame_with_an_odd_float_count_is_rejected(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    path = tmp_path / "frames" / "rx_02.iq"
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(ValidationError, match="odd float count"):
+        fileio.read_received(tmp_path / "frames")
+
+
 def test_received_frames_of_unequal_length_are_rejected(tmp_path, desk_env):
     rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
                         desk_env.plan, desk_env.sample_rate)

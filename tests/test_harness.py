@@ -175,6 +175,27 @@ def test_run_trial_takes_max_targets_as_given(desk_env):
         run_trial(desk_env, scene, None, 0, max_targets=0)
 
 
+@pytest.mark.parametrize("mode, profile", [(ArrayMode.ULA, "desk"),
+                                           (ArrayMode.WIDE, "full")])
+def test_noisy_trial_transforms_the_frame_once(monkeypatch, mode, profile):
+    # the frame is held as its spectrum from synthesis to acquisition: no
+    # inverse transform of it, and one forward transform, of the noise
+    env = build_environment(mode, profile, seed=3)
+    n_frame = int(round(env.sample_rate * env.plan.pri))
+    scene = generate_scene(np.random.default_rng([3, 0, 0]), SceneSpec(num_targets=10),
+                           len(env.range_grid), env.plan.pri)
+    frame_sized = {"fft": 0, "ifft": 0}
+    for name in frame_sized:
+        def spy(a, *args, _name=name, _f=getattr(np.fft, name), **kwargs):
+            axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+            frame_sized[_name] += np.shape(a)[axis] == n_frame
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    estimate, _ = run_trial(env, scene, -5.0, [3, 0, 1])
+    assert len(estimate) == 10
+    assert frame_sized == {"fft": 1, "ifft": 0}
+
+
 def test_experiment_is_deterministic():
     cfg = ExperimentConfig(
         mode=ArrayMode.THINNED,

@@ -250,6 +250,70 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_bins=st.integers(1, 40),
+       total_bins=st.integers(1, 64), n_range=st.integers(1, 12), cols=st.integers(1, 4),
+       zero_share=st.floats(0.0, 1.0))
+@example(seed=0, n_bins=40, total_bins=40, n_range=1, cols=2, zero_share=0.0)  # one row
+@example(seed=1, n_bins=30, total_bins=64, n_range=3, cols=1, zero_share=0.5)
+def test_range_map_scatter_is_np_add_at_bit_for_bit(seed, n_bins, total_bins, n_range,
+                                                    cols, zero_share):
+    # bins in any order, colliding mod C, with magnitudes across many decades
+    # (so the order of the sums shows in their bits) and signed zeros
+    rng = np.random.default_rng(seed)
+    bins = rng.permutation(total_bins)[:n_bins]
+    dicts = DictionarySet(azimuth_atoms=np.ones((1, 1, 1), dtype=complex),
+                          bins=BinSet(indices=tuple(bins.tolist()),
+                                      per_channel_bins=total_bins),
+                          range_grid=RangeGrid.from_cells(1e-4, n_range),
+                          azi_grid=AzimuthGrid(values=np.array([0.0])))
+    values = rng.standard_normal((len(bins), 2 * cols)) * 10.0 ** rng.integers(
+        -8, 9, (len(bins), 2 * cols))
+    zeros = rng.random(values.shape) < zero_share
+    values[zeros] = np.where(rng.random(values.shape) < 0.5, -0.0, 0.0)[zeros]
+    stacked = values.view(complex)
+    scattered = np.zeros((n_range, cols), dtype=complex)
+    np.add.at(scattered, bins % n_range, stacked)
+    want = n_range * np.fft.ifft(scattered, axis=0)
+    assert _range_maps(stacked, dicts).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("instance", ["ula", "wide", "random"])
+def test_dictionary_tables_are_their_definitions_built_once(desk_envs, instance):
+    if instance == "random":
+        _, dicts = random_instance(np.random.default_rng(9), n_channels=3, n_bins=7,
+                                   n_rx=2, n_range=5, n_azi=4, total_bins=12)
+    else:
+        dicts = dataclasses.replace(desk_envs[ArrayMode(instance)].dictionaries)
+    c, k = len(dicts.range_grid), dicts.bins.as_array
+    scattered = np.zeros((c, 1), dtype=complex)
+    np.add.at(scattered, k % c, 1.0)
+    layers = {}  # layer j: the j-th bin, in bin order, folding onto each row
+    for i, row in enumerate(k % c):
+        rows, picks = layers.setdefault(int(np.sum(k[:i] % c == row)), ([], []))
+        rows.append(row)
+        picks.append(i)
+    want = {"_bin_array": [k],
+            "_conj_roots": [np.exp(-2j * np.pi * np.arange(c) / c).conj()],
+            "_kernel": [c * np.fft.ifft(scattered[:, 0])],
+            "_weight": [np.max(np.sum(np.abs(dicts.azimuth_atoms) ** 2, axis=1))],
+            "_scatter": [a for j in sorted(layers) for a in layers[j]]}
+    for name, value in want.items():
+        table = getattr(dicts, name)
+        assert getattr(dicts, name) is table  # built on first use, then kept
+        got = [a for layer in table for a in layer] if name == "_scatter" else [table]
+        assert len(got) == len(value), name
+        for a, b in zip(got, value):
+            assert np.array_equal(a, b), name
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable, name
+    # the kernel is the map of atom 0: kappa(n) = sum_k exp(2j*pi*k*n/C)
+    dense = np.exp(2j * np.pi * np.outer(np.arange(c), k) / c).sum(axis=1)
+    np.testing.assert_allclose(dicts._kernel, dense, rtol=0, atol=1e-9 * len(k))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dicts._kernel = dicts._kernel
+
+
 # grids below, at and above 2N, the last one scored through the lag-domain
 # bound and partial-DFT block maps; C below the bin span folds bins together
 _GRID_EXAMPLES = [dict(seed=0, n_channels=2, n_bins=8, total_bins=8, n_range=5, n_rx=3),
@@ -360,7 +424,7 @@ _fits = dict(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
 def test_updated_maps_match_the_residual_maps(**draw):
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(**draw)
     weight = draw["n_rx"]  # max_p ||b_mp||^2 of unit-modulus atoms
-    state = _MapState(_refit_of(matrices, dicts, support), dicts, weight)
+    state = _MapState(_refit_of(matrices, dicts, support), dicts)
     bound, block_maps, _ = state.residual(support, amplitudes, np.hstack(residuals))
     # the stacked maps without the channel phase, every channel at once
     want = dense_maps(np.hstack(residuals), dicts)
@@ -387,9 +451,9 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
     draw["n_range"] = 2 * draw["total_bins"] + extra_cells  # C > 2N
     matrices, dicts, support, _, _ = _fitted_instance(**draw)
     weight, refit = draw["n_rx"], _refit_of(matrices, dicts, support)
-    state = _LagState(refit, dicts, weight)
+    state = _LagState(refit, dicts)
     calls = [(state, size) for size in range(len(support) + 1)]
-    calls.append((_LagState(refit, dicts, weight), len(support)))
+    calls.append((_LagState(refit, dicts), len(support)))
     for state, size in calls:
         amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
         bound, _, slack = state.residual(support[:size], amplitudes, np.hstack(residuals))
@@ -430,7 +494,7 @@ def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
         seed=seed, n_channels=3, n_bins=3, total_bins=14, n_range=33, n_rx=2, n_azi=5,
         n_selected=5, noiseless=True)
     weight = 2  # n_rx, with unit-modulus atoms
-    state = _LagState(_refit_of(matrices, dicts, support), dicts, weight)
+    state = _LagState(_refit_of(matrices, dicts, support), dicts)
     bound, _, slack = state.residual(support, amplitudes, np.hstack(residuals))
     want = row_bound(np.hstack(residuals), dicts, weight)
     assert want.max() < 1e-20 * state.bound.max()
@@ -450,6 +514,7 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     atoms = _cell_atoms(env.dictionaries)
     stacked = sum(x_j * np.outer(*atoms(n, p)) for x_j, (n, p) in zip(x, cells))
     coeffs = dataclasses.replace(coeffs, matrices=np.stack(np.hsplit(stacked, env.array.num_tx)))
+    env.dictionaries._kernel  # built on first use: an earlier test may have built it
     seen, mapped = [], []
     residual, range_maps = _MapState.residual, recovery._range_maps
 
@@ -463,9 +528,9 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     est = matrix_omp(coeffs, env.dictionaries, max_targets=5)
     assert sorted(est.support[:3]) == cells
     assert est.residual_history[2] < 1e-28 * est.residual_history[0]
-    # the coefficients' and the kernel's maps, then the residual's at selections 4, 5
+    # the coefficients' maps, then the residual's at selections 4, 5
     assert [np.array_equal(r, later)
-            for r, (_, later) in zip(mapped[2:], seen[3:])] == [True, True]
+            for r, (_, later) in zip(mapped[1:], seen[3:])] == [True, True]
     for (support, stacked), cell in zip(seen[3:], est.support[3:]):
         want = brute_force_scores(np.hsplit(stacked, env.array.num_tx), env.dictionaries)
         for n, p in support:
@@ -659,13 +724,15 @@ def _counting_trial(env, monkeypatch):
 @pytest.mark.parametrize("mode", list(ArrayMode))
 def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch, mode):
     # ULA, random and thinned fit one block; wide spans several. The range
-    # maps of the coefficients and of the kernel are taken once per call,
-    # and each selected cell's factors once
+    # maps of the coefficients are taken once per call, those of the kernel
+    # once per dictionary set (built here, if no earlier test has), and each
+    # selected cell's factors once
     env = desk_envs[mode]
     assert len(env.range_grid) <= 2 * env.bins.per_channel_bins
+    env.dictionaries._kernel
     est, rows, calls, ffts, factors = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
-    assert calls == {"coefficients": 1, "other": 1}
+    assert calls == {"coefficients": 1, "other": 0}
     assert ffts == []
     assert factors == list(est.support)
     assert max(rows) <= 64

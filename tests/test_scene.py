@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from helpers import dense_range_atoms, loop_synth_received
 
-from submimo import (ArrayMode, NumericalError, Scene, Target, ValidationError,
-                     add_noise, oracle_coefficients, synth_received,
+from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
+                     ValidationError, add_noise, oracle_coefficients, synth_received,
                      target_from_range)
 from submimo.scene import SPEED_OF_LIGHT
 from submimo.waveform import synth_pulse
@@ -168,12 +168,51 @@ def test_synthesis_equals_the_per_target_loop(desk_envs, mode):
 
 
 def test_noise_is_the_two_draw_formula_bit_for_bit(desk_env):
+    # the frame is held as its spectrum: the noise, two draws of the frame's
+    # shape per time sample, is added as its forward-normalized FFT, and the
+    # SNR is calibrated on the spectrum's energy by Parseval
     scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
     rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
     noisy = add_noise(rx, -5.0, [3, 1])
-    energy = np.mean(np.sum(np.abs(rx.samples) ** 2, axis=1))
+    n, pairs = rx.spectrum.shape[1], rx.spectrum.view(float)  # |X_k|^2 = re^2 + im^2
+    energy = n * np.mean(np.einsum("ij,ij->i", pairs, pairs))
     variance = energy / int(rx.active_mask.sum()) / 10 ** (-5.0 / 10)
     rng = np.random.default_rng([3, 1])
-    noise = (rng.standard_normal(rx.samples.shape)
-             + 1j * rng.standard_normal(rx.samples.shape)) * np.sqrt(variance / 2)
-    assert np.array_equal(noisy.samples, rx.samples + noise)
+    noise = (rng.standard_normal(rx.spectrum.shape)
+             + 1j * rng.standard_normal(rx.spectrum.shape)) * np.sqrt(variance / 2)
+    assert np.array_equal(noisy.spectrum,
+                          rx.spectrum + np.fft.fft(noise, axis=1, norm="forward"))
+    # in time samples: the signal plus the noise, up to the transforms' rounding
+    want = rx.samples + noise
+    np.testing.assert_allclose(noisy.samples, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def test_parseval_energy_equals_the_time_samples_energy(desk_env):
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    n = rx.spectrum.shape[1]
+    spectral = n * np.sum(np.abs(rx.spectrum) ** 2, axis=1)
+    np.testing.assert_allclose(spectral, np.sum(np.abs(rx.samples) ** 2, axis=1),
+                               rtol=1e-12)
+
+
+def test_frame_from_samples_round_trips_through_its_spectrum(desk_env, rng):
+    samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    mask = np.zeros(64, dtype=bool)
+    mask[5:9] = True
+    rx = ReceivedBaseband.from_samples(samples, sample_rate=64e4, pri=1e-4,
+                                       active_mask=mask)
+    assert np.array_equal(rx.spectrum, np.fft.fft(samples, axis=1, norm="forward"))
+    np.testing.assert_allclose(rx.samples, samples, rtol=0, atol=1e-14)
+    assert (rx.num_rx, rx.sample_rate, rx.pri) == (3, 64e4, 1e-4)
+    assert rx.active_mask is mask
+    assert not rx.samples.flags.writeable
+    # and from a synthesized spectrum back: the samples' spectrum is the frame's
+    synth = synth_received(make_scene((2e-5, 0.1, 1.0)), desk_env.array, desk_env.plan,
+                           desk_env.sample_rate)
+    back = ReceivedBaseband.from_samples(synth.samples, synth.sample_rate, synth.pri)
+    np.testing.assert_allclose(back.spectrum, synth.spectrum, rtol=0,
+                               atol=1e-12 * np.abs(synth.spectrum).max())
+    # one receiver's frame as a 1-D array
+    assert ReceivedBaseband.from_samples(samples[0], 64e4, 1e-4).spectrum.shape == (1, 64)

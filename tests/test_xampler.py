@@ -8,7 +8,7 @@ from helpers import (channelize, extract_coefficients, subsample,
                      time_domain_acquire)
 
 from submimo import (AdcConfig, ArrayMode, BinSet, ReceivedBaseband, Scene,
-                     Subband, Target, ValidationError, acquire, build_mode,
+                     Subband, Target, ValidationError, acquire, add_noise, build_mode,
                      check_coset, oracle_coefficients, subband_bins,
                      synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
@@ -76,8 +76,8 @@ def test_channelize_isolates_the_active_transmitter(desk_env):
     coeffs = np.fft.fft(rx.samples, axis=1)
     n = plan.base.bins_per_channel
     coeffs[:, n:] = 0
-    rx_one = type(rx)(samples=np.fft.ifft(coeffs, axis=1), sample_rate=rx.sample_rate,
-                      pri=rx.pri, active_mask=rx.active_mask)
+    rx_one = type(rx).from_samples(np.fft.ifft(coeffs, axis=1), sample_rate=rx.sample_rate,
+                                   pri=rx.pri, active_mask=rx.active_mask)
     channels = channelize(rx_one, plan)
     assert np.linalg.norm(channels[0]) > 0
     for m in range(1, plan.num_tx):
@@ -218,8 +218,8 @@ def test_acquire_is_linear(desk_env):
     rx1 = synth_received(s1, desk_env.array, desk_env.plan, desk_env.sample_rate)
     rx2 = synth_received(s2, desk_env.array, desk_env.plan, desk_env.sample_rate)
     alpha = 0.6 - 1.1j
-    mixed = type(rx1)(samples=alpha * rx1.samples + rx2.samples,
-                      sample_rate=rx1.sample_rate, pri=rx1.pri)
+    mixed = type(rx1).from_samples(alpha * rx1.samples + rx2.samples,
+                                   sample_rate=rx1.sample_rate, pri=rx1.pri)
     y1 = acquire(rx1, desk_env.plan, desk_env.adc, desk_env.bins)
     y2 = acquire(rx2, desk_env.plan, desk_env.adc, desk_env.bins)
     ym = acquire(mixed, desk_env.plan, desk_env.adc, desk_env.bins)
@@ -263,8 +263,8 @@ def test_acquire_equals_the_time_domain_chain(starts, width, decimation, num_tx,
     bins = subband_bins(plan)
     rng = np.random.default_rng(seed)
     shape = (num_rx, 3 * plan.base.bins_per_channel)
-    rx_frames = ReceivedBaseband(
-        samples=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    rx_frames = ReceivedBaseband.from_samples(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
         sample_rate=45e6, pri=plan.pri)
     got = acquire(rx_frames, plan, adc, bins)
     want = time_domain_acquire(rx_frames, plan, adc, bins)
@@ -303,3 +303,28 @@ def test_acquire_rejects_a_bin_the_plan_does_not_transmit_on(desk_env):
                     per_channel_bins=desk_env.bins.per_channel_bins)
     with pytest.raises(ValidationError, match="does not transmit"):
         acquire(rx, desk_env.plan, desk_env.adc, silent)
+
+
+def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
+    # the alias table and the normalization are cached on the plan, and the
+    # coefficients are the per-call sum of the frame's aliases, bit for bit
+    from submimo.xampler import _alias_table, _normalization
+    plan, bins = desk_env.plan, desk_env.bins
+    rx = add_noise(synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)),
+                                  desk_env.array, plan, desk_env.sample_rate), 0.0, 4)
+    got = acquire(rx, plan, desk_env.adc, bins)
+    d, n = desk_env.adc.decimation, plan.base.bins_per_channel
+    table = _alias_table(plan, bins, d)
+    assert _alias_table(plan, bins, d) is table and not table.flags.writeable
+    aliases = bins.as_array % (n // d) + (n // d) * np.arange(d)[:, None]  # D x K
+    want = np.stack([
+        sum(rx.spectrum[:, m * n + a] for a in aliases) / _normalization(plan, bins)[m]
+        for m in range(plan.num_tx)])  # M x Q x K
+    assert np.array_equal(got.matrices, want.transpose(0, 2, 1))
+    # a collision is not cached: every call raises
+    n_low = n // d
+    clash = BinSet(indices=(bins.indices[0], bins.indices[0] + n_low),
+                   per_channel_bins=n)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="collision"):
+            acquire(rx, plan, desk_env.adc, clash)
