@@ -73,7 +73,7 @@ def _cmd_reduction(args) -> int:
     rows = []
     for mode in modes:
         plan = cfg.cognitive_plan(mode_shape(mode)[0])
-        summary = harness.sampling_reduction(mode, plan, cfg.adc(plan))
+        summary = harness.sampling_reduction(mode, plan, cfg.adc())
         rows.append((mode.value, summary))
     header = (f"{'mode':>8} {'rate_x':>7} {'bw_guard_x':>10} {'bw_x':>6} "
               f"{'spatial_x':>9} {'combined_%':>10} {'channels_%':>10}")

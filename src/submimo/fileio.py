@@ -105,7 +105,8 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
 
     Each receiver's I/Q file is read into one (num_rx, n) array, which is
     transformed once; the per-file sidecars are not read. Active spans
-    must lie within the frame, start before they end.
+    must lie within the frame, start before they end; `pri_s` must be
+    finite and positive, and `sample_rate_hz` the frame length over it.
 
     With `plan`, a manifest that names the digest of another plan, or no
     digest, is rejected: its frames carry that plan's spectra, or spectra
@@ -162,8 +163,11 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
                 raise ValidationError(f"{manifest}: active span {span!r} is not "
                                       f"start:end with 0 <= start < end <= {len(mask)}")
             mask[a:b] = True
-    return ReceivedBaseband.from_samples(samples, sample_rate=rate, pri=pri,
-                                         active_mask=mask)
+    rx = ReceivedBaseband.from_samples(samples, pri=pri, active_mask=mask)
+    if not abs(rate - rx.sample_rate) <= 1e-9 * rx.sample_rate:
+        raise ValidationError(f"{manifest}: sample_rate_hz = {rate!r} is not the frame's "
+                              f"{samples.shape[1]} samples over pri_s = {pri!r}")
+    return rx
 
 
 # -- coefficient sets ---------------------------------------------------------
@@ -478,15 +482,14 @@ class ToolkitConfig:
             total_power=self._get("waveform", "total_power_w", 1.0, float),
         )
 
-    def adc(self, plan: CognitivePlan) -> AdcConfig:
-        return AdcConfig(rate=self._get("adc", "rate_hz", REFERENCE_ADC_RATE, float),
-                         channel_spacing=plan.base.channel_spacing)
+    def adc(self) -> AdcConfig:
+        return AdcConfig(rate=self._get("adc", "rate_hz", REFERENCE_ADC_RATE, float))
 
     def environment(self) -> Environment:
         """The pipeline environment of the configured array, plan and ADC."""
         array = self.array()
         plan = self.cognitive_plan(array.num_tx)
-        return assemble_environment(array, plan, self.adc(plan), self.range_cells)
+        return assemble_environment(array, plan, self.adc(), self.range_cells)
 
     def experiment(self) -> ExperimentConfig:
         get = functools.partial(self._get, "experiment")

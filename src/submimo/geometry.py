@@ -47,24 +47,20 @@ def mode_shape(mode: ArrayMode) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Element placement for one mode, positions in half-wavelength slots."""
+    """Element placement for one mode, positions in half-wavelength slots; the
+    counts, which must be the mode's, and the virtual shape derive from them."""
 
     mode: ArrayMode
     wavelength: float
-    num_tx: int
-    num_rx: int
-    virtual_tx: int
-    virtual_rx: int
     tx_positions: tuple[int, ...]
     rx_positions: tuple[int, ...]
-    aperture_slots: int
     seed: int
 
     def __post_init__(self):
-        if len(self.tx_positions) != self.num_tx:
-            raise ValidationError("tx position count does not match num_tx")
-        if len(self.rx_positions) != self.num_rx:
-            raise ValidationError("rx position count does not match num_rx")
+        counts = (len(self.tx_positions), len(self.rx_positions))
+        if counts != _MODE_TABLE[self.mode][:2]:
+            raise ValidationError(f"mode {self.mode.value} takes (tx, rx) position counts "
+                                  f"{_MODE_TABLE[self.mode][:2]}, not {counts}")
         for positions in (self.tx_positions, self.rx_positions):
             if any(p < 0 or p >= self.aperture_slots for p in positions):
                 raise ValidationError("element position outside the aperture")
@@ -72,9 +68,29 @@ class ArrayConfig:
                 raise ValidationError("element positions must be strictly increasing")
 
     @property
+    def num_tx(self) -> int:
+        return len(self.tx_positions)
+
+    @property
+    def num_rx(self) -> int:
+        return len(self.rx_positions)
+
+    @property
+    def virtual_tx(self) -> int:
+        return _MODE_TABLE[self.mode][2]
+
+    @property
+    def virtual_rx(self) -> int:
+        return _MODE_TABLE[self.mode][3]
+
+    @property
+    def aperture_slots(self) -> int:
+        return self.virtual_tx * self.virtual_rx
+
+    @property
     def normalized_aperture(self) -> float:
         """Half the virtual element count: 40 for the 80-slot modes, 200 for the wide one."""
-        return self.virtual_tx * self.virtual_rx / 2
+        return self.aperture_slots / 2
 
     @property
     def aperture_m(self) -> float:
@@ -130,18 +146,8 @@ def build_mode(mode: ArrayMode, seed: int = 0,
         else:  # pragma: no cover
             raise ValidationError("could not place elements spanning the aperture")
 
-    return ArrayConfig(
-        mode=mode,
-        wavelength=wavelength,
-        num_tx=num_tx,
-        num_rx=num_rx,
-        virtual_tx=virtual_tx,
-        virtual_rx=virtual_rx,
-        tx_positions=tx,
-        rx_positions=rx,
-        aperture_slots=slots,
-        seed=seed,
-    )
+    return ArrayConfig(mode=mode, wavelength=wavelength, tx_positions=tx,
+                       rx_positions=rx, seed=seed)
 
 
 def virtual_positions(array: ArrayConfig, tx: int) -> np.ndarray:
@@ -160,5 +166,5 @@ def virtual_positions(array: ArrayConfig, tx: int) -> np.ndarray:
 
 def azimuth_grid(array: ArrayConfig) -> AzimuthGrid:
     """Sine-of-DoA grid theta_p = -1 + 2p/(T*R), p = 0..T*R-1."""
-    n = array.virtual_tx * array.virtual_rx
+    n = array.aperture_slots
     return AzimuthGrid(values=-1.0 + 2.0 * np.arange(n) / n)

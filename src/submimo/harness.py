@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .geometry import ArrayConfig, ArrayMode, AzimuthGrid, build_mode, mode_shape
 from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
                        build_dictionaries, matrix_omp)
-from .scene import (Scene, Target, add_noise, synth_received)
+from .scene import Scene, Target, _noiseless, add_noise, synth_received
 from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, build_cognitive_plan,
                        reference_subbands)
 from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, acquire
@@ -89,8 +89,8 @@ def build_environment(mode: ArrayMode, profile: str = "desk",
     array = build_mode(mode, seed=seed)
     base = dataclasses.replace(REFERENCE_FDM_PLAN, num_tx=array.num_tx)
     plan = build_cognitive_plan(base, reference_subbands())
-    adc = AdcConfig(rate=REFERENCE_ADC_RATE, channel_spacing=base.channel_spacing)
-    return assemble_environment(array, plan, adc, PROFILE_RANGE_CELLS[profile])
+    return assemble_environment(array, plan, AdcConfig(rate=REFERENCE_ADC_RATE),
+                                PROFILE_RANGE_CELLS[profile])
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial")
         if self.max_targets is not None and self.max_targets < 1:
             raise ConfigError(f"max_targets = {self.max_targets}: need at least one")
+        try:
+            _noiseless(self.snr_db)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         targets = (len(self.scene) if isinstance(self.scene, Scene)
                    else self.scene.num_targets)
         if targets < 1:
@@ -316,7 +320,7 @@ def run_trial(env: Environment, scene: Scene, snr_db: float | None, noise_seed,
     """
     with _stage(stages, "synthesize"):
         rx = synth_received(scene, env.array, env.plan, env.sample_rate)
-    if _adds_noise(snr_db):
+    if not _noiseless(snr_db):
         with _stage(stages, "noise"):
             rx = add_noise(rx, snr_db, noise_seed)
     with _stage(stages, "acquire"):
@@ -330,10 +334,6 @@ def run_trial(env: Environment, scene: Scene, snr_db: float | None, noise_seed,
     return estimate, report
 
 
-def _adds_noise(snr_db: float | None) -> bool:
-    return snr_db is not None and not np.isinf(snr_db)
-
-
 def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> MetricsRecord:
     """Seeded Monte-Carlo detection run: one scene and one `run_trial` per trial.
 
@@ -341,10 +341,13 @@ def run_experiment(cfg: ExperimentConfig, env: Environment | None = None) -> Met
     different modes but the same seed face identical target scenarios.
     `env` defaults to the reference design for the configured mode and
     profile, with the array drawn from the experiment seed; a given `env`
-    must be built for `cfg.mode`.
+    whose array is of another mode raises ConfigError.
     """
     if env is None:
         env = build_environment(cfg.mode, cfg.profile, seed=cfg.seed)
+    if env.array.mode is not cfg.mode:
+        raise ConfigError(f"the environment's array is in mode {env.array.mode.value}, "
+                          f"the experiment's is {cfg.mode.value}")
     reports: list[DetectionReport] = []
     stages: dict = {}
     n_truth = n_hits = n_strict = n_est = n_fa = 0

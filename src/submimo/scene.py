@@ -69,20 +69,33 @@ class ReceivedBaseband:
     `from_samples` builds a frame that arrives as time samples.
     `active_mask` marks the nominal pulse-occupied samples (the union of
     [delay, delay + pulse_width) windows of the generating scene); it is
-    the reference window for SNR accounting.
+    the reference window for SNR accounting. The sample rate is the frame
+    length over the PRI.
     """
 
     spectrum: np.ndarray  # (num_rx, frame)
-    sample_rate: float
     pri: float
     active_mask: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not 0 < self.pri < np.inf:
+            raise ValidationError(f"the frame's PRI {self.pri} s is not finite and positive")
+        mask = self.active_mask
+        if mask is not None and (not isinstance(mask, np.ndarray) or mask.dtype != bool
+                                 or mask.shape != self.spectrum.shape[1:]):
+            raise ValidationError(f"the active mask must be a boolean array of the "
+                                  f"frame's {self.spectrum.shape[1]} samples")
+
     @classmethod
-    def from_samples(cls, samples, sample_rate: float, pri: float,
+    def from_samples(cls, samples, pri: float,
                      active_mask: np.ndarray | None = None) -> "ReceivedBaseband":
         """The frame of time samples `samples` (num_rx, frame)."""
         return cls(spectrum=np.fft.fft(np.atleast_2d(samples), axis=1, norm="forward"),
-                   sample_rate=sample_rate, pri=pri, active_mask=active_mask)
+                   pri=pri, active_mask=active_mask)
+
+    @property
+    def sample_rate(self) -> float:
+        return self.spectrum.shape[1] / self.pri
 
     @property
     def samples(self) -> np.ndarray:
@@ -146,7 +159,7 @@ def synth_received(scene: Scene, array: ArrayConfig, plan: CognitivePlan,
         spatial = np.exp(2j * np.pi * np.outer(virtual_positions(array, m), sin))
         spatial *= amp * np.exp(-2j * np.pi * (m * n) * lag)
         spectrum[:, bins] = (spatial @ ramp) * values
-    return ReceivedBaseband(spectrum=spectrum, sample_rate=sample_rate, pri=base.pri,
+    return ReceivedBaseband(spectrum=spectrum, pri=base.pri,
                             active_mask=_active_mask(scene, base.pulse_width,
                                                      base.pri, n_frame))
 
@@ -174,6 +187,13 @@ def oracle_coefficients(scene: Scene, array: ArrayConfig,
     return CoefficientSet(matrices=matrices, bins=bins)
 
 
+def _noiseless(snr_db: float | None) -> bool:
+    """True for the SNRs that add no noise, None and +inf; NaN and -inf raise."""
+    if snr_db is not None and not snr_db > -np.inf:
+        raise ValidationError(f"SNR {snr_db} dB is neither a number of dB nor +inf")
+    return snr_db is None or snr_db == np.inf
+
+
 def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseband:
     """Add circularly-symmetric white Gaussian noise at a calibrated SNR.
 
@@ -184,9 +204,9 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     The frame is held as its spectrum, so the energy is n sum_k |X_k|^2
     (Parseval), and the noise, drawn per time sample, is added as its
     forward-normalized FFT. `snr_db=None` (or +inf) returns the input
-    untouched.
+    untouched; NaN and -inf raise.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if _noiseless(snr_db):
         return rx
     shape = rx.spectrum.shape
     mask = rx.active_mask

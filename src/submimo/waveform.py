@@ -16,6 +16,7 @@ total power relations exact despite off-grid slice edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,18 +71,12 @@ class Subband:
 class CognitivePlan:
     """An FDM plan restricted to subband slices, with power renormalization.
 
-    `amplitude_scale` is sqrt(signal_band / occupied width), the width
-    summed over the bin-cell fractions the pulse actually carries: flat
-    spectra at that scale make the sliced waveform carry exactly the same
-    total power as the full-band one.
-
     The plan also holds a cache of arrays derived from it (see `cached`);
     it takes no part in equality, hashing or `dataclasses.replace`.
     """
 
     base: FdmPlan
     subbands: tuple[Subband, ...]
-    amplitude_scale: float
     total_power: float
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -100,6 +95,19 @@ class CognitivePlan:
                 a.flags.writeable = False
             self._cache[key] = arrays
             return arrays
+
+    @cached_property
+    def amplitude_scale(self) -> float:
+        """sqrt(signal_band / occupied width), the width summed over the bin-cell
+        fractions the pulse actually carries: flat spectra at that scale make
+        the sliced waveform carry exactly the same total power as the full-band
+        one. Subbands that cover no part of any bin cell raise."""
+        # normalize by the cells the spectrum carries, not the nominal widths, so
+        # an edge sliver that _occupied_cells drops takes no power with it
+        kept_cells = sum(_occupied_cells(self.subbands, self.base.pri)[1])
+        if kept_cells <= 0:
+            raise ConfigError("the subbands cover no part of any bin cell")
+        return float(np.sqrt(self.base.signal_band * self.base.pri / kept_cells))
 
     @property
     def pri(self) -> float:
@@ -165,7 +173,7 @@ REFERENCE_FDM_PLAN = build_fdm_plan(num_tx=8, channel_spacing=15e6,
 
 
 def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> CognitivePlan:
-    """Attach subband slices to an FDM plan and fix the power-conserving scale."""
+    """Attach validated subband slices to an FDM plan."""
     slices = tuple(sorted(subbands, key=lambda b: b.lo))
     if not slices:
         raise ConfigError("a cognitive plan needs at least one subband")
@@ -177,14 +185,9 @@ def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> C
     for a, b in zip(slices, slices[1:]):
         if b.lo < a.hi - 1e-9:
             raise ConfigError(f"subbands [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] overlap")
-    # normalize by the cells the spectrum carries, not the nominal widths, so
-    # an edge sliver that _occupied_cells drops takes no power with it
-    kept_cells = sum(_occupied_cells(slices, base.pri)[1])
-    if kept_cells <= 0:
-        raise ConfigError("the subbands cover no part of any bin cell")
-    scale = float(np.sqrt(base.signal_band * base.pri / kept_cells))
-    return CognitivePlan(base=base, subbands=slices,
-                         amplitude_scale=scale, total_power=total_power)
+    plan = CognitivePlan(base=base, subbands=slices, total_power=total_power)
+    plan.amplitude_scale  # raises for subbands that carry no bin cell
+    return plan
 
 
 def conventional_plan(base: FdmPlan, total_power: float = 1.0) -> CognitivePlan:

@@ -60,23 +60,24 @@ class BinSet:
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """Low-rate ADC running below the per-channel Nyquist rate."""
+    """Low-rate ADC running below the per-channel Nyquist rate: it decimates
+    each channel of a plan from the channel spacing to `rate`."""
 
     rate: float
-    channel_spacing: float
 
     def __post_init__(self):
-        if self.rate <= 0 or self.channel_spacing <= 0:
-            raise ConfigError("rates must be positive")
+        if not 0 < self.rate < np.inf:
+            raise ConfigError(f"the ADC rate {self.rate} must be positive and finite")
 
-    @property
-    def decimation(self) -> int:
-        ratio = self.channel_spacing / self.rate
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ValidationError(
-                f"channel rate {self.channel_spacing} is not an integer "
-                f"multiple of the ADC rate {self.rate}")
-        return int(round(ratio))
+
+def _decimation(plan: CognitivePlan, adc: AdcConfig) -> int:
+    """The integer D by which the ADC decimates each of the plan's channels."""
+    ratio = plan.base.channel_spacing / adc.rate
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ValidationError(
+            f"channel rate {plan.base.channel_spacing} is not an integer "
+            f"multiple of the ADC rate {adc.rate}")
+    return int(round(ratio))
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     n = base.bins_per_channel
     if rx.spectrum.shape[1] < base.num_tx * n:
         raise ValidationError("received frame does not cover the full FDM band")
-    d = adc.decimation
+    d = _decimation(plan, adc)
     if n % d:
         raise ValidationError(f"the decimation {d} does not divide the channel's "
                               f"{n} bins, so the ADC frame does not fold them")

@@ -8,7 +8,7 @@ from submimo.errors import ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
 from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED
-from submimo.xampler import BinSet, CoefficientSet
+from submimo.xampler import BinSet, CoefficientSet, _decimation
 
 
 def dense_range_atoms(dicts):
@@ -190,10 +190,9 @@ def channelize(rx, plan):
     return out
 
 
-def subsample(channel, adc):
+def subsample(channel, plan, adc):
     """Keep every D-th sample of a channel-rate signal (last axis)."""
-    d = adc.decimation
-    return np.asarray(channel)[..., ::d]
+    return np.asarray(channel)[..., ::_decimation(plan, adc)]
 
 
 def extract_coefficients(lowrate, bins, adc):
@@ -218,7 +217,7 @@ def time_domain_acquire(rx, plan, adc, bins):
     n = plan.base.bins_per_channel
     matrices = np.zeros((plan.num_tx, len(bins), rx.num_rx), dtype=complex)
     for m, channel in enumerate(channelize(rx, plan)):
-        values = extract_coefficients(subsample(channel, adc), bins, adc)
+        values = extract_coefficients(subsample(channel, plan, adc), bins, adc)
         abs_bins, design = loop_channel_spectrum(plan, m)
         lookup = dict(zip(abs_bins.tolist(), design))
         norm = np.array([lookup[k + m * n] for k in bins.indices])

@@ -61,7 +61,7 @@ def test_acceptance_1_coherence_value(desk_env):
 
 def test_acceptance_2_coset_folding(desk_env):
     with Criterion(2, "reference slices survive 7.5 MHz folding", 1) as c:
-        adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+        adc = AdcConfig(rate=7.5e6)
         c.expect("check_coset true", check_coset(desk_env.plan, adc))
         bands = reference_subbands()
         bin_hz = 1.0 / desk_env.plan.pri

@@ -220,6 +220,37 @@ def test_acquire_rejects_a_manifest_without_a_plan_digest(tmp_path, capsys):
     assert not (tmp_path / "coeffs.bin").exists()
 
 
+def test_acquire_rejects_a_manifest_whose_pri_is_not_a_number(tmp_path, capsys):
+    cfg, scene_path = write_inputs(tmp_path)
+    frames = tmp_path / "frames"
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(frames)]) == 0
+    manifest = frames / "received.hdr"
+    manifest.write_text("".join(
+        "pri_s = nan\n" if line.startswith("pri_s") else line
+        for line in manifest.read_text().splitlines(True)))
+    code = main(["acquire", "-c", str(cfg), "--in", str(frames),
+                 "-o", str(tmp_path / "coeffs.bin")])
+    assert code == 3
+    assert "error: validation:" in capsys.readouterr().err
+    assert not (tmp_path / "coeffs.bin").exists()
+
+
+@pytest.mark.parametrize("snr_db", ["-inf", "nan"])
+def test_an_snr_of_minus_inf_or_nan_exits_2_from_the_ini_and_3_from_simulate(
+        tmp_path, capsys, snr_db):
+    cfg, scene_path = write_inputs(tmp_path)
+    ini = tmp_path / "snr.ini"
+    ini.write_text(CONFIG + f"snr_db = {snr_db}\n")  # the last section is [experiment]
+    assert main(["experiment", "-c", str(ini), "-o", str(tmp_path / "metrics")]) == 2
+    assert "error: config:" in capsys.readouterr().err
+    # "--snr-db=-inf": argparse reads a separate "-inf" token as an option
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 f"--snr-db={snr_db}", "-o", str(tmp_path / "frames")]) == 3
+    assert "error: validation:" in capsys.readouterr().err
+    assert not (tmp_path / "frames").exists()
+
+
 def test_acquire_rejects_active_spans_outside_the_frame(tmp_path, capsys):
     # the thinned desk frame holds 6000 samples; these spans read as 50
     # active samples at 5900-5949 when slices wrap and clip

@@ -74,6 +74,25 @@ def test_received_manifest_with_a_missing_or_malformed_key_is_rejected(
         fileio.read_received(tmp_path / "frames")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pri_s", "nan"), ("pri_s", "inf"), ("pri_s", "0.0"), ("pri_s", "-0.0001"),
+    ("sample_rate_hz", "5.0"), ("sample_rate_hz", "nan"),
+    ("sample_rate_hz", "120000000.5"),
+])
+def test_received_manifest_with_a_bad_pri_or_a_rate_off_the_frame_is_rejected(
+        tmp_path, desk_env, key, value):
+    # the frame holds 12000 samples over 100 us: 120 MHz, within 1e-9
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    _rewrite_manifest(tmp_path / "frames", key, value)
+    with pytest.raises(ValidationError, match="PRI" if key == "pri_s" else key):
+        fileio.read_received(tmp_path / "frames")
+    _rewrite_manifest(tmp_path / "frames", key, {"pri_s": "0.0001",
+                                                 "sample_rate_hz": "120000000.1"}[key])
+    assert fileio.read_received(tmp_path / "frames").sample_rate == 120e6
+
+
 @pytest.mark.parametrize("spans", ["-100:-50", "7:3", "5:5", "11999:12001",
                                    "99990:100000", "0:10;-3:2"])
 def test_received_active_spans_must_lie_in_the_frame_and_start_before_they_end(

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submimo import ArrayMode, ValidationError, azimuth_grid, build_mode
-from submimo.geometry import virtual_positions
+from submimo.geometry import mode_shape, virtual_positions
 
 
 def test_ula_layout_is_the_classic_virtual_array():
@@ -32,8 +33,15 @@ def test_mode_table(mode, m, q, t, r, slots):
     cfg = build_mode(mode, seed=3)
     assert (cfg.num_tx, cfg.num_rx) == (m, q)
     assert (cfg.virtual_tx, cfg.virtual_rx) == (t, r)
-    assert cfg.aperture_slots == slots
+    assert (cfg.num_tx, cfg.num_rx, cfg.virtual_tx, cfg.virtual_rx) == mode_shape(mode)
+    assert cfg.aperture_slots == slots == t * r
     assert cfg.normalized_aperture == t * r / 2
+    # the counts follow the positions, which must fit the mode, and the
+    # virtual shape follows the mode: neither can be set on its own
+    with pytest.raises(ValidationError, match="position counts"):
+        dataclasses.replace(cfg, tx_positions=cfg.tx_positions[:-1])
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, virtual_tx=4)
 
 
 def test_wide_mode_spans_six_meters():

@@ -1,3 +1,4 @@
+import dataclasses
 import signal
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submimo import (ArrayMode, ConfigError, ExperimentConfig, Scene,
-                     SceneSpec, Target, ValidationError, build_environment, emit_ppi,
-                     generate_scene, match_targets, run_experiment, run_trial,
-                     sampling_reduction)
+from submimo import (AdcConfig, ArrayConfig, ArrayMode, CognitivePlan, ConfigError,
+                     ExperimentConfig, ReceivedBaseband, Scene, SceneSpec, Target,
+                     ValidationError, build_environment, emit_ppi, generate_scene,
+                     match_targets, run_experiment, run_trial, sampling_reduction)
 from submimo.recovery import SparseEstimate
 
 
@@ -163,6 +164,42 @@ def test_experiment_without_a_target_to_recover_is_a_config_error(changes):
     base = dict(mode=ArrayMode.THINNED, scene=SceneSpec(num_targets=3), profile="desk")
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, **changes})
+
+
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_an_snr_of_minus_inf_or_nan_is_a_config_error(snr_db):
+    with pytest.raises(ConfigError, match="SNR"):
+        ExperimentConfig(mode=ArrayMode.THINNED, scene=SceneSpec(num_targets=3),
+                         snr_db=snr_db)
+
+
+def test_only_none_and_plus_inf_run_a_trial_without_noise(desk_env):
+    scene = scene_from([(30, 10), (120, 45), (250, 70)], desk_env)
+    for snr_db in (None, np.inf):
+        stages = {}
+        _, report = run_trial(desk_env, scene, snr_db, 0, stages=stages)
+        assert "noise" not in stages and len(report.hits) == 3
+    for snr_db in (-np.inf, np.nan):
+        with pytest.raises(ValidationError, match="SNR"):
+            run_trial(desk_env, scene, snr_db, 0)
+
+
+def test_run_experiment_rejects_an_environment_of_another_mode(desk_envs):
+    cfg = ExperimentConfig(mode=ArrayMode.ULA, scene=SceneSpec(num_targets=3))
+    with pytest.raises(ConfigError, match="mode"):
+        run_experiment(cfg, desk_envs[ArrayMode.THINNED])
+
+
+def test_value_types_hold_only_their_independent_values():
+    # counts, sizes, the decimation, the sample rate and the amplitude scale
+    # are derived from these; a stored copy of one would show up here
+    assert {cls.__name__: tuple(f.name for f in dataclasses.fields(cls) if f.init)
+            for cls in (ArrayConfig, AdcConfig, ReceivedBaseband, CognitivePlan)} == {
+        "ArrayConfig": ("mode", "wavelength", "tx_positions", "rx_positions", "seed"),
+        "AdcConfig": ("rate",),
+        "ReceivedBaseband": ("spectrum", "pri", "active_mask"),
+        "CognitivePlan": ("base", "subbands", "total_power"),
+    }
 
 
 def test_run_trial_takes_max_targets_as_given(desk_env):

@@ -112,6 +112,14 @@ def test_infinite_snr_is_identity(desk_env):
     assert add_noise(rx, np.inf, 5) is rx
 
 
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+def test_an_snr_of_nan_or_minus_inf_is_rejected(desk_env, snr_db):
+    rx = synth_received(make_scene((2e-5, 0.1, 1.0)), desk_env.array, desk_env.plan,
+                        desk_env.sample_rate)
+    with pytest.raises(ValidationError, match="SNR"):
+        add_noise(rx, snr_db, 5)
+
+
 def test_noise_is_deterministic_per_seed(desk_env):
     scene = make_scene((2e-5, 0.1, 1.0))
     rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
@@ -201,8 +209,7 @@ def test_frame_from_samples_round_trips_through_its_spectrum(desk_env, rng):
     samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
     mask = np.zeros(64, dtype=bool)
     mask[5:9] = True
-    rx = ReceivedBaseband.from_samples(samples, sample_rate=64e4, pri=1e-4,
-                                       active_mask=mask)
+    rx = ReceivedBaseband.from_samples(samples, pri=1e-4, active_mask=mask)
     assert np.array_equal(rx.spectrum, np.fft.fft(samples, axis=1, norm="forward"))
     np.testing.assert_allclose(rx.samples, samples, rtol=0, atol=1e-14)
     assert (rx.num_rx, rx.sample_rate, rx.pri) == (3, 64e4, 1e-4)
@@ -211,8 +218,29 @@ def test_frame_from_samples_round_trips_through_its_spectrum(desk_env, rng):
     # and from a synthesized spectrum back: the samples' spectrum is the frame's
     synth = synth_received(make_scene((2e-5, 0.1, 1.0)), desk_env.array, desk_env.plan,
                            desk_env.sample_rate)
-    back = ReceivedBaseband.from_samples(synth.samples, synth.sample_rate, synth.pri)
+    back = ReceivedBaseband.from_samples(synth.samples, synth.pri)
     np.testing.assert_allclose(back.spectrum, synth.spectrum, rtol=0,
                                atol=1e-12 * np.abs(synth.spectrum).max())
     # one receiver's frame as a 1-D array
-    assert ReceivedBaseband.from_samples(samples[0], 64e4, 1e-4).spectrum.shape == (1, 64)
+    assert ReceivedBaseband.from_samples(samples[0], 1e-4).spectrum.shape == (1, 64)
+
+
+@pytest.mark.parametrize("pri", [0.0, -1e-4, np.nan, np.inf])
+def test_a_frame_needs_a_finite_positive_pri(pri):
+    with pytest.raises(ValidationError, match="PRI"):
+        ReceivedBaseband(spectrum=np.zeros((2, 64), dtype=complex), pri=pri)
+
+
+def test_a_frame_rejects_an_active_mask_that_is_not_its_own(rng):
+    # on this 64-sample frame, a 5-sample mask made add_noise calibrate on
+    # 5 active samples: 64/5 times the noise power per sample, about 25
+    # at 0 dB against about 2 with a mask of the frame's length
+    samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    for mask in (np.ones(5, dtype=bool), np.ones(65, dtype=bool),
+                 np.ones((3, 64), dtype=bool), np.ones(64, dtype=int), [True] * 64):
+        with pytest.raises(ValidationError, match="active mask"):
+            ReceivedBaseband.from_samples(samples, pri=1e-4, active_mask=mask)
+    mask = np.zeros(64, dtype=bool)
+    mask[5:9] = True
+    rx = ReceivedBaseband.from_samples(samples, pri=1e-4, active_mask=mask)
+    assert rx.sample_rate == 64e4

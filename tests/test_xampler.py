@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from helpers import (channelize, extract_coefficients, subsample,
                      time_domain_acquire)
 
-from submimo import (AdcConfig, ArrayMode, BinSet, ReceivedBaseband, Scene,
-                     Subband, Target, ValidationError, acquire, add_noise, build_mode,
-                     check_coset, oracle_coefficients, subband_bins,
+from submimo import (AdcConfig, ArrayMode, BinSet, ConfigError, ReceivedBaseband,
+                     Scene, Subband, Target, ValidationError, acquire, add_noise,
+                     build_mode, check_coset, oracle_coefficients, subband_bins,
                      synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
@@ -44,20 +44,20 @@ def test_too_narrow_slice_yields_no_bins():
 
 
 def test_reference_slices_are_coset_bands():
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     assert check_coset(reference_plan(), adc) is True
 
 
 def test_colliding_slices_are_not_coset():
     plan = build_cognitive_plan(
         full_plan(), (Subband(1.63e6, 2.0e6), Subband(9.13e6, 9.5e6)))
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     assert check_coset(plan, adc) is False
 
 
 def test_single_slice_is_always_coset():
     plan = build_cognitive_plan(full_plan(), (Subband(4.0e6, 4.4e6),))
-    assert check_coset(plan, AdcConfig(rate=1e6, channel_spacing=15e6)) is True
+    assert check_coset(plan, AdcConfig(rate=1e6)) is True
 
 
 def test_folded_images_of_high_slices():
@@ -76,8 +76,8 @@ def test_channelize_isolates_the_active_transmitter(desk_env):
     coeffs = np.fft.fft(rx.samples, axis=1)
     n = plan.base.bins_per_channel
     coeffs[:, n:] = 0
-    rx_one = type(rx).from_samples(np.fft.ifft(coeffs, axis=1), sample_rate=rx.sample_rate,
-                                   pri=rx.pri, active_mask=rx.active_mask)
+    rx_one = type(rx).from_samples(np.fft.ifft(coeffs, axis=1), pri=rx.pri,
+                                   active_mask=rx.active_mask)
     channels = channelize(rx_one, plan)
     assert np.linalg.norm(channels[0]) > 0
     for m in range(1, plan.num_tx):
@@ -112,34 +112,52 @@ def test_channelize_conserves_energy(desk_env):
     assert split == pytest.approx(full, rel=1e-9)
 
 
+def test_the_decimation_is_the_plans_channel_spacing_over_the_adc_rate():
+    from submimo.xampler import _decimation
+    wide = build_cognitive_plan(
+        build_fdm_plan(num_tx=2, channel_spacing=30e6, signal_band=24e6, guard=6e6,
+                       pri=100e-6, pulse_width=4.2e-6), reference_subbands())
+    assert _decimation(reference_plan(), AdcConfig(rate=7.5e6)) == 2
+    assert _decimation(reference_plan(), AdcConfig(rate=15e6)) == 1
+    assert _decimation(wide, AdcConfig(rate=15e6)) == 2
+    with pytest.raises(ValidationError, match="integer multiple"):
+        _decimation(wide, AdcConfig(rate=7e6))
+    # the ADC states its rate only, so it cannot name a spacing the plan lacks
+    with pytest.raises(TypeError):
+        AdcConfig(rate=7.5e6, channel_spacing=7.5e6)
+    for rate in (0.0, -7.5e6, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            AdcConfig(rate=rate)
+
+
 def test_subsample_halves_the_reference_channel():
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     x = np.arange(1500, dtype=complex)
-    y = subsample(x, adc)
+    y = subsample(x, reference_plan(), adc)
     assert len(y) == 750
     np.testing.assert_array_equal(y, x[::2])
 
 
 def test_subsample_identity_when_rates_match():
-    adc = AdcConfig(rate=15e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=15e6)
     x = np.arange(10, dtype=complex)
-    np.testing.assert_array_equal(subsample(x, adc), x)
+    np.testing.assert_array_equal(subsample(x, reference_plan(), adc), x)
 
 
 def test_subsample_rejects_non_integer_ratio():
-    adc = AdcConfig(rate=7e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7e6)
     with pytest.raises(ValidationError):
-        subsample(np.zeros(15), adc)
+        subsample(np.zeros(15), reference_plan(), adc)
 
 
 def test_extract_reads_a_pure_tone():
     plan = reference_plan()
     bins = subband_bins(plan)
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     k0 = 181  # inside the first slice
     n = bins.per_channel_bins
     tone = np.exp(2j * np.pi * k0 * np.arange(n) / n)
-    values = extract_coefficients(subsample(tone, adc), bins, adc)
+    values = extract_coefficients(subsample(tone, plan, adc), bins, adc)
     at_k0 = bins.indices.index(k0)
     assert values[at_k0] == pytest.approx(1.0, abs=1e-9)
     others = np.delete(values, at_k0)
@@ -149,7 +167,7 @@ def test_extract_reads_a_pure_tone():
 def test_extract_zero_input():
     plan = reference_plan()
     bins = subband_bins(plan)
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     values = extract_coefficients(np.zeros(750, dtype=complex), bins, adc)
     assert np.all(values == 0)
 
@@ -158,7 +176,7 @@ def test_extract_detects_folded_collisions():
     plan = build_cognitive_plan(
         full_plan(), (Subband(1.63e6, 2.0e6), Subband(9.13e6, 9.5e6)))
     bins = subband_bins(plan)
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     with pytest.raises(ValidationError):
         extract_coefficients(np.zeros(750, dtype=complex), bins, adc)
 
@@ -168,13 +186,13 @@ def test_extraction_equals_full_rate_dft_on_coset_input():
     # Fourier coefficients restricted to the selected bins, exactly
     plan = reference_plan()
     bins = subband_bins(plan)
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     rng = np.random.default_rng(5)
     n = bins.per_channel_bins
     spec = np.zeros(n, dtype=complex)
     spec[bins.as_array] = rng.standard_normal(len(bins)) + 1j * rng.standard_normal(len(bins))
     signal = np.fft.ifft(spec) * n
-    extracted = extract_coefficients(subsample(signal, adc), bins, adc)
+    extracted = extract_coefficients(subsample(signal, plan, adc), bins, adc)
     np.testing.assert_allclose(extracted, spec[bins.as_array], atol=1e-12)
 
 
@@ -218,8 +236,7 @@ def test_acquire_is_linear(desk_env):
     rx1 = synth_received(s1, desk_env.array, desk_env.plan, desk_env.sample_rate)
     rx2 = synth_received(s2, desk_env.array, desk_env.plan, desk_env.sample_rate)
     alpha = 0.6 - 1.1j
-    mixed = type(rx1).from_samples(alpha * rx1.samples + rx2.samples,
-                                   sample_rate=rx1.sample_rate, pri=rx1.pri)
+    mixed = type(rx1).from_samples(alpha * rx1.samples + rx2.samples, pri=rx1.pri)
     y1 = acquire(rx1, desk_env.plan, desk_env.adc, desk_env.bins)
     y2 = acquire(rx2, desk_env.plan, desk_env.adc, desk_env.bins)
     ym = acquire(mixed, desk_env.plan, desk_env.adc, desk_env.bins)
@@ -258,14 +275,13 @@ def test_acquire_equals_the_time_domain_chain(starts, width, decimation, num_tx,
                     key=lambda b: b.lo)
     slices = [b for a, b in zip([None] + slices, slices) if a is None or b.lo >= a.hi]
     plan = build_cognitive_plan(full_plan(num_tx), slices)
-    adc = AdcConfig(rate=15e6 / decimation, channel_spacing=15e6)
+    adc = AdcConfig(rate=15e6 / decimation)
     assume(check_coset(plan, adc))
     bins = subband_bins(plan)
     rng = np.random.default_rng(seed)
     shape = (num_rx, 3 * plan.base.bins_per_channel)
     rx_frames = ReceivedBaseband.from_samples(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        sample_rate=45e6, pri=plan.pri)
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pri=plan.pri)
     got = acquire(rx_frames, plan, adc, bins)
     want = time_domain_acquire(rx_frames, plan, adc, bins)
     assert got.matrices.shape == want.matrices.shape
@@ -288,7 +304,7 @@ def test_acquire_rejects_a_decimation_that_does_not_divide_the_channel_bins():
     array = build_mode(ArrayMode.THINNED, seed=0)
     base = dataclasses.replace(full_plan(array.num_tx), pri=1501 / 15e6)
     plan = build_cognitive_plan(base, reference_subbands())
-    adc = AdcConfig(rate=7.5e6, channel_spacing=15e6)
+    adc = AdcConfig(rate=7.5e6)
     assert check_coset(plan, adc)
     rx = synth_received(Scene(targets=(Target(1e-5, 0.0, 1.0),)), array, plan,
                         plan.base.total_bandwidth)
@@ -308,12 +324,12 @@ def test_acquire_rejects_a_bin_the_plan_does_not_transmit_on(desk_env):
 def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
     # the alias table and the normalization are cached on the plan, and the
     # coefficients are the per-call sum of the frame's aliases, bit for bit
-    from submimo.xampler import _alias_table, _normalization
+    from submimo.xampler import _alias_table, _decimation, _normalization
     plan, bins = desk_env.plan, desk_env.bins
     rx = add_noise(synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)),
                                   desk_env.array, plan, desk_env.sample_rate), 0.0, 4)
     got = acquire(rx, plan, desk_env.adc, bins)
-    d, n = desk_env.adc.decimation, plan.base.bins_per_channel
+    d, n = _decimation(plan, desk_env.adc), plan.base.bins_per_channel
     table = _alias_table(plan, bins, d)
     assert _alias_table(plan, bins, d) is table and not table.flags.writeable
     aliases = bins.as_array % (n // d) + (n // d) * np.arange(d)[:, None]  # D x K
