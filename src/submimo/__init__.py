@@ -18,10 +18,9 @@ from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
 from .scene import (SPEED_OF_LIGHT, ReceivedBaseband, Scene, Target,
                     add_noise, oracle_coefficients, synth_received,
                     target_from_range)
-from .waveform import (BasebandPulse, CognitivePlan, FdmPlan, Subband,
-                       build_cognitive_plan, build_fdm_plan, channel_spectrum,
-                       conventional_plan, pulse_energy, reference_subbands,
-                       spectral_power, synth_pulse)
+from .waveform import (CognitivePlan, FdmPlan, Subband, build_cognitive_plan,
+                       build_fdm_plan, channel_spectrum, conventional_plan,
+                       reference_subbands)
 from .xampler import (AdcConfig, BinSet, CoefficientSet, acquire, check_coset,
                       subband_bins)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import DEFAULT_WAVELENGTH, ArrayConfig, ArrayMode, build_mode
+from .geometry import ArrayConfig, ArrayMode, build_mode
 from .harness import (PROFILE_RANGE_CELLS, Environment, ExperimentConfig,
                       MetricsRecord, SceneSpec, assemble_environment)
 from .recovery import SparseEstimate
@@ -225,7 +225,6 @@ def write_array_config(path, array: ArrayConfig) -> None:
     parser["array"] = {
         "mode": array.mode.value,
         "seed": str(array.seed),
-        "wavelength_m": repr(array.wavelength),
         "tx_positions": " ".join(map(str, array.tx_positions)),
         "rx_positions": " ".join(map(str, array.rx_positions)),
     }
@@ -357,8 +356,7 @@ def parse_mode(name: str) -> ArrayMode:
 
 
 def _parse_subbands(text: str):
-    text = text.strip()
-    if not text or text == "reference":
+    if text == "reference":
         return reference_subbands()
     bands = []
     for chunk in text.split(","):
@@ -373,6 +371,40 @@ def _parse_subbands(text: str):
 
 def _positions(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split())
+
+
+# every key a configuration may hold, by section, with the converter that
+# reads its value (None: the raw string); `ToolkitConfig._get` reads no other
+_KEYS = {
+    "array": {"mode": None, "seed": int, "tx_positions": _positions,
+              "rx_positions": _positions},
+    "waveform": {"channel_spacing_hz": float, "signal_band_hz": float,
+                 "guard_hz": float, "pri_s": float, "pulse_width_s": float,
+                 "total_power_w": float, "subbands": _parse_subbands},
+    "adc": {"rate_hz": float},
+    "recovery": {"profile": None, "range_cells": int},
+    "experiment": {"trials": int, "seed": int, "snr_db": float,
+                   "num_targets": int, "min_range_sep_cells": int,
+                   "min_sin_sep": float, "close_pair_sin_gap": float,
+                   "max_targets": int, "scene_file": None},
+}
+
+
+def _check_keys(parser: configparser.ConfigParser, path) -> None:
+    """Reject a section or key that `_KEYS` does not list.
+
+    A [DEFAULT] section's keys would be read in every section, so it is
+    rejected as a section of its own.
+    """
+    defaults = [parser.default_section] if parser.defaults() else []
+    for section in defaults + parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]; the sections "
+                              f"are {', '.join(f'[{s}]' for s in _KEYS)}")
+        for option in parser.options(section):
+            if option not in _KEYS[section]:
+                raise ConfigError(f"[{section}] {option} is not a known key; "
+                                  f"[{section}] takes {', '.join(_KEYS[section])}")
 
 
 class ToolkitConfig:
@@ -390,6 +422,7 @@ class ToolkitConfig:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        _check_keys(parser, path)
         cfg = cls(parser)
         cfg.mode  # validate eagerly so any subcommand rejects a bad file
         if cfg.profile not in PROFILE_RANGE_CELLS:
@@ -397,12 +430,13 @@ class ToolkitConfig:
                               f"{sorted(PROFILE_RANGE_CELLS)}")
         return cfg
 
-    def _get(self, section, option, fallback=None, convert=None):
-        """`[section] option` as a string, or converted by `convert`.
+    def _get(self, section, option, fallback=None):
+        """`[section] option` as a string, or converted by its `_KEYS` converter.
 
         A converted key that is absent or empty gives `fallback`; a value
-        `convert` rejects is a ConfigError naming the key.
+        the converter rejects is a ConfigError naming the key.
         """
+        convert = _KEYS[section][option]
         if convert is None:
             return self.parser.get(section, option, fallback=fallback)
         raw = self.parser.get(section, option, fallback="")
@@ -419,7 +453,7 @@ class ToolkitConfig:
 
     @property
     def array_seed(self) -> int:
-        return self._get("array", "seed", 0, int)
+        return self._get("array", "seed", 0)
 
     def in_mode(self, mode: ArrayMode) -> "ToolkitConfig":
         """This configuration with `[array] mode` set to `mode`.
@@ -439,15 +473,11 @@ class ToolkitConfig:
 
     def array(self) -> ArrayConfig:
         """The configured mode's seeded layout; explicit positions override it."""
-        built = build_mode(self.mode, seed=self.array_seed,
-                           wavelength=self._get("array", "wavelength_m",
-                                                DEFAULT_WAVELENGTH, float))
+        built = build_mode(self.mode, seed=self.array_seed)
         return dataclasses.replace(
             built,
-            tx_positions=self._get("array", "tx_positions", built.tx_positions,
-                                   _positions),
-            rx_positions=self._get("array", "rx_positions", built.rx_positions,
-                                   _positions))
+            tx_positions=self._get("array", "tx_positions", built.tx_positions),
+            rx_positions=self._get("array", "rx_positions", built.rx_positions))
 
     @property
     def profile(self) -> str:
@@ -456,7 +486,7 @@ class ToolkitConfig:
     @property
     def range_cells(self) -> int:
         """`[recovery] range_cells`, or the profile's count when it is absent."""
-        cells = self._get("recovery", "range_cells", None, int)
+        cells = self._get("recovery", "range_cells")
         if cells is None:
             return PROFILE_RANGE_CELLS[self.profile]
         if cells < 1:
@@ -464,7 +494,7 @@ class ToolkitConfig:
         return cells
 
     def fdm_plan(self, num_tx: int) -> FdmPlan:
-        g = lambda opt, dflt: self._get("waveform", opt, dflt, float)
+        g = functools.partial(self._get, "waveform")
         ref = REFERENCE_FDM_PLAN
         return build_fdm_plan(
             num_tx=num_tx,
@@ -478,12 +508,12 @@ class ToolkitConfig:
     def cognitive_plan(self, num_tx: int) -> CognitivePlan:
         return build_cognitive_plan(
             self.fdm_plan(num_tx),
-            _parse_subbands(self._get("waveform", "subbands", "reference")),
-            total_power=self._get("waveform", "total_power_w", 1.0, float),
+            self._get("waveform", "subbands", reference_subbands()),
+            total_power=self._get("waveform", "total_power_w", 1.0),
         )
 
     def adc(self) -> AdcConfig:
-        return AdcConfig(rate=self._get("adc", "rate_hz", REFERENCE_ADC_RATE, float))
+        return AdcConfig(rate=self._get("adc", "rate_hz", REFERENCE_ADC_RATE))
 
     def environment(self) -> Environment:
         """The pipeline environment of the configured array, plan and ADC."""
@@ -498,17 +528,17 @@ class ToolkitConfig:
             scene: Scene | SceneSpec = read_scene(scene_file)
         else:
             scene = SceneSpec(
-                num_targets=get("num_targets", 10, int),
-                min_range_sep_cells=get("min_range_sep_cells", 0, int),
-                min_sin_sep=get("min_sin_sep", 0.0, float),
-                close_pair_sin_gap=get("close_pair_sin_gap", None, float),
+                num_targets=get("num_targets", 10),
+                min_range_sep_cells=get("min_range_sep_cells", 0),
+                min_sin_sep=get("min_sin_sep", 0.0),
+                close_pair_sin_gap=get("close_pair_sin_gap"),
             )
         return ExperimentConfig(
             mode=self.mode,
             scene=scene,
             profile=self.profile,
-            snr_db=get("snr_db", None, float),
-            trials=get("trials", 1, int),
-            seed=get("seed", 0, int),
-            max_targets=get("max_targets", None, int),
+            snr_db=get("snr_db"),
+            trials=get("trials", 1),
+            seed=get("seed", 0),
+            max_targets=get("max_targets"),
         )

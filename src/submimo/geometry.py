@@ -13,9 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
-
-DEFAULT_WAVELENGTH = 0.03  # 10 GHz carrier, meters
+from .errors import ConfigError, ValidationError
 
 # rejection sampling for edge-pinned random layouts provably terminates;
 # the cap only guards against a broken RNG
@@ -51,7 +49,6 @@ class ArrayConfig:
     counts, which must be the mode's, and the virtual shape derive from them."""
 
     mode: ArrayMode
-    wavelength: float
     tx_positions: tuple[int, ...]
     rx_positions: tuple[int, ...]
     seed: int
@@ -87,16 +84,6 @@ class ArrayConfig:
     def aperture_slots(self) -> int:
         return self.virtual_tx * self.virtual_rx
 
-    @property
-    def normalized_aperture(self) -> float:
-        """Half the virtual element count: 40 for the 80-slot modes, 200 for the wide one."""
-        return self.aperture_slots / 2
-
-    @property
-    def aperture_m(self) -> float:
-        """Physical aperture span in meters (slots times half a wavelength)."""
-        return self.aperture_slots * self.wavelength / 2
-
 
 @dataclass(frozen=True)
 class AzimuthGrid:
@@ -112,8 +99,7 @@ class AzimuthGrid:
         return len(self.values)
 
 
-def build_mode(mode: ArrayMode, seed: int = 0,
-               wavelength: float = DEFAULT_WAVELENGTH) -> ArrayConfig:
+def build_mode(mode: ArrayMode, seed: int = 0) -> ArrayConfig:
     """Construct the element layout for `mode`.
 
     The ULA mode is deterministic: receivers on slots 0..9 (half-wavelength
@@ -124,6 +110,8 @@ def build_mode(mode: ArrayMode, seed: int = 0,
     so that the full aperture is spanned. Identical seeds reproduce
     identical layouts.
     """
+    if seed < 0:
+        raise ConfigError(f"array seed {seed}: need a non-negative integer")
     num_tx, num_rx, virtual_tx, virtual_rx = _MODE_TABLE[mode]
     slots = virtual_tx * virtual_rx
 
@@ -146,8 +134,7 @@ def build_mode(mode: ArrayMode, seed: int = 0,
         else:  # pragma: no cover
             raise ValidationError("could not place elements spanning the aperture")
 
-    return ArrayConfig(mode=mode, wavelength=wavelength, tx_positions=tx,
-                       rx_positions=rx, seed=seed)
+    return ArrayConfig(mode=mode, tx_positions=tx, rx_positions=rx, seed=seed)
 
 
 def virtual_positions(array: ArrayConfig, tx: int) -> np.ndarray:

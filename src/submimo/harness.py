@@ -31,6 +31,8 @@ PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 # common refinement (0.025 spacing), the fine grid matches the wide mode
 COARSE_AZIMUTH_CELLS = 80
 FINE_AZIMUTH_CELLS = 400
+# the close pair's least distance, in range cells, to every background target
+PAIR_RANGE_CLEARANCE_CELLS = 6
 
 # rejection-sampling cap for scene placement; an unsatisfiable spec raises
 # instead of spinning
@@ -106,14 +108,14 @@ class SceneSpec:
     representative. `close_pair_sin_gap` appends an equal-range resolution
     probe: two targets centered on a coarse azimuth cell with that sine
     gap, so each sits half the gap off the coarse grid (the worst
-    sub-resolution geometry) while remaining on the fine grid.
+    sub-resolution geometry) while remaining on the fine grid, on a range
+    cell `PAIR_RANGE_CLEARANCE_CELLS` clear of every background target.
     """
 
     num_targets: int
     min_range_sep_cells: int = 0
     min_sin_sep: float = 0.0
     close_pair_sin_gap: float | None = None
-    pair_range_clearance_cells: int = 6
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("need at least one trial")
+        if self.seed < 0:
+            raise ConfigError(f"experiment seed {self.seed}: need a non-negative integer")
         if self.max_targets is not None and self.max_targets < 1:
             raise ConfigError(f"max_targets = {self.max_targets}: need at least one")
         try:
@@ -245,7 +249,7 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
         for _ in range(_MAX_PLACEMENT_DRAWS):
             n0 = int(rng.integers(0, range_cells))
             center_cell = int(rng.integers(margin, COARSE_AZIMUTH_CELLS - margin))
-            if all(abs(n0 - n) >= spec.pair_range_clearance_cells for n, _ in placed):
+            if all(abs(n0 - n) >= PAIR_RANGE_CLEARANCE_CELLS for n, _ in placed):
                 break
         else:
             raise ConfigError("no range cell clears the close pair's range clearance")
@@ -474,7 +478,7 @@ def _write_ppi_svg(path: str, rows) -> None:
         f'<text x="{size/2+10}" y="{margin/2+4}" font-size="12">N</text>',
     ]
     style = {
-        "miss": ('none', 'blue'), "hit_truth": ('none', 'blue'),
+        "hit_truth": ('none', 'blue'),
         "hit": ('green', 'green'), "false_alarm": ('magenta', 'magenta'),
     }
     for kind, _, _, _, e, n, status in rows:

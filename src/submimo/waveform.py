@@ -1,4 +1,4 @@
-"""FDM channel plans, cognitive subband slicing and baseband pulse synthesis.
+"""FDM channel plans, cognitive subband slicing and the pulses' designed spectra.
 
 The transmit band is a one-sided complex baseband [0, M*channel_spacing).
 Channel m occupies [m*spacing, m*spacing + signal_band) with the guard above.
@@ -15,6 +15,7 @@ total power relations exact despite off-grid slice edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,14 +34,13 @@ class FdmPlan:
     num_tx: int
     channel_spacing: float  # Hz per channel including guard
     signal_band: float      # Hz of usable band per channel (B_h)
-    guard: float            # Hz between adjacent channels
     pri: float              # pulse repetition interval, seconds
     pulse_width: float      # nominal transmitted pulse duration, seconds
 
     @property
-    def carriers(self) -> np.ndarray:
-        """Per-channel carrier frequencies, centered in each signal band."""
-        return np.arange(self.num_tx) * self.channel_spacing + self.signal_band / 2
+    def guard(self) -> float:
+        """Hz between adjacent channels: the spacing the signal band leaves."""
+        return self.channel_spacing - self.signal_band
 
     @property
     def total_bandwidth(self) -> float:
@@ -122,25 +122,22 @@ class CognitivePlan:
         return sum(b.width for b in self.subbands)
 
 
-@dataclass(frozen=True)
-class BasebandPulse:
-    """One transmitter's baseband pulse over a full PRI frame."""
-
-    samples: np.ndarray
-    sample_rate: float
-    tx_index: int
-
-    @property
-    def pri(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
 def build_fdm_plan(num_tx: int, channel_spacing: float, signal_band: float,
                    guard: float, pri: float, pulse_width: float) -> FdmPlan:
-    """Validated FDM plan; the band arithmetic must close exactly."""
+    """Validated FDM plan; the band arithmetic must close exactly.
+
+    `guard` is only checked: the plan derives it from the other two.
+    """
     if num_tx < 1:
         raise ConfigError("need at least one transmitter")
-    if abs(signal_band + guard - channel_spacing) > 1e-6 * channel_spacing:
+    for name, value in (("channel_spacing", channel_spacing), ("pri", pri),
+                        ("pulse_width", pulse_width)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} = {value!r} must be finite and positive")
+    if not 0 < signal_band <= channel_spacing:
+        raise ConfigError(f"signal_band = {signal_band!r} must lie in "
+                          f"(0, channel_spacing = {channel_spacing!r}]")
+    if not abs(signal_band + guard - channel_spacing) <= 1e-6 * channel_spacing:
         raise ConfigError(
             f"signal_band + guard must equal channel_spacing "
             f"({signal_band} + {guard} != {channel_spacing})")
@@ -150,8 +147,7 @@ def build_fdm_plan(num_tx: int, channel_spacing: float, signal_band: float,
     if abs(n_bins - round(n_bins)) > 1e-6:
         raise ConfigError("channel_spacing * pri must be an integer bin count")
     return FdmPlan(num_tx=num_tx, channel_spacing=channel_spacing,
-                   signal_band=signal_band, guard=guard, pri=pri,
-                   pulse_width=pulse_width)
+                   signal_band=signal_band, pri=pri, pulse_width=pulse_width)
 
 
 def reference_subbands() -> tuple[Subband, ...]:
@@ -244,49 +240,3 @@ def _design_spectrum(plan: CognitivePlan, tx: int):
     phases = np.exp(2j * np.pi * rng.random(len(bins)))
     values = plan.amplitude_scale * g * np.sqrt(fracs) * phases
     return bins, values
-
-
-def synth_pulse(plan: CognitivePlan, tx: int, sample_rate: float) -> BasebandPulse:
-    """Synthesize transmitter `tx`'s baseband pulse over one PRI frame.
-
-    The frame's spectrum is exactly the designed one: flat (scaled) slices,
-    zero elsewhere, so FDM channels stay perfectly disjoint after
-    channelization. Complex sampling means the rate must cover the whole
-    one-sided multiplexed band.
-    """
-    base = plan.base
-    if sample_rate < base.total_bandwidth - 1e-6:
-        raise ConfigError(
-            f"sample_rate {sample_rate} below the occupied band "
-            f"{base.total_bandwidth}")
-    n_frame = int(round(sample_rate * base.pri))
-    if abs(sample_rate * base.pri - n_frame) > 1e-6:
-        raise ConfigError("sample_rate * pri must be an integer sample count")
-    bins, values = channel_spectrum(plan, tx)
-    coeffs = np.zeros(n_frame, dtype=complex)
-    coeffs[bins] = values
-    samples = np.fft.ifft(coeffs) * n_frame
-    return BasebandPulse(samples=samples, sample_rate=sample_rate, tx_index=tx)
-
-
-def pulse_energy(pulse: BasebandPulse) -> float:
-    """Continuous-time energy of the frame, integral of |h(t)|^2 dt."""
-    return float(np.sum(np.abs(pulse.samples) ** 2) / pulse.sample_rate)
-
-
-def spectral_power(pulse: BasebandPulse, band: Subband) -> float:
-    """Power spectral density of the pulse integrated over `band` (absolute Hz).
-
-    The frame's spectrum is a line spectrum on the 1/pri grid; each line at
-    k/pri contributes its full power when it lies in [lo, hi). This keeps
-    whole-band integration exactly Parseval.
-    """
-    if band.hi > pulse.sample_rate + 1e-6:
-        raise ValidationError("band extends beyond the pulse's Nyquist range")
-    n = len(pulse.samples)
-    pri = pulse.pri
-    coeffs = np.fft.fft(pulse.samples) / n
-    k_first = max(int(np.ceil(band.lo * pri - _BIN_EPS)), 0)
-    k_last = min(int(np.ceil(band.hi * pri - _BIN_EPS)), n)
-    power = np.sum(np.abs(coeffs[k_first:k_last]) ** 2)
-    return float(power * pri)

@@ -94,7 +94,7 @@ class CoefficientSet:
             raise ValidationError(f"coefficients must be one (M, {k}, Q) array, "
                                   f"not {type(y).__name__} {getattr(y, 'shape', '')}")
 
-    # read only by perfbench/workload.py; both go once ROADMAP item 6 moves its reads
+    # read only by perfbench/workload.py; both go once ROADMAP item 8 moves its reads
     @property
     def tx_indices(self) -> tuple[int, ...]:
         return tuple(range(self.matrices.shape[0]))

@@ -1,13 +1,14 @@
 """Shared test-side oracles and synthetic solver instances."""
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from submimo.errors import ValidationError
+from submimo.errors import ConfigError, ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
-from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED
+from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED, channel_spectrum
 from submimo.xampler import BinSet, CoefficientSet, _decimation
 
 
@@ -238,3 +239,66 @@ def loop_synth_received(scene, array, plan, sample_rate):
             spatial = t.amplitude * np.exp(2j * np.pi * vpos * t.sin_doa)
             coeffs[:, bins] += np.outer(spatial, delayed)
     return np.fft.ifft(coeffs, axis=1) * n_frame
+
+
+# -- the time-domain pulse ------------------------------------------------------
+# The pipeline works on `waveform.channel_spectrum`; a pulse sampled from it
+# checks the designed spectrum's power relations in the time domain.
+
+@dataclass(frozen=True)
+class BasebandPulse:
+    """One transmitter's baseband pulse over a full PRI frame."""
+
+    samples: np.ndarray
+    sample_rate: float
+    tx_index: int
+
+    @property
+    def pri(self) -> float:
+        return len(self.samples) / self.sample_rate
+
+
+def synth_pulse(plan, tx, sample_rate):
+    """Synthesize transmitter `tx`'s baseband pulse over one PRI frame.
+
+    The frame's spectrum is exactly the designed one: flat (scaled) slices,
+    zero elsewhere, so FDM channels stay perfectly disjoint after
+    channelization. Complex sampling means the rate must cover the whole
+    one-sided multiplexed band.
+    """
+    base = plan.base
+    if sample_rate < base.total_bandwidth - 1e-6:
+        raise ConfigError(
+            f"sample_rate {sample_rate} below the occupied band "
+            f"{base.total_bandwidth}")
+    n_frame = int(round(sample_rate * base.pri))
+    if abs(sample_rate * base.pri - n_frame) > 1e-6:
+        raise ConfigError("sample_rate * pri must be an integer sample count")
+    bins, values = channel_spectrum(plan, tx)
+    coeffs = np.zeros(n_frame, dtype=complex)
+    coeffs[bins] = values
+    samples = np.fft.ifft(coeffs) * n_frame
+    return BasebandPulse(samples=samples, sample_rate=sample_rate, tx_index=tx)
+
+
+def pulse_energy(pulse):
+    """Continuous-time energy of the frame, integral of |h(t)|^2 dt."""
+    return float(np.sum(np.abs(pulse.samples) ** 2) / pulse.sample_rate)
+
+
+def spectral_power(pulse, band):
+    """Power spectral density of the pulse integrated over `band` (absolute Hz).
+
+    The frame's spectrum is a line spectrum on the 1/pri grid; each line at
+    k/pri contributes its full power when it lies in [lo, hi). This keeps
+    whole-band integration exactly Parseval.
+    """
+    if band.hi > pulse.sample_rate + 1e-6:
+        raise ValidationError("band extends beyond the pulse's Nyquist range")
+    n = len(pulse.samples)
+    pri = pulse.pri
+    coeffs = np.fft.fft(pulse.samples) / n
+    k_first = max(int(np.ceil(band.lo * pri - _BIN_EPS)), 0)
+    k_last = min(int(np.ceil(band.hi * pri - _BIN_EPS)), n)
+    power = np.sum(np.abs(coeffs[k_first:k_last]) ** 2)
+    return float(power * pri)

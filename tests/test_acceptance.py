@@ -8,12 +8,13 @@ criterion a deterministic measurement.
 import time
 
 import numpy as np
-from helpers import brute_force_scores, dense_range_atoms, random_instance
+from helpers import (brute_force_scores, dense_range_atoms, pulse_energy,
+                     random_instance, synth_pulse)
 
 from submimo import (AdcConfig, ArrayMode, ExperimentConfig, Scene, SceneSpec,
                      Target, check_coset, coherence, matrix_omp,
-                     oracle_coefficients, pulse_energy, run_experiment,
-                     sampling_reduction, synth_pulse, synth_received)
+                     oracle_coefficients, run_experiment, sampling_reduction,
+                     synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               conventional_plan, reference_subbands)
 from submimo.xampler import acquire

@@ -125,6 +125,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("profile = desk", "profile = desk\nrange_cells = -5"),
     ("max_targets = 3", "max_targets = 0"),
     ("num_targets = 3", "num_targets = 0"),
+    ("seed = 7", "seed = -3"),
+    ("seed = 99", "seed = -3"),
 ])
 def test_a_zero_or_negative_count_in_the_ini_exits_2(tmp_path, capsys, old, new):
     cfg, _ = write_inputs(tmp_path)
@@ -179,6 +181,43 @@ def test_a_malformed_number_in_the_ini_exits_2(tmp_path, capsys, text, key):
                  "-o", str(tmp_path / "frames")])
     assert code == 2
     assert f"error: config: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    (CONFIG.replace("max_targets", "max_target"), "[experiment] max_target"),
+    (CONFIG + "[waveform]\npri_ms = 1\n", "[waveform] pri_ms"),
+], ids=["max_target", "pri_ms"])
+def test_a_misspelled_ini_key_exits_2(tmp_path, capsys, text, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    assert code == 2
+    assert f"error: config: {key} is not a known key" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+def test_an_array_file_carrying_a_wavelength_exits_2(tmp_path, capsys):
+    # array files written before the wavelength was dropped carry this line
+    cfg = tmp_path / "array.ini"
+    fileio.write_array_config(cfg, build_mode(ArrayMode.THINNED, seed=7))
+    assert main(["reduction", "-c", str(cfg)]) == 0
+    cfg.write_text(cfg.read_text().replace("seed = 7", "seed = 7\nwavelength_m = 0.03"))
+    assert main(["reduction", "-c", str(cfg)]) == 2
+    assert "[array] wavelength_m is not a known key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("waveform", [
+    "channel_spacing_hz = nan", "pri_s = inf", "pulse_width_s = nan",
+    "signal_band_hz = 18e6\nguard_hz = -3e6", "signal_band_hz = -3e6\nguard_hz = 18e6",
+    "guard_hz = nan",
+])
+def test_an_fdm_number_out_of_range_exits_2(tmp_path, capsys, waveform):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG + f"[waveform]\n{waveform}\n")
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    assert code == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
 
 
 def test_a_non_numeric_scene_field_exits_3(tmp_path, capsys):

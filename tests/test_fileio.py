@@ -384,27 +384,64 @@ trials = 1
     assert plan.subbands[0].lo == pytest.approx(1.0e6)
 
 
+def _ini(section, key, value):
+    """A thinned-mode INI that sets `[section] key = value`."""
+    head = "[array]\nmode = thinned\n" + ("" if section == "array" else f"[{section}]\n")
+    return head + f"{key} = {value}\n"
+
+
+# a malformed value for each key that `fileio._KEYS` converts; a key missing
+# here takes "1 2 x", and a key that is accepted but never read fails the test
+_MALFORMED = {
+    ("array", "seed"): "seven",
+    ("array", "tx_positions"): "0 20 forty 60",
+    ("waveform", "pri_s"): "100us",
+    ("waveform", "subbands"): "1e6:abc",
+    ("adc", "rate_hz"): "7.5 MHz",
+    ("recovery", "range_cells"): "3e2",
+    ("experiment", "trials"): "ten",
+    ("experiment", "snr_db"): "-5dB",
+}
+
+
 @pytest.mark.parametrize("section, key, value", [
-    ("array", "seed", "seven"),
-    ("array", "wavelength_m", "3 cm"),
-    ("array", "tx_positions", "0 20 forty 60"),
-    ("waveform", "pri_s", "100us"),
-    ("waveform", "subbands", "1e6:abc"),
+    *((section, key, _MALFORMED.get((section, key), "1 2 x"))
+      for section, keys in fileio._KEYS.items()
+      for key, convert in keys.items() if convert is not None),
     ("waveform", "subbands", "1e6"),
-    ("adc", "rate_hz", "7.5 MHz"),
-    ("recovery", "range_cells", "3e2"),
-    ("experiment", "trials", "ten"),
-    ("experiment", "snr_db", "-5dB"),
 ])
 def test_a_malformed_number_is_a_config_error_naming_its_key(tmp_path, section,
                                                              key, value):
     path = tmp_path / "run.ini"
-    text = "[array]\nmode = thinned\n" + ("" if section == "array" else f"[{section}]\n")
-    path.write_text(text + f"{key} = {value}\n")
+    path.write_text(_ini(section, key, value))
     cfg = fileio.ToolkitConfig.from_file(path)
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         cfg.environment()
         cfg.experiment()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("array", "wavelength_m", "3 cm"),
+    ("array", "wavelength_m", "0.03"),
+    ("waveform", "pri_ms", "1"),
+    ("waveform", "guard", "3e6"),
+    ("experiment", "pair_range_clearance_cells", "6"),
+])
+def test_an_unknown_key_is_a_config_error_naming_the_known_ones(tmp_path, section,
+                                                               key, value):
+    path = tmp_path / "run.ini"
+    path.write_text(_ini(section, key, value))
+    known = ", ".join(fileio._KEYS[section])
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} .*{known}$"):
+        fileio.ToolkitConfig.from_file(path)
+
+
+@pytest.mark.parametrize("section", ["reciever", "DEFAULT"])
+def test_an_unknown_section_is_a_config_error(tmp_path, section):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[array]\nmode = thinned\n[{section}]\nseed = 3\n")
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\].*\[recovery\]"):
+        fileio.ToolkitConfig.from_file(path)
 
 
 @pytest.mark.parametrize("cells, want", [("", 300), ("40", 40)])
@@ -421,10 +458,12 @@ def test_range_cells_default_to_the_profile(tmp_path, cells, want):
     ("recovery", "range_cells", "-5"),
     ("experiment", "max_targets", "0"),
     ("experiment", "num_targets", "0"),
+    ("array", "seed", "-3"),
+    ("experiment", "seed", "-3"),
 ])
 def test_a_zero_or_negative_count_is_a_config_error(tmp_path, section, key, value):
     path = tmp_path / "run.ini"
-    path.write_text(f"[array]\nmode = thinned\n[{section}]\n{key} = {value}\n")
+    path.write_text(_ini(section, key, value))
     cfg = fileio.ToolkitConfig.from_file(path)
     with pytest.raises(ConfigError):
         cfg.environment()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from submimo import ArrayMode, ValidationError, azimuth_grid, build_mode
+from submimo import ArrayMode, ConfigError, ValidationError, azimuth_grid, build_mode
 from submimo.geometry import mode_shape, virtual_positions
 
 
@@ -35,7 +35,6 @@ def test_mode_table(mode, m, q, t, r, slots):
     assert (cfg.virtual_tx, cfg.virtual_rx) == (t, r)
     assert (cfg.num_tx, cfg.num_rx, cfg.virtual_tx, cfg.virtual_rx) == mode_shape(mode)
     assert cfg.aperture_slots == slots == t * r
-    assert cfg.normalized_aperture == t * r / 2
     # the counts follow the positions, which must fit the mode, and the
     # virtual shape follows the mode: neither can be set on its own
     with pytest.raises(ValidationError, match="position counts"):
@@ -44,14 +43,27 @@ def test_mode_table(mode, m, q, t, r, slots):
         dataclasses.replace(cfg, virtual_tx=4)
 
 
+# the prototype's 10 GHz carrier; the toolkit works in half-wavelength slots
+# and wavelengths, and never reads it
+PROTOTYPE_WAVELENGTH_M = 0.03
+
+
 def test_wide_mode_spans_six_meters():
     cfg = build_mode(ArrayMode.WIDE, seed=11)
     assert cfg.aperture_slots == 400
-    assert cfg.aperture_m == pytest.approx(6.0)
+    assert cfg.aperture_slots * PROTOTYPE_WAVELENGTH_M / 2 == pytest.approx(6.0)
 
 
 def test_narrow_modes_span_1_2_meters():
-    assert build_mode(ArrayMode.ULA).aperture_m == pytest.approx(1.2)
+    for mode in (ArrayMode.ULA, ArrayMode.RANDOM, ArrayMode.THINNED):
+        slots = build_mode(mode, seed=11).aperture_slots
+        assert slots * PROTOTYPE_WAVELENGTH_M / 2 == pytest.approx(1.2)
+
+
+def test_a_negative_array_seed_is_a_config_error():
+    for mode in ArrayMode:
+        with pytest.raises(ConfigError, match="seed"):
+            build_mode(mode, seed=-3)
 
 
 def test_same_seed_reproduces_layout():

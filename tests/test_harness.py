@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submimo import (AdcConfig, ArrayConfig, ArrayMode, CognitivePlan, ConfigError,
-                     ExperimentConfig, ReceivedBaseband, Scene, SceneSpec, Target,
-                     ValidationError, build_environment, emit_ppi, generate_scene,
+                     ExperimentConfig, FdmPlan, ReceivedBaseband, Scene, SceneSpec,
+                     Target, ValidationError, build_environment, emit_ppi, generate_scene,
                      match_targets, run_experiment, run_trial, sampling_reduction)
 from submimo.recovery import SparseEstimate
 
@@ -191,14 +191,18 @@ def test_run_experiment_rejects_an_environment_of_another_mode(desk_envs):
 
 
 def test_value_types_hold_only_their_independent_values():
-    # counts, sizes, the decimation, the sample rate and the amplitude scale
-    # are derived from these; a stored copy of one would show up here
+    # counts, sizes, the decimation, the sample rate, the amplitude scale and
+    # the guard are derived from these; a stored copy of one would show up here
     assert {cls.__name__: tuple(f.name for f in dataclasses.fields(cls) if f.init)
-            for cls in (ArrayConfig, AdcConfig, ReceivedBaseband, CognitivePlan)} == {
-        "ArrayConfig": ("mode", "wavelength", "tx_positions", "rx_positions", "seed"),
+            for cls in (ArrayConfig, AdcConfig, ReceivedBaseband, CognitivePlan,
+                        FdmPlan, SceneSpec)} == {
+        "ArrayConfig": ("mode", "tx_positions", "rx_positions", "seed"),
         "AdcConfig": ("rate",),
         "ReceivedBaseband": ("spectrum", "pri", "active_mask"),
         "CognitivePlan": ("base", "subbands", "total_power"),
+        "FdmPlan": ("num_tx", "channel_spacing", "signal_band", "pri", "pulse_width"),
+        "SceneSpec": ("num_targets", "min_range_sep_cells", "min_sin_sep",
+                      "close_pair_sin_gap"),
     }
 
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from helpers import dense_range_atoms, loop_synth_received
+from helpers import dense_range_atoms, loop_synth_received, synth_pulse
 
 from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
                      ValidationError, add_noise, oracle_coefficients, synth_received,
                      target_from_range)
 from submimo.scene import SPEED_OF_LIGHT
-from submimo.waveform import synth_pulse
 
 
 def make_scene(*triples):

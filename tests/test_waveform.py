@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from helpers import loop_channel_spectrum, loop_occupied_cells
+from helpers import (loop_channel_spectrum, loop_occupied_cells, pulse_energy,
+                     spectral_power, synth_pulse)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submimo import ConfigError, Subband
 from submimo.waveform import (_occupied_cells, build_cognitive_plan, build_fdm_plan,
-                              channel_spectrum, conventional_plan, pulse_energy,
-                              reference_subbands, spectral_power, synth_pulse)
+                              channel_spectrum, conventional_plan, reference_subbands)
 
 
 def full_plan(num_tx=8):
@@ -16,21 +16,53 @@ def full_plan(num_tx=8):
 
 
 def test_carrier_layout():
-    plan = full_plan()
-    carriers = plan.carriers
-    assert carriers[0] == pytest.approx(6e6)
-    assert carriers[7] == pytest.approx(111e6)
-    assert plan.total_bandwidth == pytest.approx(120e6)
+    # channel m carries bins [m*N, m*N + B_h*pri) of the N = 1500 per channel
+    plan = conventional_plan(full_plan())
+    assert plan.base.total_bandwidth == pytest.approx(120e6)
+    for tx in (0, 7):
+        bins, _ = channel_spectrum(plan, tx)
+        np.testing.assert_array_equal(bins, tx * 1500 + np.arange(1200))
 
 
 def test_single_channel_plan():
     plan = full_plan(num_tx=1)
-    assert plan.carriers.tolist() == [6e6]
+    assert plan.total_bandwidth == plan.channel_spacing == 15e6
+    assert plan.guard == 3e6
 
 
 def test_band_arithmetic_must_close():
     with pytest.raises(ConfigError):
         build_fdm_plan(8, 15e6, 12e6, 2e6, 100e-6, 4.2e-6)
+
+
+@pytest.mark.parametrize("spacing, band, guard, pri, width", [
+    (np.nan, 12e6, 3e6, 100e-6, 4.2e-6),
+    (np.inf, 12e6, 3e6, 100e-6, 4.2e-6),
+    (-15e6, -12e6, -3e6, 100e-6, 4.2e-6),
+    (0.0, 0.0, 0.0, 100e-6, 4.2e-6),
+    (15e6, 12e6, 3e6, np.inf, 4.2e-6),
+    (15e6, 12e6, 3e6, np.nan, 4.2e-6),
+    (15e6, 12e6, 3e6, -100e-6, -4.2e-6),
+    (15e6, 12e6, 3e6, 100e-6, np.nan),
+    (15e6, 12e6, 3e6, 100e-6, np.inf),
+    (15e6, 18e6, -3e6, 100e-6, 4.2e-6),  # channels wider than their spacing
+    (15e6, -3e6, 18e6, 100e-6, 4.2e-6),
+    (15e6, 0.0, 15e6, 100e-6, 4.2e-6),
+    (15e6, np.nan, 3e6, 100e-6, 4.2e-6),
+    (15e6, 12e6, np.nan, 100e-6, 4.2e-6),
+])
+def test_fdm_plan_numbers_must_be_finite_and_in_range(spacing, band, guard, pri, width):
+    with pytest.raises(ConfigError):
+        build_fdm_plan(8, spacing, band, guard, pri, width)
+
+
+def test_the_guard_is_what_the_signal_band_leaves_of_the_spacing():
+    plan = build_fdm_plan(2, 30e6, 24e6, 6e6, 100e-6, 4.2e-6)
+    assert plan.guard == 6e6
+    # a guard within the closure tolerance is checked, not stored
+    assert build_fdm_plan(2, 30e6, 24e6, 6e6 + 1.0, 100e-6, 4.2e-6) == plan
+    full = build_fdm_plan(8, 15e6, 15e6, 0.0, 100e-6, 4.2e-6)
+    assert full.guard == 0.0
 
 
 def test_pulse_width_bounds():
