@@ -440,7 +440,7 @@ def test_an_unknown_key_is_a_config_error_naming_the_known_ones(tmp_path, sectio
 def test_an_unknown_section_is_a_config_error(tmp_path, section):
     path = tmp_path / "run.ini"
     path.write_text(f"[array]\nmode = thinned\n[{section}]\nseed = 3\n")
-    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\].*\[recovery\]"):
+    with pytest.raises(ConfigError, match=rf"section \[{section}\].*\[recovery\]"):
         fileio.ToolkitConfig.from_file(path)
 
 
