@@ -17,8 +17,12 @@ norm over the trials with equal supports, so a change that is not
 bit-identical can state its tolerance. The same is reported per mode for
 the acquired coefficients, taken by the public calls `run_trial` makes
 (`synth_received`, `add_noise`, `acquire`), over every trial: a front-end
-change moves them at rounding level before the estimates show it. It
-exits 1 when any support differs and 0 otherwise.
+change moves them at rounding level before the estimates show it. The
+noisy frame of every trial also goes through the file path, written by
+`fileio.write_received` to a temporary directory, read back by
+`fileio.read_received` and acquired, and the script reports per mode in
+how many trials those coefficients are `np.array_equal` to the parent's.
+It exits 1 when any support differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ VALUES = FIELDS[1:]  # the fields whose relative difference is reported
 SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
-def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
+def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path) -> dict:
     """(profile, mode, r) -> the recovered support, amplitudes, history and norms,
-    and the acquired coefficients."""
+    and the coefficients acquired from the frame and from its files in `frames`."""
     from submimo import (ArrayMode, SceneSpec, acquire, add_noise, build_environment,
-                         generate_scene, run_trial, synth_received)
+                         fileio, generate_scene, run_trial, synth_received)
 
     spec = SceneSpec(num_targets=10, min_sin_sep=0.025)
     outputs = {}
@@ -61,8 +65,12 @@ def run_trials(seed: int, desk_trials: int, full_trials: int) -> dict:
                 est, _ = run_trial(env, scene, SNR_DB, [seed, r, 1])
                 rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
                                SNR_DB, [seed, r, 1])
+                fileio.write_received(frames, rx, env.plan)
+                stored = fileio.read_received(frames, env.plan)
                 outputs[profile, mode, r] = {
                     "coefficients": acquire(rx, env.plan, env.adc, env.bins).matrices,
+                    "file_coefficients": acquire(stored, env.plan, env.adc,
+                                                 env.bins).matrices,
                     "support": np.array(est.support), "amplitudes": est.amplitudes,
                     "residual_history": np.array(est.residual_history),
                     "signal_norm": np.float64(est.signal_norm),
@@ -94,7 +102,8 @@ def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
 def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
     """Per trial key, field -> whether both sides' outputs are array-equal; per
     trial key with equal supports, value field -> `relative_difference`; and
-    per trial key, the coefficients' (equal, `relative_difference`)."""
+    per trial key, the coefficients' (equal, `relative_difference`) and whether
+    the file path's coefficients are array-equal."""
     if parent.keys() != change.keys():
         raise SystemExit("the checkouts ran different trials")
     equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
@@ -104,7 +113,9 @@ def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
     coefficients = {}
     for key in parent:
         p, c = parent[key]["coefficients"], change[key]["coefficients"]
-        coefficients[key] = (np.array_equal(p, c), relative_difference(p, c))
+        coefficients[key] = (np.array_equal(p, c), relative_difference(p, c),
+                             np.array_equal(parent[key]["file_coefficients"],
+                                            change[key]["file_coefficients"]))
     return equal, diffs, coefficients
 
 
@@ -117,8 +128,10 @@ def main(argv=None) -> int:
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        args.worker.write_bytes(pickle.dumps(
-            run_trials(args.seed, args.desk_trials, args.full_trials)))
+        with tempfile.TemporaryDirectory() as frames:
+            outputs = run_trials(args.seed, args.desk_trials, args.full_trials,
+                                 Path(frames))
+        args.worker.write_bytes(pickle.dumps(outputs))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
@@ -135,8 +148,10 @@ def main(argv=None) -> int:
                   f"{f} {max((d[f] for d in rel), default=0.0):.1e}" for f in VALUES))
         coeffs = [c for key, c in coefficients.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: acquired coefficients equal in "
-              f"{sum(same for same, _ in coeffs)} of {len(coeffs)} trials, largest "
-              f"relative difference {max(d for _, d in coeffs):.1e}")
+              f"{sum(same for same, _, _ in coeffs)} of {len(coeffs)} trials, largest "
+              f"relative difference {max(d for _, d, _ in coeffs):.1e}")
+        print(f"{profile} {mode}: coefficients acquired through frame files equal in "
+              f"{sum(same for _, _, same in coeffs)} of {len(coeffs)} trials")
     for key, same in sorted(equal.items()):
         if not all(same.values()):
             print(f"differs: {key[0]} {key[1]} trial {key[2]}: "

@@ -1,9 +1,9 @@
 """On-disk formats: INI configs, scene lists, I/Q frames, coefficient blobs, CSVs.
 
-All numeric config fields carry SI units in their names. I/Q files are
-interleaved little-endian float32 pairs with a plain-text sidecar header;
-coefficient sets use a small self-describing binary layout with a CSV
-export for inspection.
+All numeric config fields carry SI units in their names. A received frame
+is a plain-text manifest plus one I/Q file per receiver, each interleaved
+little-endian float32 pairs; coefficient sets use a small self-describing
+binary layout with a CSV export for inspection.
 """
 
 from __future__ import annotations
@@ -45,16 +45,21 @@ def plan_digest(plan: CognitivePlan) -> str:
 
 # -- I/Q frames --------------------------------------------------------------
 
-def write_iq(path, samples: np.ndarray, header: dict) -> None:
-    """Interleaved I/Q float32 (little-endian) plus a key=value sidecar."""
-    np.asarray(samples).ravel().astype("<c8").view("<f4").tofile(str(path))
-    with open(str(path) + ".hdr", "w") as fh:
-        for key, value in header.items():
-            fh.write(f"{key} = {value}\n")
+def write_iq(path, samples: np.ndarray) -> None:
+    """The samples as interleaved I/Q float32 pairs (little-endian), in C order."""
+    np.asarray(samples).astype("<c8").tofile(str(path))
+
+
+def read_iq(path) -> np.ndarray:
+    """The complex64 values of an I/Q file written by `write_iq`."""
+    raw = np.fromfile(str(path), dtype="<f4")
+    if len(raw) % 2:
+        raise ValidationError(f"odd float count in I/Q file {path}")
+    return raw.view("<c8")
 
 
 def _read_header(path: Path) -> dict:
-    """The `key = value` lines of a sidecar or manifest, as strings."""
+    """The `key = value` lines of a manifest, as strings."""
     header = {}
     for line in path.read_text().splitlines():
         if "=" in line:
@@ -63,22 +68,13 @@ def _read_header(path: Path) -> dict:
     return header
 
 
-def _iq_values(path) -> np.ndarray:
-    """The complex64 values of an I/Q file, without its sidecar."""
-    raw = np.fromfile(str(path), dtype="<f4")
-    if len(raw) % 2:
-        raise ValidationError(f"odd float count in I/Q file {path}")
-    return raw.view("<c8")
-
-
-def read_iq(path) -> tuple[np.ndarray, dict]:
-    samples = _iq_values(path).astype(complex)
-    hdr = Path(str(path) + ".hdr")
-    return samples, _read_header(hdr) if hdr.exists() else {}
-
-
 def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None:
-    """One I/Q file per receiver plus a manifest with rates and active spans."""
+    """A manifest `received.hdr` and one I/Q file `rx_XX.iq` per receiver.
+
+    The manifest holds the sample rate, the PRI, the receiver count, the
+    active spans and the plan's digest; receiver q's time samples go to
+    `rx_{q:02d}.iq` through `write_iq`, and no other file is written.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     spans = []
@@ -94,17 +90,16 @@ def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None
         f"plan_digest = {plan_digest(plan)}",
     ]
     (directory / "received.hdr").write_text("\n".join(lines) + "\n")
-    samples = rx.samples
-    for q in range(rx.num_rx):
-        write_iq(directory / f"rx_{q:02d}.iq", samples[q],
-                 {"sample_rate_hz": repr(rx.sample_rate), "rx_index": q})
+    for q, row in enumerate(rx.samples):
+        write_iq(directory / f"rx_{q:02d}.iq", row)
 
 
 def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseband:
     """Frames and manifest written by `write_received`, as the frame's spectrum.
 
-    Each receiver's I/Q file is read into one (num_rx, n) array, which is
-    transformed once; the per-file sidecars are not read. Active spans
+    The `rx_XX.iq` files of receivers 0..num_rx-1 are read into one
+    complex64 (num_rx, n) array, which `ReceivedBaseband.from_samples`
+    transforms; any other file in the directory is ignored. Active spans
     must lie within the frame, start before they end; `pri_s` must be
     finite and positive, and `sample_rate_hz` the frame length over it.
 
@@ -141,11 +136,11 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
             raise ValidationError(f"frames in {directory} were synthesized for plan "
                                   f"{written_for}, not the configured plan "
                                   f"{plan_digest(plan)}")
-    first = _iq_values(directory / "rx_00.iq")
-    samples = np.empty((num_rx, len(first)), dtype=complex)
+    first = read_iq(directory / "rx_00.iq")
+    samples = np.empty((num_rx, len(first)), dtype=np.complex64)
     samples[0] = first
     for q in range(1, num_rx):
-        values = _iq_values(directory / f"rx_{q:02d}.iq")
+        values = read_iq(directory / f"rx_{q:02d}.iq")
         if len(values) != samples.shape[1]:
             raise ValidationError(f"the receiver frames in {directory} differ in length")
         samples[q] = values

@@ -110,12 +110,25 @@ class SceneSpec:
     gap, so each sits half the gap off the coarse grid (the worst
     sub-resolution geometry) while remaining on the fine grid, on a range
     cell `PAIR_RANGE_CLEARANCE_CELLS` clear of every background target.
+    The separations must be finite and non-negative and the pair's gap
+    finite and positive; anything else is a ConfigError.
     """
 
     num_targets: int
     min_range_sep_cells: int = 0
     min_sin_sep: float = 0.0
     close_pair_sin_gap: float | None = None
+
+    def __post_init__(self):
+        if self.min_range_sep_cells < 0:
+            raise ConfigError(f"min_range_sep_cells = {self.min_range_sep_cells}: "
+                              f"need a non-negative cell count")
+        if not 0 <= self.min_sin_sep < np.inf:
+            raise ConfigError(f"min_sin_sep = {self.min_sin_sep!r} must be finite "
+                              f"and non-negative")
+        gap = self.close_pair_sin_gap
+        if gap is not None and not 0 < gap < np.inf:
+            raise ConfigError(f"close_pair_sin_gap = {gap!r} must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,14 @@ class ReceivedBaseband:
     @classmethod
     def from_samples(cls, samples, pri: float,
                      active_mask: np.ndarray | None = None) -> "ReceivedBaseband":
-        """The frame of time samples `samples` (num_rx, frame)."""
-        return cls(spectrum=np.fft.fft(np.atleast_2d(samples), axis=1, norm="forward"),
-                   pri=pri, active_mask=active_mask)
+        """The frame of time samples `samples` (num_rx, frame).
+
+        The samples are copied once into a complex128 array, which is
+        transformed in place; `samples` itself is left unchanged.
+        """
+        spectrum = np.array(np.atleast_2d(samples), dtype=complex)
+        np.fft.fft(spectrum, axis=1, norm="forward", out=spectrum)
+        return cls(spectrum=spectrum, pri=pri, active_mask=active_mask)
 
     @property
     def sample_rate(self) -> float:

@@ -170,6 +170,8 @@ REFERENCE_FDM_PLAN = build_fdm_plan(num_tx=8, channel_spacing=15e6,
 
 def build_cognitive_plan(base: FdmPlan, subbands, total_power: float = 1.0) -> CognitivePlan:
     """Attach validated subband slices to an FDM plan."""
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise ConfigError(f"total_power = {total_power!r} must be finite and positive")
     slices = tuple(sorted(subbands, key=lambda b: b.lo))
     if not slices:
         raise ConfigError("a cognitive plan needs at least one subband")

@@ -209,11 +209,27 @@ def test_an_array_file_carrying_a_wavelength_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("waveform", [
     "channel_spacing_hz = nan", "pri_s = inf", "pulse_width_s = nan",
     "signal_band_hz = 18e6\nguard_hz = -3e6", "signal_band_hz = -3e6\nguard_hz = 18e6",
-    "guard_hz = nan",
+    "guard_hz = nan", "total_power_w = nan", "total_power_w = 0", "total_power_w = -3",
+    "total_power_w = inf",
 ])
 def test_an_fdm_number_out_of_range_exits_2(tmp_path, capsys, waveform):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CONFIG + f"[waveform]\n{waveform}\n")
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    assert code == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("min_sin_sep = 0.05", "min_sin_sep = nan"),
+    ("min_sin_sep = 0.05", "min_sin_sep = -0.05"),
+    ("min_range_sep_cells = 5", "min_range_sep_cells = -5"),
+    ("max_targets = 3", "max_targets = 3\nclose_pair_sin_gap = nan"),
+])
+def test_a_scene_separation_out_of_range_exits_2(tmp_path, capsys, old, new):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.replace(old, new))
     code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
     assert code == 2
     assert "error: config:" in capsys.readouterr().err

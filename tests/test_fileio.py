@@ -14,16 +14,17 @@ from submimo.geometry import ArrayMode
 def test_iq_roundtrip(tmp_path):
     samples = np.array([1 + 2j, -0.5 + 0.25j, 0.0, 3.5 - 1e-3j])
     path = tmp_path / "frame.iq"
-    fileio.write_iq(path, samples, {"sample_rate_hz": "120e6", "rx_index": 3})
-    back, header = fileio.read_iq(path)
-    np.testing.assert_allclose(back, samples, atol=1e-6)  # float32 storage
-    assert header["rx_index"] == "3"
+    fileio.write_iq(path, samples)
+    back = fileio.read_iq(path)
+    assert back.dtype == np.complex64
+    assert np.array_equal(back, samples.astype(np.complex64))  # float32 storage
+    assert list(tmp_path.iterdir()) == [path]  # no sidecar
 
 
 def test_iq_bytes_are_interleaved_little_endian_float32(tmp_path):
     samples = np.array([[1 + 2j, -0.5 + 0.25j], [0.0, 3.5 - 1e-3j]])
     path = tmp_path / "frame.iq"
-    fileio.write_iq(path, samples, {})
+    fileio.write_iq(path, samples)
     interleaved = np.array([1.0, 2.0, -0.5, 0.25, 0.0, 0.0, 3.5, -1e-3], dtype="<f4")
     assert path.read_bytes() == interleaved.tobytes()
 
@@ -115,18 +116,43 @@ def test_received_active_spans_may_cover_the_whole_frame(tmp_path, desk_env):
     assert np.flatnonzero(mask).tolist() == [0, n - 1]
 
 
-def test_received_frames_are_read_without_their_sidecars(tmp_path, desk_env):
+def test_received_frames_are_a_manifest_and_one_iq_file_per_receiver(tmp_path, desk_env):
     rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
                         desk_env.plan, desk_env.sample_rate)
     fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
-    want = fileio.read_received(tmp_path / "frames")
-    stored = np.stack([fileio.read_iq(tmp_path / "frames" / f"rx_{q:02d}.iq")[0]
-                       for q in range(rx.num_rx)])
-    assert np.array_equal(want.spectrum, np.fft.fft(stored, axis=1, norm="forward"))
+    names = sorted(f.name for f in (tmp_path / "frames").iterdir())
+    assert names == ["received.hdr"] + [f"rx_{q:02d}.iq" for q in range(rx.num_rx)]
+    samples = rx.samples
     for q in range(rx.num_rx):
-        (tmp_path / "frames" / f"rx_{q:02d}.iq.hdr").unlink()
+        assert ((tmp_path / "frames" / f"rx_{q:02d}.iq").read_bytes()
+                == samples[q].astype("<c8").tobytes())
+
+
+def test_received_spectrum_is_the_transform_of_the_stored_samples(tmp_path, desk_env):
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    stored = np.stack([fileio.read_iq(tmp_path / "frames" / f"rx_{q:02d}.iq")
+                       for q in range(rx.num_rx)])
     back = fileio.read_received(tmp_path / "frames")
+    assert np.array_equal(back.spectrum,
+                          np.fft.fft(stored.astype(complex), axis=1, norm="forward"))
+
+
+def test_received_frames_are_read_without_their_sidecars(tmp_path, desk_env):
+    # frames written before the per-receiver sidecars were dropped carry an
+    # `rx_XX.iq.hdr` next to each I/Q file; the reader ignores them
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    want = fileio.read_received(tmp_path / "frames", desk_env.plan)
+    for q in range(rx.num_rx):
+        (tmp_path / "frames" / f"rx_{q:02d}.iq.hdr").write_text(
+            f"sample_rate_hz = {rx.sample_rate!r}\nrx_index = {q}\n")
+    back = fileio.read_received(tmp_path / "frames", desk_env.plan)
     assert np.array_equal(back.spectrum, want.spectrum)
+    assert np.array_equal(back.active_mask, want.active_mask)
+    assert (back.pri, back.sample_rate) == (want.pri, want.sample_rate)
 
 
 def test_received_frame_with_an_odd_float_count_is_rejected(tmp_path, desk_env):
@@ -143,7 +169,7 @@ def test_received_frames_of_unequal_length_are_rejected(tmp_path, desk_env):
     rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
                         desk_env.plan, desk_env.sample_rate)
     fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
-    fileio.write_iq(tmp_path / "frames" / "rx_01.iq", rx.samples[1, :-1], {})
+    fileio.write_iq(tmp_path / "frames" / "rx_01.iq", rx.samples[1, :-1])
     with pytest.raises(ValidationError, match="length"):
         fileio.read_received(tmp_path / "frames")
 

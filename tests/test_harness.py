@@ -144,6 +144,17 @@ def test_generate_scene_rejects_a_close_pair_without_range_clearance():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("min_sin_sep", np.nan), ("min_sin_sep", -0.025), ("min_sin_sep", np.inf),
+    ("min_range_sep_cells", -1),
+    ("close_pair_sin_gap", np.nan), ("close_pair_sin_gap", 0.0),
+    ("close_pair_sin_gap", -0.02), ("close_pair_sin_gap", np.inf),
+])
+def test_a_scene_separation_out_of_range_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SceneSpec(num_targets=10, **{field: value})
+
+
 def test_noiseless_experiment_recovers_everything():
     cfg = ExperimentConfig(
         mode=ArrayMode.RANDOM,

@@ -224,6 +224,20 @@ def test_frame_from_samples_round_trips_through_its_spectrum(desk_env, rng):
     assert ReceivedBaseband.from_samples(samples[0], 1e-4).spectrum.shape == (1, 64)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+def test_frame_from_samples_leaves_its_input_unchanged(rng, dtype):
+    # the spectrum is transformed in place in a copy of the samples
+    samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    samples = (samples.real if dtype is np.float64 else samples).astype(dtype)
+    before = samples.copy()
+    rx = ReceivedBaseband.from_samples(samples, pri=1e-4)
+    assert np.array_equal(samples, before) and samples.dtype == before.dtype
+    assert not np.shares_memory(rx.spectrum, samples)
+    assert rx.spectrum.dtype == np.complex128
+    assert np.array_equal(rx.spectrum,
+                          np.fft.fft(before.astype(complex), axis=1, norm="forward"))
+
+
 @pytest.mark.parametrize("pri", [0.0, -1e-4, np.nan, np.inf])
 def test_a_frame_needs_a_finite_positive_pri(pri):
     with pytest.raises(ValidationError, match="PRI"):

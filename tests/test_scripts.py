@@ -50,6 +50,8 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
                 f"residual_norm 0.0e+00\n") in done.stdout
         assert (f"{mode}: acquired coefficients equal in 1 of 1 trials, largest "
                 f"relative difference 0.0e+00\n") in done.stdout
+        assert (f"{mode}: coefficients acquired through frame files equal in "
+                f"1 of 1 trials\n") in done.stdout
     assert "6 of 6 trials with equal supports" in done.stdout
 
 
@@ -67,7 +69,8 @@ def _compare_outputs_on(monkeypatch, parent, change):
 _TRIAL = {"support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
           "residual_history": np.array([0.5, 0.125]), "signal_norm": np.float64(2.0),
           "residual_norm": np.float64(0.75),
-          "coefficients": np.array([[[2 - 1j], [0.5j]]])}
+          "coefficients": np.array([[[2 - 1j], [0.5j]]]),
+          "file_coefficients": np.array([[[2 - 1j], [0.5j]]])}
 
 
 def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
@@ -90,7 +93,8 @@ def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, ca
                   residual_history=np.array([0.5 * (1 - 2e-15), 0.125]),
                   signal_norm=np.float64(2.0 * (1 + 5e-16)),
                   residual_norm=np.float64(0.75 * (1 - 4e-14)),
-                  coefficients=np.array([[[2 - 1j], [0.5j * (1 + 6e-14)]]]))
+                  coefficients=np.array([[[2 - 1j], [0.5j * (1 + 6e-14)]]]),
+                  file_coefficients=np.array([[[2 - 1j], [0.5j * (1 + 6e-14)]]]))
     assert _compare_outputs_on(monkeypatch, {("full", "wide", 0): _TRIAL},
                                {("full", "wide", 0): nudged}) == 0
     out = capsys.readouterr().out
@@ -102,4 +106,6 @@ def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, ca
             "residual_norm 4.0e-14\n") in out
     assert ("full wide: acquired coefficients equal in 0 of 1 trials, largest "
             "relative difference 6.0e-14\n") in out
+    assert ("full wide: coefficients acquired through frame files equal in "
+            "0 of 1 trials\n") in out
     assert "1 of 1 trials with equal supports" in out

@@ -102,6 +102,12 @@ def test_out_of_channel_subband_rejected():
         build_cognitive_plan(full_plan(), (Subband(14e6, 16e6),))
 
 
+@pytest.mark.parametrize("power", [np.nan, 0.0, -3.0, np.inf])
+def test_a_total_power_that_is_not_finite_and_positive_is_rejected(power):
+    with pytest.raises(ConfigError, match="total_power"):
+        build_cognitive_plan(full_plan(), reference_subbands(), total_power=power)
+
+
 def test_subbands_narrower_than_the_edge_tolerance_rejected():
     with pytest.raises(ConfigError):  # 1e-7 of a bin cell carries no power
         build_cognitive_plan(full_plan(), (Subband(0.0, 1e-3),))
