@@ -22,7 +22,9 @@ noisy frame of every trial also goes through the file path, written by
 `fileio.write_received` to a temporary directory, read back by
 `fileio.read_received` and acquired, and the script reports per mode in
 how many trials those coefficients are `np.array_equal` to the parent's.
-It exits 1 when any support differs and 0 otherwise.
+Its closing line counts the trials that are bit-identical in every field,
+in the acquired coefficients and in the file coefficients. It exits 1 when
+any support differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ def main(argv=None) -> int:
                   + ", ".join(f for f in FIELDS if not same[f]))
     mismatched = sum(not same["support"] for same in equal.values())
     print(f"{len(equal) - mismatched} of {len(equal)} trials with equal supports")
+    print(f"bit-identical trials of {len(equal)}: "
+          f"{sum(all(same.values()) for same in equal.values())} in every field, "
+          f"{sum(same for same, _, _ in coefficients.values())} in the acquired "
+          f"coefficients, {sum(same for _, _, same in coefficients.values())} in the "
+          f"file coefficients")
     return 1 if mismatched else 0
 
 

@@ -152,8 +152,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv) -> list[str]:
+    """`argv` with each `--snr-db VALUE` pair written `--snr-db=VALUE`.
+
+    argparse reads a separate token that starts with '-' but is not a plain
+    decimal, such as `-inf` or `-1e3`, as an option, not as the value.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--snr-db":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except RadarError as exc:

@@ -26,7 +26,7 @@ from .xampler import BinSet, CoefficientSet, subband_bins
 
 DEFAULT_RESIDUAL_TOL = 1e-3
 
-# score cells per row block: 512 KB of complex products, which stay in cache
+# score cells per row block: 512 KB of complex products per channel
 _SCORE_BLOCK_CELLS = 1 << 15
 # rows scored first; the exact stop test is met after a few to a few dozen
 # rows in bound order
@@ -218,7 +218,7 @@ def _power_spectrum(stacked, channels: int, offsets, length) -> np.ndarray:
         pairs = np.fft.fft(spec, out=spec).view(float)
         power = power + np.einsum("ij,ij->j", pairs, pairs)
     # power interleaves the re^2 and im^2 sums
-    return power.reshape(-1, 2).sum(axis=1)
+    return power[0::2] + power[1::2]
 
 
 def _fold_bound(power, span: int, c: int) -> np.ndarray:
@@ -354,8 +354,9 @@ class _LagState:
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
         quad = (gamma.T @ spectra).view(float)
         quad *= spectra.view(float)
+        quad = quad.sum(axis=0)
         bound = self._fold(self.power - 2 * (amplitudes @ self.cross[:s]).real
-                           + quad.sum(axis=0).reshape(-1, 2).sum(axis=1))
+                           + (quad[0::2] + quad[1::2]))
         slack = _SLACK * (self.bound.max()
                           + self.weight * len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
         if bound.max() < _KEEP_UPDATE_SLACKS * slack:
@@ -383,13 +384,18 @@ def _residual_state(refit, dicts: DictionarySet):
 def _pair_scores(maps, dicts: DictionarySet) -> np.ndarray:
     """S(n, p) = sum over channels of |a_{m,n}^H R_m b_mp^*|^2 for the rows n
     of the stacked range maps `maps` (rows x MQ, `_range_maps` rows)."""
-    score = 0.0
-    # |h b^*| = |h^* b|: the scan conjugates the rows' maps, not the atoms
-    conj, q = maps.conj(), dicts.azimuth_atoms.shape[1]
-    for m, b in enumerate(dicts.azimuth_atoms):
-        g = conj[:, m * q:(m + 1) * q] @ b
-        score += g.real ** 2 + g.imag ** 2
-    return score
+    atoms = dicts.azimuth_atoms
+    channels, q = atoms.shape[:2]
+    # |h b^*| = |h^* b|: the scan conjugates the rows' maps, not the atoms,
+    # and multiplies every channel's rows x Q slice of them in one product
+    conj = maps.conj().reshape(len(maps), channels, q).transpose(1, 0, 2)
+    power = (conj @ atoms).view(float)
+    power *= power
+    # re^2 + im^2 into the re slots, then the channels summed in order, as a
+    # loop over them would
+    re = power[..., 0::2]
+    re += power[..., 1::2]
+    return np.add.reduce(re, axis=0)
 
 
 def _select(bound, block_maps, slack: float, dicts: DictionarySet,
@@ -399,8 +405,10 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     `bound` holds every range row's Cauchy-Schwarz bound
     w ||g(n)||^2 >= S(n, p), w = max_{m,p} ||b_mp||^2, and
     `block_maps(rows)` the rows' stacked maps g(n), ascending rows in. First
-    the _FIRST_ROWS rows of largest bound, found by partition, are scored;
-    then every other row whose bound plus `slack` can still reach the best
+    the _FIRST_ROWS rows of largest bound, found by partition, are scored,
+    and the scan ends there when the largest bound outside them plus
+    `slack` cannot reach the best score; otherwise
+    every other row whose bound plus `slack` can still reach the best
     score is sorted by descending bound and scanned in cache-sized blocks,
     stopping at the first block whose top bound plus `slack` cannot beat
     the best score found. `slack` must cover the bound's rounding error.
@@ -425,8 +433,15 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
             best, cell = top, at
 
     first = min(_FIRST_ROWS, rows, c)
-    head = np.sort(np.argpartition(bound, c - first)[c - first:])
+    if first == c:
+        scan(np.arange(c))
+        return cell
+    # partitioned at the largest bound outside the head, which ends most scans
+    part = np.argpartition(bound, c - first - 1)
+    head = np.sort(part[c - first:])
     scan(head)
+    if bound[part[c - first - 1]] + slack < best:
+        return cell
     open_rows = bound + slack >= best
     open_rows[head] = False
     candidates = np.flatnonzero(open_rows)

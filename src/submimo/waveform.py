@@ -25,6 +25,9 @@ from .errors import ConfigError, ValidationError
 
 DEFAULT_PHASE_SEED = 0x5D1CE5  # seeds the one phase code every pulse carries
 _BIN_EPS = 1e-6  # absolute tolerance, in bin units, for slice/bin edge tests
+# the most samples a plan's frame may hold per receiver: 64 MiB of complex128
+# each, 350 times the reference design's 8 x 1500
+MAX_FRAME_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,12 @@ def build_fdm_plan(num_tx: int, channel_spacing: float, signal_band: float,
     n_bins = channel_spacing * pri
     if abs(n_bins - round(n_bins)) > 1e-6:
         raise ConfigError("channel_spacing * pri must be an integer bin count")
+    # a frame spans the whole multiplexed band for one PRI
+    if num_tx * round(n_bins) > MAX_FRAME_SAMPLES:
+        raise ConfigError(f"a frame of {num_tx} channels x {round(n_bins)} bins holds "
+                          f"{num_tx * round(n_bins)} samples per receiver, above the "
+                          f"limit of {MAX_FRAME_SAMPLES}; shorten pri_s or the channel "
+                          f"spacing")
     return FdmPlan(num_tx=num_tx, channel_spacing=channel_spacing,
                    signal_band=signal_band, pri=pri, pulse_width=pulse_width)
 

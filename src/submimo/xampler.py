@@ -189,7 +189,8 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     """Full acquisition chain: channelize, subsample, extract, normalize.
 
     Every (tx, rx) channel is read out. Each selected bin k of channel m is
-    the sum of its D folded aliases, X[m*N + k mod L + l*L] for l < D, of
+    the sum, in alias order, of its D folded aliases, X[m*N + k mod L + l*L]
+    for l < D, of
     the frame's Fourier coefficients X, which the frame holds as its
     spectrum, so no transform is taken; with a coset-clean plan only the
     alias k itself carries signal. Each extracted coefficient
@@ -210,7 +211,11 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
         raise ValidationError(f"the decimation {d} does not divide the channel's "
                               f"{n} bins, so the ADC frame does not fold them")
     table = _alias_table(plan, bins, d)
-    norm = _normalization(plan, bins)
-    values = rx.spectrum[:, table].sum(axis=-1)  # Q x M x K
-    values /= norm
-    return CoefficientSet(matrices=values.transpose(1, 2, 0).copy(), bins=bins)
+    # each alias gathered from the frame's bins x receivers view straight
+    # into the M x K x Q layout, and added in alias order
+    spectrum = rx.spectrum.T
+    values = spectrum[table[..., 0]]
+    for alias in range(1, d):
+        values += spectrum[table[..., alias]]
+    values /= _normalization(plan, bins)[..., None]
+    return CoefficientSet(matrices=values, bins=bins)

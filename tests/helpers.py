@@ -9,7 +9,8 @@ from submimo.errors import ConfigError, ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
 from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED, channel_spectrum
-from submimo.xampler import BinSet, CoefficientSet, _decimation
+from submimo.xampler import (BinSet, CoefficientSet, _alias_table, _decimation,
+                             _normalization)
 
 
 def dense_range_atoms(dicts):
@@ -37,6 +38,18 @@ def brute_force_scores(matrices, dicts):
                 val = np.vdot(a[:, n], y @ np.conj(b[:, p]))
                 scores[n, p] += abs(val) ** 2
     return scores
+
+
+def loop_pair_scores(maps, dicts):
+    """`recovery._pair_scores` as a loop over the channels: each channel's
+    rows x Q slice of the conjugated maps times its atoms, and |g|^2 added
+    in channel order."""
+    score = 0.0
+    conj, q = maps.conj(), dicts.azimuth_atoms.shape[1]
+    for m, b in enumerate(dicts.azimuth_atoms):
+        g = conj[:, m * q:(m + 1) * q] @ b
+        score += g.real ** 2 + g.imag ** 2
+    return score
 
 
 def row_bound(stacked, dicts, weight):
@@ -211,6 +224,14 @@ def extract_coefficients(lowrate, bins, adc):
         raise ValidationError("folded bin collision: subbands are not coset bands")
     coeffs = np.fft.fft(lowrate, axis=-1) / n_low
     return coeffs[..., folded]
+
+
+def alias_sum_acquire(rx, plan, adc, bins):
+    """`xampler.acquire`'s (M, K, Q) coefficients as a Q x M x K x D gather of
+    every alias, summed along its last axis, divided and moved to M x K x Q."""
+    table = _alias_table(plan, bins, _decimation(plan, adc))
+    values = rx.spectrum[:, table].sum(axis=-1) / _normalization(plan, bins)
+    return values.transpose(1, 2, 0)
 
 
 def time_domain_acquire(rx, plan, adc, bins):

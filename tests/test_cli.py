@@ -221,6 +221,17 @@ def test_an_fdm_number_out_of_range_exits_2(tmp_path, capsys, waveform):
     assert not (tmp_path / "metrics").exists()
 
 
+def test_a_frame_above_the_sample_limit_exits_2_before_synthesis(tmp_path, capsys):
+    # thinned: 4 channels x 37.5e6 bins, a 11.2 GiB frame of 5 receivers,
+    # rejected while the plan is built
+    cfg, scene_path = write_inputs(tmp_path)
+    cfg.write_text(cfg.read_text() + "[waveform]\npri_s = 2.5\n")
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
+                 "-o", str(tmp_path / "frames")]) == 2
+    assert "150000000 samples per receiver" in capsys.readouterr().err
+    assert not (tmp_path / "frames").exists()
+
+
 @pytest.mark.parametrize("old, new", [
     ("min_sin_sep = 0.05", "min_sin_sep = nan"),
     ("min_sin_sep = 0.05", "min_sin_sep = -0.05"),
@@ -291,17 +302,19 @@ def test_acquire_rejects_a_manifest_whose_pri_is_not_a_number(tmp_path, capsys):
     assert not (tmp_path / "coeffs.bin").exists()
 
 
+@pytest.mark.parametrize("spelling", [lambda v: [f"--snr-db={v}"], lambda v: ["--snr-db", v]],
+                         ids=["joined", "separate"])
 @pytest.mark.parametrize("snr_db", ["-inf", "nan"])
 def test_an_snr_of_minus_inf_or_nan_exits_2_from_the_ini_and_3_from_simulate(
-        tmp_path, capsys, snr_db):
+        tmp_path, capsys, snr_db, spelling):
     cfg, scene_path = write_inputs(tmp_path)
     ini = tmp_path / "snr.ini"
     ini.write_text(CONFIG + f"snr_db = {snr_db}\n")  # the last section is [experiment]
     assert main(["experiment", "-c", str(ini), "-o", str(tmp_path / "metrics")]) == 2
     assert "error: config:" in capsys.readouterr().err
-    # "--snr-db=-inf": argparse reads a separate "-inf" token as an option
+    # a separate "-inf" token is the option's value, as "--snr-db=-inf" is
     assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
-                 f"--snr-db={snr_db}", "-o", str(tmp_path / "frames")]) == 3
+                 *spelling(snr_db), "-o", str(tmp_path / "frames")]) == 3
     assert "error: validation:" in capsys.readouterr().err
     assert not (tmp_path / "frames").exists()
 

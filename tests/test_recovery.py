@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (brute_force_scores, dense_maps, dense_range_atoms, lstsq_fit,
-                     random_instance, row_bound)
+from helpers import (brute_force_scores, dense_maps, dense_range_atoms, loop_pair_scores,
+                     lstsq_fit, random_instance, row_bound)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +248,21 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
     want = brute_force_scores(coeffs.matrices, dicts)
     got = _pair_scores(_range_maps(np.hstack(coeffs.matrices), dicts), dicts)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want.max())
+
+
+@pytest.mark.parametrize("rows", [16, 81])
+@pytest.mark.parametrize("n_azi", [80, 400])
+@pytest.mark.parametrize("n_channels", [4, 8])
+def test_pair_scores_equal_the_loop_over_channels_bit_for_bit(n_channels, n_azi, rows):
+    # the desk and full grids' channel counts and azimuth cells, on the
+    # first pass's rows and a full-grid block's
+    rng = np.random.default_rng([n_channels, n_azi, rows])
+    _, dicts = random_instance(rng, n_channels=n_channels, n_rx=10, n_azi=n_azi)
+    phases = rng.random(dicts.azimuth_atoms.shape)
+    dicts = dataclasses.replace(dicts, azimuth_atoms=np.exp(2j * np.pi * phases))
+    shape = (rows, n_channels * 10)
+    maps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(_pair_scores(maps, dicts), loop_pair_scores(maps, dicts))
 
 
 @settings(max_examples=80, deadline=None)
@@ -604,6 +619,53 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     assert list(got) in best.tolist()
     if len(best) == 1:
         assert got == np.unravel_index(np.argmax(want), want.shape)
+
+
+def _scan_of(matrices, dicts, support):
+    """The state's bound, block-map source and slack for `support` held at zero
+    amplitudes, the block maps recording the rows each call asks for."""
+    state = _residual_state(_refit_of(matrices, dicts, support), dicts)
+    bound, block_maps, slack = state.residual(support, np.zeros(len(support), complex),
+                                              np.hstack(matrices))
+    calls = []
+    return (bound, lambda rows: calls.append(rows.tolist()) or block_maps(rows), slack,
+            calls)
+
+
+def _masked_argmax(block_maps, dicts, support):
+    """The argmax of S over the cells not in `support`, every row in one block."""
+    scores = _pair_scores(block_maps(np.arange(len(dicts.range_grid))), dicts)
+    for cell in support:
+        scores[cell] = -np.inf
+    return np.unravel_index(np.argmax(scores), scores.shape)
+
+
+@pytest.mark.parametrize("n_range", [1, 9, recovery._FIRST_ROWS])
+def test_a_grid_of_at_most_first_rows_is_scored_once(n_range):
+    # C <= _FIRST_ROWS: the head is the whole grid, on the FFT maps (C <= 2N)
+    # and on the lag-domain bound (C > 2N)
+    for total_bins in (64, 4):
+        coeffs, dicts = random_instance(np.random.default_rng(n_range), n_bins=4,
+                                        n_range=n_range, total_bins=total_bins)
+        for support in ([], [(0, 3), (n_range - 1, 5)]):
+            bound, block_maps, slack, calls = _scan_of(coeffs.matrices, dicts, support)
+            got = _select(bound, block_maps, slack, dicts, support)
+            assert calls == [list(range(n_range))]
+            assert got == _masked_argmax(block_maps, dicts, support)
+
+
+@pytest.mark.parametrize("mode", list(ArrayMode))
+def test_a_selection_the_head_decides_scores_the_head_alone(desk_envs, mode):
+    # the strong target's score exceeds every bound outside the 16-row head
+    env = desk_envs[mode]
+    grid, azi = env.range_grid, env.azi_grid
+    scene = Scene(targets=(Target(grid.delays[40], azi.values[20], 2.0),
+                           Target(grid.delays[200], azi.values[60], 1.0)))
+    coeffs = oracle_coefficients(scene, env.array, env.plan, env.bins)
+    bound, block_maps, slack, calls = _scan_of(coeffs.matrices, env.dictionaries, [])
+    got = _select(bound, block_maps, slack, env.dictionaries, [])
+    assert len(calls) == 1 and len(calls[0]) == recovery._FIRST_ROWS
+    assert got == (40, 20) == _masked_argmax(block_maps, env.dictionaries, [])
 
 
 def _tie_instance(n_range):

@@ -53,6 +53,9 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
         assert (f"{mode}: coefficients acquired through frame files equal in "
                 f"1 of 1 trials\n") in done.stdout
     assert "6 of 6 trials with equal supports" in done.stdout
+    assert done.stdout.endswith(
+        "bit-identical trials of 6: 6 in every field, 6 in the acquired coefficients, "
+        "6 in the file coefficients\n")
 
 
 def _compare_outputs_on(monkeypatch, parent, change):
@@ -81,6 +84,8 @@ def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "differs: desk ula trial 1: support" in out
     assert "1 of 2 trials with equal supports" in out
+    assert out.endswith("bit-identical trials of 2: 1 in every field, 2 in the acquired "
+                        "coefficients, 2 in the file coefficients\n")
     assert ("desk ula: largest relative difference over 1 trials with equal supports: "
             "amplitudes 0.0e+00, residual_history 0.0e+00, signal_norm 0.0e+00, "
             "residual_norm 0.0e+00\n") in out
@@ -109,3 +114,5 @@ def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, ca
     assert ("full wide: coefficients acquired through frame files equal in "
             "0 of 1 trials\n") in out
     assert "1 of 1 trials with equal supports" in out
+    assert out.endswith("bit-identical trials of 1: 0 in every field, 0 in the acquired "
+                        "coefficients, 0 in the file coefficients\n")

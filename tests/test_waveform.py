@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from submimo import ConfigError, Subband
-from submimo.waveform import (_occupied_cells, build_cognitive_plan, build_fdm_plan,
-                              channel_spectrum, conventional_plan, reference_subbands)
+from submimo.waveform import (MAX_FRAME_SAMPLES, _occupied_cells, build_cognitive_plan,
+                              build_fdm_plan, channel_spectrum, conventional_plan,
+                              reference_subbands)
 
 
 def full_plan(num_tx=8):
@@ -63,6 +64,14 @@ def test_the_guard_is_what_the_signal_band_leaves_of_the_spacing():
     assert build_fdm_plan(2, 30e6, 24e6, 6e6 + 1.0, 100e-6, 4.2e-6) == plan
     full = build_fdm_plan(8, 15e6, 15e6, 0.0, 100e-6, 4.2e-6)
     assert full.guard == 0.0
+
+
+def test_a_frame_above_the_sample_limit_is_rejected():
+    # two 1 Hz channels: a frame holds 2 * pri samples per receiver
+    pri = MAX_FRAME_SAMPLES / 2
+    assert build_fdm_plan(2, 1.0, 1.0, 0.0, pri, 1.0).bins_per_channel == pri
+    with pytest.raises(ConfigError, match=f"{MAX_FRAME_SAMPLES + 2} samples per receiver"):
+        build_fdm_plan(2, 1.0, 1.0, 0.0, pri + 1, 1.0)
 
 
 def test_pulse_width_bounds():

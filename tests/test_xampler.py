@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import (channelize, extract_coefficients, subsample,
+from helpers import (alias_sum_acquire, channelize, extract_coefficients, subsample,
                      time_domain_acquire)
 
 from submimo import (AdcConfig, ArrayMode, BinSet, ConfigError, ReceivedBaseband,
                      Scene, Subband, Target, ValidationError, acquire, add_noise,
-                     build_mode, check_coset, oracle_coefficients, subband_bins,
-                     synth_received)
+                     build_environment, build_mode, check_coset, oracle_coefficients,
+                     subband_bins, synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
-from submimo.xampler import CoefficientSet
+from submimo.xampler import CoefficientSet, _alias_table, _decimation, _normalization
 
 
 def full_plan(num_tx=8):
@@ -113,7 +113,6 @@ def test_channelize_conserves_energy(desk_env):
 
 
 def test_the_decimation_is_the_plans_channel_spacing_over_the_adc_rate():
-    from submimo.xampler import _decimation
     wide = build_cognitive_plan(
         build_fdm_plan(num_tx=2, channel_spacing=30e6, signal_band=24e6, guard=6e6,
                        pri=100e-6, pulse_width=4.2e-6), reference_subbands())
@@ -324,7 +323,6 @@ def test_acquire_rejects_a_bin_the_plan_does_not_transmit_on(desk_env):
 def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
     # the alias table and the normalization are cached on the plan, and the
     # coefficients are the per-call sum of the frame's aliases, bit for bit
-    from submimo.xampler import _alias_table, _decimation, _normalization
     plan, bins = desk_env.plan, desk_env.bins
     rx = add_noise(synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)),
                                   desk_env.array, plan, desk_env.sample_rate), 0.0, 4)
@@ -344,3 +342,35 @@ def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
     for _ in range(2):
         with pytest.raises(ValidationError, match="collision"):
             acquire(rx, plan, desk_env.adc, clash)
+
+
+_SCENE = Scene(targets=(Target(2e-5, 0.25, 1.0), Target(7e-5, -0.4, 0.5)))
+
+
+@pytest.mark.parametrize("mode, profile", [(mode, "desk") for mode in ArrayMode]
+                         + [(ArrayMode.ULA, "full")])
+def test_acquire_equals_the_summed_alias_gather_bit_for_bit(desk_envs, mode, profile):
+    # the reference design decimates by 2
+    env = desk_envs[mode] if profile == "desk" else build_environment(mode, profile, seed=7)
+    assert _decimation(env.plan, env.adc) == 2
+    rx = add_noise(synth_received(_SCENE, env.array, env.plan, env.sample_rate), -5.0, 3)
+    got = acquire(rx, env.plan, env.adc, env.bins).matrices
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, alias_sum_acquire(rx, env.plan, env.adc, env.bins))
+
+
+@pytest.mark.parametrize("decimation", [3, 5])
+def test_acquire_on_other_decimations_equals_the_summed_alias_gather(decimation):
+    # numpy lays the gather out with the receivers innermost, so its sum adds
+    # the D aliases one after another, in order, as acquire does: bit for bit
+    # at any D. Slices at 0.1-0.5 and 3.7-4 MHz fold clear of each other here
+    plan = build_cognitive_plan(full_plan(2), [Subband(0.1e6, 0.5e6), Subband(3.7e6, 4e6)])
+    adc = AdcConfig(rate=15e6 / decimation)
+    assert check_coset(plan, adc)
+    bins = subband_bins(plan)
+    rng = np.random.default_rng(decimation)
+    shape = (3, plan.num_tx * plan.base.bins_per_channel)
+    rx = ReceivedBaseband.from_samples(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pri=plan.pri)
+    assert np.array_equal(acquire(rx, plan, adc, bins).matrices,
+                          alias_sum_acquire(rx, plan, adc, bins))
