@@ -153,14 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined_values(argv) -> list[str]:
-    """`argv` with each `--snr-db VALUE` pair written `--snr-db=VALUE`.
+    """`argv` with each `--snr-db VALUE` pair written `--snr-db=VALUE`, and so
+    each pair whose option is an abbreviation argparse takes for `--snr-db`.
 
     argparse reads a separate token that starts with '-' but is not a plain
     decimal, such as `-inf` or `-1e3`, as an option, not as the value.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] == "--snr-db":
+        if joined and len(joined[-1]) >= 4 and "--snr-db".startswith(joined[-1]):
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -407,11 +407,12 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     `block_maps(rows)` the rows' stacked maps g(n), ascending rows in. First
     the _FIRST_ROWS rows of largest bound, found by partition, are scored,
     and the scan ends there when the largest bound outside them plus
-    `slack` cannot reach the best score; otherwise
-    every other row whose bound plus `slack` can still reach the best
-    score is sorted by descending bound and scanned in cache-sized blocks,
-    stopping at the first block whose top bound plus `slack` cannot beat
-    the best score found. `slack` must cover the bound's rounding error.
+    `slack` cannot reach the best score; otherwise every other row whose
+    bound plus `slack` can still reach the best score is sorted by
+    descending bound and scanned in blocks of _SCORE_BLOCK_CELLS cells per
+    channel, stopping at the first block whose top bound plus `slack`
+    cannot beat the best score found. A grid of at most _FIRST_ROWS rows is
+    all head. `slack` must cover the bound's rounding error.
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
     """
@@ -433,9 +434,6 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
             best, cell = top, at
 
     first = min(_FIRST_ROWS, rows, c)
-    if first == c:
-        scan(np.arange(c))
-        return cell
     # partitioned at the largest bound outside the head, which ends most scans
     part = np.argpartition(bound, c - first - 1)
     head = np.sort(part[c - first:])

@@ -9,8 +9,7 @@ from submimo.errors import ConfigError, ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
 from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED, channel_spectrum
-from submimo.xampler import (BinSet, CoefficientSet, _alias_table, _decimation,
-                             _normalization)
+from submimo.xampler import BinSet, CoefficientSet, _decimation, _normalization
 
 
 def dense_range_atoms(dicts):
@@ -226,12 +225,17 @@ def extract_coefficients(lowrate, bins, adc):
     return coeffs[..., folded]
 
 
-def alias_sum_acquire(rx, plan, adc, bins):
-    """`xampler.acquire`'s (M, K, Q) coefficients as a Q x M x K x D gather of
-    every alias, summed along its last axis, divided and moved to M x K x Q."""
-    table = _alias_table(plan, bins, _decimation(plan, adc))
-    values = rx.spectrum[:, table].sum(axis=-1) / _normalization(plan, bins)
-    return values.transpose(1, 2, 0)
+def in_order_acquire(rx, plan, adc, bins):
+    """`xampler.acquire`'s (M, K, Q) coefficients as each channel's D folded
+    aliases of the frame's spectrum added one after another, in alias order,
+    and divided by the channel's normalization."""
+    n = plan.base.bins_per_channel
+    d = _decimation(plan, adc)
+    aliases = bins.as_array % (n // d) + (n // d) * np.arange(d)[:, None]  # D x K
+    norm = _normalization(plan, bins)
+    want = np.stack([sum(rx.spectrum[:, m * n + a] for a in aliases) / norm[m]
+                     for m in range(plan.num_tx)])  # M x Q x K
+    return want.transpose(0, 2, 1)
 
 
 def time_domain_acquire(rx, plan, adc, bins):

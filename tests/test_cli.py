@@ -302,8 +302,9 @@ def test_acquire_rejects_a_manifest_whose_pri_is_not_a_number(tmp_path, capsys):
     assert not (tmp_path / "coeffs.bin").exists()
 
 
-@pytest.mark.parametrize("spelling", [lambda v: [f"--snr-db={v}"], lambda v: ["--snr-db", v]],
-                         ids=["joined", "separate"])
+@pytest.mark.parametrize("spelling", [lambda v: [f"--snr-db={v}"], lambda v: ["--snr-db", v],
+                                      lambda v: ["--snr", v]],
+                         ids=["joined", "separate", "abbreviated"])
 @pytest.mark.parametrize("snr_db", ["-inf", "nan"])
 def test_an_snr_of_minus_inf_or_nan_exits_2_from_the_ini_and_3_from_simulate(
         tmp_path, capsys, snr_db, spelling):
@@ -312,7 +313,8 @@ def test_an_snr_of_minus_inf_or_nan_exits_2_from_the_ini_and_3_from_simulate(
     ini.write_text(CONFIG + f"snr_db = {snr_db}\n")  # the last section is [experiment]
     assert main(["experiment", "-c", str(ini), "-o", str(tmp_path / "metrics")]) == 2
     assert "error: config:" in capsys.readouterr().err
-    # a separate "-inf" token is the option's value, as "--snr-db=-inf" is
+    # a separate "-inf" token is the option's value, as "--snr-db=-inf" is,
+    # also after an abbreviation of the option
     assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path),
                  *spelling(snr_db), "-o", str(tmp_path / "frames")]) == 3
     assert "error: validation:" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import (alias_sum_acquire, channelize, extract_coefficients, subsample,
+from helpers import (channelize, extract_coefficients, in_order_acquire, subsample,
                      time_domain_acquire)
 
 from submimo import (AdcConfig, ArrayMode, BinSet, ConfigError, ReceivedBaseband,
@@ -13,7 +13,7 @@ from submimo import (AdcConfig, ArrayMode, BinSet, ConfigError, ReceivedBaseband
                      subband_bins, synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
-from submimo.xampler import CoefficientSet, _alias_table, _decimation, _normalization
+from submimo.xampler import CoefficientSet, _alias_table, _decimation
 
 
 def full_plan(num_tx=8):
@@ -321,20 +321,14 @@ def test_acquire_rejects_a_bin_the_plan_does_not_transmit_on(desk_env):
 
 
 def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
-    # the alias table and the normalization are cached on the plan, and the
-    # coefficients are the per-call sum of the frame's aliases, bit for bit
+    # the alias table is cached on the plan by acquire's first call
     plan, bins = desk_env.plan, desk_env.bins
     rx = add_noise(synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)),
                                   desk_env.array, plan, desk_env.sample_rate), 0.0, 4)
-    got = acquire(rx, plan, desk_env.adc, bins)
+    acquire(rx, plan, desk_env.adc, bins)
     d, n = _decimation(plan, desk_env.adc), plan.base.bins_per_channel
     table = _alias_table(plan, bins, d)
     assert _alias_table(plan, bins, d) is table and not table.flags.writeable
-    aliases = bins.as_array % (n // d) + (n // d) * np.arange(d)[:, None]  # D x K
-    want = np.stack([
-        sum(rx.spectrum[:, m * n + a] for a in aliases) / _normalization(plan, bins)[m]
-        for m in range(plan.num_tx)])  # M x Q x K
-    assert np.array_equal(got.matrices, want.transpose(0, 2, 1))
     # a collision is not cached: every call raises
     n_low = n // d
     clash = BinSet(indices=(bins.indices[0], bins.indices[0] + n_low),
@@ -344,33 +338,30 @@ def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
             acquire(rx, plan, desk_env.adc, clash)
 
 
-_SCENE = Scene(targets=(Target(2e-5, 0.25, 1.0), Target(7e-5, -0.4, 0.5)))
+def _acquisition_input(desk_envs, profile, arg):
+    """(rx, plan, adc, bins, D): a -5 dB two-target frame of a desk mode or of
+    full ULA, which decimate by 2, or noise on a two-slice plan decimated by
+    `arg`, whose slices at 0.1-0.5 and 3.7-4 MHz fold clear of each other."""
+    if profile == "two-slice":
+        plan = build_cognitive_plan(full_plan(2), [Subband(0.1e6, 0.5e6), Subband(3.7e6, 4e6)])
+        adc = AdcConfig(rate=15e6 / arg)
+        rng = np.random.default_rng(arg)
+        shape = (3, plan.num_tx * plan.base.bins_per_channel)
+        rx = ReceivedBaseband.from_samples(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pri=plan.pri)
+        return rx, plan, adc, subband_bins(plan), arg
+    env = desk_envs[arg] if profile == "desk" else build_environment(arg, profile, seed=7)
+    scene = Scene(targets=(Target(2e-5, 0.25, 1.0), Target(7e-5, -0.4, 0.5)))
+    rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate), -5.0, 3)
+    return rx, env.plan, env.adc, env.bins, 2
 
 
-@pytest.mark.parametrize("mode, profile", [(mode, "desk") for mode in ArrayMode]
-                         + [(ArrayMode.ULA, "full")])
-def test_acquire_equals_the_summed_alias_gather_bit_for_bit(desk_envs, mode, profile):
-    # the reference design decimates by 2
-    env = desk_envs[mode] if profile == "desk" else build_environment(mode, profile, seed=7)
-    assert _decimation(env.plan, env.adc) == 2
-    rx = add_noise(synth_received(_SCENE, env.array, env.plan, env.sample_rate), -5.0, 3)
-    got = acquire(rx, env.plan, env.adc, env.bins).matrices
+@pytest.mark.parametrize("profile, arg", [*(("desk", mode) for mode in ArrayMode),
+                                          ("full", ArrayMode.ULA),
+                                          ("two-slice", 3), ("two-slice", 5)])
+def test_acquire_adds_each_channels_aliases_in_order_bit_for_bit(desk_envs, profile, arg):
+    rx, plan, adc, bins, d = _acquisition_input(desk_envs, profile, arg)
+    assert _decimation(plan, adc) == d and check_coset(plan, adc)
+    got = acquire(rx, plan, adc, bins).matrices
     assert got.flags.c_contiguous
-    assert np.array_equal(got, alias_sum_acquire(rx, env.plan, env.adc, env.bins))
-
-
-@pytest.mark.parametrize("decimation", [3, 5])
-def test_acquire_on_other_decimations_equals_the_summed_alias_gather(decimation):
-    # numpy lays the gather out with the receivers innermost, so its sum adds
-    # the D aliases one after another, in order, as acquire does: bit for bit
-    # at any D. Slices at 0.1-0.5 and 3.7-4 MHz fold clear of each other here
-    plan = build_cognitive_plan(full_plan(2), [Subband(0.1e6, 0.5e6), Subband(3.7e6, 4e6)])
-    adc = AdcConfig(rate=15e6 / decimation)
-    assert check_coset(plan, adc)
-    bins = subband_bins(plan)
-    rng = np.random.default_rng(decimation)
-    shape = (3, plan.num_tx * plan.base.bins_per_channel)
-    rx = ReceivedBaseband.from_samples(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), pri=plan.pri)
-    assert np.array_equal(acquire(rx, plan, adc, bins).matrices,
-                          alias_sum_acquire(rx, plan, adc, bins))
+    assert np.array_equal(got, in_order_acquire(rx, plan, adc, bins))
