@@ -25,8 +25,8 @@ from .harness import (PROFILE_RANGE_CELLS, Environment, ExperimentConfig,
                       MetricsRecord, SceneSpec, assemble_environment)
 from .recovery import SparseEstimate
 from .scene import ReceivedBaseband, Scene, target_from_range
-from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, FdmPlan, Subband,
-                       build_cognitive_plan, build_fdm_plan, reference_subbands)
+from .waveform import (MAX_FRAME_SAMPLES, REFERENCE_FDM_PLAN, CognitivePlan, FdmPlan,
+                       Subband, build_cognitive_plan, build_fdm_plan, reference_subbands)
 from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, CoefficientSet
 
 _COEFF_MAGIC = b"SMCS"
@@ -480,12 +480,16 @@ class ToolkitConfig:
 
     @property
     def range_cells(self) -> int:
-        """`[recovery] range_cells`, or the profile's count when it is absent."""
+        """`[recovery] range_cells`, or the profile's count when it is absent;
+        at most MAX_FRAME_SAMPLES, so the grid's delays stay within 32 MiB."""
         cells = self._get("recovery", "range_cells")
         if cells is None:
             return PROFILE_RANGE_CELLS[self.profile]
         if cells < 1:
             raise ConfigError(f"[recovery] range_cells = {cells}: need at least one cell")
+        if cells > MAX_FRAME_SAMPLES:
+            raise ConfigError(f"[recovery] range_cells = {cells}: above the limit of "
+                              f"{MAX_FRAME_SAMPLES} cells")
         return cells
 
     def fdm_plan(self, num_tx: int) -> FdmPlan:

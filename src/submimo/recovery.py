@@ -26,7 +26,7 @@ from .xampler import BinSet, CoefficientSet, subband_bins
 
 DEFAULT_RESIDUAL_TOL = 1e-3
 
-# score cells per row block: 512 KB of complex products per channel
+# score cells per row block: 256 KB of scores
 _SCORE_BLOCK_CELLS = 1 << 15
 # rows scored first; the exact stop test is met after a few to a few dozen
 # rows in bound order
@@ -78,6 +78,10 @@ class DictionarySet:
     channel, C uniform range cells); it is applied by FFT or partial DFT
     and never stored. The solver's tables that depend only on these (the
     underscored properties) are built on first use and kept, read-only.
+    The pair scores need atoms that factor as b_mqp = t_mp r_qp with
+    |t_mp| = 1, a transmitter phase times a receive steering, as
+    `build_dictionaries`' exp(i*pi*(xi_m + zeta_q)*u_p) do; `_pair_table`
+    checks it.
     """
 
     azimuth_atoms: np.ndarray
@@ -118,6 +122,36 @@ class DictionarySet:
     def _weight(self) -> float:
         """w = max_{m,p} ||b_mp||^2, the row weight (Q for unit-modulus atoms)."""
         return np.max(np.sum(np.abs(self.azimuth_atoms) ** 2, axis=1))
+
+    @functools.cached_property
+    def _pair_table(self) -> np.ndarray:
+        """The Q^2 x P real table of the pair scores (`_pair_scores`).
+
+        W[q, q', p] = b_mqp b_mq'p^* is the same on every channel m, as the
+        transmitter phase cancels; its rows are |b_0qp|^2, then 2 Re W and
+        -2 Im W over q < q' (`_hermitian_features`' order). Raises
+        ValidationError when some channel's products differ from channel
+        0's by more than 1e-9 of the largest |b_mqp|^2: atoms that do not
+        factor would be scored wrong.
+        """
+        atoms = self.azimuth_atoms
+        b, q = atoms[0], atoms.shape[1]
+        half = q * (q - 1) // 2
+        table = np.empty((q + 2 * half, atoms.shape[2]))
+        table[:q] = b.real ** 2 + b.imag ** 2
+        tol = 1e-9 * np.max(np.abs(atoms)) ** 2
+        row = q
+        # one row i of products b_i b_j^*, j >= i, at a time: small temporaries
+        for i in range(q):
+            w = b[i] * b[i:].conj()
+            table[row:row + q - 1 - i] = 2 * w[1:].real
+            table[row + half:row + half + q - 1 - i] = -2 * w[1:].imag
+            row += q - 1 - i
+            for m, bm in enumerate(atoms[1:], 1):
+                if np.max(np.abs(bm[i] * bm[i:].conj() - w)) > tol:
+                    raise ValidationError(f"azimuth atoms of channel {m} do not factor as a "
+                                          f"transmitter phase times channel 0's atoms")
+        return _read_only(table)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -381,21 +415,31 @@ def _residual_state(refit, dicts: DictionarySet):
     return (_LagState if wide else _MapState)(refit, dicts)
 
 
+@functools.cache
+def _hermitian_features(q: int) -> np.ndarray:
+    """Where a Q x Q complex matrix's float view (Q * 2Q floats a row) holds
+    its real diagonal, then the real and the imaginary parts of its
+    entries q < q': the order of `DictionarySet._pair_table`'s rows."""
+    upper = np.ravel_multi_index(np.triu_indices(q, 1), (q, q))
+    return _read_only(np.concatenate([2 * np.arange(q) * (q + 1), 2 * upper, 2 * upper + 1]))
+
+
 def _pair_scores(maps, dicts: DictionarySet) -> np.ndarray:
     """S(n, p) = sum over channels of |a_{m,n}^H R_m b_mp^*|^2 for the rows n
-    of the stacked range maps `maps` (rows x MQ, `_range_maps` rows)."""
-    atoms = dicts.azimuth_atoms
-    channels, q = atoms.shape[:2]
-    # |h b^*| = |h^* b|: the scan conjugates the rows' maps, not the atoms,
-    # and multiplies every channel's rows x Q slice of them in one product
-    conj = maps.conj().reshape(len(maps), channels, q).transpose(1, 0, 2)
-    power = (conj @ atoms).view(float)
-    power *= power
-    # re^2 + im^2 into the re slots, then the channels summed in order, as a
-    # loop over them would
-    re = power[..., 0::2]
-    re += power[..., 1::2]
-    return np.add.reduce(re, axis=0)
+    of the stacked range maps `maps` (rows x MQ, `_range_maps` rows).
+
+    With H the row's M x Q maps, S(n, p) = sum_m |h_m^H b_mp|^2 =
+    sum_{q,q'} A_n[q, q'] W[q, q', p], A_n = H^H H: the transmitter phase
+    of b_mqp = t_mp r_qp cancels, so W = b_mqp b_mq'p^* is channel 0's on
+    every channel. A_n is Hermitian, so its real diagonal and the real and
+    imaginary parts of its upper entries take one real (rows, Q^2) @
+    (Q^2, P) product with `DictionarySet._pair_table`; no M-fold product.
+    """
+    channels, q = dicts.azimuth_atoms.shape[:2]
+    h = maps.reshape(len(maps), channels, q)
+    gram = h.conj().transpose(0, 2, 1) @ h
+    features = gram.view(float).reshape(len(maps), -1)[:, _hermitian_features(q)]
+    return features @ dicts._pair_table
 
 
 def _select(bound, block_maps, slack: float, dicts: DictionarySet,
@@ -409,8 +453,8 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     and the scan ends there when the largest bound outside them plus
     `slack` cannot reach the best score; otherwise every other row whose
     bound plus `slack` can still reach the best score is sorted by
-    descending bound and scanned in blocks of _SCORE_BLOCK_CELLS cells per
-    channel, stopping at the first block whose top bound plus `slack`
+    descending bound and scanned in blocks of _SCORE_BLOCK_CELLS cells,
+    stopping at the first block whose top bound plus `slack`
     cannot beat the best score found. A grid of at most _FIRST_ROWS rows is
     all head. `slack` must cover the bound's rounding error.
     Within a block, equal scores resolve to the smallest (range, azimuth)

@@ -7,6 +7,7 @@ from helpers import MISINDEXED_BLOBS, write_blob
 from submimo import (ArrayMode, Scene, Target, build_mode, cli, fileio, harness,
                      oracle_coefficients)
 from submimo.cli import main
+from submimo.waveform import MAX_FRAME_SAMPLES
 from submimo.xampler import BinSet, CoefficientSet
 
 CONFIG = """\
@@ -135,6 +136,18 @@ def test_a_zero_or_negative_count_in_the_ini_exits_2(tmp_path, capsys, old, new)
     assert code == 2
     assert "error: config:" in capsys.readouterr().err
     assert not (tmp_path / "metrics").exists()
+
+
+@pytest.mark.parametrize("cells, code", [(MAX_FRAME_SAMPLES, 0), (MAX_FRAME_SAMPLES + 1, 2)])
+def test_range_cells_exit_2_only_above_the_limit(tmp_path, capsys, cells, code):
+    # simulate builds the environment, range grid included, but recovers nothing
+    cfg, scene_path = write_inputs(tmp_path)
+    cfg.write_text(CONFIG.replace("profile = desk", f"profile = desk\nrange_cells = {cells}"))
+    out = tmp_path / "frames"
+    assert main(["simulate", "-c", str(cfg), "--scene", str(scene_path), "-o", str(out)]) == code
+    if code:
+        assert f"range_cells = {cells}: above the limit" in capsys.readouterr().err
+    assert out.exists() == (code == 0)
 
 
 def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):

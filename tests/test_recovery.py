@@ -253,16 +253,30 @@ def test_fft_pair_scores_match_brute_force(seed, n_channels, bin_share, total_bi
 @pytest.mark.parametrize("rows", [16, 81])
 @pytest.mark.parametrize("n_azi", [80, 400])
 @pytest.mark.parametrize("n_channels", [4, 8])
-def test_pair_scores_equal_the_loop_over_channels_bit_for_bit(n_channels, n_azi, rows):
+def test_pair_scores_match_the_loop_over_channels(n_channels, n_azi, rows):
     # the desk and full grids' channel counts and azimuth cells, on the
-    # first pass's rows and a full-grid block's
+    # first pass's rows and a full-grid block's; atoms that factor as a
+    # random phase per (m, p) times a random receive phase per (q, p)
     rng = np.random.default_rng([n_channels, n_azi, rows])
     _, dicts = random_instance(rng, n_channels=n_channels, n_rx=10, n_azi=n_azi)
-    phases = rng.random(dicts.azimuth_atoms.shape)
-    dicts = dataclasses.replace(dicts, azimuth_atoms=np.exp(2j * np.pi * phases))
+    tx = rng.random((n_channels, 1, n_azi))
+    rx = rng.random((1, 10, n_azi))
+    dicts = dataclasses.replace(dicts, azimuth_atoms=np.exp(2j * np.pi * (tx + rx)))
     shape = (rows, n_channels * 10)
     maps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(_pair_scores(maps, dicts), loop_pair_scores(maps, dicts))
+    want = loop_pair_scores(maps, dicts)
+    np.testing.assert_allclose(_pair_scores(maps, dicts), want, rtol=1e-12,
+                               atol=1e-12 * want.max())
+
+
+def test_atoms_that_do_not_factor_raise_through_matrix_omp():
+    # a random phase per (m, q, p): channel 1's products b b'^* are not channel 0's
+    rng = np.random.default_rng(19)
+    coeffs, dicts = random_instance(rng, n_channels=3, n_rx=4, n_azi=6)
+    phases = rng.random(dicts.azimuth_atoms.shape)
+    dicts = dataclasses.replace(dicts, azimuth_atoms=np.exp(2j * np.pi * phases))
+    with pytest.raises(ValidationError, match="channel 1 do not factor"):
+        matrix_omp(coeffs, dicts, max_targets=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -308,10 +322,17 @@ def test_dictionary_tables_are_their_definitions_built_once(desk_envs, instance)
         rows, picks = layers.setdefault(int(np.sum(k[:i] % c == row)), ([], []))
         rows.append(row)
         picks.append(i)
+    # W[q, q', p] = b_0qp b_0q'p^*: |b_0qp|^2, then 2 Re W and -2 Im W, q < q'
+    b = dicts.azimuth_atoms[0]
+    upper = [(i, j) for i in range(len(b)) for j in range(i + 1, len(b))]
+    pair_table = np.array([b[i].real ** 2 + b[i].imag ** 2 for i in range(len(b))]
+                          + [2 * (b[i] * b[j].conj()).real for i, j in upper]
+                          + [-2 * (b[i] * b[j].conj()).imag for i, j in upper])
     want = {"_bin_array": [k],
             "_conj_roots": [np.exp(-2j * np.pi * np.arange(c) / c).conj()],
             "_kernel": [c * np.fft.ifft(scattered[:, 0])],
             "_weight": [np.max(np.sum(np.abs(dicts.azimuth_atoms) ** 2, axis=1))],
+            "_pair_table": [pair_table],
             "_scatter": [a for j in sorted(layers) for a in layers[j]]}
     for name, value in want.items():
         table = getattr(dicts, name)
