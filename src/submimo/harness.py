@@ -111,7 +111,8 @@ class SceneSpec:
     sub-resolution geometry) while remaining on the fine grid, on a range
     cell `PAIR_RANGE_CLEARANCE_CELLS` clear of every background target.
     The separations must be finite and non-negative and the pair's gap
-    finite and positive; anything else is a ConfigError.
+    finite, positive and narrow enough for some coarse cell to center the
+    pair inside the sine-DoA span; anything else is a ConfigError.
     """
 
     num_targets: int
@@ -129,6 +130,15 @@ class SceneSpec:
         gap = self.close_pair_sin_gap
         if gap is not None and not 0 < gap < np.inf:
             raise ConfigError(f"close_pair_sin_gap = {gap!r} must be finite and positive")
+        if gap is not None and 2 * _pair_margin(gap) >= COARSE_AZIMUTH_CELLS:
+            raise ConfigError(f"close_pair_sin_gap = {gap!r} leaves no coarse azimuth cell "
+                              f"to center the pair on inside the sine-DoA span")
+
+
+def _pair_margin(gap: float) -> int:
+    """Coarse azimuth cells between the close pair's center and the grid's
+    edges: half the gap, rounded up to whole cells."""
+    return int(np.ceil(gap / 2 / (2.0 / COARSE_AZIMUTH_CELLS)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +268,7 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
         fine = 2.0 / FINE_AZIMUTH_CELLS
         if abs(half / fine - round(half / fine)) > 1e-9:
             raise ConfigError("half the pair gap must sit on the fine azimuth grid")
-        margin = int(np.ceil(half / (2.0 / COARSE_AZIMUTH_CELLS)))
+        margin = _pair_margin(spec.close_pair_sin_gap)
         for _ in range(_MAX_PLACEMENT_DRAWS):
             n0 = int(rng.integers(0, range_cells))
             center_cell = int(rng.integers(margin, COARSE_AZIMUTH_CELLS - margin))

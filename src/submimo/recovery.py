@@ -8,7 +8,10 @@ K x Q matrices side by side (K x MQ). It greedily selects the grid pair
 maximizing the summed per-channel correlation energy, then grows the
 joint least-squares refit of the selected amplitudes across channels by
 that one cell: an atom, a Gram row and a right-hand-side entry, with the
-new Schur pivot as its rank test.
+new Schur pivot as its rank test. The residual's energies come from the
+refit's Gram matrices (as in Batch-OMP) and its bound and scored maps
+from the coefficients' transforms, updated by the support; the K x MQ
+residual is formed only where a fit is within rounding of exact.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ _SLACK = 1e-9
 # coefficients, as after a noiseless fit) the update is mostly rounding
 # and would leave every row open; the state transforms the residual itself
 _KEEP_UPDATE_SLACKS = 1e3
+# a channel's expanded residual energy is kept while it exceeds this share
+# of its terms: it then rounds at under 1e-12 of itself, near the explicit
+# norm's own rounding. Below (a residual under about a thousandth of the
+# coefficients, as after a noiseless fit), the refit forms the residual
+_KEEP_ENERGY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -218,12 +226,17 @@ def _range_maps(stacked, dicts: DictionarySet) -> np.ndarray:
     return len(dicts.range_grid) * np.fft.ifft(scattered, axis=0)
 
 
-def _block_maps(stacked, dicts: DictionarySet, rows) -> np.ndarray:
-    """The given rows of `_range_maps`, as a partial DFT: one GEMM of the
-    rows x K table exp(2j*pi*k*n/C) against `stacked`."""
+def _partial_dft(rows, dicts: DictionarySet) -> np.ndarray:
+    """The rows x K table exp(2j*pi*k*n/C) of the given range rows n."""
     phase = np.multiply.outer(rows, dicts._bin_array)
     phase %= len(dicts.range_grid)
-    return dicts._conj_roots[phase] @ stacked
+    return dicts._conj_roots[phase]
+
+
+def _block_maps(stacked, dicts: DictionarySet, rows) -> np.ndarray:
+    """The given rows of `_range_maps`, as a partial DFT: one GEMM of the
+    rows' `_partial_dft` table against `stacked`."""
+    return _partial_dft(rows, dicts) @ stacked
 
 
 def _smooth_length(n: int) -> int:
@@ -280,16 +293,17 @@ class _MapState:
     ones), and the residual is Y - sum_j x_j a_j d_j^T (the refit's
     factors), its maps are G(R) = G(Y) - K[:, S] (x d_S), with
     K[n, j] = kappa(n - n_j): one C x s by s x MQ product, no scatter and
-    no inverse FFT. The support grows as matrix OMP selects, and each cell
-    adds its column of K once (kappa is the dictionaries' `_kernel`). The
-    update rounds at the scale of its terms, about 1e-16 of
+    no inverse FFT, written into one buffer per call. The support grows as
+    matrix OMP selects, and each cell adds its column of K once (kappa is
+    the dictionaries' `_kernel`). The update rounds at the scale of its
+    terms, about 1e-16 of
     |G(Y)| + K sum_j |x_j| per entry (|kappa| <= K, the bin count; unit
     azimuth atoms), so its bound rounds at about 1e-16 of
     w MQ (max |G(Y)| + K sum_j |x_j|)^2. While the updated bound's largest
     row exceeds _KEEP_UPDATE_SLACKS slacks of that, the update is kept;
-    below (a noiseless fit), the maps are taken from the residual
-    (`_range_maps`), so later selections follow the residual, not the
-    update's rounding. The scan reads the bound and the scores from the
+    below (a noiseless fit), the maps are taken from the residual the refit
+    forms (`_Refit.residual`, then `_range_maps`), so later selections
+    follow the residual, not the update's rounding. The scan reads the bound and the scores from the
     same maps, so its slack need only cover their rounding against each
     other: _SLACK of the largest bound.
     """
@@ -305,8 +319,9 @@ class _MapState:
     def _bound(self, maps) -> np.ndarray:
         return self.weight * np.einsum("ij,ij->i", maps.view(float), maps.view(float))
 
-    def residual(self, support, amplitudes, residual):
-        """The residual's row bound, block-map source (rows -> maps) and slack."""
+    def residual(self, support, amplitudes):
+        """The residual's row bound, block-map source (rows -> maps) and slack
+        at the support's `amplitudes`."""
         maps, bound, s = self.maps, self.bound, len(support)
         if support:
             while self.columns.shape[1] < s:
@@ -316,12 +331,13 @@ class _MapState:
                 n = support[j][0]
                 self.columns[:n, j], self.columns[n:, j] = kernel[c - n:], kernel[:c - n]
             self.size = s
-            maps = maps - self.columns[:, :s] @ (amplitudes[:, None] * self.refit.d[:s])
+            maps = self.columns[:, :s] @ (amplitudes[:, None] * self.refit.d[:s])
+            np.subtract(self.maps, maps, out=maps)
             bound = self._bound(maps)
             fit = len(self.dicts.bins) * np.abs(amplitudes).sum()
             terms = self.weight * maps.shape[1] * (self.peak + fit) ** 2
             if bound.max() < _KEEP_UPDATE_SLACKS * _SLACK * terms:
-                maps = _range_maps(residual, self.dicts)
+                maps = _range_maps(self.refit.residual(amplitudes), self.dicts)
                 bound = self._bound(maps)
         return bound, lambda block: maps[block], _SLACK * bound.max()
 
@@ -335,18 +351,22 @@ class _LagState:
     factors); so with S_j = F a_j and V_j = F (Y d_j^*),
     P = P_Y - 2 Re sum_j x_j S_j V_j^* + sum_{j,l} S_j Gamma_jl S_l^*,
     Gamma_jl = x_j x_l^* (d_j . d_l^*), and the bound is w times its fold.
-    A selected cell costs two FFTs, once. The scored rows' maps still come
-    from the residual (`_block_maps`), so the bound must not fall below
-    their scores by more than the slack. The terms cancel, however small
-    the residual: the bound rounds at about 1e-16 of the largest term, at
-    most the coefficients' largest bound plus w K^2 sum_jl |Gamma_jl|
+    A selected cell costs two FFTs, once. A scored block's maps are
+    T Y - (T A_S^T)(x d_S), with T the block rows' partial DFT
+    (`_partial_dft`) and A_S^T the support's range atoms as columns: no
+    residual and no table of the whole grid. The bound must not fall below
+    the scores by more than the slack. The terms cancel, however small the
+    residual: the bound rounds at about 1e-16 of the largest term, at most
+    the coefficients' largest bound plus w K^2 sum_jl |Gamma_jl|
     (|S_j| <= K, the bin count; the cross term is bounded by the other
-    two). The slack is _SLACK of that sum, within a small factor of _SLACK
+    two), and the maps at about 1e-16 of |T Y| + K sum_j |x_j|, far inside
+    it. The slack is _SLACK of that sum, within a small factor of _SLACK
     of the coefficients' largest bound for a well-conditioned support. It
     would open every row once the residual's bound falls below it, as a
     noiseless fit's does; below _KEEP_UPDATE_SLACKS slacks the bound is
-    taken from the residual's own spectrum (M*Q FFTs), with _SLACK of its
-    largest row as the slack.
+    taken from the spectrum of the residual the refit forms (M*Q FFTs)
+    and the block maps from that residual (`_block_maps`), with _SLACK of
+    its largest row as the slack.
     """
 
     def __init__(self, refit, dicts: DictionarySet):
@@ -374,11 +394,11 @@ class _LagState:
         self.spectra[j] = s
         np.multiply(s, v.conj(), out=self.cross[j])
 
-    def residual(self, support, amplitudes, residual):
-        """As `_MapState.residual`; the block maps read `residual` as it is."""
-        block_maps = functools.partial(_block_maps, residual, self.dicts)
+    def residual(self, support, amplitudes):
+        """As `_MapState.residual`."""
         if not support:
-            return self.bound, block_maps, _SLACK * self.bound.max()
+            return (self.bound, functools.partial(_block_maps, self.refit.stacked, self.dicts),
+                    _SLACK * self.bound.max())
         s = len(support)
         for j in range(self.size, s):
             self._add_cell(j)
@@ -395,10 +415,19 @@ class _LagState:
                           + self.weight * len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
         if bound.max() < _KEEP_UPDATE_SLACKS * slack:
             # a residual below a millionth of the terms (a noiseless fit): the
-            # expansion cannot resolve its bound, its own spectrum can
+            # expansion cannot resolve its bound or its maps, its own transforms can
+            residual = self.refit.residual(amplitudes)
             bound = self._fold(_power_spectrum(residual, len(self.dicts.azimuth_atoms),
                                                self.offsets, len(self.power)))
-            slack = _SLACK * bound.max()
+            return bound, functools.partial(_block_maps, residual, self.dicts), _SLACK * bound.max()
+        z, a = amplitudes[:, None] * d, self.refit.a[:s]
+
+        def block_maps(rows):  # T Y - (T A_S^T) Z, T the rows' partial DFT
+            table = _partial_dft(rows, self.dicts)
+            maps = table @ self.refit.stacked
+            maps -= (table @ a.T) @ z
+            return maps
+
         return bound, block_maps, slack
 
 
@@ -408,8 +437,9 @@ def _residual_state(refit, dicts: DictionarySet):
     `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one.
     Both hold the coefficients' row bound as `bound`, read the coefficients
     and the support's cell factors a_j, d_j from `refit` (a `_Refit`), and
-    take the residual as the refit forms it. Both weigh their rows by
-    the dictionaries' w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms).
+    ask it for the residual (`_Refit.residual`) only when their updates
+    cannot resolve it. Both weigh their rows by the dictionaries'
+    w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms).
     """
     wide = len(dicts.range_grid) > 2 * dicts.bins.per_channel_bins
     return (_LagState if wide else _MapState)(refit, dicts)
@@ -512,30 +542,46 @@ def _cell_atoms(dicts: DictionarySet):
 class _Refit:
     """The support's joint least-squares fit, grown by one cell per selection.
 
-    Cell s appends its factors a_s, d_s (`_cell_atoms`), the Gram row
-    (a_s^H a_l)(d_s^H d_l) and the right-hand side a_s^H Y d_s^* to buffers
-    that double when full. Its Schur pivot g_ss - g^H u, u = G^-1 g, is 0
-    when it depends on the support; a pivot within rounding of the terms it
-    cancels, (s + 1) eps tr(G) (1 + u^H u), raises NumericalError. The
-    residual states read the coefficients `stacked` and the rows of `a`
-    and `d`, so a cell's factors are built once.
+    Cell s appends its factors a_s, d_s (`_cell_atoms`), its correlation
+    row c_s = a_s^H Y, the range-atom Gram row H[s, l] = a_s^H a_l, the
+    Gram row H[s, l] (d_s^H d_l) and the right-hand side c_s d_s^* to
+    buffers that double when full. Its Schur pivot g_ss - g^H u,
+    u = G^-1 g, is 0 when it depends on the support; a pivot within
+    rounding of the terms it cancels, (s + 1) eps tr(G) (1 + u^H u), raises
+    NumericalError. The residual states read the coefficients `stacked`
+    and the rows of `a` and `d`, so a cell's factors are built once, and
+    take the residual itself from `residual` when they need it.
     """
 
     def __init__(self, stacked, dicts: DictionarySet):
         self.stacked, self.atoms, self.size = stacked, _cell_atoms(dicts), 0
         self.channels = len(dicts.azimuth_atoms)
-        self.a, self.d = (np.zeros((8, n), complex) for n in (len(dicts.bins), stacked.shape[1]))
-        self.gram, self.rhs = np.zeros((8, 8), complex), np.zeros(8, complex)
+        self.signal = self._channel_energies(stacked)  # ||Y_m||^2
+        # ||a_j|| ||d_jm|| <= sqrt(K w): K bins, w the dictionaries' row weight
+        self.atom_norm = np.sqrt(len(dicts.bins) * dicts._weight)
+        self.a, self.d, self.c = (np.zeros((8, n), complex) for n in (
+            len(dicts.bins), stacked.shape[1], stacked.shape[1]))
+        self.gram, self.h = np.zeros((8, 8), complex), np.zeros((8, 8), complex)
+        self.rhs = np.zeros(8, complex)
+
+    def _channel_energies(self, stacked) -> np.ndarray:
+        """Each channel's squared Frobenius norm of a stacked K x MQ array."""
+        parts = stacked.view(float).reshape(len(stacked), self.channels, -1)
+        return np.einsum("kmq,kmq->m", parts, parts)
 
     def add(self, n: int, p: int) -> None:
         s = self.size
         if s == len(self.rhs):
-            self.a, self.d, self.rhs = _doubled(self.a), _doubled(self.d), _doubled(self.rhs)
-            self.gram = _doubled(self.gram, axes=(0, 1))
+            self.a, self.d, self.c = _doubled(self.a), _doubled(self.d), _doubled(self.c)
+            self.rhs = _doubled(self.rhs)
+            self.gram, self.h = _doubled(self.gram, axes=(0, 1)), _doubled(self.h, axes=(0, 1))
         a, d = self.a[s], self.d[s] = self.atoms(n, p)
-        row = (self.a[:s + 1] @ a.conj()) * (self.d[:s + 1] @ d.conj())
+        ranges = self.a[:s + 1] @ a.conj()
+        self.h[s, :s + 1], self.h[:s, s] = ranges, ranges[:s].conj()
+        row = ranges * (self.d[:s + 1] @ d.conj())
         self.gram[s, :s + 1], self.gram[:s, s] = row, row[:s].conj()
-        self.rhs[s] = (a.conj() @ self.stacked) @ d.conj()
+        self.c[s] = a.conj() @ self.stacked
+        self.rhs[s] = self.c[s] @ d.conj()
         g = self.gram[:s, s]
         u = np.linalg.solve(self.gram[:s, :s], g)
         pivot, terms = row[s].real - (g.conj() @ u).real, 1 + (u.conj() @ u).real
@@ -545,11 +591,35 @@ class _Refit:
         self.size = s + 1
 
     def fit(self):
-        """The amplitudes, the stacked residual and each channel's squared norm."""
-        x = np.linalg.solve(self.gram[:self.size, :self.size], self.rhs[:self.size])
-        residual = self.stacked - self.a[:self.size].T @ (x[:, None] * self.d[:self.size])
-        parts = residual.view(float).reshape(len(residual), self.channels, -1)
-        return x, residual, np.einsum("kmq,kmq->m", parts, parts)
+        """The amplitudes x and each channel's squared residual norm.
+
+        With Z = x d_S (s x MQ), channel m's energy is ||Y_m||^2 +
+        sum_{q in m} Re sum_j conj(z_jq) ((H Z)_jq - 2 c_jq): one s x s by
+        s x MQ product, no residual. It rounds at about 1e-16 of its terms,
+        at most (||Y_m|| + sqrt(K w) sum_j |x_j|)^2, since each atom's
+        channel-m part a_j d_jm^T has norm at most sqrt(K w) (K bins, w the
+        row weight); when some channel's energy falls below _KEEP_ENERGY of
+        its terms (a noiseless fit), every channel's is taken from the
+        residual.
+        """
+        s = self.size
+        x = np.linalg.solve(self.gram[:s, :s], self.rhs[:s])
+        z = x[:, None] * self.d[:s]
+        hz = self.h[:s, :s] @ z
+        hz -= 2 * self.c[:s]
+        zf = z.view(float).reshape(s, self.channels, -1)
+        energies = self.signal + np.einsum("jmq,jmq->m", zf, hz.view(float).reshape(zf.shape))
+        terms = (np.sqrt(self.signal) + self.atom_norm * np.abs(x).sum()) ** 2
+        if np.any(energies < _KEEP_ENERGY * terms):
+            energies = self._channel_energies(self.residual(x))
+        return x, energies
+
+    def residual(self, x) -> np.ndarray:
+        """The stacked residual Y - A_S^T (x d_S) of the first len(x) cells
+        at amplitudes x, formed in one buffer."""
+        s = len(x)
+        residual = self.a[:s].T @ (x[:, None] * self.d[:s])
+        return np.subtract(self.stacked, residual, out=residual)
 
 
 def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
@@ -561,8 +631,10 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     updates from the coefficients transformed once per call), grow the
     joint least-squares refit across channels by that cell (`_Refit`: one
     atom, one Gram row and one right-hand-side entry; a dependent cell's
-    Schur pivot raises NumericalError), and form every channel's residual
-    in one product. Scores equal in floating point resolve to the smallest
+    Schur pivot raises NumericalError), and take every channel's residual
+    energy from the refit's Gram matrices, one s x s by s x MQ product;
+    the residual itself is formed only past a fit within rounding of
+    exact (`_Refit.fit`, `_residual_state`). Scores equal in floating point resolve to the smallest
     range cell, then the smallest azimuth cell; scores equal only in exact
     arithmetic may round apart and resolve to any of the tied cells. Stops
     after min(`max_targets`, C*P, sum_m K*Q) selections, or, when no target
@@ -585,14 +657,13 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
               matrices.size)
     signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
     refit = _Refit(matrices.transpose(1, 0, 2).reshape(k, -1), dicts)
-    state, residual = _residual_state(refit, dicts), refit.stacked
+    state = _residual_state(refit, dicts)
     support: list[tuple[int, int]] = []
     amplitudes, history = np.zeros(0, dtype=complex), []
     while len(support) < cap and res_norm > tol * signal_norm:
-        support.append(_select(*state.residual(support, amplitudes, residual),
-                               dicts, support))
+        support.append(_select(*state.residual(support, amplitudes), dicts, support))
         refit.add(*support[-1])
-        amplitudes, residual, energies = refit.fit()
+        amplitudes, energies = refit.fit()
         history.append(float(energies.sum()))
         res_norm = float(np.sqrt(energies).sum())
     cells = np.array(support, dtype=int).reshape(-1, 2)

@@ -1,10 +1,12 @@
 """Shared test-side oracles and synthetic solver instances."""
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from submimo import recovery
 from submimo.errors import ConfigError, ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
@@ -99,14 +101,59 @@ def lstsq_fit(matrices, dicts, support):
     if not support:
         return np.zeros(0, dtype=complex), list(matrices)
     dense = dense_range_atoms(dicts)
-    ns, ps = [n for n, _ in support], [p for _, p in support]
     cols = [np.stack([np.kron(b[:, p], a[:, n]) for n, p in support], axis=1)
             for a, b in zip(dense, dicts.azimuth_atoms)]
     rhs = np.concatenate([y.reshape(-1, order="F") for y in matrices])
     amplitudes = np.linalg.lstsq(np.vstack(cols), rhs, rcond=None)[0]
-    residuals = [y - a[:, ns] @ (amplitudes[:, None] * b[:, ps].T)
-                 for y, a, b in zip(matrices, dense, dicts.azimuth_atoms)]
-    return amplitudes, residuals
+    return amplitudes, dense_residuals(matrices, dicts, support, amplitudes)
+
+
+def dense_residuals(matrices, dicts, support, amplitudes):
+    """Each channel's residual Y_m - A_m[:, S] diag(x) B_m[:, S]^T of `support`
+    at `amplitudes`, from the dense atoms."""
+    ns, ps = [n for n, _ in support], [p for _, p in support]
+    return [y - a[:, ns] @ (amplitudes[:, None] * b[:, ps].T)
+            for y, a, b in zip(matrices, dense_range_atoms(dicts), dicts.azimuth_atoms)]
+
+
+def explicit_residual_omp(coefficients, dicts, max_targets):
+    """`recovery.matrix_omp` with a known target count, forming the stacked
+    residual every iteration: each selection scans the residual's own bound
+    and maps (`_range_maps` on C <= 2N cells, its power spectrum and
+    partial-DFT block maps on a wider grid), with 1e-9 of its largest bound
+    as the slack, and each iteration's energies are the residual's channel
+    norms. The amplitudes are the refit's Gram solve.
+    Returns (support, amplitudes, residual_history, residual_norm)."""
+    matrices = coefficients.matrices
+    channels, k, _ = matrices.shape
+    stacked = matrices.transpose(1, 0, 2).reshape(k, -1)
+    c, weight = len(dicts.range_grid), dicts._weight
+    offsets = dicts._bin_array - min(dicts.bins.indices)
+    span = int(offsets.max()) + 1
+    refit = recovery._Refit(stacked, dicts)
+    cap = min(max_targets, c * len(dicts.azi_grid), matrices.size)
+    support, history, residual = [], [], stacked
+    amplitudes, res_norm = np.zeros(0, dtype=complex), None
+    while len(support) < cap:
+        if c > 2 * dicts.bins.per_channel_bins:
+            power = recovery._power_spectrum(residual, channels, offsets,
+                                             recovery._smooth_length(2 * span - 1))
+            bound = weight * recovery._fold_bound(power, span, c)
+            block_maps = functools.partial(recovery._block_maps, residual, dicts)
+        else:
+            maps = recovery._range_maps(residual, dicts)
+            bound = weight * np.sum(maps.real ** 2 + maps.imag ** 2, axis=1)
+            block_maps = maps.__getitem__
+        support.append(recovery._select(bound, block_maps, recovery._SLACK * bound.max(),
+                                        dicts, support))
+        refit.add(*support[-1])
+        s = len(support)
+        amplitudes = np.linalg.solve(refit.gram[:s, :s], refit.rhs[:s])
+        residual = stacked - refit.a[:s].T @ (amplitudes[:, None] * refit.d[:s])
+        energies = [np.linalg.norm(r) ** 2 for r in np.hsplit(residual, channels)]
+        history.append(float(np.sum(energies)))
+        res_norm = float(np.sqrt(energies).sum())
+    return support, amplitudes, history, res_norm
 
 
 def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,

@@ -1,4 +1,6 @@
+import configparser
 import dataclasses
+import signal
 
 import numpy as np
 import pytest
@@ -158,6 +160,38 @@ def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):
                  "-o", str(tmp_path / "frames")])
     assert code == 2
     assert "error: config:" in capsys.readouterr().err
+
+
+# every INI key `fileio._KEYS` reads as a number
+_NUMERIC_KEYS = [(section, key) for section, keys in fileio._KEYS.items()
+                 for key, convert in keys.items() if convert in (int, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "0", "1e400", "2.5"])
+@pytest.mark.parametrize("section, key", _NUMERIC_KEYS)
+def test_any_numeric_ini_value_exits_0_or_2_in_bounded_time(tmp_path, capsys, section, key,
+                                                            value):
+    # one trial of the default configuration with one key set to the value;
+    # an alarm turns a run past the bound into a failure instead of a hang
+    parser = configparser.ConfigParser()
+    parser.read_string(fileio.DEFAULT_CONFIG)
+    parser["experiment"]["trials"] = "1"
+    parser[section][key] = value
+    cfg = tmp_path / "fuzz.ini"
+    with cfg.open("w") as fh:
+        parser.write(fh)
+
+    def expire(signum, frame):
+        raise TimeoutError(f"[{section}] {key} = {value} ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2), capsys.readouterr().err
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

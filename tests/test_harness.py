@@ -149,6 +149,7 @@ def test_generate_scene_rejects_a_close_pair_without_range_clearance():
     ("min_range_sep_cells", -1),
     ("close_pair_sin_gap", np.nan), ("close_pair_sin_gap", 0.0),
     ("close_pair_sin_gap", -0.02), ("close_pair_sin_gap", np.inf),
+    ("close_pair_sin_gap", 2.5), ("close_pair_sin_gap", 1.96),
 ])
 def test_a_scene_separation_out_of_range_is_a_config_error(field, value):
     with pytest.raises(ConfigError, match=field):

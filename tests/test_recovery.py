@@ -3,8 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (brute_force_scores, dense_maps, dense_range_atoms, loop_pair_scores,
-                     lstsq_fit, random_instance, row_bound)
+from helpers import (brute_force_scores, dense_maps, dense_range_atoms, dense_residuals,
+                     explicit_residual_omp, loop_pair_scores, lstsq_fit, random_instance,
+                     row_bound)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -159,7 +160,8 @@ def test_grown_refit_matches_the_least_squares_reference(desk_env, instance):
     refit = _Refit(np.hstack(matrices), dicts)
     for size, cell in enumerate(cells, start=1):
         refit.add(*cell)
-        amplitudes, stacked, energies = refit.fit()
+        amplitudes, energies = refit.fit()
+        stacked = refit.residual(amplitudes)
         want_x, want_r = lstsq_fit(matrices, dicts, cells[:size])
         np.testing.assert_allclose(amplitudes, want_x, rtol=1e-9,
                                    atol=1e-9 * np.abs(want_x).max())
@@ -374,13 +376,16 @@ def test_smooth_length_is_the_smallest_5_smooth_length():
 def _refit_of(matrices, dicts, support):
     """What the residual states read of a `_Refit` holding `support`: the
     stacked coefficients and the cells' factors (`_cell_atoms`), taken
-    without the refit's pivot test, so a dependent support is held too."""
+    without the refit's pivot test, so a dependent support is held too, and
+    the residual of the first len(x) cells at amplitudes x, from the dense
+    atoms (`helpers.lstsq_fit`'s residuals at its amplitudes, bit for bit)."""
     stacked, atoms = np.hstack(matrices), _cell_atoms(dicts)
     a = np.zeros((len(support), len(dicts.bins)), dtype=complex)
     d = np.zeros((len(support), stacked.shape[1]), dtype=complex)
     for j, cell in enumerate(support):
         a[j], d[j] = atoms(*cell)
-    return SimpleNamespace(stacked=stacked, a=a, d=d)
+    return SimpleNamespace(stacked=stacked, a=a, d=d, residual=lambda x: np.hstack(
+        dense_residuals(matrices, dicts, support[:len(x)], x)))
 
 
 def _grid_instance(seed, n_channels, n_bins, total_bins, n_range, n_rx, n_azi=3):
@@ -461,7 +466,7 @@ def test_updated_maps_match_the_residual_maps(**draw):
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(**draw)
     weight = draw["n_rx"]  # max_p ||b_mp||^2 of unit-modulus atoms
     state = _MapState(_refit_of(matrices, dicts, support), dicts)
-    bound, block_maps, _ = state.residual(support, amplitudes, np.hstack(residuals))
+    bound, block_maps, _ = state.residual(support, amplitudes)
     # the stacked maps without the channel phase, every channel at once
     want = dense_maps(np.hstack(residuals), dicts)
     # the update rounds at its largest term: |G(Y)| or K |x_j| (unit atoms)
@@ -492,7 +497,7 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
     calls.append((_LagState(refit, dicts), len(support)))
     for state, size in calls:
         amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
-        bound, _, slack = state.residual(support[:size], amplitudes, np.hstack(residuals))
+        bound, _, slack = state.residual(support[:size], amplitudes)
         # the slack is 1e-9 of the largest term: of the coefficients' bound
         # for a well-conditioned support, more for a nearly dependent one
         if size == 0:
@@ -525,17 +530,20 @@ def test_block_maps_are_the_range_map_rows(row_share, **draw):
 def test_lag_bound_of_a_noiseless_fit_comes_from_the_residual(seed):
     # the expansion rounds at the coefficients' scale, far above this
     # residual's bound; the state takes the bound from the residual instead,
-    # so the slack shrinks with it and the scan still prunes
+    # so the slack shrinks with it and the scan still prunes, and the block
+    # maps from the residual too, not from the update's rounding
     matrices, dicts, support, amplitudes, residuals = _fitted_instance(
         seed=seed, n_channels=3, n_bins=3, total_bins=14, n_range=33, n_rx=2, n_azi=5,
         n_selected=5, noiseless=True)
     weight = 2  # n_rx, with unit-modulus atoms
     state = _LagState(_refit_of(matrices, dicts, support), dicts)
-    bound, _, slack = state.residual(support, amplitudes, np.hstack(residuals))
+    bound, block_maps, slack = state.residual(support, amplitudes)
     want = row_bound(np.hstack(residuals), dicts, weight)
     assert want.max() < 1e-20 * state.bound.max()
     assert slack == 1e-9 * bound.max()
     np.testing.assert_allclose(bound, want, rtol=0, atol=1e-9 * want.max())
+    rows = np.arange(33)
+    assert np.array_equal(block_maps(rows), _block_maps(np.hstack(residuals), dicts, rows))
 
 
 def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, monkeypatch):
@@ -554,9 +562,10 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
     seen, mapped = [], []
     residual, range_maps = _MapState.residual, recovery._range_maps
 
-    def spy(self, support, amplitudes, stacked):
-        seen.append((list(support), stacked))
-        return residual(self, support, amplitudes, stacked)
+    def spy(self, support, amplitudes):
+        # the residual as the refit forms it for the state's fallback
+        seen.append((list(support), self.refit.residual(amplitudes)))
+        return residual(self, support, amplitudes)
 
     monkeypatch.setattr(_MapState, "residual", spy)
     monkeypatch.setattr(recovery, "_range_maps",
@@ -574,12 +583,11 @@ def test_desk_selections_past_a_noiseless_fit_follow_the_residual(desk_envs, mon
         assert want[cell] >= want.max() * (1 - 1e-9)
 
 
-def _select_through_state(matrices, dicts, support, amplitudes, residuals):
+def _select_through_state(matrices, dicts, support, amplitudes):
     """`_select` on the residual as matrix_omp reaches it: through the state
     of the coefficients, updated by the support and its amplitudes."""
     state = _residual_state(_refit_of(matrices, dicts, support), dicts)
-    return _select(*state.residual(support, amplitudes, np.hstack(residuals)), dicts,
-                   support)
+    return _select(*state.residual(support, amplitudes), dicts, support)
 
 
 @settings(max_examples=80, deadline=None)
@@ -603,12 +611,12 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     want = brute_force_scores(residuals, dicts)
     for n, p in support:
         want[n, p] = -np.inf
-    state = _residual_state(_refit_of(matrices, dicts, support), dicts)
+    refit = _refit_of(matrices, dicts, support)
+    state = _residual_state(refit, dicts)
     own = []  # whether the state transforms the residual itself
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recovery, "_range_maps", lambda r, d, _f=recovery._range_maps:
-                   own.append(r) or _f(r, d))
-        scan = state.residual(support, amplitudes, np.hstack(residuals))
+        mp.setattr(refit, "residual", lambda x, _f=refit.residual: own.append(x) or _f(x))
+        scan = state.residual(support, amplitudes)
     updated = isinstance(state, _MapState) and support and not own
     # blocks of a few rows leave the candidate pass several blocks to scan,
     # wider ones fit the whole grid; a first pass of more rows than the grid
@@ -619,7 +627,8 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
         got = _select(*scan, dicts, support)
     # The scored maps' entries round at about 1e-16 of the values they come
     # from, v_m: K |R_m| for the residual's own maps (and for brute force),
-    # plus |H_m(Y)| + K sum_j |x_j| for the updated desk maps. A score of such
+    # plus |H_m(Y)| + K sum_j |x_j| for the updated desk maps (the lag state's
+    # updated block maps are held to the residual's floor). A score of such
     # maps is within 2 sqrt(S) E + E^2 of the true one, E^2 = sum_m (Q_m e_m)^2,
     # e_m the entries' error, so the selected cell's true score is within
     # 4 sqrt(S*) E + 2 E^2 of the best, S*; with e_m below 1e-13 v_m that is
@@ -646,8 +655,7 @@ def _scan_of(matrices, dicts, support):
     """The state's bound, block-map source and slack for `support` held at zero
     amplitudes, the block maps recording the rows each call asks for."""
     state = _residual_state(_refit_of(matrices, dicts, support), dicts)
-    bound, block_maps, slack = state.residual(support, np.zeros(len(support), complex),
-                                              np.hstack(matrices))
+    bound, block_maps, slack = state.residual(support, np.zeros(len(support), complex))
     calls = []
     return (bound, lambda rows: calls.append(rows.tolist()) or block_maps(rows), slack,
             calls)
@@ -713,7 +721,7 @@ def _select_masked(residual, dicts, support):
     """Select on `residual` with `support` masked: zero amplitudes leave the
     state's residual equal to the coefficients, bit for bit."""
     zeros = np.zeros(len(support), dtype=complex)
-    return _select_through_state([residual], dicts, support, zeros, [residual])
+    return _select_through_state([residual], dicts, support, zeros)
 
 
 def test_selection_of_an_all_zero_residual_is_the_first_cell(monkeypatch):
@@ -729,8 +737,7 @@ def test_exact_ties_across_rows_resolve_to_the_smallest_cell(monkeypatch, block_
     for n_range in _TIE_GRIDS:
         dicts, residual = _tie_instance(n_range)
         state = _residual_state(_refit_of([residual], dicts, [(0, 0)]), dicts)
-        bound, block_maps, _ = state.residual([(0, 0)], np.zeros(1, dtype=complex),
-                                              residual)
+        bound, block_maps, _ = state.residual([(0, 0)], np.zeros(1, dtype=complex))
         np.testing.assert_array_equal(bound, state.bound)
         assert np.argmax(bound) > 0 and np.argmin(bound) == 0  # row 0 is scanned last
         scores = _pair_scores(block_maps(np.arange(n_range)), dicts)
@@ -757,17 +764,35 @@ def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
     assert set(called) == {"_block_maps"}
 
 
+@pytest.fixture(scope="module")
+def full_envs():
+    return {mode: build_environment(mode, "full", seed=7)
+            for mode in (ArrayMode.ULA, ArrayMode.WIDE)}
+
+
+# the four desk modes and the full grid's ULA and wide
+_PROFILE_MODES = [("desk", mode) for mode in ArrayMode] + [
+    ("full", ArrayMode.ULA), ("full", ArrayMode.WIDE)]
+
+
+def _trial_coefficients(env, snr_db=-5.0, seed=7):
+    """The acquired coefficients of a seeded 10-target trial; noiseless when
+    `snr_db` is None."""
+    scene = generate_scene(np.random.default_rng([seed, 0, 0]),
+                           SceneSpec(num_targets=10, min_sin_sep=0.025),
+                           len(env.range_grid), env.plan.pri)
+    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
+    if snr_db is not None:
+        rx = add_noise(rx, snr_db, [seed, 0, 1])
+    return acquire(rx, env.plan, env.adc, env.bins)
+
+
 def _counting_trial(env, monkeypatch):
     """Per matrix OMP iteration of a seeded -5 dB trial, the range rows scored;
     per call, the `_range_maps` calls on the coefficients and on anything
     else, the shapes of the forward FFTs and the cells whose factors
     `_cell_atoms` builds."""
-    scene = generate_scene(np.random.default_rng([7, 0, 0]),
-                           SceneSpec(num_targets=10, min_sin_sep=0.025),
-                           len(env.range_grid), env.plan.pri)
-    rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
-                   -5.0, [7, 0, 1])
-    coeffs = acquire(rx, env.plan, env.adc, env.bins)
+    coeffs = _trial_coefficients(env)
     rows, calls, ffts, factors = [], {"coefficients": 0, "other": 0}, [], []
     select, range_maps, pair_scores, fft = (recovery._select, recovery._range_maps,
                                             recovery._pair_scores, np.fft.fft)
@@ -821,11 +846,11 @@ def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch,
     assert max(rows) <= 64
 
 
-def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
+def test_full_wide_trial_never_builds_full_range_maps(full_envs, monkeypatch):
     # no full range map; the L-point FFTs of the coefficients' M x Q columns
     # run once, then each selected cell takes two more. The bound reads the
     # refit's cell factors: one build per selection, none by the bound
-    env = build_environment(ArrayMode.WIDE, "full", seed=7)
+    env = full_envs[ArrayMode.WIDE]
     assert len(env.range_grid) > 2 * env.bins.per_channel_bins
     est, rows, calls, ffts, factors = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
@@ -834,6 +859,87 @@ def test_full_wide_trial_never_builds_full_range_maps(monkeypatch):
     assert ffts == [(num_rx, length)] * env.array.num_tx + [(2, length)] * 9
     assert factors == list(est.support)
     assert max(rows) <= 64
+
+
+@pytest.mark.parametrize("max_targets", [10, 14])
+@pytest.mark.parametrize("snr_db", [-5.0, None])
+@pytest.mark.parametrize("profile, mode", _PROFILE_MODES)
+def test_matrix_omp_matches_the_explicit_residual_reference(desk_envs, full_envs, profile,
+                                                            mode, snr_db, max_targets):
+    # 14 selections of a noiseless 10-target scene run past its exact fit,
+    # where the energies and both states fall back to the residual itself
+    env = (desk_envs if profile == "desk" else full_envs)[mode]
+    coeffs = _trial_coefficients(env, snr_db)
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=max_targets)
+    support, amplitudes, history, res_norm = explicit_residual_omp(
+        coeffs, env.dictionaries, max_targets)
+    assert list(est.support) == support
+    assert np.array_equal(est.amplitudes, amplitudes)
+    np.testing.assert_allclose(est.residual_history, history, rtol=0,
+                               atol=1e-13 * history[0])
+    assert abs(est.residual_norm - res_norm) <= 1e-13 * est.signal_norm
+
+
+@pytest.mark.parametrize("snr_db", [-5.0, None])
+@pytest.mark.parametrize("profile, mode", _PROFILE_MODES)
+def test_only_a_fit_past_an_exact_fit_forms_the_residual(desk_envs, full_envs, monkeypatch,
+                                                         profile, mode, snr_db):
+    # a noisy trial reads the residual's energies, bound and maps from the
+    # expansions; a noiseless one forms it once its 10 cells fit exactly
+    env = (desk_envs if profile == "desk" else full_envs)[mode]
+    coeffs = _trial_coefficients(env, snr_db)
+    sizes, residual = [], _Refit.residual
+    monkeypatch.setattr(_Refit, "residual",
+                        lambda self, x: sizes.append(len(x)) or residual(self, x))
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=12)
+    assert len(est) == 12
+    if snr_db is None:
+        assert sizes and min(sizes) == 10
+    else:
+        assert sizes == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
+       n_bins=st.integers(1, 16), total_bins=st.integers(1, 16), n_rx=st.integers(1, 4),
+       n_range=st.integers(1, 50), n_azi=st.integers(1, 6), n_selected=st.integers(1, 6),
+       share=st.one_of(st.floats(-3.5, -2.5), st.floats(-14.0, 0.0)))
+@example(seed=0, n_channels=3, n_bins=12, total_bins=16, n_rx=4, n_range=40, n_azi=5,
+         n_selected=6, share=-3.3)
+@example(seed=1, n_channels=2, n_bins=10, total_bins=12, n_rx=3, n_range=20, n_azi=6,
+         n_selected=4, share=-2.7)
+def test_expanded_energies_match_the_explicit_norms(share, **draw):
+    # an exact fit plus noise scaled to leave about 10**share of the
+    # expansion's terms: half the draws sit within half a decade of the
+    # fallback threshold, on either side
+    clean, dicts, support, x_clean, _ = _fitted_instance(noiseless=True, **draw)
+    assume(support)
+    rng = np.random.default_rng([draw["seed"], 2])
+    shape = (len(clean),) + clean[0].shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, k = shape[2], len(dicts.bins)
+    # the terms of the clean fit: (||Y_m|| + sqrt(K) sum_j |x_j| sqrt(Q))^2
+    terms = sum((np.linalg.norm(y) + np.sqrt(k * q) * np.abs(x_clean).sum()) ** 2
+                for y in clean)
+    matrices = np.stack(clean) + np.sqrt(10.0 ** share * terms) / np.linalg.norm(noise) * noise
+    refit, formed = _Refit(np.hstack(matrices), dicts), []
+    try:
+        for cell in support:
+            refit.add(*cell)
+    except NumericalError:
+        assume(False)
+    refit.residual = lambda x, _f=refit.residual: formed.append(x) or _f(x)
+    x, energies = refit.fit()
+    explicit = np.array([np.linalg.norm(r) ** 2 for r in np.hsplit(
+        _Refit.residual(refit, x), draw["n_channels"])])
+    np.testing.assert_allclose(energies, explicit, rtol=1e-12)
+    # the residual is formed exactly when some channel's energy is below
+    # _KEEP_ENERGY of its terms, (||Y_m|| + sqrt(K Q) sum_j |x_j|)^2 for
+    # unit-modulus atoms
+    fit = np.sqrt(k * q) * np.abs(x).sum()
+    ratio = explicit / (np.linalg.norm(matrices, axis=(1, 2)) + fit) ** 2
+    assume(np.all(np.abs(ratio / recovery._KEEP_ENERGY - 1) > 1e-9))
+    assert bool(formed) == bool(np.any(ratio < recovery._KEEP_ENERGY))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
