@@ -3,15 +3,18 @@
 
     git clone <this repository> ../parent && git -C ../parent checkout HEAD~
     python3 scripts/compare_outputs.py --parent ../parent --seed 4242
+    python3 scripts/compare_outputs.py --parent ../parent --seed 4242 --snr-db inf
 
 Each checkout runs, in its own subprocess with its own `src/` on the path,
-the same 10-target trials at SNR_DB: --desk-trials per mode on the four
-desk modes and --full-trials per mode on full ULA and wide. Trial r of a
+the same 10-target trials at --snr-db (default -5 dB, the detection
+experiment's; inf for noiseless trials): --desk-trials per mode on the
+four desk modes and --full-trials per mode on full ULA and wide. Trial r of a
 mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
 trials. For every trial the script reports whether the supports, the
 amplitudes, the residual histories and the signal and residual norms are
-`np.array_equal`, and per mode the largest relative difference
+`np.array_equal`, per mode each side's detection and false-alarm rates
+(as `harness.run_experiment` counts them), and the largest relative difference
 |change - parent| / |parent| of any amplitude, residual-history entry or
 norm over the trials with equal supports, so a change that is not
 bit-identical can state its tolerance. The same is reported per mode for
@@ -47,9 +50,11 @@ VALUES = FIELDS[1:]  # the fields whose relative difference is reported
 SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
-def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path) -> dict:
+def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path,
+               snr_db: float) -> dict:
     """(profile, mode, r) -> the recovered support, amplitudes, history and norms,
-    and the coefficients acquired from the frame and from its files in `frames`."""
+    the trial's target, estimate, hit and false-alarm counts, and the
+    coefficients acquired from the frame and from its files in `frames`."""
     from submimo import (ArrayMode, SceneSpec, acquire, add_noise, build_environment,
                          fileio, generate_scene, run_trial, synth_received)
 
@@ -64,9 +69,9 @@ def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path) -> d
             for r in range(trials):
                 scene = generate_scene(np.random.default_rng([seed, r, 0]), spec,
                                        len(env.range_grid), env.plan.pri)
-                est, _ = run_trial(env, scene, SNR_DB, [seed, r, 1])
+                est, report = run_trial(env, scene, snr_db, [seed, r, 1])
                 rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
-                               SNR_DB, [seed, r, 1])
+                               snr_db, [seed, r, 1])
                 fileio.write_received(frames, rx, env.plan)
                 stored = fileio.read_received(frames, env.plan)
                 outputs[profile, mode, r] = {
@@ -76,7 +81,9 @@ def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path) -> d
                     "support": np.array(est.support), "amplitudes": est.amplitudes,
                     "residual_history": np.array(est.residual_history),
                     "signal_norm": np.float64(est.signal_norm),
-                    "residual_norm": np.float64(est.residual_norm)}
+                    "residual_norm": np.float64(est.residual_norm),
+                    "counts": (len(scene), len(est), len(report.hits),
+                               len(report.false_alarms))}
     return outputs
 
 
@@ -87,7 +94,8 @@ def outputs_of(checkout: Path, args) -> dict:
         env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
         subprocess.run([sys.executable, __file__, "--worker", str(out),
                         "--seed", str(args.seed), "--desk-trials", str(args.desk_trials),
-                        "--full-trials", str(args.full_trials)],
+                        "--full-trials", str(args.full_trials),
+                        "--snr-db", repr(args.snr_db)],
                        cwd=checkout, env=env, check=True)
         return pickle.loads(out.read_bytes())
 
@@ -99,6 +107,14 @@ def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(diff == 0, 0.0, diff / np.abs(parent))
     return float(rel.max(initial=0.0))
+
+
+def detection_rates(outputs: dict, profile: str, mode: str) -> tuple[float, float]:
+    """The detection rate (hits over targets) and false-alarm rate (false
+    alarms over estimates) of one side's trials of one mode."""
+    targets, estimates, hits, false_alarms = np.sum(
+        [out["counts"] for key, out in outputs.items() if key[:2] == (profile, mode)], axis=0)
+    return hits / targets, (false_alarms / estimates if estimates else 0.0)
 
 
 def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
@@ -127,23 +143,31 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--desk-trials", type=int, default=20)
     parser.add_argument("--full-trials", type=int, default=3)
+    parser.add_argument("--snr-db", type=float, default=SNR_DB,
+                        help="SNR of every trial in dB; inf for noiseless trials")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         with tempfile.TemporaryDirectory() as frames:
             outputs = run_trials(args.seed, args.desk_trials, args.full_trials,
-                                 Path(frames))
+                                 Path(frames), args.snr_db)
         args.worker.write_bytes(pickle.dumps(outputs))
         return 0
     if args.parent is None:
         parser.error("--parent is required")
 
-    equal, diffs, coefficients = compare(outputs_of(args.parent.resolve(), args),
-                                         outputs_of(ROOT, args))
+    sides = {"parent": outputs_of(args.parent.resolve(), args),
+             "change": outputs_of(ROOT, args)}
+    equal, diffs, coefficients = compare(sides["parent"], sides["change"])
     for profile, mode in sorted({key[:2] for key in equal}):
         trials = [same for key, same in equal.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: {len(trials)} trials, " + ", ".join(
             f"{f} equal in {sum(t[f] for t in trials)}" for f in FIELDS))
+        rates = {side: detection_rates(outputs, profile, mode)
+                 for side, outputs in sides.items()}
+        print(f"{profile} {mode}: " + ", ".join(
+            f"{side} detection {hit:.3f} false alarms {false:.3f}"
+            for side, (hit, false) in rates.items()))
         rel = [d for key, d in diffs.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: largest relative difference over {len(rel)} trials with "
               f"equal supports: " + ", ".join(

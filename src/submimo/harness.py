@@ -23,7 +23,8 @@ from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
 from .scene import Scene, Target, _noiseless, add_noise, synth_received
 from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, build_cognitive_plan,
                        reference_subbands)
-from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, acquire
+from .xampler import (REFERENCE_ADC_RATE, AdcConfig, BinSet, _alias_table,
+                      _decimation, acquire)
 
 PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 
@@ -71,15 +72,24 @@ class Environment:
 
 def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig,
                          range_cells: int) -> Environment:
-    """Derive the bins, grids and dictionaries of one array, plan and ADC."""
+    """Derive the bins, grids and dictionaries of one array, plan and ADC.
+
+    The plan's bins must fold coset-clean onto the ADC's: the alias table
+    acquisition reads is built, checked and cached here, so a plan whose
+    subbands fold onto each other is a ConfigError before any frame is built.
+    """
     # acquisition folds each channel's N bins onto the ADC's rate*pri
     # low-rate bins, which must come out whole
     low_bins = adc.rate * plan.pri
     if abs(low_bins - round(low_bins)) > 1e-6:
         raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
                           f"or ADC rate that gives a whole number")
-    return Environment(array=array, plan=plan, adc=adc,
-                       dictionaries=build_dictionaries(array, plan, range_cells))
+    dictionaries = build_dictionaries(array, plan, range_cells)
+    try:
+        _alias_table(plan, dictionaries.bins, _decimation(plan, adc))
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
+    return Environment(array=array, plan=plan, adc=adc, dictionaries=dictionaries)
 
 
 def build_environment(mode: ArrayMode, profile: str = "desk",
@@ -283,6 +293,12 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
     return Scene(targets=tuple(targets))
 
 
+def _sine_gap(a: float, b: float) -> float:
+    """|a - b| modulo 2: with half-wavelength slots, sine -1 and +1 are one atom."""
+    gap = abs(a - b)
+    return min(gap, 2.0 - gap)
+
+
 def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
                   azi_grid: AzimuthGrid) -> DetectionReport:
     """Greedy one-to-one matching under the box criterion.
@@ -291,7 +307,8 @@ def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
     and one azimuth cell of an unmatched truth target; estimates are
     processed in selection order and take the nearest eligible truth.
     Unmatched estimates are false alarms, unmatched truths misses. A hit
-    is strict only at the exact truth location.
+    is strict only at the exact truth location. Sines are compared modulo
+    2 (`_sine_gap`).
     """
     r_tol = 2 * range_grid.range_resolution_m * (1 + 1e-9)
     a_tol = azi_grid.spacing * (1 + 1e-9)
@@ -307,7 +324,7 @@ def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
         best, best_d = None, None
         for i in unmatched:
             t = truth.targets[i]
-            dr, ds = abs(er - t.range_m), abs(es - t.sin_doa)
+            dr, ds = abs(er - t.range_m), _sine_gap(es, t.sin_doa)
             if dr <= r_tol and ds <= a_tol:
                 d = (dr / range_grid.range_resolution_m) ** 2 + (ds / azi_grid.spacing) ** 2
                 if best_d is None or d < best_d:
@@ -318,7 +335,7 @@ def match_targets(truth: Scene, estimate: SparseEstimate, range_grid: RangeGrid,
             unmatched.discard(best)
             hits.append((best, j))
             t = truth.targets[best]
-            if abs(er - t.range_m) <= r_strict and abs(es - t.sin_doa) <= a_strict:
+            if abs(er - t.range_m) <= r_strict and _sine_gap(es, t.sin_doa) <= a_strict:
                 strict += 1
     return DetectionReport(hits=tuple(hits), false_alarms=tuple(false_alarms),
                            misses=tuple(sorted(unmatched)), strict_hits=strict)

@@ -207,8 +207,10 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     divided by the active-sample count, against the per-sample noise
     variance at the synthesis rate. All receivers get the same variance.
     The frame is held as its spectrum, so the energy is n sum_k |X_k|^2
-    (Parseval), and the noise, drawn per time sample, is added as its
-    forward-normalized FFT. `snr_db=None` (or +inf) returns the input
+    (Parseval). The noise is drawn as its spectrum too: the forward-
+    normalized DFT of white noise of variance s^2 per sample is white noise
+    of variance s^2 / n per bin, so one normal draw fills every bin's
+    re, im pair in frame order. `snr_db=None` (or +inf) returns the input
     untouched; NaN and -inf raise.
     """
     if _noiseless(snr_db):
@@ -223,19 +225,9 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
         raise NumericalError("SNR undefined for an all-zero signal")
     signal_power = energy / int(mask.sum())
     variance = signal_power / 10 ** (snr_db / 10)
-    rng = np.random.default_rng(seed)
-    # all real parts, then all imaginary parts: the stream of two draws of
-    # the frame's shape, drawn into one reused half-size buffer, freed
-    # before the in-place transform, so the stage's peak memory stays at
-    # the input, the output and half a frame (an allocated transform
-    # output raised the process's peak RSS by about 2 MB)
-    scale = np.sqrt(variance / 2)
-    noise = np.empty(shape, dtype=complex)
-    draw = np.empty(shape)
-    for out in (noise.real, noise.imag):
-        rng.standard_normal(out=draw)
-        np.multiply(draw, scale, out=out)
-    del draw
-    spectrum = np.fft.fft(noise, axis=1, norm="forward", out=noise)
+    spectrum = np.empty(shape, dtype=complex)
+    noise = spectrum.view(float)
+    np.random.default_rng(seed).standard_normal(out=noise)
+    noise *= np.sqrt(variance / (2 * shape[1]))
     spectrum += rx.spectrum
     return replace(rx, spectrum=spectrum)

@@ -162,6 +162,22 @@ def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def test_subbands_that_fold_onto_each_other_exit_2_before_any_frame(tmp_path, capsys,
+                                                                   monkeypatch):
+    # 1.0-1.3 MHz and 8.5-8.8 MHz fold onto one another under the 7.5 MHz ADC;
+    # the environment's alias table rejects them, before synthesis
+    def synthesize(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(harness, "synth_received", synthesize)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG + "[waveform]\nsubbands = 1.0e6:1.3e6, 8.5e6:8.8e6\n")
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    assert code == 2
+    assert "error: config: folded bin collision" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
 # every INI key `fileio._KEYS` reads as a number
 _NUMERIC_KEYS = [(section, key) for section, keys in fileio._KEYS.items()
                  for key, convert in keys.items() if convert in (int, float)]

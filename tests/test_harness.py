@@ -10,6 +10,7 @@ from submimo import (AdcConfig, ArrayConfig, ArrayMode, CognitivePlan, ConfigErr
                      ExperimentConfig, FdmPlan, ReceivedBaseband, Scene, SceneSpec,
                      Target, ValidationError, build_environment, emit_ppi, generate_scene,
                      match_targets, run_experiment, run_trial, sampling_reduction)
+from submimo.geometry import virtual_positions
 from submimo.recovery import SparseEstimate
 
 
@@ -62,6 +63,33 @@ def test_matching_is_one_to_one(desk_env):
     report = match_targets(truth, est, desk_env.range_grid, desk_env.azi_grid)
     assert len(report.hits) == 1
     assert report.false_alarms == (1,)
+
+
+def test_sines_across_the_grid_edge_match_modulo_2(desk_env):
+    # sine -1 and +1 are one atom, so an estimate at +0.9995 sits 0.0015 from
+    # a truth at -0.999, inside one azimuth cell; one at +1 is the truth at -1
+    rg = desk_env.range_grid
+    truth = Scene(targets=(Target(rg.delays[100], -0.999, 1.0),
+                           Target(rg.delays[200], -1.0, 1.0)))
+    est = SparseEstimate(support=((100, 0), (200, 0)), amplitudes=np.ones(2, dtype=complex),
+                         ranges_m=rg.ranges_m[[100, 200]], sin_doas=np.array([0.9995, 1.0]),
+                         residual_norm=0.0, signal_norm=1.0, residual_history=())
+    report = match_targets(truth, est, rg, desk_env.azi_grid)
+    assert report.hits == ((0, 0), (1, 1))
+    assert report.false_alarms == () and report.misses == ()
+    assert report.strict_hits == 1
+
+
+@pytest.mark.parametrize("mode", list(ArrayMode))
+def test_the_atoms_at_sine_minus_1_and_plus_1_are_equal(desk_envs, mode):
+    # half-wavelength slots put every virtual element at a multiple of half a
+    # wavelength, so the steering phase has period 2 in the sine: the grid's
+    # first atom, at -1, is the steering at +1
+    env = desk_envs[mode]
+    assert env.azi_grid.values[0] == -1.0
+    for m, atoms in enumerate(env.dictionaries.azimuth_atoms):
+        at_plus_1 = np.exp(2j * np.pi * virtual_positions(env.array, m))
+        np.testing.assert_allclose(atoms[:, 0], at_plus_1, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,9 +258,9 @@ def test_run_trial_takes_max_targets_as_given(desk_env):
 
 @pytest.mark.parametrize("mode, profile", [(ArrayMode.ULA, "desk"),
                                            (ArrayMode.WIDE, "full")])
-def test_noisy_trial_transforms_the_frame_once(monkeypatch, mode, profile):
-    # the frame is held as its spectrum from synthesis to acquisition: no
-    # inverse transform of it, and one forward transform, of the noise
+def test_noisy_trial_transforms_no_frame(monkeypatch, mode, profile):
+    # the frame is held as its spectrum from synthesis to acquisition, and
+    # the noise is drawn as its spectrum: no frame-sized transform either way
     env = build_environment(mode, profile, seed=3)
     n_frame = int(round(env.sample_rate * env.plan.pri))
     scene = generate_scene(np.random.default_rng([3, 0, 0]), SceneSpec(num_targets=10),
@@ -246,7 +274,7 @@ def test_noisy_trial_transforms_the_frame_once(monkeypatch, mode, profile):
         monkeypatch.setattr(np.fft, name, spy)
     estimate, _ = run_trial(env, scene, -5.0, [3, 0, 1])
     assert len(estimate) == 10
-    assert frame_sized == {"fft": 1, "ifft": 0}
+    assert frame_sized == {"fft": 0, "ifft": 0}
 
 
 def test_experiment_is_deterministic():

@@ -6,6 +6,7 @@ from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
                      ValidationError, add_noise, oracle_coefficients, synth_received,
                      target_from_range)
 from submimo.scene import SPEED_OF_LIGHT
+from submimo.xampler import _alias_table, _decimation
 
 
 def make_scene(*triples):
@@ -174,25 +175,67 @@ def test_synthesis_equals_the_per_target_loop(desk_envs, mode):
                                    atol=1e-9 * max(np.max(np.abs(want)), 1.0))
 
 
-def test_noise_is_the_two_draw_formula_bit_for_bit(desk_env):
-    # the frame is held as its spectrum: the noise, two draws of the frame's
-    # shape per time sample, is added as its forward-normalized FFT, and the
-    # SNR is calibrated on the spectrum's energy by Parseval
+def _noise_variance(rx, snr_db):
+    """The per-sample noise variance `add_noise` calibrates: the spectrum's
+    energy by Parseval over the active samples, against the SNR."""
+    n, pairs = rx.spectrum.shape[1], rx.spectrum.view(float)  # |X_k|^2 = re^2 + im^2
+    energy = n * np.mean(np.einsum("ij,ij->i", pairs, pairs))
+    return energy / int(rx.active_mask.sum()) / 10 ** (snr_db / 10)
+
+
+def test_noise_is_the_one_draw_spectrum_formula_bit_for_bit(desk_env):
+    # the frame is held as its spectrum, and the noise is drawn as one: one
+    # normal draw of every bin's re, im pair in frame order, scaled to the
+    # per-bin variance s^2 / n of the forward-normalized DFT of white noise
+    # of variance s^2 per sample
     scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
     rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
     noisy = add_noise(rx, -5.0, [3, 1])
-    n, pairs = rx.spectrum.shape[1], rx.spectrum.view(float)  # |X_k|^2 = re^2 + im^2
-    energy = n * np.mean(np.einsum("ij,ij->i", pairs, pairs))
-    variance = energy / int(rx.active_mask.sum()) / 10 ** (-5.0 / 10)
-    rng = np.random.default_rng([3, 1])
-    noise = (rng.standard_normal(rx.spectrum.shape)
-             + 1j * rng.standard_normal(rx.spectrum.shape)) * np.sqrt(variance / 2)
-    assert np.array_equal(noisy.spectrum,
-                          rx.spectrum + np.fft.fft(noise, axis=1, norm="forward"))
-    # in time samples: the signal plus the noise, up to the transforms' rounding
-    want = rx.samples + noise
+    q, n = rx.spectrum.shape
+    draw = np.random.default_rng([3, 1]).standard_normal((q, n, 2))
+    draw *= np.sqrt(_noise_variance(rx, -5.0) / (2 * n))
+    noise = draw[..., 0] + 1j * draw[..., 1]
+    assert np.array_equal(noisy.spectrum, rx.spectrum + noise)
+    # in time samples: the signal plus the noise's samples, up to the
+    # transforms' rounding
+    want = rx.samples + np.fft.ifft(noise, axis=1, norm="forward")
     np.testing.assert_allclose(noisy.samples, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+def test_noise_is_white_in_every_bin_and_in_time(desk_env):
+    # F fully noised frames of one scene. Normalized to the per-bin variance,
+    # |z|^2 of each bin and receiver is Exp(1), so a bin's mean over the
+    # F * Q = 400 draws is Gamma(400) / 400. Under correct noise the checks
+    # fail with probability 1.5e-6 (some bin outside [0.7, 1.35] among
+    # 12000), 1.3e-10 (read against unread bins, 6.4 sd), 4.9e-11 (re
+    # against im, 6.6 sd) and 9.4e-14 per lag (|r| ~ CN(0, 1/N) over
+    # N = 4.8e6 products): below 2e-6 in all, on fixed seeds besides.
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j), (8e-5, 0.6, -1.0))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    frames, (q, n) = 40, rx.spectrum.shape
+    scale = np.sqrt(_noise_variance(rx, -5.0) / n)  # the per-bin standard deviation
+    power, re2, im2, lags, total = np.zeros(n), 0.0, 0.0, np.zeros(2, dtype=complex), 0.0
+    for f in range(frames):
+        noisy = add_noise(rx, -5.0, [2024, f])
+        z = (noisy.spectrum - rx.spectrum) / scale
+        power += np.sum(np.abs(z) ** 2, axis=0)
+        re2 += np.sum(z.real ** 2)
+        im2 += np.sum(z.imag ** 2)
+        w = noisy.samples - rx.samples
+        total += np.sum(np.abs(w) ** 2)
+        lags += [np.sum(w * np.roll(w, -lag, axis=1).conj()) for lag in (1, 2)]
+    power /= frames * q
+    # flat over every bin, the bins acquisition never reads included
+    assert 0.7 < power.min() and power.max() < 1.35
+    read = np.zeros(n, dtype=bool)
+    plan, bins = desk_env.plan, desk_env.bins
+    read[_alias_table(plan, bins, _decimation(plan, desk_env.adc)).ravel()] = True
+    assert 0 < read.sum() < n
+    assert abs(power[read].mean() / power[~read].mean() - 1) < 0.006
+    assert abs(re2 / im2 - 1) < 0.006
+    # white in time: the lag-1 and lag-2 autocorrelations of the noise samples
+    assert np.all(np.abs(lags / total) < 0.0025)
 
 
 def test_parseval_energy_equals_the_time_samples_energy(desk_env):

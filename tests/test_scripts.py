@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from submimo import (ArrayMode, SceneSpec, acquire, build_environment, generate_scene,
+                     synth_received)
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -58,12 +61,40 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
         "6 in the file coefficients\n")
 
 
-def _compare_outputs_on(monkeypatch, parent, change):
-    """compare_outputs.main on the given per-trial outputs of both sides."""
+def test_compare_outputs_runs_noiseless_trials_at_an_snr_of_inf(tmp_path):
+    done = run_script("compare_outputs.py", "--parent", str(ROOT), "--seed", "3",
+                      "--desk-trials", "2", "--full-trials", "0", "--snr-db", "inf")
+    assert done.returncode == 0, done.stderr
+    for mode in ("desk ula", "desk random", "desk thinned", "desk wide"):
+        assert (f"{mode}: parent detection 1.000 false alarms 0.000, "
+                f"change detection 1.000 false alarms 0.000\n") in done.stdout
+    assert done.stdout.endswith(
+        "bit-identical trials of 8: 8 in every field, 8 in the acquired coefficients, "
+        "8 in the file coefficients\n")
+    # the worker's trials at inf take no noise: their coefficients are the
+    # noiseless frame's
+    outputs = _compare_outputs_script().run_trials(3, 1, 0, tmp_path, np.inf)
+    env = build_environment(ArrayMode.THINNED, "desk", seed=3)
+    scene = generate_scene(np.random.default_rng([3, 0, 0]),
+                           SceneSpec(num_targets=10, min_sin_sep=0.025),
+                           len(env.range_grid), env.plan.pri)
+    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
+    assert np.array_equal(outputs["desk", "thinned", 0]["coefficients"],
+                          acquire(rx, env.plan, env.adc, env.bins).matrices)
+    assert outputs["desk", "thinned", 0]["counts"] == (10, 10, 10, 0)
+
+
+def _compare_outputs_script():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _compare_outputs_on(monkeypatch, parent, change):
+    """compare_outputs.main on the given per-trial outputs of both sides."""
+    script = _compare_outputs_script()
     sides = iter([parent, change])
     monkeypatch.setattr(script, "outputs_of", lambda checkout, args: next(sides))
     return script.main(["--parent", str(ROOT), "--seed", "1"])
@@ -71,18 +102,22 @@ def _compare_outputs_on(monkeypatch, parent, change):
 
 _TRIAL = {"support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
           "residual_history": np.array([0.5, 0.125]), "signal_norm": np.float64(2.0),
-          "residual_norm": np.float64(0.75),
+          "residual_norm": np.float64(0.75), "counts": (2, 2, 1, 1),
           "coefficients": np.array([[[2 - 1j], [0.5j]]]),
           "file_coefficients": np.array([[[2 - 1j], [0.5j]]])}
 
 
 def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
-    moved = dict(_TRIAL, support=np.array([[3, 2], [5, 0]]))
+    moved = dict(_TRIAL, support=np.array([[3, 2], [5, 0]]), counts=(2, 2, 0, 2))
     parent = {("desk", "ula", 0): _TRIAL, ("desk", "ula", 1): _TRIAL}
     change = {("desk", "ula", 0): _TRIAL, ("desk", "ula", 1): moved}
     assert _compare_outputs_on(monkeypatch, parent, change) == 1
     out = capsys.readouterr().out
     assert "differs: desk ula trial 1: support" in out
+    # each side's rates over its trials' counts: 2 of 4 hits and 2 of 4
+    # estimates false against 1 and 3
+    assert ("desk ula: parent detection 0.500 false alarms 0.500, "
+            "change detection 0.250 false alarms 0.750\n") in out
     assert "1 of 2 trials with equal supports" in out
     assert out.endswith("bit-identical trials of 2: 1 in every field, 2 in the acquired "
                         "coefficients, 2 in the file coefficients\n")
