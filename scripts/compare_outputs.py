@@ -13,7 +13,10 @@ mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
 trials. For every trial the script reports whether the supports, the
 amplitudes, the residual histories and the signal and residual norms are
-`np.array_equal`, per mode each side's detection and false-alarm rates
+`np.array_equal`, and per mode in how many trials the supports hold the
+same cells in whatever order, so a change that only reorders the selection
+of equal-power targets reads apart from one that loses a target; per mode
+it also reports each side's detection and false-alarm rates
 (as `harness.run_experiment` counts them), and the largest relative difference
 |change - parent| / |parent| of any amplitude, residual-history entry or
 norm over the trials with equal supports, so a change that is not
@@ -25,9 +28,10 @@ noisy frame of every trial also goes through the file path, written by
 `fileio.write_received` to a temporary directory, read back by
 `fileio.read_received` and acquired, and the script reports per mode in
 how many trials those coefficients are `np.array_equal` to the parent's.
-Its closing line counts the trials that are bit-identical in every field,
-in the acquired coefficients and in the file coefficients. It exits 1 when
-any support differs and 0 otherwise.
+Its closing lines count the trials with equal supports and with equal
+support sets, and the trials that are bit-identical in every field, in the
+acquired coefficients and in the file coefficients. It exits 1 when any
+support differs, in its cells or in their order, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -109,6 +113,13 @@ def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
     return float(rel.max(initial=0.0))
 
 
+def same_cells(parent: np.ndarray, change: np.ndarray) -> bool:
+    """Whether two supports of (range cell, azimuth cell) rows hold the same
+    cells, in whatever order they were selected."""
+    cells = [{tuple(cell) for cell in support.tolist()} for support in (parent, change)]
+    return cells[0] == cells[1]
+
+
 def detection_rates(outputs: dict, profile: str, mode: str) -> tuple[float, float]:
     """The detection rate (hits over targets) and false-alarm rate (false
     alarms over estimates) of one side's trials of one mode."""
@@ -117,8 +128,9 @@ def detection_rates(outputs: dict, profile: str, mode: str) -> tuple[float, floa
     return hits / targets, (false_alarms / estimates if estimates else 0.0)
 
 
-def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
+def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict]:
     """Per trial key, field -> whether both sides' outputs are array-equal; per
+    trial key, whether the supports hold the same cells (`same_cells`); per
     trial key with equal supports, value field -> `relative_difference`; and
     per trial key, the coefficients' (equal, `relative_difference`) and whether
     the file path's coefficients are array-equal."""
@@ -126,6 +138,7 @@ def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
         raise SystemExit("the checkouts ran different trials")
     equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
              for key in parent}
+    sets = {key: same_cells(parent[key]["support"], change[key]["support"]) for key in parent}
     diffs = {key: {f: relative_difference(parent[key][f], change[key][f]) for f in VALUES}
              for key in parent if equal[key]["support"]}
     coefficients = {}
@@ -134,7 +147,7 @@ def compare(parent: dict, change: dict) -> tuple[dict, dict, dict]:
         coefficients[key] = (np.array_equal(p, c), relative_difference(p, c),
                              np.array_equal(parent[key]["file_coefficients"],
                                             change[key]["file_coefficients"]))
-    return equal, diffs, coefficients
+    return equal, sets, diffs, coefficients
 
 
 def main(argv=None) -> int:
@@ -158,11 +171,13 @@ def main(argv=None) -> int:
 
     sides = {"parent": outputs_of(args.parent.resolve(), args),
              "change": outputs_of(ROOT, args)}
-    equal, diffs, coefficients = compare(sides["parent"], sides["change"])
+    equal, sets, diffs, coefficients = compare(sides["parent"], sides["change"])
     for profile, mode in sorted({key[:2] for key in equal}):
         trials = [same for key, same in equal.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: {len(trials)} trials, " + ", ".join(
             f"{f} equal in {sum(t[f] for t in trials)}" for f in FIELDS))
+        same = [same for key, same in sets.items() if key[:2] == (profile, mode)]
+        print(f"{profile} {mode}: support sets equal in {sum(same)} of {len(same)} trials")
         rates = {side: detection_rates(outputs, profile, mode)
                  for side, outputs in sides.items()}
         print(f"{profile} {mode}: " + ", ".join(
@@ -183,7 +198,8 @@ def main(argv=None) -> int:
             print(f"differs: {key[0]} {key[1]} trial {key[2]}: "
                   + ", ".join(f for f in FIELDS if not same[f]))
     mismatched = sum(not same["support"] for same in equal.values())
-    print(f"{len(equal) - mismatched} of {len(equal)} trials with equal supports")
+    print(f"{len(equal) - mismatched} of {len(equal)} trials with equal supports, "
+          f"{sum(sets.values())} with equal support sets")
     print(f"bit-identical trials of {len(equal)}: "
           f"{sum(all(same.values()) for same in equal.values())} in every field, "
           f"{sum(same for same, _, _ in coefficients.values())} in the acquired "

@@ -467,12 +467,16 @@ class ToolkitConfig:
         return ToolkitConfig(parser)
 
     def array(self) -> ArrayConfig:
-        """The configured mode's seeded layout; explicit positions override it."""
+        """The configured mode's seeded layout; explicit positions override it,
+        and positions that do not fit the mode are a ConfigError."""
         built = build_mode(self.mode, seed=self.array_seed)
-        return dataclasses.replace(
-            built,
-            tx_positions=self._get("array", "tx_positions", built.tx_positions),
-            rx_positions=self._get("array", "rx_positions", built.rx_positions))
+        try:
+            return dataclasses.replace(
+                built,
+                tx_positions=self._get("array", "tx_positions", built.tx_positions),
+                rx_positions=self._get("array", "rx_positions", built.rx_positions))
+        except ValidationError as exc:
+            raise ConfigError(f"[array] positions: {exc}") from None
 
     @property
     def profile(self) -> str:

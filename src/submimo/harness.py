@@ -74,9 +74,10 @@ def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig
                          range_cells: int) -> Environment:
     """Derive the bins, grids and dictionaries of one array, plan and ADC.
 
-    The plan's bins must fold coset-clean onto the ADC's: the alias table
-    acquisition reads is built, checked and cached here, so a plan whose
-    subbands fold onto each other is a ConfigError before any frame is built.
+    The plan must select at least one bin, and its bins must fold
+    coset-clean onto the ADC's: the alias table acquisition reads is built,
+    checked and cached here, so a plan whose subbands hold no whole bin or
+    fold onto each other is a ConfigError before any frame is built.
     """
     # acquisition folds each channel's N bins onto the ADC's rate*pri
     # low-rate bins, which must come out whole
@@ -84,8 +85,8 @@ def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig
     if abs(low_bins - round(low_bins)) > 1e-6:
         raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
                           f"or ADC rate that gives a whole number")
-    dictionaries = build_dictionaries(array, plan, range_cells)
     try:
+        dictionaries = build_dictionaries(array, plan, range_cells)
         _alias_table(plan, dictionaries.bins, _decimation(plan, adc))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None

@@ -8,6 +8,8 @@ without interpolation error.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,6 +201,28 @@ def _noiseless(snr_db: float | None) -> bool:
     return snr_db is None or snr_db == np.inf
 
 
+def _start_noise_drawer() -> None:
+    """A fresh executor for the second half of each noise spectrum, which it
+    draws while the caller draws the first (numpy's normal draws and ufuncs
+    release the GIL). Its thread starts at the first submit, so a noiseless
+    run never starts one. A forked child gets its own: the parent's thread
+    does not exist there, and its executor would wait for it forever."""
+    global _NOISE_DRAWER
+    _NOISE_DRAWER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise")
+
+
+_start_noise_drawer()
+os.register_at_fork(after_in_child=_start_noise_drawer)
+
+
+def _fill_noise(values: np.ndarray, signal: np.ndarray, seed: np.random.SeedSequence,
+                scale: float) -> None:
+    """Fill `values` with one normal draw from `seed`, times `scale`, plus `signal`."""
+    np.random.default_rng(seed).standard_normal(out=values)
+    values *= scale
+    values += signal
+
+
 def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseband:
     """Add circularly-symmetric white Gaussian noise at a calibrated SNR.
 
@@ -209,9 +233,12 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     The frame is held as its spectrum, so the energy is n sum_k |X_k|^2
     (Parseval). The noise is drawn as its spectrum too: the forward-
     normalized DFT of white noise of variance s^2 per sample is white noise
-    of variance s^2 / n per bin, so one normal draw fills every bin's
-    re, im pair in frame order. `snr_db=None` (or +inf) returns the input
-    untouched; NaN and -inf raise.
+    of variance s^2 / n per bin. The spectrum's re, im values, in frame
+    order, are split into two halves, each filled by one normal draw from
+    its own child of `seed` (`SeedSequence(seed).spawn(2)`); the second
+    half is drawn on a worker thread while the caller draws the first, so
+    a seed gives the same frame whatever the thread schedule. `snr_db=None`
+    (or +inf) returns the input untouched; NaN and -inf raise.
     """
     if _noiseless(snr_db):
         return rx
@@ -225,9 +252,11 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
         raise NumericalError("SNR undefined for an all-zero signal")
     signal_power = energy / int(mask.sum())
     variance = signal_power / 10 ** (snr_db / 10)
+    scale = np.sqrt(variance / (2 * shape[1]))
     spectrum = np.empty(shape, dtype=complex)
-    noise = spectrum.view(float)
-    np.random.default_rng(seed).standard_normal(out=noise)
-    noise *= np.sqrt(variance / (2 * shape[1]))
-    spectrum += rx.spectrum
+    noise, signal = spectrum.view(float).reshape(2, -1), pairs.reshape(2, -1)
+    first, second = np.random.SeedSequence(seed).spawn(2)
+    pending = _NOISE_DRAWER.submit(_fill_noise, noise[1], signal[1], second, scale)
+    _fill_noise(noise[0], signal[0], first, scale)
+    pending.result()
     return replace(rx, spectrum=spectrum)

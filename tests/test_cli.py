@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import re
 import signal
 
 import numpy as np
@@ -175,6 +176,36 @@ def test_subbands_that_fold_onto_each_other_exit_2_before_any_frame(tmp_path, ca
     code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
     assert code == 2
     assert "error: config: folded bin collision" in capsys.readouterr().err
+    assert not (tmp_path / "metrics").exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("waveform", "subbands", "1.0e6:1.005e6", "no bin cell fits inside any subband"),
+    ("array", "tx_positions", "0 1 2", r"position counts \(8, 10\), not \(3, 10\)"),
+    ("array", "rx_positions", "0 1 2", r"position counts \(8, 10\), not \(8, 3\)"),
+])
+def test_a_plan_or_array_that_cannot_be_built_exits_2_before_any_frame(
+        tmp_path, capsys, monkeypatch, section, key, value, message):
+    # a 5 kHz subband holds no whole 10 kHz bin; mode random takes 8
+    # transmitters and 10 receivers. Both were exit 3, the second at the
+    # array's construction and the first at the environment's
+    def synthesize(*args):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(harness, "synth_received", synthesize)
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG)
+    parser["array"]["mode"] = "random"
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    cfg = tmp_path / "run.ini"
+    with cfg.open("w") as f:
+        parser.write(f)
+    code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(f"error: config: .*{message}", err), err
     assert not (tmp_path / "metrics").exists()
 
 

@@ -340,7 +340,7 @@ def test_array_config_rejects_bad_positions(tmp_path):
     path = tmp_path / "array.ini"
     path.write_text("[array]\nmode = thinned\ntx_positions = 0 99 40 60\n"
                     "rx_positions = 1 15 33 52 79\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigError, match="outside the aperture"):
         fileio.ToolkitConfig.from_file(path).array()
 
 

@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from helpers import dense_range_atoms, loop_synth_received, synth_pulse
@@ -183,24 +188,112 @@ def _noise_variance(rx, snr_db):
     return energy / int(rx.active_mask.sum()) / 10 ** (snr_db / 10)
 
 
-def test_noise_is_the_one_draw_spectrum_formula_bit_for_bit(desk_env):
-    # the frame is held as its spectrum, and the noise is drawn as one: one
-    # normal draw of every bin's re, im pair in frame order, scaled to the
-    # per-bin variance s^2 / n of the forward-normalized DFT of white noise
-    # of variance s^2 per sample
+def _two_stream_noise(seed, q, n, scale):
+    """The noise spectrum `add_noise` draws: its re, im values in frame order,
+    the first half one normal draw from child 0 of `seed`, the second half
+    one from child 1, scaled by `scale`."""
+    draw = np.concatenate([np.random.default_rng(child).standard_normal(q * n)
+                           for child in np.random.SeedSequence(seed).spawn(2)])
+    draw = draw.reshape(q, n, 2) * scale
+    return draw[..., 0] + 1j * draw[..., 1]
+
+
+@pytest.mark.parametrize("mode", [ArrayMode.RANDOM, ArrayMode.THINNED])
+def test_noise_is_the_two_stream_spectrum_formula_bit_for_bit(desk_envs, mode):
+    # the frame is held as its spectrum, and the noise is drawn as one too: the
+    # per-bin variance is s^2 / n, that of the forward-normalized DFT of
+    # white noise of variance s^2 per sample, and each half of the re, im
+    # values comes from its own child stream of the seed. Thinned's 5
+    # receivers put the split inside receiver 2.
+    env = desk_envs[mode]
     scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
-    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
     noisy = add_noise(rx, -5.0, [3, 1])
     q, n = rx.spectrum.shape
-    draw = np.random.default_rng([3, 1]).standard_normal((q, n, 2))
-    draw *= np.sqrt(_noise_variance(rx, -5.0) / (2 * n))
-    noise = draw[..., 0] + 1j * draw[..., 1]
+    noise = _two_stream_noise([3, 1], q, n, np.sqrt(_noise_variance(rx, -5.0) / (2 * n)))
     assert np.array_equal(noisy.spectrum, rx.spectrum + noise)
     # in time samples: the signal plus the noise's samples, up to the
     # transforms' rounding
     want = rx.samples + np.fft.ifft(noise, axis=1, norm="forward")
     np.testing.assert_allclose(noisy.samples, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("mode", [ArrayMode.RANDOM, ArrayMode.THINNED])
+def test_noise_is_uncorrelated_between_every_pair_of_receivers(desk_envs, mode):
+    # z, the noise normalized to the per-bin variance, is CN(0, 1) in every
+    # bin. Over N = F * n bins of independent receivers p, q the correlation
+    # r = sum z_p conj(z_q) / N is about CN(0, 1 / N), so P(|r| > c) is
+    # exp(-N c^2): the bound below fails some pair of correct noise with
+    # probability 1e-9, on fixed seeds besides. The pairs include the one
+    # on either side of the split between the two streams' halves (receivers
+    # 4 and 5 of random's 10; thinned's 5 split inside receiver 2).
+    env = desk_envs[mode]
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
+    rx = synth_received(scene, env.array, env.plan, env.sample_rate)
+    frames, (q, n) = 10, rx.spectrum.shape
+    scale = np.sqrt(_noise_variance(rx, -5.0) / n)
+    gram = np.zeros((q, q), dtype=complex)
+    for f in range(frames):
+        z = (add_noise(rx, -5.0, [4711, f]).spectrum - rx.spectrum) / scale
+        gram += z @ z.conj().T
+    r = gram / (frames * n)
+    np.testing.assert_allclose(np.diag(r).real, 1.0, atol=0.05)
+    pairs = np.triu_indices(q, 1)
+    bound = np.sqrt(np.log(len(pairs[0]) / 1e-9) / (frames * n))
+    assert np.all(np.abs(r[pairs]) < bound)
+
+
+def test_noise_from_many_threads_at_once_equals_serial_calls(desk_env):
+    # more callers than cores share the one noise worker; a switch interval
+    # of a microsecond interleaves them as finely as the interpreter allows
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    callers, calls = 6, 3
+    seeds = [[[99, c, k] for k in range(calls)] for c in range(callers)]
+    serial = [[add_noise(rx, -5.0, seed).spectrum for seed in row] for row in seeds]
+    got = [[None] * calls for _ in range(callers)]
+    start = threading.Barrier(callers)
+
+    def call(c):
+        start.wait(timeout=30)
+        for k, seed in enumerate(seeds[c]):
+            got[c][k] = add_noise(rx, -5.0, seed).spectrum
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(c,)) for c in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(g, s) for row_g, row_s in zip(got, serial)
+               for g, s in zip(row_g, row_s))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_noise_in_a_forked_child_equals_the_parents(desk_env):
+    # the parent's first noisy frame starts its noise worker; a child forked
+    # after it has no such thread and must draw the same frame regardless
+    scene = make_scene((2e-5, 0.1, 1.0))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    want = add_noise(rx, -5.0, [5, 1]).spectrum
+
+    def child():
+        sys.exit(0 if np.array_equal(add_noise(rx, -5.0, [5, 1]).spectrum, want) else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=30)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung and proc.exitcode == 0
 
 
 def test_noise_is_white_in_every_bin_and_in_time(desk_env):

@@ -55,7 +55,8 @@ def test_compare_outputs_finds_this_checkout_equal_to_itself():
                 f"relative difference 0.0e+00\n") in done.stdout
         assert (f"{mode}: coefficients acquired through frame files equal in "
                 f"1 of 1 trials\n") in done.stdout
-    assert "6 of 6 trials with equal supports" in done.stdout
+        assert f"{mode}: support sets equal in 1 of 1 trials\n" in done.stdout
+    assert "6 of 6 trials with equal supports, 6 with equal support sets\n" in done.stdout
     assert done.stdout.endswith(
         "bit-identical trials of 6: 6 in every field, 6 in the acquired coefficients, "
         "6 in the file coefficients\n")
@@ -118,12 +119,28 @@ def test_compare_outputs_exits_1_on_a_support_mismatch(monkeypatch, capsys):
     # estimates false against 1 and 3
     assert ("desk ula: parent detection 0.500 false alarms 0.500, "
             "change detection 0.250 false alarms 0.750\n") in out
-    assert "1 of 2 trials with equal supports" in out
+    assert "desk ula: support sets equal in 1 of 2 trials\n" in out
+    assert "1 of 2 trials with equal supports, 1 with equal support sets\n" in out
     assert out.endswith("bit-identical trials of 2: 1 in every field, 2 in the acquired "
                         "coefficients, 2 in the file coefficients\n")
     assert ("desk ula: largest relative difference over 1 trials with equal supports: "
             "amplitudes 0.0e+00, residual_history 0.0e+00, signal_norm 0.0e+00, "
             "residual_norm 0.0e+00\n") in out
+
+
+def test_compare_outputs_tells_a_reordered_support_from_a_lost_target(monkeypatch, capsys):
+    # trial 1 selects the same two cells in the other order, trial 2 trades
+    # a cell for another: both differ as supports, only trial 2 as a set
+    reordered = dict(_TRIAL, support=np.array([[5, 0], [3, 1]]))
+    lost = dict(_TRIAL, support=np.array([[3, 1], [6, 0]]))
+    parent = {("desk", "wide", r): _TRIAL for r in range(3)}
+    change = {("desk", "wide", 0): _TRIAL, ("desk", "wide", 1): reordered,
+              ("desk", "wide", 2): lost}
+    assert _compare_outputs_on(monkeypatch, parent, change) == 1
+    out = capsys.readouterr().out
+    assert "desk wide: 3 trials, support equal in 1, " in out
+    assert "desk wide: support sets equal in 2 of 3 trials\n" in out
+    assert "1 of 3 trials with equal supports, 2 with equal support sets\n" in out
 
 
 def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, capsys):
