@@ -8,10 +8,11 @@ K x Q matrices side by side (K x MQ). It greedily selects the grid pair
 maximizing the summed per-channel correlation energy, then grows the
 joint least-squares refit of the selected amplitudes across channels by
 that one cell: an atom, a Gram row and a right-hand-side entry, with the
-new Schur pivot as its rank test. The residual's energies come from the
-refit's Gram matrices (as in Batch-OMP) and its bound and scored maps
-from the coefficients' transforms, updated by the support; the K x MQ
-residual is formed only where a fit is within rounding of exact.
+new Schur pivot as its rank test, and borders the Gram's inverse by it.
+The residual's energies come from the refit's Gram matrices (as in
+Batch-OMP) and its bound and scored maps from the coefficients'
+transforms, updated by the support; the K x MQ residual is formed only
+where a fit is within rounding of exact.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _KEEP_UPDATE_SLACKS = 1e3
 # norm's own rounding. Below (a residual under about a thousandth of the
 # coefficients, as after a noiseless fit), the refit forms the residual
 _KEEP_ENERGY = 1e-3
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -311,10 +313,11 @@ class _MapState:
     def __init__(self, refit, dicts: DictionarySet):
         self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
         self.maps = _range_maps(refit.stacked, dicts)
-        self.peak = np.abs(self.maps).max()
+        self.peak, self.bins = np.abs(self.maps).max(), len(dicts.bins)
         self.bound = self._bound(self.maps)
+        self.top = self.bound.max()
         # the support's kernel columns K[:, j], in a buffer that doubles when full
-        self.columns, self.size = np.zeros((len(dicts.range_grid), 8), dtype=complex), 0
+        self.columns, self.size = np.zeros((len(self.maps), 8), dtype=complex), 0
 
     def _bound(self, maps) -> np.ndarray:
         return self.weight * np.einsum("ij,ij->i", maps.view(float), maps.view(float))
@@ -322,24 +325,28 @@ class _MapState:
     def residual(self, support, amplitudes):
         """The residual's row bound, block-map source (rows -> maps) and slack
         at the support's `amplitudes`."""
-        maps, bound, s = self.maps, self.bound, len(support)
-        if support:
-            while self.columns.shape[1] < s:
-                self.columns = _doubled(self.columns, axes=(1,))
-            kernel, c = self.dicts._kernel, len(self.dicts.range_grid)
-            for j in range(self.size, s):  # K[n, j] = kappa((n - n_j) mod C)
-                n = support[j][0]
-                self.columns[:n, j], self.columns[n:, j] = kernel[c - n:], kernel[:c - n]
-            self.size = s
-            maps = self.columns[:, :s] @ (amplitudes[:, None] * self.refit.d[:s])
-            np.subtract(self.maps, maps, out=maps)
+        if not support:
+            return self.bound, self.maps.__getitem__, _SLACK * self.top
+        s = len(support)
+        while self.columns.shape[1] < s:
+            self.columns = _doubled(self.columns, axes=(1,))
+        kernel = self.dicts._kernel
+        c = len(kernel)
+        for j in range(self.size, s):  # K[n, j] = kappa((n - n_j) mod C)
+            n = support[j][0]
+            self.columns[:n, j], self.columns[n:, j] = kernel[c - n:], kernel[:c - n]
+        self.size = s
+        maps = self.columns[:, :s] @ (amplitudes[:, None] * self.refit.d[:s])
+        np.subtract(self.maps, maps, out=maps)
+        bound = self._bound(maps)
+        top = np.maximum.reduce(bound)
+        fit = self.bins * np.add.reduce(np.abs(amplitudes))
+        terms = self.weight * maps.shape[1] * (self.peak + fit) ** 2
+        if top < _KEEP_UPDATE_SLACKS * _SLACK * terms:
+            maps = _range_maps(self.refit.residual(amplitudes), self.dicts)
             bound = self._bound(maps)
-            fit = len(self.dicts.bins) * np.abs(amplitudes).sum()
-            terms = self.weight * maps.shape[1] * (self.peak + fit) ** 2
-            if bound.max() < _KEEP_UPDATE_SLACKS * _SLACK * terms:
-                maps = _range_maps(self.refit.residual(amplitudes), self.dicts)
-                bound = self._bound(maps)
-        return bound, lambda block: maps[block], _SLACK * bound.max()
+            top = np.maximum.reduce(bound)
+        return bound, maps.__getitem__, _SLACK * top
 
 
 class _LagState:
@@ -373,16 +380,18 @@ class _LagState:
         self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
         self.offsets = dicts._bin_array - min(dicts.bins.indices)
         self.span = int(self.offsets.max()) + 1
+        self.cells, self.bins = len(dicts.range_grid), len(dicts.bins)
         length = _smooth_length(2 * self.span - 1)
         self.power = _power_spectrum(refit.stacked, len(dicts.azimuth_atoms), self.offsets,
                                      length)
         self.bound = self._fold(self.power)
+        self.top = self.bound.max()
         # S_j and S_j V_j^* of the support's cells, in buffers that double when full
         self.spectra, self.cross = (np.zeros((8, length), dtype=complex) for _ in range(2))
         self.size = 0
 
     def _fold(self, power) -> np.ndarray:
-        return self.weight * _fold_bound(power, self.span, len(self.dicts.range_grid))
+        return self.weight * _fold_bound(power, self.span, self.cells)
 
     def _add_cell(self, j: int) -> None:
         if j == len(self.spectra):
@@ -398,28 +407,29 @@ class _LagState:
         """As `_MapState.residual`."""
         if not support:
             return (self.bound, functools.partial(_block_maps, self.refit.stacked, self.dicts),
-                    _SLACK * self.bound.max())
+                    _SLACK * self.top)
         s = len(support)
         for j in range(self.size, s):
             self._add_cell(j)
         self.size = s
         d, spectra = self.refit.d[:s], self.spectra[:s]
-        gamma = np.outer(amplitudes, amplitudes.conj()) * (d @ d.conj().T)
+        gamma = (amplitudes[:, None] * amplitudes.conj()) * (d @ d.conj().T)
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
         quad = (gamma.T @ spectra).view(float)
         quad *= spectra.view(float)
-        quad = quad.sum(axis=0)
+        quad = np.add.reduce(quad)
         bound = self._fold(self.power - 2 * (amplitudes @ self.cross[:s]).real
                            + (quad[0::2] + quad[1::2]))
-        slack = _SLACK * (self.bound.max()
-                          + self.weight * len(self.dicts.bins) ** 2 * np.abs(gamma).sum())
-        if bound.max() < _KEEP_UPDATE_SLACKS * slack:
+        slack = _SLACK * (self.top
+                          + self.weight * self.bins ** 2 * np.add.reduce(np.abs(gamma), axis=None))
+        if np.maximum.reduce(bound) < _KEEP_UPDATE_SLACKS * slack:
             # a residual below a millionth of the terms (a noiseless fit): the
             # expansion cannot resolve its bound or its maps, its own transforms can
             residual = self.refit.residual(amplitudes)
             bound = self._fold(_power_spectrum(residual, len(self.dicts.azimuth_atoms),
                                                self.offsets, len(self.power)))
-            return bound, functools.partial(_block_maps, residual, self.dicts), _SLACK * bound.max()
+            return (bound, functools.partial(_block_maps, residual, self.dicts),
+                    _SLACK * np.maximum.reduce(bound))
         z, a = amplitudes[:, None] * d, self.refit.a[:s]
 
         def block_maps(rows):  # T Y - (T A_S^T) Z, T the rows' partial DFT
@@ -490,7 +500,7 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
     """
-    c, n_azi = len(dicts.range_grid), len(dicts.azi_grid)
+    c, n_azi = len(bound), dicts.azimuth_atoms.shape[2]
     rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
     ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
     best, cell = -np.inf, (0, 0)
@@ -499,30 +509,32 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
         # `block` holds rows ascending, so the argmax breaks ties row-major
         nonlocal best, cell
         score = _pair_scores(block_maps(block), dicts)
-        j = np.minimum(np.searchsorted(block, ns), len(block) - 1)
+        j = np.minimum(block.searchsorted(ns), len(block) - 1)
         hit = block[j] == ns  # a pair may only be selected once
         score[j[hit], ps[hit]] = -np.inf
-        i = int(np.argmax(score))
+        i = int(score.argmax())
         top, at = score.flat[i], (int(block[i // n_azi]), i % n_azi)
         if top > best or (top == best and at < cell):
             best, cell = top, at
 
     first = min(_FIRST_ROWS, rows, c)
     # partitioned at the largest bound outside the head, which ends most scans
-    part = np.argpartition(bound, c - first - 1)
-    head = np.sort(part[c - first:])
+    part = bound.argpartition(c - first - 1)
+    edge, head = bound[part[c - first - 1]], part[c - first:]
+    head.sort()
     scan(head)
-    if bound[part[c - first - 1]] + slack < best:
+    if edge + slack < best:
         return cell
     open_rows = bound + slack >= best
     open_rows[head] = False
-    candidates = np.flatnonzero(open_rows)
-    order = candidates[np.argsort(-bound[candidates], kind="stable")]
+    candidates = open_rows.nonzero()[0]
+    order = candidates[(-bound[candidates]).argsort(kind="stable")]
     for lo in range(0, len(order), rows):
         block = order[lo:lo + rows]
         if bound[block[0]] + slack < best:
             break
-        scan(np.sort(block))
+        block.sort()  # in place: later blocks are other slices of `order`
+        scan(block)
     return cell
 
 
@@ -548,20 +560,24 @@ class _Refit:
     buffers that double when full. Its Schur pivot g_ss - g^H u,
     u = G^-1 g, is 0 when it depends on the support; a pivot within
     rounding of the terms it cancels, (s + 1) eps tr(G) (1 + u^H u), raises
-    NumericalError. The residual states read the coefficients `stacked`
-    and the rows of `a` and `d`, so a cell's factors are built once, and
-    take the residual itself from `residual` when they need it.
+    NumericalError. Otherwise the same u borders the kept inverse Gram,
+    [[G^-1 + u u^H / pivot, -u / pivot], [-u^H / pivot, 1 / pivot]]
+    (as Batch-OMP grows its factor), so no s x s system is solved. The
+    residual states read the coefficients `stacked` and the rows of `a`
+    and `d`, so a cell's factors are built once, and take the residual
+    itself from `residual` when they need it.
     """
 
     def __init__(self, stacked, dicts: DictionarySet):
         self.stacked, self.atoms, self.size = stacked, _cell_atoms(dicts), 0
         self.channels = len(dicts.azimuth_atoms)
         self.signal = self._channel_energies(stacked)  # ||Y_m||^2
+        self.norms = np.sqrt(self.signal)
         # ||a_j|| ||d_jm|| <= sqrt(K w): K bins, w the dictionaries' row weight
         self.atom_norm = np.sqrt(len(dicts.bins) * dicts._weight)
         self.a, self.d, self.c = (np.zeros((8, n), complex) for n in (
             len(dicts.bins), stacked.shape[1], stacked.shape[1]))
-        self.gram, self.h = np.zeros((8, 8), complex), np.zeros((8, 8), complex)
+        self.gram, self.h, self.inverse = (np.zeros((8, 8), complex) for _ in range(3))
         self.rhs = np.zeros(8, complex)
 
     def _channel_energies(self, stacked) -> np.ndarray:
@@ -574,20 +590,32 @@ class _Refit:
         if s == len(self.rhs):
             self.a, self.d, self.c = _doubled(self.a), _doubled(self.d), _doubled(self.c)
             self.rhs = _doubled(self.rhs)
-            self.gram, self.h = _doubled(self.gram, axes=(0, 1)), _doubled(self.h, axes=(0, 1))
-        a, d = self.a[s], self.d[s] = self.atoms(n, p)
-        ranges = self.a[:s + 1] @ a.conj()
+            self.gram, self.h, self.inverse = (_doubled(g, axes=(0, 1))
+                                               for g in (self.gram, self.h, self.inverse))
+        self.a[s], self.d[s] = self.atoms(n, p)
+        ac, dc = self.a[s].conj(), self.d[s].conj()
+        ranges = self.a[:s + 1] @ ac
         self.h[s, :s + 1], self.h[:s, s] = ranges, ranges[:s].conj()
-        row = ranges * (self.d[:s + 1] @ d.conj())
+        row = ranges * (self.d[:s + 1] @ dc)
         self.gram[s, :s + 1], self.gram[:s, s] = row, row[:s].conj()
-        self.c[s] = a.conj() @ self.stacked
-        self.rhs[s] = self.c[s] @ d.conj()
-        g = self.gram[:s, s]
-        u = np.linalg.solve(self.gram[:s, :s], g)
-        pivot, terms = row[s].real - (g.conj() @ u).real, 1 + (u.conj() @ u).real
-        if pivot <= (s + 1) * np.finfo(float).eps * self.gram.trace().real * terms:
+        self.c[s] = ac @ self.stacked
+        self.rhs[s] = self.c[s] @ dc
+        # u from the kept inverse, refined once against G: unrefined, its
+        # rounding compounds through the bordered inverse, and a dependent
+        # cell's pivot can rise above its rounding bound. g = G[:s, s] is
+        # the conjugate of row[:s], so g^H u = row[:s] @ u
+        inverse, g = self.inverse[:s, :s], self.gram[:s, s]
+        u = inverse @ g
+        u += inverse @ (g - self.gram[:s, :s] @ u)
+        uc = u.conj()
+        pivot, terms = row[s].real - (row[:s] @ u).real, 1 + (uc @ u).real
+        if pivot <= (s + 1) * _EPS * self.gram.trace().real * terms:
             raise NumericalError(f"degenerate support: cell (range {n}, azimuth {p}) is "
                                  f"linearly dependent on the already selected cells")
+        u /= pivot
+        self.inverse[:s, :s] += u[:, None] * uc
+        self.inverse[:s, s], self.inverse[s, :s] = -u, -uc / pivot
+        self.inverse[s, s] = 1 / pivot
         self.size = s + 1
 
     def fit(self):
@@ -603,14 +631,14 @@ class _Refit:
         residual.
         """
         s = self.size
-        x = np.linalg.solve(self.gram[:s, :s], self.rhs[:s])
+        x = self.inverse[:s, :s] @ self.rhs[:s]
         z = x[:, None] * self.d[:s]
         hz = self.h[:s, :s] @ z
         hz -= 2 * self.c[:s]
         zf = z.view(float).reshape(s, self.channels, -1)
         energies = self.signal + np.einsum("jmq,jmq->m", zf, hz.view(float).reshape(zf.shape))
-        terms = (np.sqrt(self.signal) + self.atom_norm * np.abs(x).sum()) ** 2
-        if np.any(energies < _KEEP_ENERGY * terms):
+        terms = (self.norms + self.atom_norm * np.add.reduce(np.abs(x))) ** 2
+        if np.logical_or.reduce(energies < _KEEP_ENERGY * terms):
             energies = self._channel_energies(self.residual(x))
         return x, energies
 
@@ -631,7 +659,8 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     updates from the coefficients transformed once per call), grow the
     joint least-squares refit across channels by that cell (`_Refit`: one
     atom, one Gram row and one right-hand-side entry; a dependent cell's
-    Schur pivot raises NumericalError), and take every channel's residual
+    Schur pivot raises NumericalError; the amplitudes are one product with
+    the bordered inverse Gram), and take every channel's residual
     energy from the refit's Gram matrices, one s x s by s x MQ product;
     the residual itself is formed only past a fit within rounding of
     exact (`_Refit.fit`, `_residual_state`). Scores equal in floating point resolve to the smallest
@@ -655,8 +684,8 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
     cap = min(max_targets or np.inf, len(dicts.range_grid) * len(dicts.azi_grid),
               matrices.size)
-    signal_norm = res_norm = float(sum(np.linalg.norm(y) for y in matrices))
     refit = _Refit(matrices.transpose(1, 0, 2).reshape(k, -1), dicts)
+    signal_norm = res_norm = float(np.add.reduce(refit.norms))
     state = _residual_state(refit, dicts)
     support: list[tuple[int, int]] = []
     amplitudes, history = np.zeros(0, dtype=complex), []
@@ -664,8 +693,8 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
         support.append(_select(*state.residual(support, amplitudes), dicts, support))
         refit.add(*support[-1])
         amplitudes, energies = refit.fit()
-        history.append(float(energies.sum()))
-        res_norm = float(np.sqrt(energies).sum())
+        history.append(float(np.add.reduce(energies)))
+        res_norm = float(np.add.reduce(np.sqrt(energies)))
     cells = np.array(support, dtype=int).reshape(-1, 2)
     return SparseEstimate(support=tuple(support), amplitudes=amplitudes,
                           ranges_m=dicts.range_grid.ranges_m[cells[:, 0]],

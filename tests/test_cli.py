@@ -214,12 +214,10 @@ _NUMERIC_KEYS = [(section, key) for section, keys in fileio._KEYS.items()
                  for key, convert in keys.items() if convert in (int, float)]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "0", "1e400", "2.5"])
-@pytest.mark.parametrize("section, key", _NUMERIC_KEYS)
-def test_any_numeric_ini_value_exits_0_or_2_in_bounded_time(tmp_path, capsys, section, key,
-                                                            value):
-    # one trial of the default configuration with one key set to the value;
-    # an alarm turns a run past the bound into a failure instead of a hang
+def _one_trial_exit_code(tmp_path, section, key, value):
+    """The exit code of one trial of the default configuration with one key
+    set to the value; an alarm turns a run past 10 s into a failure
+    instead of a hang."""
     parser = configparser.ConfigParser()
     parser.read_string(fileio.DEFAULT_CONFIG)
     parser["experiment"]["trials"] = "1"
@@ -234,11 +232,34 @@ def test_any_numeric_ini_value_exits_0_or_2_in_bounded_time(tmp_path, capsys, se
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(10)
     try:
-        code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
+        return main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert code in (0, 2), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-3", "0", "1e400", "2.5"])
+@pytest.mark.parametrize("section, key", _NUMERIC_KEYS)
+def test_any_numeric_ini_value_exits_0_or_2_in_bounded_time(tmp_path, capsys, section, key,
+                                                            value):
+    assert _one_trial_exit_code(tmp_path, section, key, value) in (0, 2), \
+        capsys.readouterr().err
+
+
+# every INI key `fileio._KEYS` reads as a name, a position list or a subband
+# list; the scene file's path is left out (a missing file is exit 4)
+_STRING_KEYS = [("array", "mode"), ("waveform", "subbands"), ("recovery", "profile"),
+                ("array", "tx_positions"), ("array", "rx_positions")]
+
+
+@pytest.mark.parametrize("value", ["", "nan", "x", "1,2,3", "1:2", "-1", ":", "1e400:1e401",
+                                   "ula,wide", "7, 7", "0", "inf", "1e6:1.3e6", "0 0",
+                                   "full"])
+@pytest.mark.parametrize("section, key", _STRING_KEYS)
+def test_any_string_ini_value_exits_0_or_2_in_bounded_time(tmp_path, capsys, section, key,
+                                                           value):
+    assert _one_trial_exit_code(tmp_path, section, key, value) in (0, 2), \
+        capsys.readouterr().err
 
 
 def test_io_errors_exit_4(tmp_path, capsys):

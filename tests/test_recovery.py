@@ -170,6 +170,67 @@ def test_grown_refit_matches_the_least_squares_reference(desk_env, instance):
                                    rtol=1e-9)
 
 
+def _near_dependent_support(seed, ratio):
+    """A random instance and a support of 9 cells whose last repeats the first
+    cell's azimuth atom plus a perturbation sized so that the support's Gram
+    has an eigenvalue ratio near `ratio` (the ratio scales as its square)."""
+    rng = np.random.default_rng(seed)
+    coeffs, dicts = random_instance(rng)
+    n_azi = len(dicts.azi_grid)
+    cells = [divmod(int(c), n_azi)
+             for c in rng.choice(len(dicts.range_grid) * n_azi, size=8, replace=False)]
+    n, p = cells[0]
+    q = (p + 1) % n_azi
+    if (n, q) in cells:
+        cells.remove((n, q))
+    cells.append((n, q))
+    plain, base = dicts, dicts.azimuth_atoms
+    noise = rng.standard_normal(base[:, :, p].shape) + 1j * rng.standard_normal(
+        base[:, :, p].shape)
+    size, got = 1e-3, None
+    for _ in range(4):
+        atoms = base.copy()
+        atoms[:, :, q] = base[:, :, p] + size * noise
+        dicts = dataclasses.replace(plain, azimuth_atoms=atoms)
+        columns = np.stack([np.concatenate([np.kron(b[:, j], a[:, i]) for a, b in zip(
+            dense_range_atoms(dicts), dicts.azimuth_atoms)]) for i, j in cells], axis=1)
+        eig = np.linalg.eigvalsh(columns.conj().T @ columns)
+        got = eig[0] / eig[-1]
+        size *= np.sqrt(ratio / got)
+    return list(coeffs.matrices), dicts, cells, got
+
+
+@pytest.mark.parametrize("case, seed", [("24 cells", 12), ("eigenvalue ratio 1e-6", 0),
+                                        ("eigenvalue ratio 1e-6", 1),
+                                        ("eigenvalue ratio 1e-6", 2)])
+def test_bordered_inverse_matches_the_least_squares_reference(desk_env, case, seed):
+    # where the kept inverse Gram is weakest: bordered past two doublings of
+    # its buffer (8 -> 16 -> 32), and on a full-rank support whose Gram is
+    # near singular; at each size, as test_grown_refit_... checks. Without
+    # the refinement of u, seed 0's near-singular amplitudes are off by 5e-8
+    if case == "24 cells":
+        rng = np.random.default_rng(seed)
+        dicts, shape = desk_env.dictionaries, (len(desk_env.bins), desk_env.array.num_rx)
+        matrices = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in dicts.azimuth_atoms]
+        n_azi = len(dicts.azi_grid)
+        cells = [divmod(int(c), n_azi)
+                 for c in rng.choice(len(dicts.range_grid) * n_azi, size=24, replace=False)]
+    else:
+        matrices, dicts, cells, ratio = _near_dependent_support(seed, 1e-6)
+        assert 0.5e-6 < ratio < 2e-6
+    refit = _Refit(np.hstack(matrices), dicts)
+    for size, cell in enumerate(cells, start=1):
+        refit.add(*cell)
+        amplitudes, energies = refit.fit()
+        want_x, want_r = lstsq_fit(matrices, dicts, cells[:size])
+        np.testing.assert_allclose(amplitudes, want_x, rtol=1e-9,
+                                   atol=1e-9 * np.abs(want_x).max())
+        np.testing.assert_allclose(energies, [np.linalg.norm(r) ** 2 for r in want_r],
+                                   rtol=1e-9)
+    assert len(refit.rhs) == (32 if case == "24 cells" else 16)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_channels=st.integers(1, 3),
        n_bins=st.integers(1, 10), total_bins=st.integers(10, 16), n_rx=st.integers(1, 4),
@@ -874,10 +935,27 @@ def test_matrix_omp_matches_the_explicit_residual_reference(desk_envs, full_envs
     support, amplitudes, history, res_norm = explicit_residual_omp(
         coeffs, env.dictionaries, max_targets)
     assert list(est.support) == support
-    assert np.array_equal(est.amplitudes, amplitudes)
+    # the refit's amplitudes are a product with its bordered inverse Gram,
+    # the reference's an s x s solve: equal up to rounding
+    np.testing.assert_allclose(est.amplitudes, amplitudes, rtol=0,
+                               atol=1e-13 * np.abs(amplitudes).max())
     np.testing.assert_allclose(est.residual_history, history, rtol=0,
                                atol=1e-13 * history[0])
     assert abs(est.residual_norm - res_norm) <= 1e-13 * est.signal_norm
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_matrix_omp_solves_no_system_and_takes_no_norm(desk_envs, full_envs, monkeypatch,
+                                                       profile):
+    # the amplitudes and the pivots' u come from the bordered inverse Gram,
+    # the signal norm from the refit's channel energies
+    env = (desk_envs if profile == "desk" else full_envs)[ArrayMode.ULA]
+    coeffs = _trial_coefficients(env)
+    calls = []
+    for name in ("solve", "norm"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: calls.append(_name))
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    assert len(est) == 10 and calls == []
 
 
 @pytest.mark.parametrize("snr_db", [-5.0, None])

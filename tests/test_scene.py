@@ -1,12 +1,16 @@
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import dense_range_atoms, loop_synth_received, synth_pulse
 
+import submimo
 from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
                      ValidationError, add_noise, oracle_coefficients, synth_received,
                      target_from_range)
@@ -275,6 +279,17 @@ def test_noise_from_many_threads_at_once_equals_serial_calls(desk_env):
                for g, s in zip(row_g, row_s))
 
 
+def test_the_noise_worker_keeps_no_frame_alive(desk_env):
+    # a frame that only the worker still referenced would stay resident
+    # until the next noisy frame
+    scene = make_scene((2e-5, 0.1, 1.0))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    noisy = add_noise(rx, -5.0, [6, 1])
+    frames = [weakref.ref(rx.spectrum), weakref.ref(noisy.spectrum)]
+    del rx, noisy
+    assert all(frame() is None for frame in frames)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_noise_in_a_forked_child_equals_the_parents(desk_env):
     # the parent's first noisy frame starts its noise worker; a child forked
@@ -294,6 +309,21 @@ def test_noise_in_a_forked_child_equals_the_parents(desk_env):
         proc.kill()
         proc.join()
     assert not hung and proc.exitcode == 0
+
+
+def test_importing_submimo_and_adding_noise_loads_neither_concurrent_futures_nor_logging():
+    # the noise worker is a bare thread fed by a queue: concurrent.futures
+    # would import logging, about 0.75 MB of resident memory in every process
+    code = ("import sys, numpy as np, submimo\n"
+            "submimo.add_noise(submimo.ReceivedBaseband.from_samples(np.ones((2, 8)), 1.0), "
+            "0.0, 1)\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    src = str(Path(submimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_noise_is_white_in_every_bin_and_in_time(desk_env):
