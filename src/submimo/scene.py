@@ -213,9 +213,9 @@ def _fill_noise(values: np.ndarray, signal: np.ndarray, seed: np.random.SeedSequ
 def _draw_noise_halves(jobs: queue.SimpleQueue) -> None:
     """The noise worker's loop: fill each queued half (`_fill_noise`'s
     arguments), then put None, or the error it raised, on the job's own
-    queue for its caller. It drops the job's arrays first: held until the
-    next job, they kept the last noisy frame and its signal alive, 5 MB
-    more peak RSS on `full_scale`."""
+    queue for its caller. It drops the job's arrays before it replies:
+    held until the next job, they would keep the last noisy frame and its
+    signal alive (about 5 MB more peak RSS on `full_scale`)."""
     while True:
         args, done = jobs.get()
         try:

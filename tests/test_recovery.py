@@ -173,7 +173,8 @@ def test_grown_refit_matches_the_least_squares_reference(desk_env, instance):
 def _near_dependent_support(seed, ratio):
     """A random instance and a support of 9 cells whose last repeats the first
     cell's azimuth atom plus a perturbation sized so that the support's Gram
-    has an eigenvalue ratio near `ratio` (the ratio scales as its square)."""
+    has an eigenvalue ratio near `ratio` (the ratio scales as the
+    perturbation squared)."""
     rng = np.random.default_rng(seed)
     coeffs, dicts = random_instance(rng)
     n_azi = len(dicts.azi_grid)
