@@ -18,9 +18,12 @@ same cells in whatever order, so a change that only reorders the selection
 of equal-power targets reads apart from one that loses a target; per mode
 it also reports each side's detection and false-alarm rates
 (as `harness.run_experiment` counts them), and the largest relative difference
-|change - parent| / |parent| of any amplitude, residual-history entry or
-norm over the trials with equal supports, so a change that is not
-bit-identical can state its tolerance. The same is reported per mode for
+|change - parent| / |parent| of any amplitude or norm over the trials with
+equal supports, so a change that is not bit-identical can state its
+tolerance. A residual-history entry's difference is taken relative to the
+parent history's first entry, not to the entry itself: past an exact fit
+the entries are rounding, and a rounding-level change would read as a
+large relative one. The same is reported per mode for
 the acquired coefficients, taken by the public calls `run_trial` makes
 (`synth_received`, `add_noise`, `acquire`), over every trial: a front-end
 change moves them at rounding level before the estimates show it. The
@@ -104,12 +107,13 @@ def outputs_of(checkout: Path, args) -> dict:
         return pickle.loads(out.read_bytes())
 
 
-def relative_difference(parent: np.ndarray, change: np.ndarray) -> float:
-    """The largest |change - parent| / |parent| over the entries of equal-shaped
-    arrays; a zero parent entry counts 0 if the change's is zero too, else inf."""
+def relative_difference(parent: np.ndarray, change: np.ndarray, scale=None) -> float:
+    """The largest |change - parent| / |scale| over the entries of equal-shaped
+    arrays, `scale` the parent's entries unless given; a zero scale counts 0
+    if the difference is zero too, else inf."""
     diff = np.abs(change - parent)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(diff == 0, 0.0, diff / np.abs(parent))
+        rel = np.where(diff == 0, 0.0, diff / np.abs(parent if scale is None else scale))
     return float(rel.max(initial=0.0))
 
 
@@ -131,7 +135,8 @@ def detection_rates(outputs: dict, profile: str, mode: str) -> tuple[float, floa
 def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict]:
     """Per trial key, field -> whether both sides' outputs are array-equal; per
     trial key, whether the supports hold the same cells (`same_cells`); per
-    trial key with equal supports, value field -> `relative_difference`; and
+    trial key with equal supports, value field -> `relative_difference`, a
+    residual history's against its first entry; and
     per trial key, the coefficients' (equal, `relative_difference`) and whether
     the file path's coefficients are array-equal."""
     if parent.keys() != change.keys():
@@ -139,7 +144,9 @@ def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict]:
     equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
              for key in parent}
     sets = {key: same_cells(parent[key]["support"], change[key]["support"]) for key in parent}
-    diffs = {key: {f: relative_difference(parent[key][f], change[key][f]) for f in VALUES}
+    diffs = {key: {f: relative_difference(parent[key][f], change[key][f],
+                                          parent[key][f][:1] if f == "residual_history"
+                                          else None) for f in VALUES}
              for key in parent if equal[key]["support"]}
     coefficients = {}
     for key in parent:

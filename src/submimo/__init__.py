@@ -21,8 +21,7 @@ from .scene import (SPEED_OF_LIGHT, ReceivedBaseband, Scene, Target,
 from .waveform import (CognitivePlan, FdmPlan, Subband, build_cognitive_plan,
                        build_fdm_plan, channel_spectrum, conventional_plan,
                        reference_subbands)
-from .xampler import (AdcConfig, BinSet, CoefficientSet, acquire, check_coset,
-                      subband_bins)
+from .xampler import AdcConfig, BinSet, CoefficientSet, acquire, subband_bins
 
 __version__ = "0.1.0"
 

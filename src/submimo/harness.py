@@ -23,8 +23,7 @@ from .recovery import (DictionarySet, RangeGrid, SparseEstimate,
 from .scene import Scene, Target, _noiseless, add_noise, synth_received
 from .waveform import (REFERENCE_FDM_PLAN, CognitivePlan, build_cognitive_plan,
                        reference_subbands)
-from .xampler import (REFERENCE_ADC_RATE, AdcConfig, BinSet, _alias_table,
-                      _decimation, acquire)
+from .xampler import REFERENCE_ADC_RATE, AdcConfig, BinSet, _alias_table, acquire
 
 PROFILE_RANGE_CELLS = {"full": 12000, "desk": 300}
 
@@ -74,20 +73,16 @@ def assemble_environment(array: ArrayConfig, plan: CognitivePlan, adc: AdcConfig
                          range_cells: int) -> Environment:
     """Derive the bins, grids and dictionaries of one array, plan and ADC.
 
-    The plan must select at least one bin, and its bins must fold
-    coset-clean onto the ADC's: the alias table acquisition reads is built,
-    checked and cached here, so a plan whose subbands hold no whole bin or
-    fold onto each other is a ConfigError before any frame is built.
+    The plan must select at least one bin, and fold alias-free under the
+    ADC: its decimation must divide each channel's bins, and no read bin's
+    low-rate bin may carry another transmitted cell, edge cells included.
+    The alias table acquisition reads checks this and is built and cached
+    here, so a plan that breaks either rule is a ConfigError before any
+    frame is built.
     """
-    # acquisition folds each channel's N bins onto the ADC's rate*pri
-    # low-rate bins, which must come out whole
-    low_bins = adc.rate * plan.pri
-    if abs(low_bins - round(low_bins)) > 1e-6:
-        raise ConfigError(f"the ADC takes {low_bins:g} samples per PRI; choose a PRI "
-                          f"or ADC rate that gives a whole number")
     try:
         dictionaries = build_dictionaries(array, plan, range_cells)
-        _alias_table(plan, dictionaries.bins, _decimation(plan, adc))
+        _alias_table(plan, dictionaries.bins, adc)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None
     return Environment(array=array, plan=plan, adc=adc, dictionaries=dictionaries)

@@ -3,8 +3,10 @@
 Per transmitter, the receiver isolates one FDM channel (ideal brick-wall
 extraction of its 1/pri-spaced Fourier coefficients), decimates the channel
 signal with a single low-rate ADC, and reads the selected coefficient set
-off the folded low-rate spectrum. Folding is alias-free whenever the
-occupied slices are coset bands with respect to the ADC rate.
+off the folded low-rate spectrum. Folding is alias-free when D divides
+the channel's N bins and no read bin's low-rate bin carries another
+transmitted cell, the partial edge cells a slice transmits at reduced
+power included; `_alias_table` is the one check of that rule.
 
 The chain is computed in the frequency domain, where it is defined. An ADC
 decimating channel m by D folds its N coefficients X[m*N + k] onto the
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .waveform import _BIN_EPS, CognitivePlan, channel_spectrum
+from .waveform import _BIN_EPS, CognitivePlan, _occupied_cells, channel_spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import ReceivedBaseband
@@ -123,29 +125,6 @@ def subband_bins(plan: CognitivePlan) -> BinSet:
     return BinSet(indices=tuple(sorted(ks)), per_channel_bins=n)
 
 
-def _folded_segments(band, rate: float):
-    """Half-open image segments of one slice after folding modulo `rate`."""
-    segments = []
-    lo = band.lo
-    while lo < band.hi - 1e-12:
-        hi = min(band.hi, (np.floor(lo / rate) + 1) * rate)
-        segments.append((lo % rate, lo % rate + (hi - lo)))
-        lo = hi
-    return segments
-
-
-def check_coset(plan: CognitivePlan, adc: AdcConfig) -> bool:
-    """True when no two slices (or parts of one) overlap after folding by the ADC rate."""
-    segments = []
-    for band in plan.subbands:
-        segments.extend(_folded_segments(band, adc.rate))
-    for i, (a_lo, a_hi) in enumerate(segments):
-        for b_lo, b_hi in segments[i + 1:]:
-            if a_lo < b_hi - 1e-9 and b_lo < a_hi - 1e-9:
-                return False
-    return True
-
-
 def _normalization(plan: CognitivePlan, bins: BinSet) -> np.ndarray:
     """Transmitted spectrum values on the selected bins of every channel.
 
@@ -168,20 +147,28 @@ def _normalization(plan: CognitivePlan, bins: BinSet) -> np.ndarray:
     return plan.cached(("normalization", bins), build)[0]
 
 
-def _alias_table(plan: CognitivePlan, bins: BinSet, d: int) -> np.ndarray:
+def _alias_table(plan: CognitivePlan, bins: BinSet, adc: AdcConfig) -> np.ndarray:
     """The (M, K, D) frame bins m*N + k mod L + l*L whose sum is bin k of
-    channel m under decimation D, L = N/D; computed once per bin set and
-    decimation and cached on the plan. Raises when two bins fold onto one
-    low-rate bin."""
+    channel m under the ADC's decimation D, L = N/D; built once per bin set
+    and ADC and cached on the plan. This is the one check of the fold rule:
+    D must divide N, and no read bin's low-rate bin may carry another
+    transmitted cell, the partial edge cells included."""
     def build():
-        n = plan.base.bins_per_channel
+        n, d = plan.base.bins_per_channel, _decimation(plan, adc)
+        if n % d:
+            raise ValidationError(f"the decimation {d} does not divide the channel's "
+                                  f"{n} bins, so the ADC frame does not fold them")
         n_low = n // d
         folded = bins.as_array % n_low
-        if len(set(folded.tolist())) != len(folded):  # np.unique would import numpy.ma
-            raise ValidationError("folded bin collision: subbands are not coset bands")
+        cells = _occupied_cells(plan.subbands, plan.pri)[0]
+        shared = np.bincount(cells % n_low, minlength=n_low)[folded] > 1
+        if shared.any():
+            raise ValidationError(
+                f"folded bin collision: read bin {bins.indices[np.argmax(shared)]} shares "
+                f"its low-rate bin with another transmitted cell under decimation {d}")
         aliases = folded[:, None] + n_low * np.arange(d)  # K x D channel offsets
         return (n * np.arange(plan.num_tx)[:, None, None] + aliases,)
-    return plan.cached(("aliases", bins, d), build)[0]
+    return plan.cached(("aliases", bins, adc), build)[0]
 
 
 def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
@@ -192,8 +179,8 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     the sum, in alias order, of its D folded aliases, X[m*N + k mod L + l*L]
     for l < D, of
     the frame's Fourier coefficients X, which the frame holds as its
-    spectrum, so no transform is taken; with a coset-clean plan only the
-    alias k itself carries signal. Each extracted coefficient
+    spectrum, so no transform is taken; under a plan the alias table
+    accepts, only the alias k itself carries signal. Each extracted coefficient
     is divided by the known transmitted spectrum value on its bin, which
     aligns all channels to the shared target model: a target at
     (delay, sin DoA, amplitude a) contributes
@@ -203,19 +190,14 @@ def acquire(rx: "ReceivedBaseband", plan: CognitivePlan, adc: AdcConfig,
     base = plan.base
     if abs(rx.pri - base.pri) > 1e-9 * base.pri:
         raise ValidationError(f"frame spans a PRI of {rx.pri} s, the plan's is {base.pri} s")
-    n = base.bins_per_channel
-    if rx.spectrum.shape[1] < base.num_tx * n:
+    if rx.spectrum.shape[1] < base.num_tx * base.bins_per_channel:
         raise ValidationError("received frame does not cover the full FDM band")
-    d = _decimation(plan, adc)
-    if n % d:
-        raise ValidationError(f"the decimation {d} does not divide the channel's "
-                              f"{n} bins, so the ADC frame does not fold them")
-    table = _alias_table(plan, bins, d)
+    table = _alias_table(plan, bins, adc)
     # each alias gathered from the frame's bins x receivers view straight
     # into the M x K x Q layout, and added in alias order
     spectrum = rx.spectrum.T
     values = spectrum[table[..., 0]]
-    for alias in range(1, d):
+    for alias in range(1, table.shape[-1]):
         values += spectrum[table[..., alias]]
     values /= _normalization(plan, bins)[..., None]
     return CoefficientSet(matrices=values, bins=bins)

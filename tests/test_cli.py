@@ -163,16 +163,20 @@ def test_a_pri_whose_bins_the_adc_cannot_fold_exits_2(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subbands", ["1.0e6:1.3e6, 8.5e6:8.8e6",
+                                      "1.005e6:1.3e6, 8.45e6:8.51e6"])
 def test_subbands_that_fold_onto_each_other_exit_2_before_any_frame(tmp_path, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, subbands):
     # 1.0-1.3 MHz and 8.5-8.8 MHz fold onto one another under the 7.5 MHz ADC;
-    # the environment's alias table rejects them, before synthesis
+    # in the second pair only the first slice's half-energy edge cell folds
+    # onto a read bin of the second. The environment's alias table rejects
+    # both, before synthesis
     def synthesize(*args):
         raise AssertionError("a frame was built")
 
     monkeypatch.setattr(harness, "synth_received", synthesize)
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CONFIG + "[waveform]\nsubbands = 1.0e6:1.3e6, 8.5e6:8.8e6\n")
+    cfg.write_text(CONFIG + f"[waveform]\nsubbands = {subbands}\n")
     code = main(["experiment", "-c", str(cfg), "-o", str(tmp_path / "metrics")])
     assert code == 2
     assert "error: config: folded bin collision" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
                      ValidationError, add_noise, oracle_coefficients, synth_received,
                      target_from_range)
 from submimo.scene import SPEED_OF_LIGHT
-from submimo.xampler import _alias_table, _decimation
+from submimo.xampler import _alias_table
 
 
 def make_scene(*triples):
@@ -353,7 +353,7 @@ def test_noise_is_white_in_every_bin_and_in_time(desk_env):
     assert 0.7 < power.min() and power.max() < 1.35
     read = np.zeros(n, dtype=bool)
     plan, bins = desk_env.plan, desk_env.bins
-    read[_alias_table(plan, bins, _decimation(plan, desk_env.adc)).ravel()] = True
+    read[_alias_table(plan, bins, desk_env.adc).ravel()] = True
     assert 0 < read.sum() < n
     assert abs(power[read].mean() / power[~read].mean() - 1) < 0.006
     assert abs(re2 / im2 - 1) < 0.006

@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,3 +169,19 @@ def test_compare_outputs_reports_the_largest_relative_difference(monkeypatch, ca
     assert "1 of 1 trials with equal supports" in out
     assert out.endswith("bit-identical trials of 1: 0 in every field, 0 in the acquired "
                         "coefficients, 0 in the file coefficients\n")
+
+
+def test_compare_outputs_reads_a_residual_history_against_its_first_entry(monkeypatch,
+                                                                          capsys):
+    # past an exact fit a history's entries are rounding: a 1e-24 entry that
+    # moves by 1e-5 of itself moved by 2e-29 of the fit's first entry, and the
+    # second entry moves by 1e-16 of it
+    history = np.array([0.5, 0.125, 1e-24])
+    nudged = dict(_TRIAL, residual_history=np.array([0.5, 0.125 + 0.5e-16,
+                                                     1e-24 * (1 + 1e-5)]))
+    assert _compare_outputs_on(monkeypatch,
+                               {("desk", "ula", 0): dict(_TRIAL, residual_history=history)},
+                               {("desk", "ula", 0): nudged}) == 0
+    out = capsys.readouterr().out
+    figure = float(re.search(r"residual_history (\S+),", out).group(1))
+    assert 0 < figure < 1e-15

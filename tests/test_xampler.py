@@ -2,15 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from helpers import (channelize, extract_coefficients, in_order_acquire, subsample,
                      time_domain_acquire)
 
 from submimo import (AdcConfig, ArrayMode, BinSet, ConfigError, ReceivedBaseband,
                      Scene, Subband, Target, ValidationError, acquire, add_noise,
-                     build_environment, build_mode, check_coset, oracle_coefficients,
-                     subband_bins, synth_received)
+                     assemble_environment, build_environment, build_mode,
+                     oracle_coefficients, subband_bins, synth_received)
 from submimo.waveform import (build_cognitive_plan, build_fdm_plan,
                               channel_spectrum, reference_subbands)
 from submimo.xampler import CoefficientSet, _alias_table, _decimation
@@ -44,20 +44,23 @@ def test_too_narrow_slice_yields_no_bins():
 
 
 def test_reference_slices_are_coset_bands():
-    adc = AdcConfig(rate=7.5e6)
-    assert check_coset(reference_plan(), adc) is True
+    plan = reference_plan()
+    table = _alias_table(plan, subband_bins(plan), AdcConfig(rate=7.5e6))
+    assert table.shape == (8, 296, 2)
 
 
 def test_colliding_slices_are_not_coset():
     plan = build_cognitive_plan(
         full_plan(), (Subband(1.63e6, 2.0e6), Subband(9.13e6, 9.5e6)))
-    adc = AdcConfig(rate=7.5e6)
-    assert check_coset(plan, adc) is False
+    with pytest.raises(ValidationError, match="folded bin collision: read bin 163 "):
+        _alias_table(plan, subband_bins(plan), AdcConfig(rate=7.5e6))
 
 
-def test_single_slice_is_always_coset():
+def test_a_single_slice_narrower_than_the_low_rate_band_is_coset():
+    # 40 bins under a decimation of 15 fold onto 40 of the 100 low-rate bins
     plan = build_cognitive_plan(full_plan(), (Subband(4.0e6, 4.4e6),))
-    assert check_coset(plan, AdcConfig(rate=1e6)) is True
+    table = _alias_table(plan, subband_bins(plan), AdcConfig(rate=1e6))
+    assert table.shape == (8, 40, 15)
 
 
 def test_folded_images_of_high_slices():
@@ -244,21 +247,6 @@ def test_acquire_is_linear(desk_env):
 
 
 @settings(max_examples=30, deadline=None)
-@given(lo=st.floats(min_value=0.0, max_value=13.0),
-       width=st.floats(min_value=0.05, max_value=1.5),
-       rate_mhz=st.sampled_from([1.5, 2.5, 3.0, 5.0, 7.5]))
-def test_folding_segments_cover_the_slice(lo, width, rate_mhz):
-    from submimo.xampler import _folded_segments
-    band = Subband(lo * 1e6, min(lo + width, 15.0) * 1e6)
-    segments = _folded_segments(band, rate_mhz * 1e6)
-    total = sum(hi - lo for lo, hi in segments)
-    assert total == pytest.approx(band.width, rel=1e-9)
-    for seg_lo, seg_hi in segments:
-        assert seg_lo >= -1e-9
-        assert seg_lo <= rate_mhz * 1e6 + 1e-9
-
-
-@settings(max_examples=30, deadline=None)
 @given(starts=st.lists(st.integers(0, 110), min_size=1, max_size=4, unique=True),
        width=st.integers(2, 10),
        decimation=st.sampled_from([1, 2, 3, 5, 6]),
@@ -275,8 +263,11 @@ def test_acquire_equals_the_time_domain_chain(starts, width, decimation, num_tx,
     slices = [b for a, b in zip([None] + slices, slices) if a is None or b.lo >= a.hi]
     plan = build_cognitive_plan(full_plan(num_tx), slices)
     adc = AdcConfig(rate=15e6 / decimation)
-    assume(check_coset(plan, adc))
     bins = subband_bins(plan)
+    try:
+        _alias_table(plan, bins, adc)
+    except ValidationError:
+        assume(False)
     rng = np.random.default_rng(seed)
     shape = (num_rx, 3 * plan.base.bins_per_channel)
     rx_frames = ReceivedBaseband.from_samples(
@@ -287,6 +278,58 @@ def test_acquire_equals_the_time_domain_chain(starts, width, decimation, num_tx,
     assert got.matrices.flags.c_contiguous
     for a, b in zip(got.matrices, want.matrices):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-9 * np.max(np.abs(b)))
+
+
+# slice 1's half-energy edge cell 100 folds onto slice 2's read bin 850
+HALF_BIN_PLAN = ((1.005e6, 1.3e6), (8.45e6, 8.51e6))
+# the slices' folded images meet only in edge cells that are not read
+EDGE_ONLY_OVERLAP_PLAN = ((1.004e6, 1.3e6), (8.45e6, 8.506e6))
+
+
+def _oracle_error(slices, decimation):
+    """The largest |acquired - oracle| over the largest |oracle| of a
+    two-target frame on the thinned array under `slices` and an ADC that
+    decimates by `decimation`; a plan `assemble_environment` rejects raises
+    its ConfigError."""
+    array = build_mode(ArrayMode.THINNED, seed=0)
+    plan = build_cognitive_plan(full_plan(array.num_tx),
+                                [Subband(lo, hi) for lo, hi in slices])
+    env = assemble_environment(array, plan, AdcConfig(rate=15e6 / decimation), 300)
+    scene = Scene(targets=(Target(40 * plan.pri / 300, 0.25, 1.0),
+                           Target(200 * plan.pri / 300, -0.5, 0.4 - 0.9j)))
+    rx = synth_received(scene, array, plan, env.sample_rate)
+    got = acquire(rx, plan, env.adc, env.bins).matrices
+    want = oracle_coefficients(scene, array, plan, env.bins).matrices
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_the_fold_rule_sees_the_partial_edge_cells():
+    # the half-bin plan's read bins fold clear of each other, and it
+    # acquired 0.7 of the peak off the oracle; the other plan's slices
+    # overlap after folding, but in unread edge cells only
+    with pytest.raises(ConfigError, match="folded bin collision: read bin 850 "):
+        _oracle_error(HALF_BIN_PLAN, 2)
+    assert _oracle_error(EDGE_ONLY_OVERLAP_PLAN, 2) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(slices=st.lists(st.tuples(st.floats(0.0, 11.9e6), st.floats(2e4, 1.5e6)),
+                       min_size=1, max_size=3),
+       decimation=st.sampled_from([2, 3, 5]))
+@example(slices=[(lo, hi - lo) for lo, hi in HALF_BIN_PLAN], decimation=2)
+@example(slices=[(lo, hi - lo) for lo, hi in EDGE_ONLY_OVERLAP_PLAN], decimation=2)
+def test_every_plan_the_environment_accepts_acquires_the_oracle(slices, decimation):
+    # slices of any width off the bin lattice, so their edge cells carry
+    # part of a cell's energy; overlapping slices are dropped
+    bands = []
+    for lo, width in sorted(slices):
+        if not bands or lo >= bands[-1][1]:
+            bands.append((lo, min(lo + width, 12e6)))
+    try:
+        error = _oracle_error(bands, decimation)
+    except ConfigError:
+        return
+    assert error < 1e-9
 
 
 def test_acquire_rejects_a_frame_of_another_pri(desk_env):
@@ -304,7 +347,6 @@ def test_acquire_rejects_a_decimation_that_does_not_divide_the_channel_bins():
     base = dataclasses.replace(full_plan(array.num_tx), pri=1501 / 15e6)
     plan = build_cognitive_plan(base, reference_subbands())
     adc = AdcConfig(rate=7.5e6)
-    assert check_coset(plan, adc)
     rx = synth_received(Scene(targets=(Target(1e-5, 0.0, 1.0),)), array, plan,
                         plan.base.total_bandwidth)
     with pytest.raises(ValidationError, match="does not divide"):
@@ -326,16 +368,14 @@ def test_acquisition_tables_are_built_once_per_bin_set(desk_env):
     rx = add_noise(synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)),
                                   desk_env.array, plan, desk_env.sample_rate), 0.0, 4)
     acquire(rx, plan, desk_env.adc, bins)
-    d, n = _decimation(plan, desk_env.adc), plan.base.bins_per_channel
-    table = _alias_table(plan, bins, d)
-    assert _alias_table(plan, bins, d) is table and not table.flags.writeable
+    table = _alias_table(plan, bins, desk_env.adc)
+    assert _alias_table(plan, bins, desk_env.adc) is table and not table.flags.writeable
     # a collision is not cached: every call raises
-    n_low = n // d
-    clash = BinSet(indices=(bins.indices[0], bins.indices[0] + n_low),
-                   per_channel_bins=n)
+    clash = build_cognitive_plan(
+        full_plan(), (Subband(1.63e6, 2.0e6), Subband(9.13e6, 9.5e6)))
     for _ in range(2):
         with pytest.raises(ValidationError, match="collision"):
-            acquire(rx, plan, desk_env.adc, clash)
+            acquire(rx, clash, desk_env.adc, subband_bins(clash))
 
 
 def _acquisition_input(desk_envs, profile, arg):
@@ -361,7 +401,7 @@ def _acquisition_input(desk_envs, profile, arg):
                                           ("two-slice", 3), ("two-slice", 5)])
 def test_acquire_adds_each_channels_aliases_in_order_bit_for_bit(desk_envs, profile, arg):
     rx, plan, adc, bins, d = _acquisition_input(desk_envs, profile, arg)
-    assert _decimation(plan, adc) == d and check_coset(plan, adc)
+    assert _alias_table(plan, bins, adc).shape[-1] == d
     got = acquire(rx, plan, adc, bins).matrices
     assert got.flags.c_contiguous
     assert np.array_equal(got, in_order_acquire(rx, plan, adc, bins))
