@@ -99,6 +99,11 @@ class CognitivePlan:
             self._cache[key] = arrays
             return arrays
 
+    @property
+    def occupied_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_occupied_cells` of the plan's slices, computed once per plan."""
+        return self.cached(("cells",), lambda: _occupied_cells(self.subbands, self.pri))
+
     @cached_property
     def amplitude_scale(self) -> float:
         """sqrt(signal_band / occupied width), the width summed over the bin-cell
@@ -107,7 +112,7 @@ class CognitivePlan:
         one. Subbands that cover no part of any bin cell raise."""
         # normalize by the cells the spectrum carries, not the nominal widths, so
         # an edge sliver that _occupied_cells drops takes no power with it
-        kept_cells = sum(_occupied_cells(self.subbands, self.base.pri)[1])
+        kept_cells = sum(self.occupied_cells[1])
         if kept_cells <= 0:
             raise ConfigError("the subbands cover no part of any bin cell")
         return float(np.sqrt(self.base.signal_band * self.base.pri / kept_cells))
@@ -242,7 +247,7 @@ def channel_spectrum(plan: CognitivePlan, tx: int):
 
 def _design_spectrum(plan: CognitivePlan, tx: int):
     base = plan.base
-    cells, fracs = _occupied_cells(plan.subbands, base.pri)
+    cells, fracs = plan.occupied_cells
     bins = cells + tx * base.bins_per_channel
     # flat design: per-bin energy tau*|c|^2 = scale^2 * g^2 * frac with
     # g^2 = P_t / (B_h * tau^2); summed over the slices this is exactly P_t

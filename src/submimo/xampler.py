@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .waveform import _BIN_EPS, CognitivePlan, _occupied_cells, channel_spectrum
+from .waveform import _BIN_EPS, CognitivePlan, channel_spectrum
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scene import ReceivedBaseband
@@ -160,7 +160,7 @@ def _alias_table(plan: CognitivePlan, bins: BinSet, adc: AdcConfig) -> np.ndarra
                                   f"{n} bins, so the ADC frame does not fold them")
         n_low = n // d
         folded = bins.as_array % n_low
-        cells = _occupied_cells(plan.subbands, plan.pri)[0]
+        cells = plan.occupied_cells[0]
         shared = np.bincount(cells % n_low, minlength=n_low)[folded] > 1
         if shared.any():
             raise ValidationError(
