@@ -304,9 +304,9 @@ def _oracle_error(slices, decimation):
 
 
 def test_the_fold_rule_sees_the_partial_edge_cells():
-    # the half-bin plan's read bins fold clear of each other, and it
-    # acquired 0.7 of the peak off the oracle; the other plan's slices
-    # overlap after folding, but in unread edge cells only
+    # the half-bin plan's read bins fold clear of each other, but accepted
+    # it would acquire bin 850 0.7 of the peak off the oracle; the other
+    # plan's slices overlap after folding, but in unread edge cells only
     with pytest.raises(ConfigError, match="folded bin collision: read bin 850 "):
         _oracle_error(HALF_BIN_PLAN, 2)
     assert _oracle_error(EDGE_ONLY_OVERLAP_PLAN, 2) < 1e-9
