@@ -35,6 +35,9 @@ _SCORE_BLOCK_CELLS = 1 << 15
 # rows scored first; the exact stop test is met after a few to a few dozen
 # rows in bound order
 _FIRST_ROWS = 16
+# cells the support's buffers hold before they first double (fewer when a
+# call selects fewer): a 10-target call never doubles them
+_START_CELLS = 16
 # the scan's slack, as a share of the values its bound rounds against
 _SLACK = 1e-9
 # an updated bound is kept while its largest row exceeds this many slacks
@@ -125,7 +128,13 @@ class DictionarySet:
 
     @functools.cached_property
     def _kernel(self) -> np.ndarray:
-        """kappa(n) = a_n^H a_0 for every range cell n: the map of atom 0."""
+        """kappa(n) = a_n^H a_0 for every range cell n: the map of atom 0.
+
+        a_n^H a_j = kappa((n - n_j) mod C), so the residual states take the
+        support's part of a row's map from it, K[n, j] = kappa((n - n_j) mod C),
+        not from the support's atoms; one C-point inverse FFT, on the first
+        selection that needs it.
+        """
         return _read_only(_range_maps(np.ones((len(self.bins), 1)), self)[:, 0])
 
     @functools.cached_property
@@ -261,10 +270,14 @@ def _power_spectrum(stacked, channels: int, offsets, length) -> np.ndarray:
     zero elsewhere; the result is `length` floats.
     """
     power = 0.0
-    for r in np.hsplit(stacked, channels):  # per channel, so the spectra stay in cache
-        spec = np.zeros((r.shape[1], length), dtype=complex)
-        spec[:, offsets] = r.T
-        pairs = np.fft.fft(spec, out=spec).view(float)
+    # per channel, so the spectra stay in cache: each is placed into one
+    # buffer, zero off `offsets` throughout, and transformed into another
+    placed = np.zeros((stacked.shape[1] // channels, length), dtype=complex)
+    spec = np.empty_like(placed)
+    pairs = spec.view(float)
+    for r in np.hsplit(stacked, channels):
+        placed[:, offsets] = r.T
+        np.fft.fft(placed, out=spec)
         power = power + np.einsum("ij,ij->j", pairs, pairs)
     # power interleaves the re^2 and im^2 sums
     return power[0::2] + power[1::2]
@@ -310,14 +323,14 @@ class _MapState:
     other: _SLACK of the largest bound.
     """
 
-    def __init__(self, refit, dicts: DictionarySet):
+    def __init__(self, refit, dicts: DictionarySet, cells: int = _START_CELLS):
         self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
         self.maps = _range_maps(refit.stacked, dicts)
         self.peak, self.bins = np.abs(self.maps).max(), len(dicts.bins)
         self.bound = self._bound(self.maps)
         self.top = self.bound.max()
         # the support's kernel columns K[:, j], in a buffer that doubles when full
-        self.columns, self.size = np.zeros((len(self.maps), 8), dtype=complex), 0
+        self.columns, self.size = np.zeros((len(self.maps), cells), dtype=complex), 0
 
     def _bound(self, maps) -> np.ndarray:
         return self.weight * np.einsum("ij,ij->i", maps.view(float), maps.view(float))
@@ -359,24 +372,31 @@ class _LagState:
     P = P_Y - 2 Re sum_j x_j S_j V_j^* + sum_{j,l} S_j Gamma_jl S_l^*,
     Gamma_jl = x_j x_l^* (d_j . d_l^*), and the bound is w times its fold.
     A selected cell costs two FFTs, once. A scored block's maps are
-    T Y - (T A_S^T)(x d_S), with T the block rows' partial DFT
-    (`_partial_dft`) and A_S^T the support's range atoms as columns: no
-    residual and no table of the whole grid. The bound must not fall below
-    the scores by more than the slack. The terms cancel, however small the
-    residual: the bound rounds at about 1e-16 of the largest term, at most
-    the coefficients' largest bound plus w K^2 sum_jl |Gamma_jl|
-    (|S_j| <= K, the bin count; the cross term is bounded by the other
-    two), and the maps at about 1e-16 of |T Y| + K sum_j |x_j|, far inside
-    it. The slack is _SLACK of that sum, within a small factor of _SLACK
-    of the coefficients' largest bound for a well-conditioned support. It
-    would open every row once the residual's bound falls below it, as a
-    noiseless fit's does; below _KEEP_UPDATE_SLACKS slacks the bound is
-    taken from the spectrum of the residual the refit forms (M*Q FFTs)
-    and the block maps from that residual (`_block_maps`), with _SLACK of
-    its largest row as the slack.
+    T Y - K[rows, S] (x d_S), as `_MapState`'s: T Y the coefficients' maps
+    of the block's rows (their partial DFT, `_block_maps`) and K the
+    dictionaries' `_kernel` at the rows' lags to the support, one
+    rows x s by s x MQ product; no residual and no table of the whole grid.
+    A row's T Y is formed once per call and kept, as the scans keep
+    returning to the same rows: a block's new rows are kept while the
+    cache then holds at most _FIRST_ROWS rows per selection (or per first
+    cell of the support's buffers, if more), which a scan's head always
+    fits; a block past that, as when a scan opens most of the grid, is
+    scored and dropped, so no C x MQ table is kept. The bound
+    must not fall below the scores by more than the slack. The terms
+    cancel, however small the residual: the bound rounds at about 1e-16 of
+    the largest term, at most the coefficients' largest bound plus
+    w K^2 sum_jl |Gamma_jl| (|S_j| <= K, the bin count; the cross term is
+    bounded by the other two), and the maps at about 1e-16 of
+    |T Y| + K sum_j |x_j|, far inside it. The slack is _SLACK of that sum,
+    within a small factor of _SLACK of the coefficients' largest bound for
+    a well-conditioned support. It would open every row once the
+    residual's bound falls below it, as a noiseless fit's does; below
+    _KEEP_UPDATE_SLACKS slacks the bound is taken from the spectrum of the
+    residual the refit forms (M*Q FFTs) and the block maps from that
+    residual (`_block_maps`), with _SLACK of its largest row as the slack.
     """
 
-    def __init__(self, refit, dicts: DictionarySet):
+    def __init__(self, refit, dicts: DictionarySet, cells: int = _START_CELLS):
         self.refit, self.dicts, self.weight = refit, dicts, dicts._weight
         self.offsets = dicts._bin_array - min(dicts.bins.indices)
         self.span = int(self.offsets.max()) + 1
@@ -386,32 +406,68 @@ class _LagState:
                                      length)
         self.bound = self._fold(self.power)
         self.top = self.bound.max()
-        # S_j and S_j V_j^* of the support's cells, in buffers that double when full
-        self.spectra, self.cross = (np.zeros((8, length), dtype=complex) for _ in range(2))
-        self.size = 0
+        # S_j and S_j V_j^* of the support's cells and their range cells n_j,
+        # in buffers that double when full
+        self.spectra, self.cross = (np.zeros((cells, length), dtype=complex) for _ in range(2))
+        self.ranges, self.size = np.zeros(cells, dtype=int), 0
+        # the kept T Y rows, row n's at slots[n] (-1 when not kept), in a
+        # buffer of _FIRST_ROWS rows per first cell that doubles when a scan
+        # may keep more
+        self.slots, self.reserve = np.full(self.cells, -1), _FIRST_ROWS * cells
+        self.kept = np.empty((self.reserve, refit.stacked.shape[1]), dtype=complex)
+        self.held = 0
 
     def _fold(self, power) -> np.ndarray:
         return self.weight * _fold_bound(power, self.span, self.cells)
 
-    def _add_cell(self, j: int) -> None:
+    def _add_cell(self, j: int, n: int) -> None:
         if j == len(self.spectra):
             self.spectra, self.cross = _doubled(self.spectra), _doubled(self.cross)
+            self.ranges = _doubled(self.ranges)
         a, d = self.refit.a[j], self.refit.d[j]
         pair = np.zeros((2, self.spectra.shape[1]), dtype=complex)
         pair[0, self.offsets], pair[1, self.offsets] = a, self.refit.stacked @ d.conj()
         s, v = np.fft.fft(pair, out=pair)
-        self.spectra[j] = s
+        self.spectra[j], self.ranges[j] = s, n
         np.multiply(s, v.conj(), out=self.cross[j])
+
+    def _scan_maps(self, z):
+        """rows -> T Y - K[rows, S] z for a support of len(z) cells. A block's
+        new T Y rows are kept when the cache then holds at most _FIRST_ROWS
+        rows per selection, this scan's included, or per first cell of the
+        support buffers if more; a head's always are."""
+        budget = max(_FIRST_ROWS * (len(z) + 1), self.reserve)
+        kernel = self.dicts._kernel if len(z) else None
+
+        def block_maps(rows):
+            slots = self.slots[rows]
+            maps = self.kept[slots]  # rows not kept are written below
+            new = (slots < 0).nonzero()[0]
+            if len(new):
+                maps[new] = _block_maps(self.refit.stacked, self.dicts, rows[new])
+                end = self.held + len(new)
+                if end <= budget:
+                    while end > len(self.kept):
+                        self.kept = _doubled(self.kept)
+                    self.kept[self.held:end] = maps[new]
+                    self.slots[rows[new]] = np.arange(self.held, end)
+                    self.held = end
+            if kernel is not None:
+                lags = np.subtract.outer(rows, self.ranges[:len(z)])
+                lags %= self.cells
+                maps -= kernel[lags] @ z
+            return maps
+
+        return block_maps
 
     def residual(self, support, amplitudes):
         """As `_MapState.residual`."""
-        if not support:
-            return (self.bound, functools.partial(_block_maps, self.refit.stacked, self.dicts),
-                    _SLACK * self.top)
         s = len(support)
         for j in range(self.size, s):
-            self._add_cell(j)
+            self._add_cell(j, support[j][0])
         self.size = s
+        if not support:
+            return self.bound, self._scan_maps(amplitudes[:, None]), _SLACK * self.top
         d, spectra = self.refit.d[:s], self.spectra[:s]
         gamma = (amplitudes[:, None] * amplitudes.conj()) * (d @ d.conj().T)
         # sum_l Re(S_l^* (Gamma^T S)_l): the re*re + im*im pairs, in place
@@ -430,18 +486,10 @@ class _LagState:
                                                self.offsets, len(self.power)))
             return (bound, functools.partial(_block_maps, residual, self.dicts),
                     _SLACK * np.maximum.reduce(bound))
-        z, a = amplitudes[:, None] * d, self.refit.a[:s]
-
-        def block_maps(rows):  # T Y - (T A_S^T) Z, T the rows' partial DFT
-            table = _partial_dft(rows, self.dicts)
-            maps = table @ self.refit.stacked
-            maps -= (table @ a.T) @ z
-            return maps
-
-        return bound, block_maps, slack
+        return bound, self._scan_maps(amplitudes[:, None] * d), slack
 
 
-def _residual_state(refit, dicts: DictionarySet):
+def _residual_state(refit, dicts: DictionarySet, cells: int = _START_CELLS):
     """The state a trial's selections read the residual's bound and maps from.
 
     `_MapState` on a grid of C <= 2N cells, `_LagState` on a wider one.
@@ -449,10 +497,11 @@ def _residual_state(refit, dicts: DictionarySet):
     and the support's cell factors a_j, d_j from `refit` (a `_Refit`), and
     ask it for the residual (`_Refit.residual`) only when their updates
     cannot resolve it. Both weigh their rows by the dictionaries'
-    w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms).
+    w = max_{m,p} ||b_mp||^2 (Q for unit-modulus atoms). Their support
+    buffers start at `cells` cells.
     """
     wide = len(dicts.range_grid) > 2 * dicts.bins.per_channel_bins
-    return (_LagState if wide else _MapState)(refit, dicts)
+    return (_LagState if wide else _MapState)(refit, dicts, cells)
 
 
 @functools.cache
@@ -557,7 +606,7 @@ class _Refit:
     Cell s appends its factors a_s, d_s (`_cell_atoms`), its correlation
     row c_s = a_s^H Y, the range-atom Gram row H[s, l] = a_s^H a_l, the
     Gram row H[s, l] (d_s^H d_l) and the right-hand side c_s d_s^* to
-    buffers that double when full. Its Schur pivot g_ss - g^H u,
+    buffers of `cells` cells that double when full. Its Schur pivot g_ss - g^H u,
     u = G^-1 g, is 0 when it depends on the support; a pivot within
     rounding of the terms it cancels, (s + 1) eps tr(G) (1 + u^H u), raises
     NumericalError. Otherwise the same u borders the kept inverse Gram,
@@ -568,17 +617,17 @@ class _Refit:
     itself from `residual` when they need it.
     """
 
-    def __init__(self, stacked, dicts: DictionarySet):
+    def __init__(self, stacked, dicts: DictionarySet, cells: int = _START_CELLS):
         self.stacked, self.atoms, self.size = stacked, _cell_atoms(dicts), 0
         self.channels = len(dicts.azimuth_atoms)
         self.signal = self._channel_energies(stacked)  # ||Y_m||^2
         self.norms = np.sqrt(self.signal)
         # ||a_j|| ||d_jm|| <= sqrt(K w): K bins, w the dictionaries' row weight
         self.atom_norm = np.sqrt(len(dicts.bins) * dicts._weight)
-        self.a, self.d, self.c = (np.zeros((8, n), complex) for n in (
+        self.a, self.d, self.c = (np.zeros((cells, n), complex) for n in (
             len(dicts.bins), stacked.shape[1], stacked.shape[1]))
-        self.gram, self.h, self.inverse = (np.zeros((8, 8), complex) for _ in range(3))
-        self.rhs = np.zeros(8, complex)
+        self.gram, self.h, self.inverse = (np.zeros((cells, cells), complex) for _ in range(3))
+        self.rhs = np.zeros(cells, complex)
 
     def _channel_energies(self, stacked) -> np.ndarray:
         """Each channel's squared Frobenius norm of a stacked K x MQ array."""
@@ -684,9 +733,10 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     tol = DEFAULT_RESIDUAL_TOL if max_targets is None else 0.0
     cap = min(max_targets or np.inf, len(dicts.range_grid) * len(dicts.azi_grid),
               matrices.size)
-    refit = _Refit(matrices.transpose(1, 0, 2).reshape(k, -1), dicts)
+    cells = min(cap, _START_CELLS)
+    refit = _Refit(matrices.transpose(1, 0, 2).reshape(k, -1), dicts, cells)
     signal_norm = res_norm = float(np.add.reduce(refit.norms))
-    state = _residual_state(refit, dicts)
+    state = _residual_state(refit, dicts, cells)
     support: list[tuple[int, int]] = []
     amplitudes, history = np.zeros(0, dtype=complex), []
     while len(support) < cap and res_norm > tol * signal_norm:

@@ -263,6 +263,9 @@ def test_noisy_trial_transforms_no_frame(monkeypatch, mode, profile):
     # the noise is drawn as its spectrum: no frame-sized transform either way
     env = build_environment(mode, profile, seed=3)
     n_frame = int(round(env.sample_rate * env.plan.pri))
+    # the range kernel, built once per dictionary set, takes one C-point
+    # inverse FFT, and the full grid's C is the frame's length
+    env.dictionaries._kernel
     scene = generate_scene(np.random.default_rng([3, 0, 0]), SceneSpec(num_targets=10),
                            len(env.range_grid), env.plan.pri)
     frame_sized = {"fft": 0, "ifft": 0}

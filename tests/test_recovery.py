@@ -157,7 +157,7 @@ def test_grown_refit_matches_the_least_squares_reference(desk_env, instance):
     cells = [divmod(int(c), n_azi)
              for c in rng.choice(len(dicts.range_grid) * n_azi, size=12, replace=False)]
     scale = max(np.abs(y).max() for y in matrices)
-    refit = _Refit(np.hstack(matrices), dicts)
+    refit = _Refit(np.hstack(matrices), dicts, cells=8)
     for size, cell in enumerate(cells, start=1):
         refit.add(*cell)
         amplitudes, energies = refit.fit()
@@ -220,7 +220,7 @@ def test_bordered_inverse_matches_the_least_squares_reference(desk_env, case, se
     else:
         matrices, dicts, cells, ratio = _near_dependent_support(seed, 1e-6)
         assert 0.5e-6 < ratio < 2e-6
-    refit = _Refit(np.hstack(matrices), dicts)
+    refit = _Refit(np.hstack(matrices), dicts, cells=8)
     for size, cell in enumerate(cells, start=1):
         refit.add(*cell)
         amplitudes, energies = refit.fit()
@@ -569,6 +569,39 @@ def test_expanded_lag_bound_matches_the_reference(extra_cells, **draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(extra_cells=st.integers(1, 30), head_share=st.floats(0.0, 1.0), **_fits)
+@example(seed=2, n_channels=2, n_bins=6, total_bins=9, extra_cells=22, n_rx=4, n_azi=3,
+         n_selected=4, noiseless=False, head_share=0.5)
+@example(seed=0, n_channels=3, n_bins=1, total_bins=6, extra_cells=21, n_rx=1, n_azi=1,
+         n_selected=4, noiseless=False, head_share=1.0)  # |x| near 1e14
+def test_expanded_lag_block_maps_match_the_residual_maps(extra_cells, head_share, **draw):
+    # one state grows its support a cell per call, as in matrix_omp, from
+    # buffers of one cell, so they double; each scan asks for a head and
+    # then for every row, kept rows and new ones alike
+    draw["n_range"] = 2 * draw["total_bins"] + extra_cells  # C > 2N
+    matrices, dicts, support, _, _ = _fitted_instance(**draw)
+    refit, n_range = _refit_of(matrices, dicts, support), draw["n_range"]
+    state, own = _LagState(refit, dicts, cells=1), []
+    refit.residual = lambda x, _f=refit.residual: own.append(x) or _f(x)
+    coefficient_peak = np.abs(_range_maps(np.hstack(matrices), dicts)).max()
+    rng = np.random.default_rng([draw["seed"], 2])
+    for size in range(len(support) + 1):
+        amplitudes, residuals = lstsq_fit(matrices, dicts, support[:size])
+        del own[:]
+        _, block_maps, _ = state.residual(support[:size], amplitudes)
+        first = max(1, round(head_share * recovery._FIRST_ROWS))
+        for rows in (np.sort(rng.permutation(n_range)[:first]), np.arange(n_range)):
+            got = block_maps(rows)
+            if own:  # a noiseless fit's maps: its residual's (see the noiseless test)
+                continue
+            # the update rounds at its largest term: |T Y| or K |x_j| (unit atoms)
+            peak = coefficient_peak + _fit_peak(dicts, amplitudes)
+            np.testing.assert_allclose(got, _block_maps(np.hstack(residuals), dicts, rows),
+                                       rtol=0, atol=1e-12 * peak)
+    assert state.held <= recovery._FIRST_ROWS * max(len(support) + 1, 1)
+
+
+@settings(max_examples=60, deadline=None)
 @given(row_share=st.floats(0.0, 1.0), **_grids)
 @example(row_share=0.5, **_GRID_EXAMPLES[0])
 @example(row_share=1.0, **_GRID_EXAMPLES[1])
@@ -911,9 +944,12 @@ def test_desk_trial_scores_at_most_64_rows_per_iteration(desk_envs, monkeypatch,
 def test_full_wide_trial_never_builds_full_range_maps(full_envs, monkeypatch):
     # no full range map; the L-point FFTs of the coefficients' M x Q columns
     # run once, then each selected cell takes two more. The bound reads the
-    # refit's cell factors: one build per selection, none by the bound
+    # refit's cell factors: one build per selection, none by the bound. The
+    # kernel, the map of atom 0, is built once per dictionary set (here, if
+    # no earlier test has)
     env = full_envs[ArrayMode.WIDE]
     assert len(env.range_grid) > 2 * env.bins.per_channel_bins
+    env.dictionaries._kernel
     est, rows, calls, ffts, factors = _counting_trial(env, monkeypatch)
     assert len(rows) == len(est) == 10
     assert calls == {"coefficients": 0, "other": 0}
@@ -921,6 +957,93 @@ def test_full_wide_trial_never_builds_full_range_maps(full_envs, monkeypatch):
     assert ffts == [(num_rx, length)] * env.array.num_tx + [(2, length)] * 9
     assert factors == list(est.support)
     assert max(rows) <= 64
+
+
+@pytest.mark.parametrize("mode", [ArrayMode.ULA, ArrayMode.WIDE])
+def test_full_trial_transforms_each_scored_row_once(full_envs, monkeypatch, mode):
+    # the lag state keeps the coefficients' maps of the rows it scores, so a
+    # row scored again by a later selection reads them, with the support's
+    # part from the kernel
+    env = full_envs[mode]
+    coeffs = _trial_coefficients(env)
+    transformed, scored = [], []
+    partial_dft, pair_scores = recovery._partial_dft, recovery._pair_scores
+    monkeypatch.setattr(recovery, "_partial_dft",
+                        lambda rows, d: transformed.extend(rows.tolist()) or partial_dft(rows, d))
+    monkeypatch.setattr(recovery, "_pair_scores",
+                        lambda maps, d: scored.append(len(maps)) or pair_scores(maps, d))
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    assert len(est) == 10
+    assert len(transformed) == len(set(transformed))
+    assert sum(scored) > len(transformed)
+
+
+def test_a_scan_of_every_row_keeps_at_most_first_rows_per_selection(monkeypatch):
+    # full ULA trial 149 of array seed 611 at -5 dB: its tenth selection,
+    # after a close pair merged, scans every range row; the rows past the
+    # cache's bound are scored and dropped
+    env = build_environment(ArrayMode.ULA, "full", seed=611)
+    scene = generate_scene(np.random.default_rng([611, 149, 0]),
+                           SceneSpec(num_targets=10, min_sin_sep=0.025),
+                           len(env.range_grid), env.plan.pri)
+    rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate), -5.0,
+                   [611, 149, 1])
+    coeffs = acquire(rx, env.plan, env.adc, env.bins)
+    states, rows = [], []
+    residual_state, select, pair_scores = (recovery._residual_state, recovery._select,
+                                           recovery._pair_scores)
+    monkeypatch.setattr(recovery, "_residual_state",
+                        lambda *args: states.append(residual_state(*args)) or states[-1])
+    monkeypatch.setattr(recovery, "_select",
+                        lambda *args: rows.append(0) or select(*args))
+
+    def counting_pair_scores(maps, dicts):
+        rows[-1] += len(maps)
+        return pair_scores(maps, dicts)
+
+    monkeypatch.setattr(recovery, "_pair_scores", counting_pair_scores)
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    assert est.support == ((3976, 9), (9307, 23), (10108, 69), (11911, 12), (8727, 25),
+                           (9470, 24), (8520, 37), (8522, 76), (10620, 67), (3975, 2))
+    assert rows[-1] == len(env.range_grid)
+    state, bound = states[0], recovery._FIRST_ROWS * len(est)
+    assert isinstance(state, _LagState)
+    assert state.held <= bound and len(state.kept) <= bound
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_a_ten_target_call_never_doubles_a_buffer(desk_envs, full_envs, monkeypatch,
+                                                  profile):
+    # the refit's and the residual state's buffers start at the call's cap
+    env = (desk_envs if profile == "desk" else full_envs)[ArrayMode.ULA]
+    coeffs = _trial_coefficients(env)
+    doubled, double = [], recovery._doubled
+    monkeypatch.setattr(recovery, "_doubled",
+                        lambda *args, **kwargs: doubled.append(1) or double(*args, **kwargs))
+    est = matrix_omp(coeffs, env.dictionaries, max_targets=10)
+    assert len(est) == 10 and doubled == []
+
+
+@pytest.mark.parametrize("total_bins, state_type", [(64, _MapState), (12, _LagState)])
+def test_a_call_past_sixteen_cells_doubles_every_buffer_once(monkeypatch, total_bins,
+                                                             state_type):
+    # 25 range cells: within 2N = 128, the map state; past 2N = 24, the lag state
+    coeffs, dicts = random_instance(np.random.default_rng(3), n_rx=4, total_bins=total_bins)
+    assert isinstance(_residual_state(_refit_of(coeffs.matrices, dicts, []), dicts),
+                      state_type)
+    support, amplitudes, history, _ = explicit_residual_omp(coeffs, dicts, 20)
+    shapes, double = [], recovery._doubled
+    monkeypatch.setattr(recovery, "_doubled", lambda buffer, axes=(0,): shapes.append(
+        buffer.shape) or double(buffer, axes))
+    est = matrix_omp(coeffs, dicts, max_targets=20)
+    assert list(est.support) == support
+    np.testing.assert_allclose(est.amplitudes, amplitudes, rtol=0,
+                               atol=1e-12 * np.abs(amplitudes).max())
+    np.testing.assert_allclose(est.residual_history, history, rtol=0, atol=1e-12 * history[0])
+    # the refit's seven and the map state's kernel columns, or the lag
+    # state's spectra, cross terms and range cells, each from 16 cells
+    assert len(shapes) == (8 if state_type is _MapState else 10)
+    assert all(recovery._START_CELLS in shape for shape in shapes)
 
 
 @pytest.mark.parametrize("max_targets", [10, 14])
