@@ -202,28 +202,55 @@ def _noiseless(snr_db: float | None) -> bool:
     return snr_db is None or snr_db == np.inf
 
 
-def _fill_noise(values: np.ndarray, signal: np.ndarray, seed: np.random.SeedSequence,
-                scale: float) -> None:
-    """Fill `values` with one normal draw from `seed`, times `scale`, plus `signal`."""
-    np.random.default_rng(seed).standard_normal(out=values)
-    values *= scale
+def _uniform_noise(values: np.ndarray, seed: np.random.SeedSequence) -> np.ndarray:
+    """The seeded draws of the Box-Muller transform (Box & Muller, 1958) that
+    fills `values`: ln(1 - u) of float64 uniforms u, written into the first
+    ceil(len / 2) values, and the float32 angles 2 pi v of as many float32
+    uniforms v, returned. `_normal_noise` turns them into normal values."""
+    rng = np.random.default_rng(seed)
+    radius = values[:(len(values) + 1) // 2]
+    rng.random(out=radius)
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    angle = rng.random(len(radius), dtype=np.float32)
+    angle *= np.float32(2 * np.pi)
+    return angle
+
+
+def _normal_noise(values: np.ndarray, angle: np.ndarray, signal: np.ndarray,
+                  scale: float) -> None:
+    """Finish `_uniform_noise`'s fill of `values`: the radius
+    r = scale sqrt(-2 ln(1 - u)) times cos(angle) in the first half, times
+    sin(angle) in the second (an odd count drops the last sine), plus
+    `signal`. The angle buffer takes the cosines, so the fill allocates
+    nothing more."""
+    radius, rest = values[:len(angle)], values[len(angle):]
+    radius *= -2 * scale * scale
+    np.sqrt(radius, out=radius)
+    np.sin(angle[:len(rest)], out=rest)
+    rest *= radius[:len(rest)]
+    radius *= np.cos(angle, out=angle)
     values += signal
 
 
 def _draw_noise_halves(jobs: queue.SimpleQueue) -> None:
-    """The noise worker's loop: fill each queued half (`_fill_noise`'s
-    arguments), then put None, or the error it raised, on the job's own
-    queue for its caller. It drops the job's arrays before it replies:
-    held until the next job, they would keep the last noisy frame and its
-    signal alive (about 5 MB more peak RSS on `full_scale`)."""
+    """The noise worker's loop: for each queued half (values, signal, seed,
+    scales, done), take the seeded draws, then wait for the scale on
+    `scales` and finish the fill; a None scale drops the half unfilled.
+    Then put None, or the error it raised, on `done` for the caller. It
+    drops the job's arrays before it replies: held until the next job, they
+    would keep the last noisy frame and its signal alive (about 5 MB more
+    peak RSS on `full_scale`)."""
     while True:
-        args, done = jobs.get()
+        values, signal, seed, scales, done = jobs.get()
         try:
-            _fill_noise(*args)
+            angle = _uniform_noise(values, seed)
+            scale = scales.get()
+            if scale is not None:
+                _normal_noise(values, angle, signal, scale)
             error = None
         except BaseException as caught:  # raised again by the caller
             error = caught
-        del args
+        values = signal = angle = None
         done.put(error)
 
 
@@ -264,31 +291,40 @@ def add_noise(rx: ReceivedBaseband, snr_db: float | None, seed) -> ReceivedBaseb
     (Parseval). The noise is drawn as its spectrum too: the forward-
     normalized DFT of white noise of variance s^2 per sample is white noise
     of variance s^2 / n per bin. The spectrum's re, im values, in frame
-    order, are split into two halves, each filled by one normal draw from
-    its own child of `seed` (`SeedSequence(seed).spawn(2)`); the second
-    half is drawn on a worker thread while the caller draws the first, so
-    a seed gives the same frame whatever the thread schedule. `snr_db=None`
-    (or +inf) returns the input untouched; NaN and -inf raise.
+    order, are split into two halves, each filled by a Box-Muller transform
+    of uniform draws from its own child of `seed`
+    (`SeedSequence(seed).spawn(2)`; `_uniform_noise`, `_normal_noise`).
+    The second half is drawn on a worker thread while the caller draws the
+    first; its job is queued before the caller sums the energy, and the
+    scale follows on a queue. A seed gives the same frame, bit for bit,
+    whatever the thread schedule, on one numpy build and CPU feature set.
+    `snr_db=None` (or +inf) returns the input untouched; NaN and -inf raise.
     """
     if _noiseless(snr_db):
         return rx
     shape = rx.spectrum.shape
-    mask = rx.active_mask
-    if mask is None or not mask.any():
-        mask = np.ones(shape[1], dtype=bool)
-    pairs = rx.spectrum.view(float)  # re, im interleaved
-    energy = shape[1] * np.mean(np.einsum("ij,ij->i", pairs, pairs))
-    if energy == 0.0:
-        raise NumericalError("SNR undefined for an all-zero signal")
-    signal_power = energy / int(mask.sum())
-    variance = signal_power / 10 ** (snr_db / 10)
-    scale = np.sqrt(variance / (2 * shape[1]))
     spectrum = np.empty(shape, dtype=complex)
+    pairs = rx.spectrum.view(float)  # re, im interleaved
     noise, signal = spectrum.view(float).reshape(2, -1), pairs.reshape(2, -1)
     first, second = np.random.SeedSequence(seed).spawn(2)
-    done = queue.SimpleQueue()
-    _noise_jobs().put(((noise[1], signal[1], second, scale), done))
-    _fill_noise(noise[0], signal[0], first, scale)
+    scales, done = queue.SimpleQueue(), queue.SimpleQueue()
+    _noise_jobs().put((noise[1], signal[1], second, scales, done))
+    try:
+        mask = rx.active_mask
+        if mask is None or not mask.any():
+            mask = np.ones(shape[1], dtype=bool)
+        energy = shape[1] * np.mean(np.einsum("ij,ij->i", pairs, pairs))
+        if energy == 0.0:
+            raise NumericalError("SNR undefined for an all-zero signal")
+        signal_power = energy / int(mask.sum())
+        variance = signal_power / 10 ** (snr_db / 10)
+        scale = np.sqrt(variance / (2 * shape[1]))
+    except BaseException:
+        scales.put(None)  # releases the worker, which then drops its half
+        done.get()
+        raise
+    scales.put(scale)
+    _normal_noise(noise[0], _uniform_noise(noise[0], first), signal[0], scale)
     error = done.get()
     if error is not None:
         raise error

@@ -1,8 +1,10 @@
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -194,11 +196,19 @@ def _noise_variance(rx, snr_db):
 
 def _two_stream_noise(seed, q, n, scale):
     """The noise spectrum `add_noise` draws: its re, im values in frame order,
-    the first half one normal draw from child 0 of `seed`, the second half
-    one from child 1, scaled by `scale`."""
-    draw = np.concatenate([np.random.default_rng(child).standard_normal(q * n)
-                           for child in np.random.SeedSequence(seed).spawn(2)])
-    draw = draw.reshape(q, n, 2) * scale
+    the first half from child 0 of `seed`, the second half from child 1.
+    Each half of v values is a Box-Muller transform: h = ceil(v / 2) float64
+    uniforms u, then h float32 uniforms a; the radius
+    r = sqrt(ln(1 - u) * -2 scale^2) in float64, the angle 2 pi a in float32,
+    and r cos(angle) then the first v - h of r sin(angle)."""
+    halves = []
+    for child in np.random.SeedSequence(seed).spawn(2):
+        rng = np.random.default_rng(child)
+        h, m = (q * n + 1) // 2, q * n // 2
+        radius = np.sqrt(np.log1p(-rng.random(h)) * (-2 * scale * scale))
+        angle = rng.random(h, dtype=np.float32) * np.float32(2 * np.pi)
+        halves += [radius * np.cos(angle), radius[:m] * np.sin(angle[:m])]
+    draw = np.concatenate(halves).reshape(q, n, 2)
     return draw[..., 0] + 1j * draw[..., 1]
 
 
@@ -207,8 +217,8 @@ def test_noise_is_the_two_stream_spectrum_formula_bit_for_bit(desk_envs, mode):
     # the frame is held as its spectrum, and the noise is drawn as one too: the
     # per-bin variance is s^2 / n, that of the forward-normalized DFT of
     # white noise of variance s^2 per sample, and each half of the re, im
-    # values comes from its own child stream of the seed. Thinned's 5
-    # receivers put the split inside receiver 2.
+    # values is the Box-Muller transform of its own child stream of the
+    # seed. Thinned's 5 receivers put the split inside receiver 2.
     env = desk_envs[mode]
     scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
     rx = synth_received(scene, env.array, env.plan, env.sample_rate)
@@ -221,6 +231,104 @@ def test_noise_is_the_two_stream_spectrum_formula_bit_for_bit(desk_envs, mode):
     want = rx.samples + np.fft.ifft(noise, axis=1, norm="forward")
     np.testing.assert_allclose(noisy.samples, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+def test_noise_with_an_odd_count_per_half_is_the_formula_bit_for_bit():
+    # 3 receivers of 5 samples: each half holds 15 values, 8 radii whose
+    # last sine is dropped
+    rx = ReceivedBaseband.from_samples(np.arange(15.0).reshape(3, 5), 1.0,
+                                       active_mask=np.ones(5, dtype=bool))
+    noise = _two_stream_noise([7, 2], 3, 5, np.sqrt(_noise_variance(rx, 3.0) / 10))
+    assert np.array_equal(add_noise(rx, 3.0, [7, 2]).spectrum, rx.spectrum + noise)
+
+
+def test_normalized_noise_is_standard_normal(desk_env):
+    # the re, im values of F = 4 frames, z = noise / scale, are N = 960000
+    # draws of N(0, 1). Under correct noise the checks fail with probability
+    # 1.2e-10 (the KS distance sup |F_N - Phi| past 0.0035, by the
+    # Dvoretzky-Kiefer-Wolfowitz-Massart bound 2 exp(-2 N d^2)), 2.6e-12
+    # (the excess kurtosis past 0.035, 7 sd of sqrt(24 / N)) and 3.8e-10 (the
+    # count past 4 sigma, Binomial(N, 6.33e-5) with mean 60.8, outside
+    # [20, 119]): below 1e-9 in all, on fixed seeds besides.
+    scene = make_scene((2e-5, 0.1, 1.0), (5e-5, -0.3, 0.5j))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    frames, n = 4, rx.spectrum.shape[1]
+    scale = np.sqrt(_noise_variance(rx, -5.0) / (2 * n))  # per re or im value
+    z = np.sort(np.concatenate([
+        ((add_noise(rx, -5.0, [31, f]).spectrum - rx.spectrum) / scale).view(float).ravel()
+        for f in range(frames)]))
+    count = len(z)
+    phi = 0.5 * (1 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2)).astype(float))
+    steps = np.arange(count + 1) / count
+    assert max(np.max(steps[1:] - phi), np.max(phi - steps[:-1])) < 0.0035
+    assert abs(np.mean(z ** 4) / np.mean(z ** 2) ** 2 - 3) < 0.035
+    assert 20 <= np.count_nonzero(np.abs(z) > 4) <= 119
+
+
+_UMATH = np._core._multiarray_umath
+
+
+@pytest.mark.skipif(not (_UMATH.__cpu_features__.get("X86_V3")
+                         and "X86_V3" in _UMATH.__cpu_dispatch__),
+                    reason="needs an x86-64 CPU and numpy build with X86_V3 dispatch")
+def test_noise_agrees_across_cpu_dispatch_levels(tmp_path):
+    # numpy dispatches float64 log1p on X86_V4 and float32 sin and cos on
+    # X86_V3, so one seed's frame differs at float32 rounding level between
+    # those levels and the X86_V2 baseline; it must agree within 1e-6 sigma
+    q, n = 10, 12000
+    rx = ReceivedBaseband(spectrum=np.ones((q, n), dtype=complex), pri=1e-4)
+    # energy n^2 over n active samples: the per-sample variance is n 10^0.5,
+    # and each re or im value's scale sqrt(10^0.5 / 2)
+    scale = np.sqrt(10 ** 0.5 / 2)
+    disabled = [f for f in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+                if f in _UMATH.__cpu_dispatch__]
+    code = ("import sys, numpy as np, submimo\n"
+            "assert not np._core._multiarray_umath.__cpu_features__['X86_V3']\n"
+            "rx = submimo.ReceivedBaseband(spectrum=np.ones((%d, %d), dtype=complex), "
+            "pri=1e-4)\n"
+            "np.save(sys.argv[1], submimo.add_noise(rx, -5.0, [12, 3]).spectrum)" % (q, n))
+    src = str(Path(submimo.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "baseline.npy"
+    subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True,
+                   text=True, timeout=60, check=True)
+    baseline, native = np.load(out), add_noise(rx, -5.0, [12, 3]).spectrum
+    assert np.max(np.abs((baseline - native).view(float))) <= 1e-6 * scale
+
+
+def test_noise_on_silence_releases_the_worker_and_keeps_no_frame(desk_env):
+    # the worker takes its half before the caller finds the frame silent;
+    # the error must hand it no scale, wait for it, and leave nothing held.
+    # The next frame is drawn on a thread, so a worker left waiting fails
+    # the test instead of hanging it
+    scene = make_scene((2e-5, 0.1, 1.0))
+    rx = synth_received(scene, desk_env.array, desk_env.plan, desk_env.sample_rate)
+    silent = ReceivedBaseband(spectrum=np.zeros_like(rx.spectrum), pri=rx.pri)
+    frame = weakref.ref(silent.spectrum)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        raised = None
+        try:
+            add_noise(silent, -5.0, [8, 1])
+        except NumericalError as caught:
+            raised = str(caught)
+        del silent
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert raised == "SNR undefined for an all-zero signal"
+    assert frame() is None and held < rx.spectrum.nbytes // 4
+    got = []
+    thread = threading.Thread(target=lambda: got.append(add_noise(rx, -5.0, [8, 2])),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    q, n = rx.spectrum.shape
+    noise = _two_stream_noise([8, 2], q, n, np.sqrt(_noise_variance(rx, -5.0) / (2 * n)))
+    assert np.array_equal(got[0].spectrum, rx.spectrum + noise)
 
 
 @pytest.mark.parametrize("mode", [ArrayMode.RANDOM, ArrayMode.THINNED])
