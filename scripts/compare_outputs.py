@@ -6,8 +6,10 @@
     python3 scripts/compare_outputs.py --parent ../parent --seed 4242 --snr-db inf
 
 Each checkout runs, in its own subprocess with its own `src/` on the path,
-the same 10-target trials at --snr-db (default -5 dB, the detection
-experiment's; inf for noiseless trials): --desk-trials per mode on the
+the same trials of --targets targets (default 10, the detection
+experiment's; the front-end benchmark's frames hold 40) at --snr-db
+(default -5 dB, the detection experiment's; inf for noiseless trials):
+--desk-trials per mode on the
 four desk modes and --full-trials per mode on full ULA and wide. Trial r of a
 mode takes its scene from `[seed, r, 0]` and its noise from `[seed, r, 1]`
 in an environment built from `seed`, as `harness.run_experiment` numbers
@@ -31,6 +33,10 @@ noisy frame of every trial also goes through the file path, written by
 `fileio.write_received` to a temporary directory, read back by
 `fileio.read_received` and acquired, and the script reports per mode in
 how many trials those coefficients are `np.array_equal` to the parent's.
+Per mode it also reports in how many trials the scenes (each target's
+delay, sine and amplitude) and the synthesized frames before noise are
+`np.array_equal` to the parent's; a frame is compared by a digest of its
+spectrum with -0.0 read as 0.0, so equal digests are equal frames.
 Its closing lines count the trials with equal supports and with equal
 support sets, and the trials that are bit-identical in every field, in the
 acquired coefficients and in the file coefficients. It exits 1 when any
@@ -40,6 +46,7 @@ support differs, in its cells or in their order, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import pickle
 import subprocess
@@ -58,14 +65,16 @@ SNR_DB = -5.0  # the SNR of the detection experiment and the benchmark trials
 
 
 def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path,
-               snr_db: float) -> dict:
+               snr_db: float, targets: int = 10) -> dict:
     """(profile, mode, r) -> the recovered support, amplitudes, history and norms,
-    the trial's target, estimate, hit and false-alarm counts, and the
-    coefficients acquired from the frame and from its files in `frames`."""
+    the trial's target, estimate, hit and false-alarm counts, its scene as
+    (delay, sine, amplitude) rows, the digest of its synthesized frame, and
+    the coefficients acquired from the noisy frame and from its files in
+    `frames`."""
     from submimo import (ArrayMode, SceneSpec, acquire, add_noise, build_environment,
                          fileio, generate_scene, run_trial, synth_received)
 
-    spec = SceneSpec(num_targets=10, min_sin_sep=0.025)
+    spec = SceneSpec(num_targets=targets, min_sin_sep=0.025)
     outputs = {}
     for profile, modes, trials in (("desk", DESK_MODES, desk_trials),
                                    ("full", FULL_MODES, full_trials)):
@@ -77,11 +86,14 @@ def run_trials(seed: int, desk_trials: int, full_trials: int, frames: Path,
                 scene = generate_scene(np.random.default_rng([seed, r, 0]), spec,
                                        len(env.range_grid), env.plan.pri)
                 est, report = run_trial(env, scene, snr_db, [seed, r, 1])
-                rx = add_noise(synth_received(scene, env.array, env.plan, env.sample_rate),
-                               snr_db, [seed, r, 1])
+                clean = synth_received(scene, env.array, env.plan, env.sample_rate)
+                rx = add_noise(clean, snr_db, [seed, r, 1])
                 fileio.write_received(frames, rx, env.plan)
                 stored = fileio.read_received(frames, env.plan)
                 outputs[profile, mode, r] = {
+                    "scene": np.array([(t.delay, t.sin_doa, t.amplitude)
+                                       for t in scene.targets], dtype=complex).reshape(-1, 3),
+                    "frame": hashlib.sha256((clean.spectrum + 0.0).tobytes()).hexdigest(),
                     "coefficients": acquire(rx, env.plan, env.adc, env.bins).matrices,
                     "file_coefficients": acquire(stored, env.plan, env.adc,
                                                  env.bins).matrices,
@@ -102,7 +114,7 @@ def outputs_of(checkout: Path, args) -> dict:
         subprocess.run([sys.executable, __file__, "--worker", str(out),
                         "--seed", str(args.seed), "--desk-trials", str(args.desk_trials),
                         "--full-trials", str(args.full_trials),
-                        "--snr-db", repr(args.snr_db)],
+                        "--snr-db", repr(args.snr_db), "--targets", str(args.targets)],
                        cwd=checkout, env=env, check=True)
         return pickle.loads(out.read_bytes())
 
@@ -132,13 +144,14 @@ def detection_rates(outputs: dict, profile: str, mode: str) -> tuple[float, floa
     return hits / targets, (false_alarms / estimates if estimates else 0.0)
 
 
-def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict]:
+def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict, dict]:
     """Per trial key, field -> whether both sides' outputs are array-equal; per
     trial key, whether the supports hold the same cells (`same_cells`); per
     trial key with equal supports, value field -> `relative_difference`, a
-    residual history's against its first entry; and
+    residual history's against its first entry;
     per trial key, the coefficients' (equal, `relative_difference`) and whether
-    the file path's coefficients are array-equal."""
+    the file path's coefficients are array-equal; and per trial key, whether
+    the scenes and the synthesized frames are equal."""
     if parent.keys() != change.keys():
         raise SystemExit("the checkouts ran different trials")
     equal = {key: {f: np.array_equal(parent[key][f], change[key][f]) for f in FIELDS}
@@ -154,7 +167,9 @@ def compare(parent: dict, change: dict) -> tuple[dict, dict, dict, dict]:
         coefficients[key] = (np.array_equal(p, c), relative_difference(p, c),
                              np.array_equal(parent[key]["file_coefficients"],
                                             change[key]["file_coefficients"]))
-    return equal, sets, diffs, coefficients
+    inputs = {key: (np.array_equal(parent[key]["scene"], change[key]["scene"]),
+                    parent[key]["frame"] == change[key]["frame"]) for key in parent}
+    return equal, sets, diffs, coefficients, inputs
 
 
 def main(argv=None) -> int:
@@ -165,12 +180,14 @@ def main(argv=None) -> int:
     parser.add_argument("--full-trials", type=int, default=3)
     parser.add_argument("--snr-db", type=float, default=SNR_DB,
                         help="SNR of every trial in dB; inf for noiseless trials")
+    parser.add_argument("--targets", type=int, default=10,
+                        help="targets per scene (the front-end benchmark's hold 40)")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
         with tempfile.TemporaryDirectory() as frames:
             outputs = run_trials(args.seed, args.desk_trials, args.full_trials,
-                                 Path(frames), args.snr_db)
+                                 Path(frames), args.snr_db, args.targets)
         args.worker.write_bytes(pickle.dumps(outputs))
         return 0
     if args.parent is None:
@@ -178,7 +195,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": outputs_of(args.parent.resolve(), args),
              "change": outputs_of(ROOT, args)}
-    equal, sets, diffs, coefficients = compare(sides["parent"], sides["change"])
+    equal, sets, diffs, coefficients, inputs = compare(sides["parent"], sides["change"])
     for profile, mode in sorted({key[:2] for key in equal}):
         trials = [same for key, same in equal.items() if key[:2] == (profile, mode)]
         print(f"{profile} {mode}: {len(trials)} trials, " + ", ".join(
@@ -200,6 +217,9 @@ def main(argv=None) -> int:
               f"relative difference {max(d for _, d, _ in coeffs):.1e}")
         print(f"{profile} {mode}: coefficients acquired through frame files equal in "
               f"{sum(same for _, _, same in coeffs)} of {len(coeffs)} trials")
+        same = [same for key, same in inputs.items() if key[:2] == (profile, mode)]
+        print(f"{profile} {mode}: scenes equal in {sum(s for s, _ in same)} of {len(same)} "
+              f"trials, synthesized frames equal in {sum(f for _, f in same)}")
     for key, same in sorted(equal.items()):
         if not all(same.values()):
             print(f"differs: {key[0]} {key[1]} trial {key[2]}: "

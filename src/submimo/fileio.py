@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -97,9 +98,12 @@ def write_received(directory, rx: ReceivedBaseband, plan: CognitivePlan) -> None
 def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseband:
     """Frames and manifest written by `write_received`, as the frame's spectrum.
 
-    The `rx_XX.iq` files of receivers 0..num_rx-1 are read into one
-    complex64 (num_rx, n) array, which `ReceivedBaseband.from_samples`
-    transforms; any other file in the directory is ignored. Active spans
+    The `rx_XX.iq` files of receivers 0..num_rx-1 are read, each straight
+    into its row, into one complex64 (num_rx, n) array sized by rx_00.iq,
+    which `ReceivedBaseband.from_samples` transforms; any other file in the
+    directory is ignored. As in `read_iq`, a file holds whole float32
+    values, an even count of them, and 1-3 trailing bytes are ignored;
+    every file must hold the first's count. Active spans
     must lie within the frame, start before they end; `pri_s` must be
     finite and positive, and `sample_rate_hz` the frame length over it.
 
@@ -136,14 +140,19 @@ def read_received(directory, plan: CognitivePlan | None = None) -> ReceivedBaseb
             raise ValidationError(f"frames in {directory} were synthesized for plan "
                                   f"{written_for}, not the configured plan "
                                   f"{plan_digest(plan)}")
-    first = read_iq(directory / "rx_00.iq")
-    samples = np.empty((num_rx, len(first)), dtype=np.complex64)
-    samples[0] = first
-    for q in range(1, num_rx):
-        values = read_iq(directory / f"rx_{q:02d}.iq")
-        if len(values) != samples.shape[1]:
-            raise ValidationError(f"the receiver frames in {directory} differ in length")
-        samples[q] = values
+    samples = None
+    for q in range(num_rx):
+        path = directory / f"rx_{q:02d}.iq"
+        with open(path, "rb") as fh:
+            floats = os.fstat(fh.fileno()).st_size // 4  # as np.fromfile counts them
+            if floats % 2:
+                raise ValidationError(f"odd float count in I/Q file {path}")
+            if samples is None:
+                samples = np.empty((num_rx, floats // 2), dtype="<c8")
+            elif floats // 2 != samples.shape[1]:
+                raise ValidationError(f"the receiver frames in {directory} differ in length")
+            if fh.readinto(samples[q]) != samples[q].nbytes:
+                raise ValidationError(f"I/Q file {path} ended before its size")
     mask = None
     if header.get("active_spans"):
         mask = np.zeros(samples.shape[1], dtype=bool)

@@ -10,6 +10,7 @@ pipeline stage is still exercised.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ PAIR_RANGE_CLEARANCE_CELLS = 6
 # rejection-sampling cap for scene placement; an unsatisfiable spec raises
 # instead of spinning
 _MAX_PLACEMENT_DRAWS = 100_000
+# a row's mask of coarse azimuth cells, packed little-endian
+_MASK_BYTES = (COARSE_AZIMUTH_CELLS + 7) // 8
+_ALL_CELLS = (1 << COARSE_AZIMUTH_CELLS) - 1
 
 
 @dataclass(frozen=True)
@@ -228,46 +232,89 @@ class ReductionSummary:
     hardware_channel_reduction_pct: float
 
 
+class _Placement:
+    """The background targets placed so far, and the cells they rule out.
+
+    A drawn cell (n, p) is accepted when, against every placed (n2, p2), it
+    clears the range separation, |n - n2| >= min_range_sep_cells, or sits on
+    another range row and clears the sine separation. So, with either
+    separation set, a placed target rules out its own range row and, on the
+    rows within `reach` of it, the coarse cells less than `span` cells from
+    p2: the sine gap |p - p2| * 2 / COARSE_AZIMUTH_CELLS grows with the cell
+    distance, so the gaps short of min_sin_sep are those of the first
+    `span` distances. With neither set it rules out its own cell alone.
+    The ruled-out cells are bit masks over the coarse azimuth cells: one
+    per occupied row, and the window's either in one mask that every row
+    shares, when the reach spans the grid, or packed per row, so a drawn
+    cell is tested in constant time.
+    """
+
+    def __init__(self, spec: SceneSpec, range_cells: int):
+        self.rows: list[int] = []
+        self.cols: list[int] = []
+        self.own: dict[int, int] = {}  # row -> the cells its own targets rule out
+        self.separated = spec.min_range_sep_cells > 0 or spec.min_sin_sep > 0
+        sep, self.span = spec.min_range_sep_cells, 0
+        if self.separated:
+            spacing = 2.0 / COARSE_AZIMUTH_CELLS
+            self.span = next((d for d in range(COARSE_AZIMUTH_CELLS)
+                              if spec.min_sin_sep > 0
+                              and d * spacing >= spec.min_sin_sep - 1e-12),
+                             COARSE_AZIMUTH_CELLS)
+        self.reach = (math.ceil(sep) - 1 if sep > 0 and sep < range_cells
+                      else range_cells - 1)
+        self.shared = 0
+        self.window = (np.zeros((range_cells, _MASK_BYTES), dtype=np.uint8)
+                       if self.span and self.reach < range_cells - 1 else None)
+
+    def conflicts(self, n: int, p: int) -> bool:
+        window = (self.shared if self.window is None
+                  else int.from_bytes(self.window[n], "little"))
+        return bool((self.own.get(n, 0) | window) >> p & 1)
+
+    def add(self, n: int, p: int) -> None:
+        self.rows.append(n)
+        self.cols.append(p)
+        self.own[n] = _ALL_CELLS if self.separated else self.own.get(n, 0) | 1 << p
+        if self.span:
+            cells = ((1 << min(p + self.span, COARSE_AZIMUTH_CELLS))
+                     - (1 << max(p - self.span + 1, 0)))
+            if self.window is None:
+                self.shared |= cells
+            else:
+                self.window[max(n - self.reach, 0):n + self.reach + 1] |= np.frombuffer(
+                    cells.to_bytes(_MASK_BYTES, "little"), dtype=np.uint8)
+
+
 def generate_scene(rng: np.random.Generator, spec: SceneSpec,
                    range_cells: int, pri: float) -> Scene:
     """Draw a random scene on the shared placement grids.
 
     Background targets sit on the coarse azimuth grid and the profile's
     range grid with unit amplitude and uniform phase; the optional close
-    pair shares one range cell and sits on the fine azimuth grid.
+    pair shares one range cell and sits on the fine azimuth grid. Each
+    draw is tested against the placed targets in constant time
+    (`_Placement`); a spec still unsatisfied after _MAX_PLACEMENT_DRAWS
+    draws raises ConfigError.
     """
     n_background = spec.num_targets - (2 if spec.close_pair_sin_gap else 0)
     if n_background < 0:
         raise ConfigError("close pair does not fit into num_targets")
-    placed: list[tuple[int, int]] = []  # (range cell, coarse azimuth cell)
-    guard = 0
-    while len(placed) < n_background:
-        guard += 1
-        if guard > _MAX_PLACEMENT_DRAWS:
+    placed = _Placement(spec, range_cells)
+    draws = 0
+    while len(placed.rows) < n_background:
+        draws += 1
+        if draws > _MAX_PLACEMENT_DRAWS:
             raise ConfigError("scene constraints too tight to satisfy")
         n = int(rng.integers(0, range_cells))
         p = int(rng.integers(0, COARSE_AZIMUTH_CELLS))
-        ok = True
-        for n2, p2 in placed:
-            range_ok = (spec.min_range_sep_cells > 0
-                        and abs(n - n2) >= spec.min_range_sep_cells)
-            sin_gap = abs(p - p2) * (2.0 / COARSE_AZIMUTH_CELLS)
-            sin_ok = (spec.min_sin_sep > 0 and n != n2
-                      and sin_gap >= spec.min_sin_sep - 1e-12)
-            if spec.min_range_sep_cells > 0 or spec.min_sin_sep > 0:
-                if not (range_ok or sin_ok):
-                    ok = False
-                    break
-            elif (n, p) == (n2, p2):
-                ok = False
-                break
-        if ok:
-            placed.append((n, p))
+        if not placed.conflicts(n, p):
+            placed.add(n, p)
 
+    amplitudes = np.exp(2j * np.pi * rng.random(n_background))
     targets = [Target(delay=n * pri / range_cells,
-                      sin_doa=-1.0 + 2.0 * p / COARSE_AZIMUTH_CELLS,
-                      amplitude=np.exp(2j * np.pi * rng.random()))
-               for n, p in placed]
+                      sin_doa=-1.0 + 2.0 * p / COARSE_AZIMUTH_CELLS, amplitude=a)
+               for n, p, a in zip(placed.rows, placed.cols, amplitudes)]
 
     if spec.close_pair_sin_gap:
         half = spec.close_pair_sin_gap / 2
@@ -275,10 +322,13 @@ def generate_scene(rng: np.random.Generator, spec: SceneSpec,
         if abs(half / fine - round(half / fine)) > 1e-9:
             raise ConfigError("half the pair gap must sit on the fine azimuth grid")
         margin = _pair_margin(spec.close_pair_sin_gap)
+        # the rows within the pair's range clearance of a background target
+        crowded = {m for n in placed.rows for m in range(n - PAIR_RANGE_CLEARANCE_CELLS + 1,
+                                                         n + PAIR_RANGE_CLEARANCE_CELLS)}
         for _ in range(_MAX_PLACEMENT_DRAWS):
             n0 = int(rng.integers(0, range_cells))
             center_cell = int(rng.integers(margin, COARSE_AZIMUTH_CELLS - margin))
-            if all(abs(n0 - n) >= PAIR_RANGE_CLEARANCE_CELLS for n, _ in placed):
+            if n0 not in crowded:
                 break
         else:
             raise ConfigError("no range cell clears the close pair's range clearance")

@@ -532,8 +532,8 @@ def _pair_scores(maps, dicts: DictionarySet) -> np.ndarray:
 
 
 def _select(bound, block_maps, slack: float, dicts: DictionarySet,
-            support) -> tuple[int, int]:
-    """Exact argmax of S over the cells not in `support`, scanned in row blocks.
+            ranges: np.ndarray, azimuths: np.ndarray) -> tuple[int, int]:
+    """Exact argmax of S over the cells not yet selected, scanned in row blocks.
 
     `bound` holds every range row's Cauchy-Schwarz bound
     w ||g(n)||^2 >= S(n, p), w = max_{m,p} ||b_mp||^2, and
@@ -548,19 +548,19 @@ def _select(bound, block_maps, slack: float, dicts: DictionarySet,
     all head. `slack` must cover the bound's rounding error.
     Within a block, equal scores resolve to the smallest (range, azimuth)
     cell; across blocks too, but only for scores equal in floating point.
+    The selected cells are (ranges[j], azimuths[j]).
     """
     c, n_azi = len(bound), dicts.azimuth_atoms.shape[2]
     rows = max(1, _SCORE_BLOCK_CELLS // n_azi)
-    ns, ps = np.array(support, dtype=int).reshape(-1, 2).T
     best, cell = -np.inf, (0, 0)
 
     def scan(block):
         # `block` holds rows ascending, so the argmax breaks ties row-major
         nonlocal best, cell
         score = _pair_scores(block_maps(block), dicts)
-        j = np.minimum(block.searchsorted(ns), len(block) - 1)
-        hit = block[j] == ns  # a pair may only be selected once
-        score[j[hit], ps[hit]] = -np.inf
+        j = np.minimum(block.searchsorted(ranges), len(block) - 1)
+        hit = block[j] == ranges  # a pair may only be selected once
+        score[j[hit], azimuths[hit]] = -np.inf
         i = int(score.argmax())
         top, at = score.flat[i], (int(block[i // n_azi]), i % n_azi)
         if top > best or (top == best and at < cell):
@@ -738,17 +738,24 @@ def matrix_omp(coefficients: CoefficientSet, dicts: DictionarySet,
     signal_norm = res_norm = float(np.add.reduce(refit.norms))
     state = _residual_state(refit, dicts, cells)
     support: list[tuple[int, int]] = []
+    # the support's range and azimuth cells, in a buffer that doubles when full
+    taken = np.zeros((2, cells), dtype=int)
     amplitudes, history = np.zeros(0, dtype=complex), []
     while len(support) < cap and res_norm > tol * signal_norm:
-        support.append(_select(*state.residual(support, amplitudes), dicts, support))
-        refit.add(*support[-1])
+        s = len(support)
+        cell = _select(*state.residual(support, amplitudes), dicts, *taken[:, :s])
+        support.append(cell)
+        if s == taken.shape[1]:
+            taken = _doubled(taken, axes=(1,))
+        taken[:, s] = cell
+        refit.add(*cell)
         amplitudes, energies = refit.fit()
         history.append(float(np.add.reduce(energies)))
         res_norm = float(np.add.reduce(np.sqrt(energies)))
-    cells = np.array(support, dtype=int).reshape(-1, 2)
+    ranges, azimuths = taken[:, :len(support)]
     return SparseEstimate(support=tuple(support), amplitudes=amplitudes,
-                          ranges_m=dicts.range_grid.ranges_m[cells[:, 0]],
-                          sin_doas=dicts.azi_grid.values[cells[:, 1]],
+                          ranges_m=dicts.range_grid.ranges_m[ranges],
+                          sin_doas=dicts.azi_grid.values[azimuths],
                           residual_norm=res_norm, signal_norm=signal_norm,
                           residual_history=tuple(history))
 

@@ -11,6 +11,13 @@ def desk_envs():
 
 
 @pytest.fixture(scope="session")
+def full_envs():
+    """The full profile's ULA and wide environments, shared across the suite."""
+    return {mode: build_environment(mode, "full", seed=7)
+            for mode in (ArrayMode.ULA, ArrayMode.WIDE)}
+
+
+@pytest.fixture(scope="session")
 def desk_env(desk_envs):
     return desk_envs[ArrayMode.RANDOM]
 

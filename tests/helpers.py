@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from submimo import recovery
+from submimo import harness, recovery
 from submimo.errors import ConfigError, ValidationError
 from submimo.geometry import AzimuthGrid, virtual_positions
 from submimo.recovery import DictionarySet, RangeGrid
+from submimo.scene import ReceivedBaseband, Scene, Target, _active_mask
 from submimo.waveform import _BIN_EPS, DEFAULT_PHASE_SEED, channel_spectrum
 from submimo.xampler import BinSet, CoefficientSet, _decimation, _normalization
 
@@ -145,7 +146,7 @@ def explicit_residual_omp(coefficients, dicts, max_targets):
             bound = weight * np.sum(maps.real ** 2 + maps.imag ** 2, axis=1)
             block_maps = maps.__getitem__
         support.append(recovery._select(bound, block_maps, recovery._SLACK * bound.max(),
-                                        dicts, support))
+                                        dicts, *taken_cells(support)))
         refit.add(*support[-1])
         s = len(support)
         amplitudes = np.linalg.solve(refit.gram[:s, :s], refit.rhs[:s])
@@ -154,6 +155,12 @@ def explicit_residual_omp(coefficients, dicts, max_targets):
         history.append(float(np.sum(energies)))
         res_norm = float(np.sqrt(energies).sum())
     return support, amplitudes, history, res_norm
+
+
+def taken_cells(support):
+    """The range and azimuth cells of a support's (n, p) pairs, as the two
+    int arrays `recovery._select` reads them from."""
+    return np.array(support, dtype=int).reshape(-1, 2).T
 
 
 def random_instance(rng, n_channels=2, n_bins=12, n_rx=3, n_range=25, n_azi=12,
@@ -313,6 +320,40 @@ def loop_synth_received(scene, array, plan, sample_rate):
     return np.fft.ifft(coeffs, axis=1) * n_frame
 
 
+def per_transmitter_synth_received(scene, array, plan, sample_rate):
+    """`scene.synth_received` one transmitter at a time: per transmitter m,
+    its spatial factors, their (receivers x targets) @ (targets x cells)
+    product and its write into the frame's spectrum."""
+    base = plan.base
+    for t in scene.targets:
+        if not 0 <= t.delay < base.pri:
+            raise ValidationError(
+                f"target delay {t.delay} outside the unambiguous interval [0, {base.pri})")
+    n_frame = int(round(sample_rate * base.pri))
+    if abs(sample_rate * base.pri - n_frame) > 1e-6:
+        raise ValidationError("sample_rate * pri must be an integer sample count")
+    if sample_rate < base.total_bandwidth - 1e-6:
+        raise ValidationError("sample_rate below the occupied FDM band")
+    if array.num_tx != base.num_tx:
+        raise ValidationError("array and plan disagree on the transmitter count")
+
+    n = base.bins_per_channel
+    lag = np.array([t.delay for t in scene.targets]) / base.pri
+    sin = np.array([t.sin_doa for t in scene.targets])
+    amp = np.array([t.amplitude for t in scene.targets], dtype=complex)
+    spectra = [channel_spectrum(plan, m) for m in range(base.num_tx)]
+    cells = spectra[0][0]  # channel 0 sits at offset 0
+    ramp = np.exp(-2j * np.pi * np.outer(lag, cells))  # targets x cells
+    spectrum = np.zeros((array.num_rx, n_frame), dtype=complex)
+    for m, (bins, values) in enumerate(spectra):
+        spatial = np.exp(2j * np.pi * np.outer(virtual_positions(array, m), sin))
+        spatial *= amp * np.exp(-2j * np.pi * (m * n) * lag)
+        spectrum[:, bins] = (spatial @ ramp) * values
+    return ReceivedBaseband(spectrum=spectrum, pri=base.pri,
+                            active_mask=_active_mask(scene, base.pulse_width,
+                                                     base.pri, n_frame))
+
+
 # -- the time-domain pulse ------------------------------------------------------
 # The pipeline works on `waveform.channel_spectrum`; a pulse sampled from it
 # checks the designed spectrum's power relations in the time domain.
@@ -374,3 +415,62 @@ def spectral_power(pulse, band):
     k_last = min(int(np.ceil(band.hi * pri - _BIN_EPS)), n)
     power = np.sum(np.abs(coeffs[k_first:k_last]) ** 2)
     return float(power * pri)
+
+
+# -- scene placement ----------------------------------------------------------
+
+def loop_generate_scene(rng, spec, range_cells, pri):
+    """`harness.generate_scene` testing each draw against every placed target
+    in turn. It reads the harness's placement constants at call time, so a
+    test may lower the draw cap on both."""
+    n_background = spec.num_targets - (2 if spec.close_pair_sin_gap else 0)
+    if n_background < 0:
+        raise ConfigError("close pair does not fit into num_targets")
+    placed: list[tuple[int, int]] = []  # (range cell, coarse azimuth cell)
+    guard = 0
+    while len(placed) < n_background:
+        guard += 1
+        if guard > harness._MAX_PLACEMENT_DRAWS:
+            raise ConfigError("scene constraints too tight to satisfy")
+        n = int(rng.integers(0, range_cells))
+        p = int(rng.integers(0, harness.COARSE_AZIMUTH_CELLS))
+        ok = True
+        for n2, p2 in placed:
+            range_ok = (spec.min_range_sep_cells > 0
+                        and abs(n - n2) >= spec.min_range_sep_cells)
+            sin_gap = abs(p - p2) * (2.0 / harness.COARSE_AZIMUTH_CELLS)
+            sin_ok = (spec.min_sin_sep > 0 and n != n2
+                      and sin_gap >= spec.min_sin_sep - 1e-12)
+            if spec.min_range_sep_cells > 0 or spec.min_sin_sep > 0:
+                if not (range_ok or sin_ok):
+                    ok = False
+                    break
+            elif (n, p) == (n2, p2):
+                ok = False
+                break
+        if ok:
+            placed.append((n, p))
+
+    targets = [Target(delay=n * pri / range_cells,
+                      sin_doa=-1.0 + 2.0 * p / harness.COARSE_AZIMUTH_CELLS,
+                      amplitude=np.exp(2j * np.pi * rng.random()))
+               for n, p in placed]
+
+    if spec.close_pair_sin_gap:
+        half = spec.close_pair_sin_gap / 2
+        fine = 2.0 / harness.FINE_AZIMUTH_CELLS
+        if abs(half / fine - round(half / fine)) > 1e-9:
+            raise ConfigError("half the pair gap must sit on the fine azimuth grid")
+        margin = harness._pair_margin(spec.close_pair_sin_gap)
+        for _ in range(harness._MAX_PLACEMENT_DRAWS):
+            n0 = int(rng.integers(0, range_cells))
+            center_cell = int(rng.integers(margin, harness.COARSE_AZIMUTH_CELLS - margin))
+            if all(abs(n0 - n) >= harness.PAIR_RANGE_CLEARANCE_CELLS for n, _ in placed):
+                break
+        else:
+            raise ConfigError("no range cell clears the close pair's range clearance")
+        center = -1.0 + 2.0 * center_cell / harness.COARSE_AZIMUTH_CELLS
+        for sin_doa in (center - half, center + half):
+            targets.append(Target(delay=n0 * pri / range_cells, sin_doa=sin_doa,
+                                  amplitude=np.exp(2j * np.pi * rng.random())))
+    return Scene(targets=tuple(targets))

@@ -174,6 +174,49 @@ def test_received_frames_of_unequal_length_are_rejected(tmp_path, desk_env):
         fileio.read_received(tmp_path / "frames")
 
 
+def _frame_files(tmp_path, desk_env):
+    """A written one-target frame's directory and its frame as read back."""
+    rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
+                        desk_env.plan, desk_env.sample_rate)
+    fileio.write_received(tmp_path / "frames", rx, desk_env.plan)
+    return tmp_path / "frames", fileio.read_received(tmp_path / "frames")
+
+
+@pytest.mark.parametrize("q", [0, 1, 9])
+@pytest.mark.parametrize("cut, error", [
+    (4, "odd float count in I/Q file {path}"),  # one float short
+    (8, "the receiver frames in {directory} differ in length"),  # one sample short
+    (-8, "the receiver frames in {directory} differ in length"),  # one sample more
+])
+def test_a_malformed_receiver_file_is_rejected_wherever_it_sits(tmp_path, desk_env, q,
+                                                                cut, error):
+    directory, _ = _frame_files(tmp_path, desk_env)
+    path = directory / f"rx_{q:02d}.iq"
+    data = path.read_bytes()
+    path.write_bytes(data[:-cut] if cut > 0 else data + data[:-cut])
+    with pytest.raises(ValidationError) as caught:
+        fileio.read_received(directory)
+    assert str(caught.value) == error.format(path=path, directory=directory)
+
+
+@pytest.mark.parametrize("q", [0, 4, 9])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_trailing_bytes_short_of_a_float_are_ignored(tmp_path, desk_env, q, extra):
+    # as np.fromfile reads a file: whole float32 values only
+    directory, want = _frame_files(tmp_path, desk_env)
+    with open(directory / f"rx_{q:02d}.iq", "ab") as fh:
+        fh.write(b"\x7f" * extra)
+    back = fileio.read_received(directory)
+    assert np.array_equal(back.spectrum, want.spectrum)
+
+
+def test_a_missing_receiver_file_is_the_os_error(tmp_path, desk_env):
+    directory, _ = _frame_files(tmp_path, desk_env)
+    (directory / "rx_03.iq").unlink()
+    with pytest.raises(FileNotFoundError, match="rx_03.iq"):
+        fileio.read_received(directory)
+
+
 def test_received_frames_of_another_plan_are_rejected(tmp_path, desk_env):
     rx = synth_received(Scene(targets=(Target(2e-5, 0.25, 1.0),)), desk_env.array,
                         desk_env.plan, desk_env.sample_rate)

@@ -3,9 +3,11 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from helpers import loop_generate_scene
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from submimo import harness
 from submimo import (AdcConfig, ArrayConfig, ArrayMode, CognitivePlan, ConfigError,
                      ExperimentConfig, FdmPlan, ReceivedBaseband, Scene, SceneSpec,
                      Target, ValidationError, build_environment, emit_ppi, generate_scene,
@@ -170,6 +172,79 @@ def test_generate_scene_rejects_a_close_pair_without_range_clearance():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _placement(generate, seed, spec, range_cells):
+    """`generate`'s scene of a seeded stream, or its ConfigError's message."""
+    try:
+        return generate(np.random.default_rng(seed), spec, range_cells, 100e-6)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# sine separations at, and 1e-12 around, multiples of the coarse spacing
+_SIN_SEPS = st.one_of(
+    st.builds(lambda k, nudge: max(k * 0.025 + nudge, 0.0), st.integers(0, 81),
+              st.sampled_from([-1e-12, 0.0, 1e-12])),
+    st.floats(0, 2.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), num_targets=st.integers(0, 40),
+       min_range_sep_cells=st.one_of(st.integers(0, 40), st.floats(0, 40),
+                                     st.floats(0, 1e4)),
+       min_sin_sep=_SIN_SEPS,
+       close_pair_sin_gap=st.one_of(st.none(), st.sampled_from([0.005, 0.01, 0.02, 0.0125,
+                                                                0.05, 0.5])),
+       range_cells=st.one_of(st.integers(1, 12), st.integers(1, 400)))
+@example(seed=777, num_targets=40, min_range_sep_cells=0, min_sin_sep=0.025,
+         close_pair_sin_gap=None, range_cells=300)  # the front-end benchmark's scenes
+@example(seed=1, num_targets=12, min_range_sep_cells=2.5, min_sin_sep=0.05 - 1e-12,
+         close_pair_sin_gap=0.02, range_cells=60)
+@example(seed=2, num_targets=30, min_range_sep_cells=0, min_sin_sep=0.0,
+         close_pair_sin_gap=None, range_cells=1)  # 80 cells in all: 30 fit
+@example(seed=3, num_targets=40, min_range_sep_cells=3, min_sin_sep=0.0,
+         close_pair_sin_gap=None, range_cells=40)  # at most 14 rows apart: exhausted
+def test_generate_scene_equals_the_placement_loop(seed, range_cells, **fields):
+    # the same draws in the same order: the same scene, or the same error; a
+    # lowered draw cap lets unsatisfiable specs run out of draws quickly
+    try:
+        spec = SceneSpec(**fields)
+    except ConfigError:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_MAX_PLACEMENT_DRAWS", 2000)
+        got = _placement(generate_scene, seed, spec, range_cells)
+        want = _placement(loop_generate_scene, seed, spec, range_cells)
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+def test_an_unsatisfiable_spec_raises_after_the_draw_cap():
+    # every range row lies within the range separation, so targets must sit
+    # 4 coarse cells apart in sine: at most 20 fit, never 40. The search
+    # stops after _MAX_PLACEMENT_DRAWS (range, azimuth) draws, each tested
+    # in constant time, under a guard against a stall
+    rng, calls = np.random.default_rng(11), []
+
+    class CountingRng:
+        def integers(self, *args):
+            calls.append(args)
+            return rng.integers(*args)
+
+    def stalled(signum, frame):
+        raise TimeoutError("generate_scene did not return")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ConfigError, match="too tight"):
+            generate_scene(CountingRng(), SceneSpec(num_targets=40, min_range_sep_cells=12000,
+                                                    min_sin_sep=0.1), 12000, 100e-6)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(calls) == 2 * harness._MAX_PLACEMENT_DRAWS
 
 
 @pytest.mark.parametrize("field, value", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import (brute_force_scores, dense_maps, dense_range_atoms, dense_residuals,
                      explicit_residual_omp, loop_pair_scores, lstsq_fit, random_instance,
-                     row_bound)
+                     row_bound, taken_cells)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -682,7 +682,7 @@ def _select_through_state(matrices, dicts, support, amplitudes):
     """`_select` on the residual as matrix_omp reaches it: through the state
     of the coefficients, updated by the support and its amplitudes."""
     state = _residual_state(_refit_of(matrices, dicts, support), dicts)
-    return _select(*state.residual(support, amplitudes), dicts, support)
+    return _select(*state.residual(support, amplitudes), dicts, *taken_cells(support))
 
 
 @settings(max_examples=80, deadline=None)
@@ -719,7 +719,7 @@ def test_bound_pruned_selection_is_the_masked_argmax(block_rows, first_rows, **d
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recovery, "_SCORE_BLOCK_CELLS", block_rows * draw["n_azi"])
         mp.setattr(recovery, "_FIRST_ROWS", first_rows)
-        got = _select(*scan, dicts, support)
+        got = _select(*scan, dicts, *taken_cells(support))
     # The scored maps' entries round at about 1e-16 of the values they come
     # from, v_m: K |R_m| for the residual's own maps (and for brute force),
     # plus |H_m(Y)| + K sum_j |x_j| for the updated desk maps (the lag state's
@@ -773,7 +773,7 @@ def test_a_grid_of_at_most_first_rows_is_scored_once(n_range):
                                         n_range=n_range, total_bins=total_bins)
         for support in ([], [(0, 3), (n_range - 1, 5)]):
             bound, block_maps, slack, calls = _scan_of(coeffs.matrices, dicts, support)
-            got = _select(bound, block_maps, slack, dicts, support)
+            got = _select(bound, block_maps, slack, dicts, *taken_cells(support))
             assert calls == [list(range(n_range))]
             assert got == _masked_argmax(block_maps, dicts, support)
 
@@ -787,7 +787,7 @@ def test_a_selection_the_head_decides_scores_the_head_alone(desk_envs, mode):
                            Target(grid.delays[200], azi.values[60], 1.0)))
     coeffs = oracle_coefficients(scene, env.array, env.plan, env.bins)
     bound, block_maps, slack, calls = _scan_of(coeffs.matrices, env.dictionaries, [])
-    got = _select(bound, block_maps, slack, env.dictionaries, [])
+    got = _select(bound, block_maps, slack, env.dictionaries, *taken_cells([]))
     assert len(calls) == 1 and len(calls[0]) == recovery._FIRST_ROWS
     assert got == (40, 20) == _masked_argmax(block_maps, env.dictionaries, [])
 
@@ -857,12 +857,6 @@ def test_single_block_grid_wider_than_2n_takes_the_lag_domain_scan(monkeypatch):
             recovery, name): called.append(_name) or _f(*args))
     assert _select_masked(residual, dicts, []) == (0, 0)
     assert set(called) == {"_block_maps"}
-
-
-@pytest.fixture(scope="module")
-def full_envs():
-    return {mode: build_environment(mode, "full", seed=7)
-            for mode in (ArrayMode.ULA, ArrayMode.WIDE)}
 
 
 # the four desk modes and the full grid's ULA and wide
@@ -1039,9 +1033,10 @@ def test_a_call_past_sixteen_cells_doubles_every_buffer_once(monkeypatch, total_
     np.testing.assert_allclose(est.amplitudes, amplitudes, rtol=0,
                                atol=1e-12 * np.abs(amplitudes).max())
     np.testing.assert_allclose(est.residual_history, history, rtol=0, atol=1e-12 * history[0])
-    # the refit's seven and the map state's kernel columns, or the lag
-    # state's spectra, cross terms and range cells, each from 16 cells
-    assert len(shapes) == (8 if state_type is _MapState else 10)
+    # the refit's seven, the call's selected cells and the map state's kernel
+    # columns, or the lag state's spectra, cross terms and range cells, each
+    # from 16 cells
+    assert len(shapes) == (9 if state_type is _MapState else 11)
     assert all(recovery._START_CELLS in shape for shape in shapes)
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import dense_range_atoms, loop_synth_received, synth_pulse
+from helpers import (dense_range_atoms, loop_synth_received, per_transmitter_synth_received,
+                     synth_pulse)
 
 import submimo
 from submimo import (ArrayMode, NumericalError, ReceivedBaseband, Scene, Target,
@@ -184,6 +185,28 @@ def test_synthesis_equals_the_per_target_loop(desk_envs, mode):
         want = loop_synth_received(s, env.array, env.plan, env.sample_rate)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-9 * max(np.max(np.abs(want)), 1.0))
+
+
+@pytest.mark.parametrize("profile, mode", [("desk", mode) for mode in ArrayMode]
+                         + [("full", ArrayMode.ULA), ("full", ArrayMode.WIDE)])
+@pytest.mark.parametrize("num_targets", [0, 1, 10, 40])
+def test_synthesis_equals_the_per_transmitter_products_bit_for_bit(
+        desk_envs, full_envs, profile, mode, num_targets):
+    # the spatial factors of every transmitter in one stacked exp round as
+    # each transmitter's own did; half the delays are off the grid
+    env = (desk_envs if profile == "desk" else full_envs)[mode]
+    rng = np.random.default_rng([num_targets, len(env.range_grid), env.array.num_rx])
+    cells = rng.choice(len(env.range_grid), num_targets, replace=False).astype(float)
+    cells[::2] += rng.random(len(cells[::2]))
+    scene = make_scene(*zip(cells * env.range_grid.resolution,
+                            rng.uniform(-1, 1, num_targets),
+                            rng.standard_normal(num_targets)
+                            + 1j * rng.standard_normal(num_targets)))
+    got = synth_received(scene, env.array, env.plan, env.sample_rate)
+    want = per_transmitter_synth_received(scene, env.array, env.plan, env.sample_rate)
+    assert np.array_equal(got.spectrum, want.spectrum)
+    assert np.array_equal(got.active_mask, want.active_mask)
+    assert (got.spectrum != 0).any() == (num_targets > 0)
 
 
 def _noise_variance(rx, snr_db):

@@ -86,6 +86,35 @@ def test_compare_outputs_runs_noiseless_trials_at_an_snr_of_inf(tmp_path):
     assert outputs["desk", "thinned", 0]["counts"] == (10, 10, 10, 0)
 
 
+def test_compare_outputs_compares_the_scenes_and_frames_of_40_target_trials(tmp_path):
+    done = run_script("compare_outputs.py", "--parent", str(ROOT), "--seed", "5",
+                      "--desk-trials", "1", "--full-trials", "1", "--snr-db", "inf",
+                      "--targets", "40")
+    assert done.returncode == 0, done.stderr
+    for mode in ("desk ula", "desk random", "desk thinned", "desk wide",
+                 "full ula", "full wide"):
+        assert (f"{mode}: scenes equal in 1 of 1 trials, synthesized frames equal "
+                f"in 1\n") in done.stdout
+    assert done.stdout.endswith(
+        "bit-identical trials of 6: 6 in every field, 6 in the acquired coefficients, "
+        "6 in the file coefficients\n")
+    # the worker's scenes hold --targets targets, as its rows
+    outputs = _compare_outputs_script().run_trials(5, 1, 0, tmp_path, np.inf, 40)
+    assert {out["scene"].shape for out in outputs.values()} == {(40, 3)}
+    assert {out["counts"][0] for out in outputs.values()} == {40}
+
+
+def test_compare_outputs_reports_scenes_and_frames_that_differ(monkeypatch, capsys):
+    moved = dict(_TRIAL, scene=_TRIAL["scene"] * 2, frame="beef")
+    parent = {("desk", "thinned", r): _TRIAL for r in range(3)}
+    change = {("desk", "thinned", 0): _TRIAL,
+              ("desk", "thinned", 1): dict(_TRIAL, frame="beef"),
+              ("desk", "thinned", 2): moved}
+    assert _compare_outputs_on(monkeypatch, parent, change) == 0
+    assert ("desk thinned: scenes equal in 2 of 3 trials, synthesized frames equal "
+            "in 1\n") in capsys.readouterr().out
+
+
 def _compare_outputs_script():
     spec = importlib.util.spec_from_file_location(
         "compare_outputs", ROOT / "scripts" / "compare_outputs.py")
@@ -102,7 +131,8 @@ def _compare_outputs_on(monkeypatch, parent, change):
     return script.main(["--parent", str(ROOT), "--seed", "1"])
 
 
-_TRIAL = {"support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
+_TRIAL = {"scene": np.array([[1e-6, -0.5, 1j], [2e-6, 0.25, -1]]), "frame": "f00d",
+          "support": np.array([[3, 1], [5, 0]]), "amplitudes": np.array([1j, -0.25]),
           "residual_history": np.array([0.5, 0.125]), "signal_norm": np.float64(2.0),
           "residual_norm": np.float64(0.75), "counts": (2, 2, 1, 1),
           "coefficients": np.array([[[2 - 1j], [0.5j]]]),
